@@ -241,5 +241,5 @@ def positivity_report(state, tol: float = BOUNDARY_TOL) -> PositivityReport:
 
 
 def eigenvalue_oracle(state) -> np.ndarray:
-    """Sorted eigenvalues; PSD there means min eigenvalue >= -1e-8."""
+    """Sorted eigenvalues; PSD there means min eigenvalue >= -ORACLE_EIG_TOL."""
     return np.linalg.eigvalsh(_as_density_matrix(state))

@@ -224,7 +224,8 @@ def _selftest_rows(seed: int, panel_size: int):
         bad = states.random_nonpsd_unit_trace(seed + 600 + i, -0.1)
         for s, expect in ((psd, True), (bad, False)):
             report = casimir_positivity.positivity_report(s)
-            eig = casimir_positivity.eigenvalue_oracle(s).min() >= -1e-8
+            eig = (casimir_positivity.eigenvalue_oracle(s).min()
+                   >= -casimir_positivity.ORACLE_EIG_TOL)
             agree &= (report.positive_semidefinite == expect == eig
                       and report.consistent)
     add("positivity: S_k verdict == eigenvalue oracle == Casimir verdict",

@@ -10,9 +10,13 @@ becomes a constant-term extraction against the Weyl density:
     c_d = (1/|W|) CT_x [ prod_{roots r} (1 - x^r)
                          * [q^d] prod_{weights w} 1/(1 - q x^w) ]
 
-All arithmetic is exact: coefficients are integers throughout, int64 when a
-proven a-priori bound fits and arbitrary-precision Python integers
-otherwise.  No floating point enters this module.
+All arithmetic is exact and no floating point enters this module.  The
+truncated product is built in a dense box of Laurent coefficients per
+q-degree.  Every box entry counts weight multisets, so it is bounded by
+C(m + d - 1, d) for m weights at degree d; the box is int64 while that bound
+fits and holds arbitrary-precision Python integers otherwise (for
+SU(2)xSU(3) from degree 32 on).  The kernel product is summed in Python
+integers.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -30,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-from . import _kernels
 
 import numpy as np
 
@@ -159,30 +161,41 @@ def _coefficient_bound(n_weights: int, max_degree: int) -> int:
     return math.comb(n_weights + max_degree - 1, max_degree)
 
 
-def _build_product_boxes(weights, rank: int, max_degree: int,
-                         dtype, engine: str) -> tuple[np.ndarray, tuple[int, int, int]]:
+def _apply_factor(coeffs: np.ndarray, w) -> None:
+    """Multiply the truncated product by 1/(1 - q x^w) in place.
+
+    The update is S_d += shift(S_{d-1}, w) for d = 1..N, ascending.  Degree-d
+    coefficients involve exactly d weight monomials, so exponents never
+    leave the box and the shift needs no wraparound handling.
+    """
+    src, dst = [], []
+    for size, shift in zip(coeffs.shape[1:], w):
+        if shift >= 0:
+            src.append(slice(0, size - shift))
+            dst.append(slice(shift, size))
+        else:
+            src.append(slice(-shift, size))
+            dst.append(slice(0, size + shift))
+    src, dst = tuple(src), tuple(dst)
+    for d in range(1, coeffs.shape[0]):
+        coeffs[d][dst] += coeffs[d - 1][src]
+
+
+def _build_product_boxes(weights, rank: int,
+                         max_degree: int) -> tuple[np.ndarray, tuple[int, int, int]]:
     if rank > 3:
         raise ValueError(f"torus rank {rank} not supported (max 3)")
     padded = sorted(_padded_weights(weights, rank))
     spans = [max((abs(w[axis]) for w in padded), default=0) * max_degree
              for axis in range(3)]
     shape = (max_degree + 1,) + tuple(2 * s + 1 for s in spans)
-    coeffs = np.zeros(shape, dtype=dtype)
+    fits = _coefficient_bound(len(padded), max_degree) < INT64_SAFE_LIMIT
+    coeffs = np.zeros(shape, dtype=np.int64 if fits else object)
     center = tuple(spans)
     coeffs[(0,) + center] = 1
     for w in padded:
-        _kernels.apply_factor(coeffs, w, engine)
+        _apply_factor(coeffs, w)
     return coeffs, center
-
-
-def _select_dtype_engine(n_weights: int, max_degree: int, kernel_abs_sum: int,
-                         engine: str | None) -> tuple[type, str]:
-    bound = _coefficient_bound(n_weights, max_degree) * max(1, kernel_abs_sum)
-    if engine == "object" or bound >= INT64_SAFE_LIMIT:
-        return object, "numpy"
-    if engine is None:
-        engine = _kernels.default_engine()
-    return np.int64, engine
 
 
 @dataclass(frozen=True)
@@ -195,11 +208,10 @@ class TruncatedTorusSeries:
     coeffs: tuple[dict, ...] = field(repr=False)
 
     @classmethod
-    def from_weight_factors(cls, weights, rank: int, max_q_degree: int,
-                            engine: str | None = None) -> "TruncatedTorusSeries":
+    def from_weight_factors(cls, weights, rank: int,
+                            max_q_degree: int) -> "TruncatedTorusSeries":
         """Expand prod over weights w of 1/(1 - q x^w) through q^max_q_degree."""
-        dtype, eng = _select_dtype_engine(len(weights), max_q_degree, 1, engine)
-        boxes, center = _build_product_boxes(weights, rank, max_q_degree, dtype, eng)
+        boxes, center = _build_product_boxes(weights, rank, max_q_degree)
         dicts = []
         for d in range(max_q_degree + 1):
             box = boxes[d]
@@ -234,17 +246,16 @@ def _extract_constant_terms(boxes: np.ndarray, center, kernel: dict,
 
 
 def molien_series(ws: WeightSystem, max_degree: int, *,
-                  backend: str = "weyl", engine: str | None = None,
+                  backend: str = "weyl",
                   degree_cap: int = DEFAULT_DEGREE_CAP) -> list[int]:
     """Exact invariant counts c_0..c_max_degree for the weight system.
 
     backend "weyl" averages against the full root product with the explicit
     1/|W| normalization; "reduced" (built-in groups only) integrates the
     symmetry-reduced kernel normalized by its degree-0 constant term.
-    engine picks the inner loop: "numba", "numpy" or "object"
-    (arbitrary-precision); by default the fastest exact one is used, and the
-    object path is forced whenever the proven coefficient bound could
-    overflow int64.
+    The product box is int64 while the proven bound C(m + d - 1, d) on its
+    entries fits and holds Python integers otherwise; the kernel product is
+    summed in Python integers, so the counts are exact at every degree.
 
     Requests beyond degree_cap are rejected so that runaway degrees fail
     fast; pass a larger degree_cap explicitly to override.
@@ -264,9 +275,7 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    abs_sum = sum(abs(c) for c in kernel.values())
-    dtype, eng = _select_dtype_engine(len(ws.weights), max_degree, abs_sum, engine)
-    boxes, center = _build_product_boxes(ws.weights, ws.rank, max_degree, dtype, eng)
+    boxes, center = _build_product_boxes(ws.weights, ws.rank, max_degree)
     raw = _extract_constant_terms(boxes, center, kernel, ws.rank)
 
     if divisor is None:

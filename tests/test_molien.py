@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           TruncatedTorusSeries, WeightSystem,
+                          _build_product_boxes,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
@@ -98,20 +100,15 @@ def test_series_exponents_bounded():
             assert max(abs(e) for e in exp) <= d <= N
 
 
-@pytest.mark.parametrize("engine", ["numpy", "object"])
-def test_series_engines_agree(engine):
-    ws = adjoint_weight_system("su2xsu2")
-    ref = TruncatedTorusSeries.from_weight_factors(ws.weights, ws.rank, 6)
-    alt = TruncatedTorusSeries.from_weight_factors(ws.weights, ws.rank, 6,
-                                                   engine=engine)
-    assert ref.coeffs == alt.coeffs
-
-
-def test_molien_engines_agree():
-    ws = adjoint_weight_system("su2xsu3")
-    base = molien_series(ws, 8)
-    for engine in ("numpy", "object"):
-        assert molien_series(ws, 8, engine=engine) == base
+def test_box_dtype_follows_entry_bound():
+    # 35 weights: C(65, 31) < 2^62 <= C(66, 32)
+    zeros = ((0,),) * 35
+    boxes, _ = _build_product_boxes(zeros, 1, 31)
+    assert boxes.dtype == np.int64
+    assert int(boxes[31, 0, 0, 0]) == math.comb(65, 31)
+    boxes, _ = _build_product_boxes(zeros, 1, 32)
+    assert boxes.dtype == object
+    assert boxes[32, 0, 0, 0] == math.comb(66, 32)
 
 
 # -- series values ------------------------------------------------------------------
@@ -132,10 +129,11 @@ def test_two_qubit_series_matches_rational():
 
 
 def test_trivial_group_counts_free_ring():
-    for dim in range(1, 6):
+    # the last input has bound C(79, 40) ~ 2^75 and runs on the object box
+    for dim, degree in [(1, 10), (2, 10), (3, 10), (4, 10), (5, 10), (40, 40)]:
         ws = WeightSystem(1, ((0,),) * dim, (), 1)
-        series = molien_series(ws, 10)
-        expect = [math.comb(dim + d - 1, d) for d in range(11)]
+        series = molien_series(ws, degree, degree_cap=degree)
+        expect = [math.comb(dim + d - 1, d) for d in range(degree + 1)]
         assert series == expect
 
 
@@ -166,12 +164,10 @@ def test_degree_cap():
     assert len(molien_series(ws, 22, degree_cap=25)) == 23
 
 
-def test_bad_backend_and_engine():
+def test_bad_backend():
     ws = adjoint_weight_system("su2xsu2")
     with pytest.raises(ValueError, match="backend"):
         molien_series(ws, 4, backend="contour")
-    with pytest.raises(ValueError, match="engine"):
-        molien_series(ws, 4, engine="fortran")
 
 
 # -- rational forms ------------------------------------------------------------------
@@ -198,6 +194,14 @@ def test_qubit_qutrit_rational_matches_fraction_oracle():
 
 def test_qubit_qutrit_rational_matches_series():
     assert qubit_qutrit_rational().series(16) == POINCARE_2X3
+
+
+@pytest.mark.parametrize("backend", ["weyl", "reduced"])
+def test_qubit_qutrit_series_matches_rational_through_31(backend):
+    # 31 is the deepest degree whose product box still fits int64
+    ws = adjoint_weight_system("su2xsu3")
+    assert (molien_series(ws, 31, backend=backend, degree_cap=31)
+            == qubit_qutrit_rational().series(31))
 
 
 def test_rational_series_validates_denominator():
