@@ -12,11 +12,15 @@ becomes a constant-term extraction against the Weyl density:
 
 All arithmetic is exact and no floating point enters this module.  The
 truncated product is built in a dense box of Laurent coefficients per
-q-degree.  Every box entry counts weight multisets, so it is bounded by
-C(m + d - 1, d) for m weights at degree d; the box is int64 while that bound
-fits and holds arbitrary-precision Python integers otherwise (for
-SU(2)xSU(3) from degree 32 on).  The kernel product is summed in Python
-integers.
+q-degree, pruned to the cells that can still reach the kernel's exponents:
+at degree d of N the update runs on the window |p_a| <= min(d wmax_a,
+(N - d) wmax_a + reach_a), where wmax_a is the largest weight coordinate and
+reach_a the largest kernel exponent on axis a, so the box has about half the
+full radius N wmax_a.  Every box entry counts weight multisets, so it is
+bounded by C(m + d - 1, d) for m weights at degree d; the box is int64 while
+that bound fits and holds arbitrary-precision Python integers otherwise (for
+SU(2)xSU(3) from degree 32 on).  The kernel product is gathered from the box
+in one index and summed in Python integers.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -118,16 +122,20 @@ def _laurent_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _root_polynomial(roots, rank: int) -> dict:
-    """Expanded prod over roots r of (1 - x^r), exact integer coefficients."""
+@lru_cache(maxsize=None)
+def _root_polynomial(roots: tuple, rank: int) -> tuple:
+    """Expanded prod over roots r of (1 - x^r) as (exponent, coefficient)
+    items, exact integer coefficients."""
     poly = {(0,) * rank: 1}
     for r in roots:
         poly = _laurent_mul(poly, {(0,) * rank: 1, tuple(r): -1})
-    return poly
+    return tuple(poly.items())
 
 
-def _reduced_kernel(label: str) -> dict:
-    """Symmetry-reduced constant-term kernel replacing the Weyl density.
+@lru_cache(maxsize=None)
+def _reduced_kernel(label: str) -> tuple:
+    """Symmetry-reduced constant-term kernel replacing the Weyl density, as
+    (exponent, coefficient) items.
 
     su2xsu2:  z^-1 w^-1 (1 - z)^2 (1 - w)^2
     su2xsu3:  (1 - x^-1)(1 - y^-1)(1 - z^-1)(1 - (yz)^-1)
@@ -140,12 +148,12 @@ def _reduced_kernel(label: str) -> dict:
             lin[step] = -2
             lin[tuple(2 * s for s in step)] = 1
             poly = _laurent_mul(poly, lin)
-        return poly
+        return tuple(poly.items())
     if label == "su2xsu3":
         poly = {(0, 0, 0): 1}
         for term in ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, -1, -1)):
             poly = _laurent_mul(poly, {(0, 0, 0): 1, term: -1})
-        return poly
+        return tuple(poly.items())
     raise ValueError(f"reduced backend is only defined for {GROUP_LABELS}, got {label!r}")
 
 
@@ -161,40 +169,77 @@ def _coefficient_bound(n_weights: int, max_degree: int) -> int:
     return math.comb(n_weights + max_degree - 1, max_degree)
 
 
-def _apply_factor(coeffs: np.ndarray, w) -> None:
-    """Multiply the truncated product by 1/(1 - q x^w) in place.
+def _axis_reach(vectors, rank: int) -> tuple[int, ...]:
+    """Largest |v_a| over the vectors, per torus axis."""
+    return tuple(max((abs(v[axis]) for v in vectors), default=0)
+                 for axis in range(rank))
 
-    The update is S_d += shift(S_{d-1}, w) for d = 1..N, ascending.  Degree-d
-    coefficients involve exactly d weight monomials, so exponents never
-    leave the box and the shift needs no wraparound handling.
+
+def _axis_windows(shift: int, radii, c: int) -> list:
+    """Slice pairs (destination, source) on one axis of S_d += S_{d-1}
+    shifted by `shift`, for d = 1..N (index d; index 0 is None), the
+    destination clipped to the degree-d window and the source to the
+    degree-(d-1) window; None where nothing is added.
+
+    A shift wider than both windows leaves lo > hi, and the slice stop would
+    be negative, which numpy wraps instead of rejecting, so it must be
+    skipped.
     """
-    src, dst = [], []
-    for size, shift in zip(coeffs.shape[1:], w):
-        if shift >= 0:
-            src.append(slice(0, size - shift))
-            dst.append(slice(shift, size))
-        else:
-            src.append(slice(-shift, size))
-            dst.append(slice(0, size + shift))
-    src, dst = tuple(src), tuple(dst)
-    for d in range(1, coeffs.shape[0]):
-        coeffs[d][dst] += coeffs[d - 1][src]
+    out = [None]
+    for d in range(1, len(radii)):
+        lo = max(-radii[d], shift - radii[d - 1])
+        hi = min(radii[d], shift + radii[d - 1])
+        out.append((slice(c + lo, c + hi + 1), slice(c + lo - shift, c + hi + 1 - shift))
+                   if lo <= hi else None)
+    return out
 
 
-def _build_product_boxes(weights, rank: int,
-                         max_degree: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+def _build_product_boxes(weights, rank: int, max_degree: int,
+                         reach) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Truncated prod over weights w of 1/(1 - q x^w), one dense box of
+    Laurent coefficients per q-degree, exact on every cell within `reach`
+    (per axis) of the origin at every degree.
+
+    Multiplying by 1/(1 - q x^w) is S_d += shift(S_{d-1}, w) for
+    d = 1..N, ascending.  With wmax_a = max |w_a| the degree-d coefficients
+    vanish outside |p_a| <= d wmax_a, and a degree-d cell can still feed a
+    cell within reach at degree d' >= d only when
+    |p_a| <= (N - d) wmax_a + reach_a.  Each update therefore runs on the
+    window of radius rad_d = min(d wmax_a, (N - d) wmax_a + reach_a), and the
+    box has radius max_d rad_d.  The clipping drops no needed term: the
+    predecessor p - w of a cell p in the degree-d window has
+    |p_a - w_a| <= (N - d + 1) wmax_a + reach_a, so it is either zero or in
+    the degree-(d-1) window; the cells that can reach a read cell are closed
+    under predecessors.  Cells outside the windows stay zero and are never
+    read.  With reach = N wmax the windows are the full supports.
+
+    The box is int64 while the bound C(m + d - 1, d) on its entries fits and
+    holds Python integers otherwise.
+    """
     if rank > 3:
         raise ValueError(f"torus rank {rank} not supported (max 3)")
     padded = sorted(_padded_weights(weights, rank))
-    spans = [max((abs(w[axis]) for w in padded), default=0) * max_degree
-             for axis in range(3)]
-    shape = (max_degree + 1,) + tuple(2 * s + 1 for s in spans)
+    wmax = _axis_reach(padded, 3)
+    reach = tuple(reach) + (0,) * (3 - rank)
+    radii = [[min(d * m, (max_degree - d) * m + r) for d in range(max_degree + 1)]
+             for m, r in zip(wmax, reach)]
+    center = tuple(max(rad) for rad in radii)
+    shape = (max_degree + 1,) + tuple(2 * c + 1 for c in center)
     fits = _coefficient_bound(len(padded), max_degree) < INT64_SAFE_LIMIT
     coeffs = np.zeros(shape, dtype=np.int64 if fits else object)
-    center = tuple(spans)
     coeffs[(0,) + center] = 1
+    shifts = {(axis, w[axis]) for w in padded for axis in range(3)}
+    axis_windows = {(axis, s): _axis_windows(s, radii[axis], center[axis])
+                    for axis, s in shifts}
+    # views into the box, built once per distinct weight (2x3: 21 of 35)
+    views = {}
+    for w in set(padded):
+        per_degree = zip(*(axis_windows[axis, s] for axis, s in enumerate(w)))
+        views[w] = [(coeffs[d, x[0], y[0], z[0]], coeffs[d - 1, x[1], y[1], z[1]])
+                    for d, (x, y, z) in enumerate(per_degree) if x and y and z]
     for w in padded:
-        _apply_factor(coeffs, w)
+        for dst, src in views[w]:
+            dst += src
     return coeffs, center
 
 
@@ -211,7 +256,8 @@ class TruncatedTorusSeries:
     def from_weight_factors(cls, weights, rank: int,
                             max_q_degree: int) -> "TruncatedTorusSeries":
         """Expand prod over weights w of 1/(1 - q x^w) through q^max_q_degree."""
-        boxes, center = _build_product_boxes(weights, rank, max_q_degree)
+        reach = tuple(max_q_degree * m for m in _axis_reach(weights, rank))
+        boxes, center = _build_product_boxes(weights, rank, max_q_degree, reach)
         dicts = []
         for d in range(max_q_degree + 1):
             box = boxes[d]
@@ -226,23 +272,21 @@ class TruncatedTorusSeries:
         return self.coeffs[degree].get((0,) * self.rank, 0)
 
 
-def _extract_constant_terms(boxes: np.ndarray, center, kernel: dict,
+def _extract_constant_terms(boxes: np.ndarray, center, kernel: tuple,
                             rank: int) -> list[int]:
-    """CT per q-degree of kernel * series, looking coefficients up at the
-    negated kernel exponents (out-of-box lookups are exact zeros)."""
-    max_degree = boxes.shape[0] - 1
-    shape = boxes.shape[1:]
-    out = []
-    for d in range(max_degree + 1):
-        box = boxes[d]
-        total = 0
-        for exp, coef in kernel.items():
-            pos = tuple(c - e for c, e in
-                        zip(center, tuple(exp) + (0,) * (3 - rank)))
-            if all(0 <= p < s for p, s in zip(pos, shape)):
-                total += int(coef) * int(box[pos])
-        out.append(total)
-    return out
+    """CT per q-degree of kernel * series: the box entries at the negated
+    kernel exponents, gathered for every degree at once and summed against
+    the kernel coefficients in Python integers (out-of-box lookups are
+    exact zeros)."""
+    coefs, positions = [], []
+    for exp, coef in kernel:
+        pos = tuple(c - e for c, e in zip(center, tuple(exp) + (0,) * (3 - rank)))
+        if all(0 <= p < s for p, s in zip(pos, boxes.shape[1:])):
+            coefs.append(int(coef))
+            positions.append(pos)
+    index = np.array(positions, dtype=np.intp).reshape(-1, 3).T
+    rows = boxes[:, index[0], index[1], index[2]].tolist()
+    return [sum(c * v for c, v in zip(coefs, row)) for row in rows]
 
 
 def molien_series(ws: WeightSystem, max_degree: int, *,
@@ -253,9 +297,11 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     backend "weyl" averages against the full root product with the explicit
     1/|W| normalization; "reduced" (built-in groups only) integrates the
     symmetry-reduced kernel normalized by its degree-0 constant term.
-    The product box is int64 while the proven bound C(m + d - 1, d) on its
-    entries fits and holds Python integers otherwise; the kernel product is
-    summed in Python integers, so the counts are exact at every degree.
+    The product box covers only the cells within the kernel's reach (see
+    _build_product_boxes).  It is int64 while the proven bound
+    C(m + d - 1, d) on its entries fits and holds Python integers otherwise;
+    the kernel product is summed in Python integers, so the counts are exact
+    at every degree.
 
     Requests beyond degree_cap are rejected so that runaway degrees fail
     fast; pass a larger degree_cap explicitly to override.
@@ -267,7 +313,7 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
             f"max_degree {max_degree} exceeds the resource cap {degree_cap}; "
             f"pass degree_cap explicitly to override")
     if backend == "weyl":
-        kernel = _root_polynomial(ws.roots, ws.rank)
+        kernel = _root_polynomial(tuple(map(tuple, ws.roots)), ws.rank)
         divisor = ws.weyl_order
     elif backend == "reduced":
         kernel = _reduced_kernel(ws.label)
@@ -275,7 +321,8 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    boxes, center = _build_product_boxes(ws.weights, ws.rank, max_degree)
+    reach = _axis_reach([exp for exp, _ in kernel], ws.rank)
+    boxes, center = _build_product_boxes(ws.weights, ws.rank, max_degree, reach)
     raw = _extract_constant_terms(boxes, center, kernel, ws.rank)
 
     if divisor is None:

@@ -175,7 +175,7 @@ def test_oracle_equivalence_panel():
         bad = states.random_nonpsd_unit_trace(seed + 2000, -0.05)
         for s, expect in ((good, True), (bad, False)):
             verdict = positivity_report(s).positive_semidefinite
-            oracle = eigenvalue_oracle(s).min() >= -1e-8
+            oracle = eigenvalue_oracle(s).min() >= -cp.ORACLE_EIG_TOL
             assert verdict == oracle == expect
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           TruncatedTorusSeries, WeightSystem,
-                          _build_product_boxes,
+                          _axis_reach, _build_product_boxes,
+                          _root_polynomial,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
@@ -100,15 +101,62 @@ def test_series_exponents_bounded():
             assert max(abs(e) for e in exp) <= d <= N
 
 
+def test_series_matches_dict_product():
+    # every coefficient, not only those near the origin: the full series
+    # must not be clipped to a kernel's reach
+    ws = adjoint_weight_system("su2xsu2")
+    N = 6
+    poly = {(0, 0, 0): 1}  # (q-degree, z, w) -> coefficient
+    for w in ws.weights:
+        nxt = {}
+        for (d, *exp), c in poly.items():
+            for k in range(N + 1 - d):
+                key = (d + k,) + tuple(e + k * x for e, x in zip(exp, w))
+                nxt[key] = nxt.get(key, 0) + c
+        poly = nxt
+    expect = [{} for _ in range(N + 1)]
+    for (d, *exp), c in poly.items():
+        expect[d][tuple(exp)] = c
+    ser = TruncatedTorusSeries.from_weight_factors(ws.weights, ws.rank, N)
+    assert list(ser.coeffs) == expect
+
+
 def test_box_dtype_follows_entry_bound():
     # 35 weights: C(65, 31) < 2^62 <= C(66, 32)
     zeros = ((0,),) * 35
-    boxes, _ = _build_product_boxes(zeros, 1, 31)
+    boxes, _ = _build_product_boxes(zeros, 1, 31, (0,))
     assert boxes.dtype == np.int64
     assert int(boxes[31, 0, 0, 0]) == math.comb(65, 31)
-    boxes, _ = _build_product_boxes(zeros, 1, 32)
+    boxes, _ = _build_product_boxes(zeros, 1, 32, (0,))
     assert boxes.dtype == object
     assert boxes[32, 0, 0, 0] == math.comb(66, 32)
+
+
+def test_pruned_box_shape_2x3():
+    # radius max_d min(d, 30 - d + reach) per axis, kernel reach (1, 2, 2)
+    ws = adjoint_weight_system("su2xsu3")
+    reach = _axis_reach([exp for exp, _ in _root_polynomial(ws.roots, ws.rank)],
+                        ws.rank)
+    assert reach == (1, 2, 2)
+    boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
+    assert boxes.shape == (31, 31, 33, 33)
+    assert center == (15, 16, 16)
+
+
+def test_pruned_series_matches_full_box_spin1_plus_spin2():
+    # SU(2) on spin 1 + spin 2: weights up to 4 against a kernel of reach 2,
+    # so the shift of a weight can be wider than both windows at low degree
+    weights = ((2,), (0,), (-2,), (4,), (2,), (0,), (-2,), (-4,))
+    ws = WeightSystem(1, weights, ((2,), (-2,)), 2)
+    kernel = {(0,): 2, (2,): -1, (-2,): -1}  # (1 - x^2)(1 - x^-2)
+    for N in range(25):
+        full = TruncatedTorusSeries.from_weight_factors(weights, 1, N)
+        expect = []
+        for poly in full.coeffs:
+            total = sum(c * poly.get((-e,), 0) for (e,), c in kernel.items())
+            assert total % 2 == 0
+            expect.append(total // 2)
+        assert molien_series(ws, N, degree_cap=N) == expect
 
 
 # -- series values ------------------------------------------------------------------
@@ -202,6 +250,15 @@ def test_qubit_qutrit_series_matches_rational_through_31(backend):
     ws = adjoint_weight_system("su2xsu3")
     assert (molien_series(ws, 31, backend=backend, degree_cap=31)
             == qubit_qutrit_rational().series(31))
+
+
+@pytest.mark.parametrize("backend", ["weyl", "reduced"])
+def test_qubit_qutrit_series_matches_rational_through_38(backend):
+    # q^38 is the last printed numerator coefficient; from 32 on the box
+    # holds Python integers
+    ws = adjoint_weight_system("su2xsu3")
+    assert (molien_series(ws, 38, backend=backend, degree_cap=38)
+            == qubit_qutrit_rational().series(38))
 
 
 def test_rational_series_validates_denominator():
