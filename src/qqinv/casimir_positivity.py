@@ -17,8 +17,8 @@ of all characteristic-polynomial coefficients S_k, computed here by the
 Newton recurrence (with the determinant form as an independent cross-check)
 and normalized by their maxima binom(6, 6-k)/6^k.  The same condition is
 expressed as 0 <= E_k <= 1 for five polynomial expressions in the normalized
-Casimirs C_k; the affine correspondence between E_k and the normalized
-coefficients was established numerically once and is frozen below.
+Casimirs C_k.  They are the normalized coefficients Sbar_k = S_k / max(S_k)
+in another form: E_k = 1 - Sbar_k for k = 2..4 and E_k = Sbar_k for k = 5, 6.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ from .states import QubitQutritState
 TRACELESS_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 ORACLE_EIG_TOL = 1e-8
-
-#: slope/intercept linking each Casimir inequality expression E_k to the
-#: normalized characteristic coefficient S_k / max(S_k); frozen regression
-#: constants (residuals are at rounding level on Ginibre samples).
-E_SBAR_AFFINE = {2: (-1.0, 1.0), 3: (-1.0, 1.0), 4: (-1.0, 1.0),
-                 5: (1.0, 0.0), 6: (1.0, 0.0)}
 
 MAX_S = {k: math.comb(6, 6 - k) / 6 ** k for k in range(1, 7)}
 

@@ -145,26 +145,14 @@ def _cmd_molien(args, out) -> int:
 
 
 def _run_checks(seed: int, panel_size: int) -> dict[str, dict]:
-    li = local_invariants
-    tol = li.CHECK_TOL
-    md = li.multidegree_relations_check(seed, panel_size)
-    cas = li.casimir_decomposition_check(seed, panel_size)
-    checks = {
-        "sign_relation": {"violation": li.sign_relation_violation(seed, panel_size),
-                          "tolerance": tol},
-        "gamma3_formula": {"violation": li.gamma3_formula_violation(seed, panel_size),
-                           "tolerance": tol},
-        "i004_identity": {"violation": li.i004_identity_violation(seed, panel_size),
-                          "tolerance": tol},
-        "product_relation": {"violation": li.product_relation_violation(seed, panel_size),
-                             "tolerance": tol},
-        "multidegree_relations": {"violation": max(md.values()), "tolerance": tol,
-                                  "detail": md},
-        "casimir_decomposition": {"violation": max(cas.values()), "tolerance": 1e-8,
-                                  "detail": cas},
-    }
-    for doc in checks.values():
-        doc["passed"] = doc["violation"] < doc["tolerance"]
+    checks = {}
+    for name, worst in local_invariants.panel_violations(seed, panel_size).items():
+        tol = local_invariants.PANEL_IDENTITIES[name][1]
+        violation = max(worst.values())
+        doc = {"violation": violation, "tolerance": tol, "passed": violation < tol}
+        if len(worst) > 1:
+            doc["detail"] = worst
+        checks[name] = doc
     return checks
 
 
@@ -194,7 +182,8 @@ def _selftest_rows(seed: int, panel_size: int):
                 idx = tuple(int(i) for i in rng.integers(0, len(basis), size=arity))
                 worst = max(worst, abs(su_algebra.symmetrized_trace(basis, idx)
                                        - su_algebra.symmetrized_trace_closed(sc, idx)))
-        add(f"{label}: symmetrized traces vs closed forms", worst < 1e-10,
+        add(f"{label}: symmetrized traces vs closed forms",
+            worst < su_algebra.CLOSED_FORM_TOL,
             f"max {worst:.2e}")
 
     sc6 = su_algebra.structure_constants("su6-tensor")
@@ -286,15 +275,17 @@ def _selftest_rows(seed: int, panel_size: int):
 
 
 def _cmd_selftest(args, out) -> int:
-    print(f"selftest  seed={args.seed}  panel-size={args.panel_size}", file=out)
     rows = _selftest_rows(args.seed, args.panel_size)
-    width = max(len(name) for name, _, _ in rows)
-    failures = 0
-    for name, passed, detail in rows:
-        status = "pass" if passed else "FAIL"
-        failures += not passed
-        print(f"{status}  {name:<{width}}  {detail}", file=out)
-    print(f"{len(rows) - failures}/{len(rows)} checks passed", file=out)
+    failures = sum(not passed for _, passed, _ in rows)
+    if args.format == "json":
+        print(_dump([{"name": name, "passed": passed, "detail": detail}
+                     for name, passed, detail in rows], "json"), file=out)
+    else:
+        print(f"selftest  seed={args.seed}  panel-size={args.panel_size}", file=out)
+        width = max(len(name) for name, _, _ in rows)
+        for name, passed, detail in rows:
+            print(f"{'pass' if passed else 'FAIL'}  {name:<{width}}  {detail}", file=out)
+        print(f"{len(rows) - failures}/{len(rows)} checks passed", file=out)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -308,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default=None,
                         help="output format (default json; molien defaults to "
-                             "plain 'd c_d' lines)")
+                             "plain 'd c_d' lines, selftest to table)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", parents=[common],
@@ -356,9 +347,12 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     if args.format is None:
-        args.format = "table" if args.command == "molien" else "json"
+        args.format = "table" if args.command in ("molien", "selftest") else "json"
     if args.command == "invariants" and not 1 <= args.max_degree <= 8:
         print("qqinv: --max-degree must be in 1..8", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.command in ("invariants", "selftest") and args.panel_size < 1:
+        print("qqinv: --panel-size must be >= 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args, out)

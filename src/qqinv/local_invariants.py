@@ -138,6 +138,8 @@ def eval_trace(word, state: QubitQutritState, imag_tol: float = IMAG_TOL) -> flo
 def random_panel(seed: int = DEFAULT_PANEL_SEED,
                  size: int = DEFAULT_PANEL_SIZE) -> list[QubitQutritState]:
     """Seeded Ginibre state panel used by all identity checks."""
+    if size < 1:
+        raise ValueError(f"panel size must be >= 1, got {size}")
     return [states.random_density(seed + i) for i in range(size)]
 
 
@@ -183,63 +185,121 @@ def _su3_constants() -> su_algebra.StructureConstants:
     return su_algebra.structure_constants("su3-gellmann")
 
 
-def sign_relation_check(seed: int = DEFAULT_PANEL_SEED,
-                        panel_size: int = DEFAULT_PANEL_SIZE,
-                        tol: float = CHECK_TOL) -> bool:
-    """tr(a b g g) = -tr(a g b g) across the panel."""
-    return sign_relation_violation(seed, panel_size) < tol
+def _sign_relation(s, mats):
+    return {"sign_relation": abs(_eval_on(mats, "abgg") + _eval_on(mats, "agbg"))}
+
+
+def _gamma3_formula(s, mats):
+    lhs = _eval_on(mats, "ggg").real
+    rhs = -4.0 * np.einsum("ijk,abc,ia,jb,kc->", _EPSILON3, _su3_constants().f,
+                           s.C, s.C, s.C)
+    return {"gamma3_formula": abs(lhs - rhs)}
+
+
+def _i004_identity(s, mats):
+    sc = _su3_constants()
+    G = s.C.T @ s.C
+    lhs = np.einsum("abc,cpq,ab,pq->", sc.d, sc.d, G, G)
+    ff = np.einsum("apc,cbq,ab,pq->", sc.f, sc.f, G, G)
+    rhs = (2.0 / 3.0) * ff - (np.trace(G) ** 2 - 2.0 * np.trace(G @ G)) / 3.0
+    return {"i004_identity": abs(lhs - rhs)}
+
+
+def _product_relation(s, mats):
+    return {"product_relation": abs(_eval_on(mats, "aabb").real
+                                    - _eval_on(mats, "aa").real
+                                    * _eval_on(mats, "bb").real / 6.0)}
+
+
+def _multidegree_relations(s, mats):
+    d3 = _su3_constants().d
+    G = s.C.T @ s.C
+    aagg = _eval_on(mats, "aagg").real
+    bbgg = _eval_on(mats, "bbgg").real
+    taa = _eval_on(mats, "aa").real
+    tbb = _eval_on(mats, "bb").real
+    tgg = _eval_on(mats, "gg").real
+    return {
+        "aagg_agag": abs(aagg + _eval_on(mats, "agag").real
+                         - 8.0 * s.a @ (s.C @ s.C.T) @ s.a),
+        "aagg_product": abs(aagg - taa * tgg / 6.0),
+        "bbgg_product": abs(bbgg - tbb * tgg / 6.0
+                            - 4.0 * np.einsum("abk,kcd,a,b,cd->", d3, d3,
+                                              s.b, s.b, G)),
+        "bbgg_bgbg": abs(bbgg + _eval_on(mats, "bgbg").real
+                         - 8.0 * ((2.0 / 3.0) * s.b @ G @ s.b
+                                  + np.einsum("abk,kcd,a,c,bd->", d3, d3,
+                                              s.b, s.b, G))),
+    }
+
+
+def _casimir_decomposition(s, mats):
+    t = lambda w: _eval_on(mats, w).real
+    c2, c3, c4, _, _ = casimir_positivity.casimirs_from_traces(s).raw
+    dec4 = ((t("aa") * (2 * t("bb") + t("gg"))
+             + 0.25 * t("bb") ** 2 - 0.5 * t("gg") ** 2
+             - t("bb") * t("gg")) / 3.0
+            + 4 * (t("aggg") + t("bggg") + t("bbgg") + t("abgg")
+                   + 3 * t("abbg"))
+            + 2 * (t("agag") + t("bgbg"))
+            + t("gggg"))
+    return {"c2": abs(6 * c2 - (t("aa") + t("bb") + t("gg"))),
+            "c3": abs(6 * c3 - (t("bbb") + t("ggg") + 3 * t("bgg") + 6 * t("abg"))),
+            "c4": abs(6 * c4 - dec4)}
+
+
+#: name -> (per-state residual function (state, letter matrices) -> {key:
+#: residual}, tolerance on the panel maximum); selftest prints in this order
+PANEL_IDENTITIES = {
+    "sign_relation": (_sign_relation, CHECK_TOL),
+    "gamma3_formula": (_gamma3_formula, CHECK_TOL),
+    "i004_identity": (_i004_identity, CHECK_TOL),
+    "product_relation": (_product_relation, CHECK_TOL),
+    "multidegree_relations": (_multidegree_relations, CHECK_TOL),
+    "casimir_decomposition": (_casimir_decomposition, 1e-8),
+}
+
+
+def panel_violations(seed: int = DEFAULT_PANEL_SEED,
+                     panel_size: int = DEFAULT_PANEL_SIZE,
+                     names: tuple[str, ...] = tuple(PANEL_IDENTITIES)
+                     ) -> dict[str, dict[str, float]]:
+    """Max residual per key of each named identity over one seeded panel,
+    as {name: {key: max}}; the letter matrices are built once per state."""
+    worst = {name: {} for name in names}
+    for s in random_panel(seed, panel_size):
+        mats = _letter_matrices(s)
+        for name in names:
+            for key, r in PANEL_IDENTITIES[name][0](s, mats).items():
+                worst[name][key] = float(max(worst[name].get(key, 0.0), r))
+    return worst
+
+
+def _panel_max(name: str, seed: int, panel_size: int) -> dict[str, float]:
+    return panel_violations(seed, panel_size, (name,))[name]
 
 
 def sign_relation_violation(seed: int = DEFAULT_PANEL_SEED,
                             panel_size: int = DEFAULT_PANEL_SIZE) -> float:
-    worst = 0.0
-    for s in random_panel(seed, panel_size):
-        mats = _letter_matrices(s)
-        worst = max(worst, abs(_eval_on(mats, "abgg") + _eval_on(mats, "agbg")))
-    return float(worst)
-
-
-def gamma3_formula_check(seed: int = DEFAULT_PANEL_SEED,
-                         panel_size: int = DEFAULT_PANEL_SIZE,
-                         tol: float = CHECK_TOL) -> bool:
-    """tr(g^3) = -4 eps_ijk f_abc C_ia C_jb C_kc across the panel."""
-    return gamma3_formula_violation(seed, panel_size) < tol
+    """tr(a b g g) = -tr(a g b g) across the panel."""
+    return _panel_max("sign_relation", seed, panel_size)["sign_relation"]
 
 
 def gamma3_formula_violation(seed: int = DEFAULT_PANEL_SEED,
                              panel_size: int = DEFAULT_PANEL_SIZE) -> float:
-    f3 = _su3_constants().f
-    worst = 0.0
-    for s in random_panel(seed, panel_size):
-        lhs = eval_trace("ggg", s)
-        rhs = -4.0 * np.einsum("ijk,abc,ia,jb,kc->", _EPSILON3, f3, s.C, s.C, s.C)
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    """tr(g^3) = -4 eps_ijk f_abc C_ia C_jb C_kc across the panel."""
+    return _panel_max("gamma3_formula", seed, panel_size)["gamma3_formula"]
 
 
-def i004_identity_check(seed: int = DEFAULT_PANEL_SEED,
-                        panel_size: int = DEFAULT_PANEL_SIZE,
-                        tol: float = CHECK_TOL) -> bool:
+def i004_identity_violation(seed: int = DEFAULT_PANEL_SEED,
+                            panel_size: int = DEFAULT_PANEL_SIZE) -> float:
     """Degree-(0,0,4) exchange identity between the d- and f-contracted
     correlation invariants:
 
         d_abc d_cpq G_ab G_pq = (2/3) f_apc f_cbq G_ab G_pq
                                 - (1/3) [ (tr G)^2 - 2 tr(G^2) ],  G = C^T C.
     """
-    return i004_identity_violation(seed, panel_size) < tol
-
-
-def i004_identity_violation(seed: int = DEFAULT_PANEL_SEED,
-                            panel_size: int = DEFAULT_PANEL_SIZE) -> float:
-    sc = _su3_constants()
-    worst = 0.0
-    for s in random_panel(seed, panel_size):
-        G = s.C.T @ s.C
-        lhs = np.einsum("abc,cpq,ab,pq->", sc.d, sc.d, G, G)
-        ff = np.einsum("apc,cbq,ab,pq->", sc.f, sc.f, G, G)
-        rhs = (2.0 / 3.0) * ff - (np.trace(G) ** 2 - 2.0 * np.trace(G @ G)) / 3.0
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    return _panel_max("i004_identity", seed, panel_size)["i004_identity"]
 
 
 def multidegree_relations_check(seed: int = DEFAULT_PANEL_SEED,
@@ -255,65 +315,20 @@ def multidegree_relations_check(seed: int = DEFAULT_PANEL_SEED,
                    = 8 [ (2/3) b C^T C b
                          + d_{j1 j2 k} d_{k j3 j4} b_{j1} b_{j3} (C^T C)_{j2 j4} ]
     """
-    d3 = _su3_constants().d
-    worst = dict.fromkeys(("aagg_agag", "aagg_product", "bbgg_product",
-                           "bbgg_bgbg"), 0.0)
-    for s in random_panel(seed, panel_size):
-        mats = _letter_matrices(s)
-        G = s.C.T @ s.C
-        aagg = _eval_on(mats, "aagg").real
-        bbgg = _eval_on(mats, "bbgg").real
-        taa = _eval_on(mats, "aa").real
-        tbb = _eval_on(mats, "bb").real
-        tgg = _eval_on(mats, "gg").real
-        r = abs(aagg + _eval_on(mats, "agag").real
-                - 8.0 * s.a @ (s.C @ s.C.T) @ s.a)
-        worst["aagg_agag"] = max(worst["aagg_agag"], r)
-        r = abs(aagg - taa * tgg / 6.0)
-        worst["aagg_product"] = max(worst["aagg_product"], r)
-        r = abs(bbgg - tbb * tgg / 6.0
-                - 4.0 * np.einsum("abk,kcd,a,b,cd->", d3, d3, s.b, s.b, G))
-        worst["bbgg_product"] = max(worst["bbgg_product"], r)
-        r = abs(bbgg + _eval_on(mats, "bgbg").real
-                - 8.0 * ((2.0 / 3.0) * s.b @ G @ s.b
-                         + np.einsum("abk,kcd,a,c,bd->", d3, d3, s.b, s.b, G)))
-        worst["bbgg_bgbg"] = max(worst["bbgg_bgbg"], r)
-    return {k: float(v) for k, v in worst.items()}
+    return _panel_max("multidegree_relations", seed, panel_size)
 
 
 def product_relation_violation(seed: int = DEFAULT_PANEL_SEED,
                                panel_size: int = DEFAULT_PANEL_SIZE) -> float:
     """tr(a a b b) = (1/6) tr(a a) tr(b b) across the panel."""
-    worst = 0.0
-    for s in random_panel(seed, panel_size):
-        mats = _letter_matrices(s)
-        worst = max(worst, abs(_eval_on(mats, "aabb").real
-                               - _eval_on(mats, "aa").real
-                               * _eval_on(mats, "bb").real / 6.0))
-    return float(worst)
+    return _panel_max("product_relation", seed, panel_size)["product_relation"]
 
 
 def casimir_decomposition_check(seed: int = DEFAULT_PANEL_SEED,
                                 panel_size: int = DEFAULT_PANEL_SIZE) -> dict[str, float]:
     """Max violation of the expansions of 6 c_2, 6 c_3 and 6 c_4 over the
     trace scalars, against the trace-route Casimir values."""
-    worst = {"c2": 0.0, "c3": 0.0, "c4": 0.0}
-    for s in random_panel(seed, panel_size):
-        mats = _letter_matrices(s)
-        t = lambda w: _eval_on(mats, w).real
-        c2, c3, c4, _, _ = casimir_positivity.casimirs_from_traces(s).raw
-        worst["c2"] = max(worst["c2"], abs(6 * c2 - (t("aa") + t("bb") + t("gg"))))
-        worst["c3"] = max(worst["c3"], abs(
-            6 * c3 - (t("bbb") + t("ggg") + 3 * t("bgg") + 6 * t("abg"))))
-        dec4 = ((t("aa") * (2 * t("bb") + t("gg"))
-                 + 0.25 * t("bb") ** 2 - 0.5 * t("gg") ** 2
-                 - t("bb") * t("gg")) / 3.0
-                + 4 * (t("aggg") + t("bggg") + t("bbgg") + t("abgg")
-                       + 3 * t("abbg"))
-                + 2 * (t("agag") + t("bgbg"))
-                + t("gggg"))
-        worst["c4"] = max(worst["c4"], abs(6 * c4 - dec4))
-    return {k: float(v) for k, v in worst.items()}
+    return _panel_max("casimir_decomposition", seed, panel_size)
 
 
 # -- ranks and independence -----------------------------------------------------
@@ -368,14 +383,20 @@ def rank_at_degree(degree: int, include_products: bool,
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
     if include_products:
         candidates += _product_candidates(degree, seed)
+    return _evaluation_rank(candidates, seed)
+
+
+def _evaluation_rank(candidates, seed: int, extra=()) -> int:
+    """Numerical rank of the products of trace words in candidates, plus the
+    state functions in extra, on twice as many seeded states as columns."""
     needed = sorted({w for cand in candidates for w in cand})
-    n_states = 2 * len(candidates)
-    panel = [states.random_density(seed + 1000 + i) for i in range(n_states)]
     rows = []
-    for s in panel:
+    for i in range(2 * (len(candidates) + len(extra))):
+        s = states.random_density(seed + 1000 + i)
         mats = _letter_matrices(s)
         values = {w: _eval_on(mats, w).real for w in needed}
-        rows.append([np.prod([values[w] for w in cand]) for cand in candidates])
+        rows.append([np.prod([values[w] for w in cand]) for cand in candidates]
+                    + [f(s) for f in extra])
     return _numerical_rank(np.array(rows))
 
 
@@ -391,7 +412,7 @@ def correlation_quartic_ff(state: QubitQutritState) -> float:
 
 def correlation_quartic_dd(state: QubitQutritState) -> float:
     """d_abc d_cpq G_ab G_pq with G = C^T C; related to correlation_quartic_ff
-    by the exchange identity verified in i004_identity_check."""
+    by the exchange identity verified in i004_identity_violation."""
     sc = _su3_constants()
     G = state.C.T @ state.C
     return float(np.einsum("abc,cpq,ab,pq->", sc.d, sc.d, G, G))
@@ -406,17 +427,7 @@ def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
     the full count, so this returns 15."""
     candidates = [(w.letters,) for w in nonkernel_words(4, seed)]
     candidates += _product_candidates(4, seed)
-    needed = sorted({w for cand in candidates for w in cand})
-    n_states = 2 * (len(candidates) + 1)
-    panel = [states.random_density(seed + 1000 + i) for i in range(n_states)]
-    rows = []
-    for s in panel:
-        mats = _letter_matrices(s)
-        values = {w: _eval_on(mats, w).real for w in needed}
-        row = [np.prod([values[w] for w in cand]) for cand in candidates]
-        row.append(correlation_quartic_ff(s))
-        rows.append(row)
-    return _numerical_rank(np.array(rows))
+    return _evaluation_rank(candidates, seed, extra=(correlation_quartic_ff,))
 
 
 def _params_to_state(vec: np.ndarray) -> QubitQutritState:

@@ -180,15 +180,16 @@ def test_oracle_equivalence_panel():
 
 
 def test_casimir_expr_affine_identification():
-    # frozen affine map between E_k and the normalized coefficients
+    # E_k = 1 - Sbar_k for k = 2..4 and E_k = Sbar_k for k = 5, 6
     for seed in range(60):
         s = (random_density(seed) if seed % 2
              else states.random_nonpsd_unit_trace(seed, -0.2))
         report = positivity_report(s)
-        for j, k in enumerate(range(2, 7)):
-            slope, intercept = cp.E_SBAR_AFFINE[k]
-            predicted = slope * report.S_bar[j] + intercept
-            assert abs(report.casimir_exprs[j] - predicted) < 1e-8
+        E, S_bar = report.casimir_exprs, report.S_bar
+        for j in range(3):
+            assert abs(E[j] - (1.0 - S_bar[j])) < 1e-8
+        for j in range(3, 5):
+            assert abs(E[j] - S_bar[j]) < 1e-8
 
 
 def test_scalars_invariant_under_global_unitary():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qqinv import cli, states
+from qqinv import cli, local_invariants, states
 from qqinv.states import QubitQutritState, save_state
 
 
@@ -152,8 +152,30 @@ def test_invariants_checks_flag(tmp_path):
     code, out = run_cli("invariants", str(path), "--max-degree", "2",
                         "--checks", "--panel-size", "10")
     assert code == 0
-    doc = json.loads(out)
-    assert all(c["passed"] for c in doc["checks"].values())
+    checks = json.loads(out)["checks"]
+    assert set(checks) == {"sign_relation", "gamma3_formula", "i004_identity",
+                           "product_relation", "multidegree_relations",
+                           "casimir_decomposition"}
+    assert all(c["passed"] for c in checks.values())
+    for name, c in checks.items():
+        tol = 1e-8 if name == "casimir_decomposition" else local_invariants.CHECK_TOL
+        assert c["tolerance"] == tol
+    assert set(checks["multidegree_relations"]["detail"]) == {
+        "aagg_agag", "aagg_product", "bbgg_product", "bbgg_bgbg"}
+    assert set(checks["casimir_decomposition"]["detail"]) == {"c2", "c3", "c4"}
+    for name in ("multidegree_relations", "casimir_decomposition"):
+        assert checks[name]["violation"] == max(checks[name]["detail"].values())
+    assert all("detail" not in checks[name] for name in
+               ("sign_relation", "gamma3_formula", "i004_identity",
+                "product_relation"))
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_panel_size_below_one_is_input_error(mixed_file, size):
+    code, out = run_cli("invariants", mixed_file, "--checks", "--panel-size", size)
+    assert code == 2 and out == ""
+    code, out = run_cli("selftest", "--panel-size", size)
+    assert code == 2 and out == ""
 
 
 def test_invariants_flags_complex_words(tmp_path):
@@ -192,3 +214,11 @@ def test_selftest_passes():
     assert code == 0, out
     assert "FAIL" not in out
     assert "seed=" in out.splitlines()[0]
+    code, js = run_cli("selftest", "--panel-size", "12", "--format", "json")
+    assert code == 0, js
+    records = json.loads(js)
+    assert len(records) == 36
+    assert all(set(r) == {"name", "passed", "detail"} and r["passed"]
+               for r in records)
+    table_names = [line[6:].split("  ")[0] for line in out.splitlines()[1:-1]]
+    assert [r["name"] for r in records] == table_names

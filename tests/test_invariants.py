@@ -10,12 +10,13 @@ from qqinv.local_invariants import (canonical_form,
                                     correlation_quartic_ff,
                                     degree4_completion_rank, enumerate_words,
                                     eval_trace, eval_trace_complex,
-                                    gamma3_formula_check, i004_identity_check,
+                                    gamma3_formula_violation,
+                                    i004_identity_violation,
                                     independence_evidence, invariance_test,
                                     jacobian_rank, kernel_at_degree,
                                     listed_invariants_through_degree4,
                                     multidegree_relations_check,
-                                    rank_at_degree, sign_relation_check,
+                                    rank_at_degree, sign_relation_violation,
                                     trace_word)
 from qqinv.states import QubitQutritState, random_density
 from qqinv.su_algebra import structure_constants
@@ -141,7 +142,7 @@ def test_kernel_words_vanish_algebraically():
 # -- identity checks ------------------------------------------------------------------
 
 def test_sign_relation():
-    assert sign_relation_check()
+    assert sign_relation_violation() < li.CHECK_TOL
     s = rand_state(3)
     assert abs(eval_trace("abgg", s) + eval_trace("agbg", s)) < 1e-12
     noC = QubitQutritState(s.a, s.b, np.zeros((3, 8)))
@@ -150,7 +151,7 @@ def test_sign_relation():
 
 
 def test_gamma3_formula():
-    assert gamma3_formula_check()
+    assert gamma3_formula_violation() < li.CHECK_TOL
     zero = QubitQutritState.zero()
     assert abs(eval_trace("ggg", zero)) == 0.0
     # rank-one correlation matrix kills both routes
@@ -160,7 +161,7 @@ def test_gamma3_formula():
 
 
 def test_i004_identity():
-    assert i004_identity_check()
+    assert i004_identity_violation() < li.CHECK_TOL
     sc = structure_constants("su3-gellmann")
     C = np.zeros((3, 8))
     C[0, 2] = 1.0  # single correlation entry
@@ -172,6 +173,24 @@ def test_i004_identity():
     s = QubitQutritState(np.zeros(3), np.zeros(8), C)
     assert abs(correlation_quartic_dd(s) - lhs) < 1e-14
     assert abs(correlation_quartic_ff(s) - ff) < 1e-14
+
+
+def test_panel_violations_match_accessors():
+    report = li.panel_violations(5, 7)
+    assert list(report) == list(li.PANEL_IDENTITIES)
+    for name, accessor in (("sign_relation", li.sign_relation_violation),
+                           ("gamma3_formula", li.gamma3_formula_violation),
+                           ("i004_identity", li.i004_identity_violation),
+                           ("product_relation", li.product_relation_violation)):
+        assert report[name] == {name: accessor(5, 7)}
+    assert report["multidegree_relations"] == li.multidegree_relations_check(5, 7)
+    assert report["casimir_decomposition"] == li.casimir_decomposition_check(5, 7)
+
+
+def test_random_panel_rejects_empty():
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="panel size"):
+            li.random_panel(5, size)
 
 
 def test_multidegree_relations():
