@@ -147,8 +147,8 @@ def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
     c3 = (n-1) (xi v xi).xi          c5 = (n-1) ((xi v xi) v (xi v xi)).xi
     c6 = (n-1) |(xi v xi) v xi|^2    (left-associated reading)
 
-    The degree-6 contraction is compared against the trace route by
-    dual_route_report; the trace route stays primary downstream.
+    dual_route_report compares c6 too, and the selftest requires the routes
+    to agree to < 1e-9; the trace route stays primary downstream.
     """
     xi = np.asarray(xi, float)
     if xi.shape != (sc.dim,):

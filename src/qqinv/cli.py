@@ -195,7 +195,7 @@ def _selftest_rows(seed: int, panel_size: int):
     add("casimir: vee route matches trace route (c2..c5)",
         max(worst[:4]) < 1e-9, f"max {max(worst[:4]):.2e}")
     add("casimir: c6 left-associated reading discrepancy",
-        True, f"reported {worst[4]:.2e}")
+        worst[4] < 1e-9, f"reported {worst[4]:.2e}")
 
     rng = np.random.default_rng(seed + 1)
     worst_nd = 0.0
@@ -353,6 +353,9 @@ def run(argv=None, out=None) -> int:
         return EXIT_INPUT_ERROR
     if args.command in ("invariants", "selftest") and args.panel_size < 1:
         print("qqinv: --panel-size must be >= 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.command in ("invariants", "selftest") and args.seed < 0:
+        print("qqinv: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args, out)

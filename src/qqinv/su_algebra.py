@@ -26,7 +26,6 @@ verified by exhaustive contraction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -233,63 +232,58 @@ def closure_max_violation(basis: SuBasis, sc: StructureConstants,
 
 # -- symmetrized traces -------------------------------------------------------
 
-def symmetrized_trace(basis: SuBasis, indices) -> float:
-    """(1/k!) sum over permutations p of tr(t_{p(1)} ... t_{p(k)}).
-
-    Ground truth by explicit permutation sum; 2 <= k <= 6. Indices are
-    zero-based positions in the basis.
-    """
+def _check_indices(indices, dim: int) -> tuple[int, ...]:
     idx = tuple(int(i) for i in indices)
     if not 2 <= len(idx) <= 6:
         raise ValueError(f"need 2..6 indices, got {len(idx)}")
-    k = len(basis)
-    if any(i < 0 or i >= k for i in idx):
-        raise ValueError(f"index out of range for basis of size {k}: {idx}")
+    if any(i < 0 or i >= dim for i in idx):
+        raise ValueError(f"index out of range for basis of size {dim}: {idx}")
+    return idx
+
+
+def _polarize(idx: tuple[int, ...], dim: int, value) -> float:
+    """A symmetric k-form T on (e_{i_1}, ..., e_{i_k}) from its diagonal
+    value(x) = T(x, ..., x), by the polarization identity
+
+        (1/k!) sum_{S nonempty in [k]} (-1)^(k-|S|) value(x_S),
+        x_S = sum_{j in S} e_{i_j}
+
+    (2^k - 1 evaluations; a repeated index simply counts twice in x_S).
+    """
+    k = len(idx)
+    total = 0.0
+    for mask in range(1, 2 ** k):
+        members = [i for j, i in enumerate(idx) if mask >> j & 1]
+        x = np.bincount(members, minlength=dim).astype(float)
+        total += (-1) ** (k - len(members)) * value(x)
+    return total / math.factorial(k)
+
+
+def _power_trace_closed(sc: StructureConstants, x: np.ndarray, k: int) -> float:
+    """tr((x.t)^k), 2 <= k <= 6, from delta/d contractions: D = d.x, v = D x."""
+    n, D = sc.n, sc.d @ x
+    v = D @ x
+    xx, vx, vv, Dv = float(x @ x), float(v @ x), float(v @ v), D @ v
+    return {2: 2 * xx, 3: 2 * vx, 4: (4 / n) * xx ** 2 + 2 * vv,
+            5: (8 / n) * xx * vx + 2 * float(v @ Dv),
+            6: ((8 / n ** 2) * xx ** 3 + (8 / n) * xx * vv + (4 / n) * vx ** 2
+                + 2 * float(Dv @ Dv))}[k]
+
+
+def symmetrized_trace(basis: SuBasis, indices) -> float:
+    """(1/k!) sum over permutations p of tr(t_{p(1)} ... t_{p(k)}), 2 <= k <= 6,
+    by polarizing tr((x.t)^k); indices are zero-based positions in the basis."""
+    idx = _check_indices(indices, len(basis))
     t = basis.elements
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(idx):
-        m = t[perm[0]]
-        for p in perm[1:]:
-            m = m @ t[p]
-        total += np.trace(m)
-    return float((total / math.factorial(len(idx))).real)
-
-
-def _closed_form_term(d: np.ndarray, n: int, idx: tuple[int, ...]) -> float:
-    dl = lambda a, b: 1.0 if a == b else 0.0
-    if len(idx) == 2:
-        a, b = idx
-        return 2.0 * dl(a, b)
-    if len(idx) == 3:
-        a, b, c = idx
-        return 2.0 * d[a, b, c]
-    if len(idx) == 4:
-        a, b, c, e = idx
-        return (4.0 / n) * dl(a, b) * dl(c, e) + 2.0 * float(d[a, b] @ d[:, c, e])
-    if len(idx) == 5:
-        a, b, c, e, g = idx
-        return ((4.0 / n) * (d[a, b, c] * dl(e, g) + dl(a, b) * d[c, e, g])
-                + 2.0 * float(d[a, b] @ d[:, c, :] @ d[:, e, g]))
-    a, b, c, e, g, h = idx
-    return ((8.0 / n ** 2) * dl(a, b) * dl(c, e) * dl(g, h)
-            + (4.0 / n) * (float(d[a, b] @ d[:, c, e]) * dl(g, h)
-                           + dl(a, b) * float(d[c, e] @ d[:, g, h]))
-            + (4.0 / n) * d[a, b, c] * d[e, g, h]
-            + 2.0 * float(d[a, b] @ d[:, c, :] @ d[:, e, :] @ d[:, g, h]))
+    return _polarize(idx, len(basis), lambda x: float(
+        np.trace(np.linalg.matrix_power(np.tensordot(x, t, 1), len(idx))).real))
 
 
 def symmetrized_trace_closed(sc: StructureConstants, indices) -> float:
-    """Closed form of the symmetrized trace via delta/d contractions.
-
-    The tabulated contraction patterns fix one index placement; the full
-    symmetrized trace is their average over all permutations of the free
-    indices, which is what this evaluates.
-    """
-    idx = tuple(int(i) for i in indices)
-    if not 2 <= len(idx) <= 6:
-        raise ValueError(f"need 2..6 indices, got {len(idx)}")
-    perms = list(itertools.permutations(idx))
-    return sum(_closed_form_term(sc.d, sc.n, p) for p in perms) / len(perms)
+    """The same symmetrized trace from delta/d contractions alone: polarizes
+    _power_trace_closed, and never forms a basis matrix."""
+    idx = _check_indices(indices, sc.dim)
+    return _polarize(idx, sc.dim, lambda x: _power_trace_closed(sc, x, len(idx)))
 
 
 # -- JSON export --------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qqinv import cli, local_invariants, states
+from qqinv import casimir_positivity, cli, local_invariants, states
 from qqinv.states import QubitQutritState, save_state
 
 
@@ -178,6 +178,15 @@ def test_panel_size_below_one_is_input_error(mixed_file, size):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_negative_seed_is_input_error(mixed_file, seed, capsys):
+    code, out = run_cli("invariants", mixed_file, "--checks", "--seed", seed)
+    assert code == 2 and out == ""
+    code, out = run_cli("selftest", "--seed", seed)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.count("qqinv: --seed must be >= 0") == 2
+
+
 def test_invariants_flags_complex_words(tmp_path):
     path = tmp_path / "state.json"
     save_state(states.random_density(11), str(path))
@@ -222,3 +231,18 @@ def test_selftest_passes():
                for r in records)
     table_names = [line[6:].split("  ")[0] for line in out.splitlines()[1:-1]]
     assert [r["name"] for r in records] == table_names
+
+
+def test_selftest_c6_row_fails_on_route_disagreement(monkeypatch):
+    report = casimir_positivity.dual_route_report
+
+    def inflated(state, sc):
+        doc = report(state, sc)
+        return {**doc, "abs_diff": doc["abs_diff"][:4] + (1e-6,)}
+
+    monkeypatch.setattr(casimir_positivity, "dual_route_report", inflated)
+    code, js = run_cli("selftest", "--panel-size", "2", "--format", "json")
+    assert code == 1
+    failed = [r for r in json.loads(js) if not r["passed"]]
+    assert [(r["name"], r["detail"]) for r in failed] == [
+        ("casimir: c6 left-associated reading discrepancy", "reported 1.00e-06")]

@@ -1,5 +1,6 @@
 """Bases, structure constants, identity families and symmetrized traces."""
 
+import itertools
 import math
 
 import numpy as np
@@ -129,26 +130,53 @@ def test_symmetrized_trace_quartic_example():
     assert abs(direct - closed) < 1e-12
 
 
-@pytest.mark.parametrize("label", ["su3-gellmann", "su6-tensor"])
+def permutation_trace(basis, idx):
+    """Reference: the mean of tr(t_p1 ... t_pk) over all k! orderings p.
+
+    Each distinct ordering of a multiset occurs equally often among the k!,
+    so the mean over the distinct ones is the same number.
+    """
+    t = basis.elements
+    orderings = set(itertools.permutations(idx))
+    total = 0.0 + 0.0j
+    for perm in orderings:
+        m = t[perm[0]]
+        for p in perm[1:]:
+            m = m @ t[p]
+        total += np.trace(m)
+    return (total / len(orderings)).real
+
+
+@pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
 @pytest.mark.parametrize("arity", [2, 3, 4, 5, 6])
 def test_symmetrized_trace_matches_closed_form(label, arity):
     basis = build_basis(label)
     sc = structure_constants(label)
     rng = np.random.default_rng(100 + arity)
-    worst = 0.0
-    for _ in range(50):
-        idx = tuple(int(i) for i in rng.integers(0, len(basis), size=arity))
-        worst = max(worst, abs(symmetrized_trace(basis, idx)
-                               - symmetrized_trace_closed(sc, idx)))
-    assert worst < 1e-10
+    tuples = [tuple(int(i) for i in rng.integers(0, len(basis), size=arity))
+              for _ in range(50)]
+    tuples += [(a,) * arity for a in range(len(basis))]
+    worst_trace = worst_closed = 0.0
+    for idx in tuples:
+        expect = permutation_trace(basis, idx)
+        worst_trace = max(worst_trace, abs(symmetrized_trace(basis, idx) - expect))
+        worst_closed = max(worst_closed,
+                           abs(symmetrized_trace_closed(sc, idx) - expect))
+    assert worst_trace < 1e-10
+    assert worst_closed < 1e-10
 
 
 def test_symmetrized_trace_validates_input():
     basis = build_basis("su2-pauli")
-    with pytest.raises(ValueError, match="2..6"):
-        symmetrized_trace(basis, (1,))
-    with pytest.raises(ValueError, match="out of range"):
-        symmetrized_trace(basis, (0, 5))
+    sc = structure_constants("su2-pauli")
+    for route, arg in ((symmetrized_trace, basis), (symmetrized_trace_closed, sc)):
+        with pytest.raises(ValueError, match="2..6"):
+            route(arg, (1,))
+        with pytest.raises(ValueError, match="2..6"):
+            route(arg, (0,) * 7)
+        for bad in ((0, 5), (-1, -1), (0, 99)):
+            with pytest.raises(ValueError, match="out of range"):
+                route(arg, bad)
 
 
 def test_json_export_shape_and_values():
