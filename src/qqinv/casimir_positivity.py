@@ -66,7 +66,7 @@ class PositivityReport:
     S: tuple[float, ...]            # S_1..S_6
     S_bar: tuple[float, ...]        # S_2/max..S_6/max
     casimir_exprs: tuple[float, ...]  # E_2..E_6
-    verdict_S: tuple[bool, ...]     # S_k >= -tol, k = 1..6
+    verdict_S: tuple[bool, ...]     # S_k / max S_k >= -tol, k = 1..6
     verdict_casimir: tuple[bool, ...]  # -tol <= E_k <= 1 + tol, k = 2..6
     consistent: bool
 
@@ -96,11 +96,11 @@ def _as_density_matrix(state) -> np.ndarray:
     return rho
 
 
-def moments(rho: np.ndarray, kmax: int = 6) -> tuple[float, ...]:
-    """t_k = tr(rho^k) for k = 1..kmax by repeated multiplication."""
+def moments(rho: np.ndarray) -> tuple[float, ...]:
+    """t_k = tr(rho^k) for k = 1..6 by repeated multiplication."""
     p = rho
     out = [float(np.trace(p).real)]
-    for _ in range(kmax - 1):
+    for _ in range(5):
         p = p @ rho
         out.append(float(np.trace(p).real))
     return tuple(out)
@@ -126,12 +126,7 @@ def casimirs_from_traces(state) -> CasimirValues:
     if tdev > TRACELESS_TOL or np.abs(om - om.conj().T).max() > TRACELESS_TOL:
         raise ValueError(
             f"omega = n rho - I is not traceless Hermitian (deviation {tdev:.3e})")
-    p = om
-    tw = []
-    for _ in range(5):
-        p = p @ om
-        tw.append(float(np.trace(p).real / n))
-    t2, t3, t4, t5, t6 = tw
+    t2, t3, t4, t5, t6 = (t / n for t in moments(om)[1:])
     c2 = t2
     c3 = t3
     c4 = t4 - c2 ** 2
@@ -217,8 +212,12 @@ def casimir_inequality_exprs(normalized) -> tuple[float, ...]:
     return (e2, e3, e4, e5, e6)
 
 
-def positivity_report(state, tol: float = BOUNDARY_TOL) -> PositivityReport:
-    """Full positivity verdict of a unit-trace Hermitian 6x6 matrix."""
+def positivity_report(state) -> PositivityReport:
+    """Full positivity verdict of a unit-trace Hermitian 6x6 matrix.
+
+    Both verdicts apply BOUNDARY_TOL on the normalized scale: verdict_S to
+    S_k / max S_k and verdict_casimir to E_k, which is that same ratio (or
+    one minus it)."""
     rho = _as_density_matrix(state)
     if np.abs(rho - rho.conj().T).max() > states.HERM_TOL:
         raise ValueError("input matrix is not Hermitian")
@@ -227,8 +226,8 @@ def positivity_report(state, tol: float = BOUNDARY_TOL) -> PositivityReport:
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
     cas = casimirs_from_traces(rho)
     exprs = casimir_inequality_exprs(cas.normalized)
-    verdict_S = tuple(s >= -tol for s in S)
-    verdict_casimir = tuple(-tol <= e <= 1.0 + tol for e in exprs)
+    verdict_S = tuple(s >= -BOUNDARY_TOL for s in (S[0] / MAX_S[1],) + S_bar)
+    verdict_casimir = tuple(-BOUNDARY_TOL <= e <= 1.0 + BOUNDARY_TOL for e in exprs)
     consistent = all(verdict_S) == all(verdict_casimir)
     return PositivityReport(t, S, S_bar, exprs, verdict_S, verdict_casimir,
                             consistent)

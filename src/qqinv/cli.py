@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-rational", action="store_true",
                    help="exit nonzero unless the series matches the rational form")
     p.add_argument("--cap", type=int, default=molien.DEFAULT_DEGREE_CAP,
-                   help="resource cap on the degree (default 20)")
+                   help="resource cap on the degree (default %(default)s)")
     p.set_defaults(func=_cmd_molien)
 
     p = sub.add_parser("selftest", parents=[common],

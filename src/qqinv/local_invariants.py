@@ -124,11 +124,11 @@ def eval_trace_complex(word, state: QubitQutritState) -> complex:
     return _eval_on(_letter_matrices(state), w)
 
 
-def eval_trace(word, state: QubitQutritState, imag_tol: float = IMAG_TOL) -> float:
+def eval_trace(word, state: QubitQutritState) -> float:
     """Real trace of the word's matrix product; a word whose trace picks up
-    an imaginary part beyond imag_tol is flagged by raising, never truncated."""
+    an imaginary part beyond IMAG_TOL is flagged by raising, never truncated."""
     val = eval_trace_complex(word, state)
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > IMAG_TOL:
         w = word.letters if isinstance(word, TraceWord) else word
         raise ValueError(
             f"trace of word {w!r} has imaginary part {val.imag:.3e}")
@@ -152,30 +152,29 @@ class KernelResult:
     threshold: float
 
 
-def _kernel_words(degree, panel, tol):
+def _kernel_words(degree, panel):
     mats = [_letter_matrices(s) for s in panel]
     out = []
     for w in enumerate_words(degree):
-        if max(abs(_eval_on(m, w.letters)) for m in mats) < tol:
+        if max(abs(_eval_on(m, w.letters)) for m in mats) < KERNEL_TOL:
             out.append(w)
     return tuple(out)
 
 
 def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
-                     panel_size: int = DEFAULT_PANEL_SIZE,
-                     tol: float = KERNEL_TOL) -> KernelResult:
+                     panel_size: int = DEFAULT_PANEL_SIZE) -> KernelResult:
     """Canonical words whose trace vanishes on the whole seeded panel."""
     if degree > 6:
         raise ValueError(f"kernel enumeration supports degree <= 6, got {degree}")
     panel = random_panel(seed, panel_size)
-    return KernelResult(degree, _kernel_words(degree, panel, tol), seed,
-                        panel_size, tol)
+    return KernelResult(degree, _kernel_words(degree, panel), seed,
+                        panel_size, KERNEL_TOL)
 
 
 @lru_cache(maxsize=None)
 def nonkernel_words(degree: int, seed: int = DEFAULT_PANEL_SEED) -> tuple[TraceWord, ...]:
     panel = random_panel(seed, DEFAULT_PANEL_SIZE)
-    dead = set(_kernel_words(degree, panel, KERNEL_TOL))
+    dead = set(_kernel_words(degree, panel))
     return tuple(w for w in enumerate_words(degree) if w not in dead)
 
 
@@ -197,12 +196,10 @@ def _gamma3_formula(s, mats):
 
 
 def _i004_identity(s, mats):
-    sc = _su3_constants()
     G = s.C.T @ s.C
-    lhs = np.einsum("abc,cpq,ab,pq->", sc.d, sc.d, G, G)
-    ff = np.einsum("apc,cbq,ab,pq->", sc.f, sc.f, G, G)
-    rhs = (2.0 / 3.0) * ff - (np.trace(G) ** 2 - 2.0 * np.trace(G @ G)) / 3.0
-    return {"i004_identity": abs(lhs - rhs)}
+    rhs = ((2.0 / 3.0) * correlation_quartic_ff(s)
+           - (np.trace(G) ** 2 - 2.0 * np.trace(G @ G)) / 3.0)
+    return {"i004_identity": abs(correlation_quartic_dd(s) - rhs)}
 
 
 def _product_relation(s, mats):
@@ -359,11 +356,11 @@ def _product_candidates(degree: int, seed: int) -> list[tuple[str, ...]]:
     return sorted(out)
 
 
-def _numerical_rank(matrix: np.ndarray, eps: float = RANK_EPS) -> int:
+def _numerical_rank(matrix: np.ndarray) -> int:
     sing = np.linalg.svd(matrix, compute_uv=False)
     if sing.size == 0 or sing[0] == 0.0:
         return 0
-    return int((sing > max(matrix.shape) * eps * sing[0]).sum())
+    return int((sing > max(matrix.shape) * RANK_EPS * sing[0]).sum())
 
 
 def rank_at_degree(degree: int, include_products: bool,
@@ -434,32 +431,31 @@ def _params_to_state(vec: np.ndarray) -> QubitQutritState:
     return QubitQutritState(vec[:3], vec[3:11], vec[11:].reshape(3, 8))
 
 
-def finite_difference_jacobian(words, point: np.ndarray,
-                               step: float = JACOBIAN_STEP) -> np.ndarray:
-    """Central-difference Jacobian, shape (35, len(words))."""
+def finite_difference_jacobian(words, point: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian with step JACOBIAN_STEP, shape
+    (35, len(words))."""
     J = np.zeros((35, len(words)))
     for p in range(35):
         up = point.copy()
-        up[p] += step
+        up[p] += JACOBIAN_STEP
         dn = point.copy()
-        dn[p] -= step
+        dn[p] -= JACOBIAN_STEP
         mu = _letter_matrices(_params_to_state(up))
         md = _letter_matrices(_params_to_state(dn))
         for j, w in enumerate(words):
             letters = w.letters if isinstance(w, TraceWord) else w
             J[p, j] = (_eval_on(mu, letters).real
-                       - _eval_on(md, letters).real) / (2 * step)
+                       - _eval_on(md, letters).real) / (2 * JACOBIAN_STEP)
     return J
 
 
-def jacobian_rank(words, point: np.ndarray, step: float = JACOBIAN_STEP) -> int:
-    return _numerical_rank(finite_difference_jacobian(words, point, step))
+def jacobian_rank(words, point: np.ndarray) -> int:
+    return _numerical_rank(finite_difference_jacobian(words, point))
 
 
-def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED,
-                          points: int = 3) -> int:
+def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED) -> int:
     """Max observed Jacobian rank of all non-kernel words of degree <=
-    degree_cap at seeded random points (parameters uniform in +-0.3).
+    degree_cap at three seeded random points (parameters uniform in +-0.3).
 
     The returned rank can never exceed 24, the dimension of the quotient of
     the su(6) adjoint orbit space by the local action (35 - 11)."""
@@ -468,7 +464,7 @@ def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED,
     words = [w for d in range(1, degree_cap + 1) for w in nonkernel_words(d, seed)]
     rng = np.random.default_rng(seed)
     best = 0
-    for _ in range(points):
+    for _ in range(3):
         pt = rng.uniform(-JACOBIAN_PARAM_SCALE, JACOBIAN_PARAM_SCALE, 35)
         best = max(best, jacobian_rank(words, pt))
     return best

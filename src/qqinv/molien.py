@@ -36,7 +36,7 @@ from its printed prefix by palindromy (N(q) = q^75 N(1/q)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -132,6 +132,14 @@ def _root_polynomial(roots: tuple, rank: int) -> tuple:
     return tuple(poly.items())
 
 
+#: symmetry-reduced kernels as (monomial, factors): x^monomial times the
+#: product over the factors r of (1 - x^r)
+_REDUCED_KERNELS = {
+    "su2xsu2": ((-1, -1), ((1, 0), (1, 0), (0, 1), (0, 1))),
+    "su2xsu3": ((0, 0, 0), ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, -1, -1))),
+}
+
+
 @lru_cache(maxsize=None)
 def _reduced_kernel(label: str) -> tuple:
     """Symmetry-reduced constant-term kernel replacing the Weyl density, as
@@ -140,21 +148,12 @@ def _reduced_kernel(label: str) -> tuple:
     su2xsu2:  z^-1 w^-1 (1 - z)^2 (1 - w)^2
     su2xsu3:  (1 - x^-1)(1 - y^-1)(1 - z^-1)(1 - (yz)^-1)
     """
-    if label == "su2xsu2":
-        poly = {(-1, -1): 1}
-        for axis in (0, 1):
-            lin = {(0, 0): 1}
-            step = tuple(1 if i == axis else 0 for i in range(2))
-            lin[step] = -2
-            lin[tuple(2 * s for s in step)] = 1
-            poly = _laurent_mul(poly, lin)
-        return tuple(poly.items())
-    if label == "su2xsu3":
-        poly = {(0, 0, 0): 1}
-        for term in ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, -1, -1)):
-            poly = _laurent_mul(poly, {(0, 0, 0): 1, term: -1})
-        return tuple(poly.items())
-    raise ValueError(f"reduced backend is only defined for {GROUP_LABELS}, got {label!r}")
+    if label not in _REDUCED_KERNELS:
+        raise ValueError(
+            f"reduced backend is only defined for {GROUP_LABELS}, got {label!r}")
+    monomial, factors = _REDUCED_KERNELS[label]
+    return tuple((tuple(m + e for m, e in zip(monomial, exp)), coef)
+                 for exp, coef in _root_polynomial(factors, len(monomial)))
 
 
 # -- truncated product of 1/(1 - q x^w) factors --------------------------------
@@ -211,7 +210,7 @@ def _build_product_boxes(weights, rank: int, max_degree: int,
     |p_a - w_a| <= (N - d + 1) wmax_a + reach_a, so it is either zero or in
     the degree-(d-1) window; the cells that can reach a read cell are closed
     under predecessors.  Cells outside the windows stay zero and are never
-    read.  With reach = N wmax the windows are the full supports.
+    read.
 
     The box is int64 while the bound C(m + d - 1, d) on its entries fits and
     holds Python integers otherwise.
@@ -241,35 +240,6 @@ def _build_product_boxes(weights, rank: int, max_degree: int,
         for dst, src in views[w]:
             dst += src
     return coeffs, center
-
-
-@dataclass(frozen=True)
-class TruncatedTorusSeries:
-    """q-truncated series whose q^d coefficients are exact-integer Laurent
-    polynomials in the torus variables, keyed by exponent vector."""
-
-    max_q_degree: int
-    rank: int
-    coeffs: tuple[dict, ...] = field(repr=False)
-
-    @classmethod
-    def from_weight_factors(cls, weights, rank: int,
-                            max_q_degree: int) -> "TruncatedTorusSeries":
-        """Expand prod over weights w of 1/(1 - q x^w) through q^max_q_degree."""
-        reach = tuple(max_q_degree * m for m in _axis_reach(weights, rank))
-        boxes, center = _build_product_boxes(weights, rank, max_q_degree, reach)
-        dicts = []
-        for d in range(max_q_degree + 1):
-            box = boxes[d]
-            poly = {}
-            for pos in np.argwhere(box != 0):
-                key = tuple(int(p - c) for p, c in zip(pos, center))[:rank]
-                poly[key] = int(box[tuple(pos)])
-            dicts.append(poly)
-        return cls(max_q_degree, rank, tuple(dicts))
-
-    def constant_term(self, degree: int) -> int:
-        return self.coeffs[degree].get((0,) * self.rank, 0)
 
 
 def _extract_constant_terms(boxes: np.ndarray, center, kernel: tuple,

@@ -61,18 +61,6 @@ class QubitQutritState:
         return cls(np.zeros(3), np.zeros(8), np.zeros((3, 8)))
 
 
-@dataclass
-class BlochState:
-    """Generic n-level Bloch vector xi with rho = (1/n)(I + kappa xi . basis)."""
-
-    n: int
-    xi: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=float).reshape(self.n ** 2 - 1)
-
-
 def bloch_kappa(n: int) -> float:
     return math.sqrt(n * (n - 1) / 2.0)
 
@@ -99,24 +87,25 @@ def to_matrix(state: QubitQutritState) -> np.ndarray:
     return (_I6 + omega_matrix(state)) / 6.0
 
 
-def from_matrix(rho: np.ndarray, herm_tol: float = HERM_TOL,
-                trace_tol: float = TRACE_TOL) -> QubitQutritState:
+def from_matrix(rho: np.ndarray) -> QubitQutritState:
     """Project a 6x6 matrix onto (a, b, C) coordinates.
 
     a_i = tr(rho sigma_i x I3), b_a = (3/2) tr(rho I2 x lambda_a),
     C_ia = (3/2) tr(rho sigma_i x lambda_a).
 
-    Rejects inputs that are not Hermitian or not unit-trace within tolerance,
-    reporting the measured deviation.
+    Rejects inputs that have non-finite entries, or are not Hermitian or not
+    unit-trace within HERM_TOL and TRACE_TOL, reporting the measured deviation.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
     herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > herm_tol:
+    if herm > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max |rho - rho^+| = {herm:.3e}")
     tdev = abs(complex(np.trace(rho)) - 1.0)
-    if tdev > trace_tol:
+    if tdev > TRACE_TOL:
         raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
     a = np.einsum("uv,ivu->i", rho, _SIG_I3).real
     b = 1.5 * np.einsum("uv,avu->a", rho, _I2_LAM).real
@@ -149,18 +138,6 @@ def state_to_xi(state: QubitQutritState) -> np.ndarray:
     xi[3:11] = math.sqrt(2) * state.b / kappa
     xi[11:35] = math.sqrt(2) * state.C.reshape(-1) / kappa
     return xi
-
-
-def bloch_to_matrix(state: BlochState, basis_elements: np.ndarray) -> np.ndarray:
-    om = state.kappa * np.einsum("a,auv->uv", state.xi, basis_elements)
-    return (np.eye(state.n, dtype=complex) + om) / state.n
-
-
-def bloch_from_matrix(rho: np.ndarray, basis_elements: np.ndarray) -> BlochState:
-    n = rho.shape[0]
-    kappa = bloch_kappa(n)
-    xi = (n / (2.0 * kappa)) * np.einsum("uv,avu->a", rho, basis_elements).real
-    return BlochState(n, xi, kappa)
 
 
 # -- random ensembles ---------------------------------------------------------
@@ -248,6 +225,18 @@ def state_to_json_dict(state: QubitQutritState) -> dict:
                     "C": state.C.tolist()}}
 
 
+def _float_array(value, key: str) -> np.ndarray:
+    """A JSON field as a float array; strings, objects, booleans and ragged
+    nesting are rejected, not converted."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"field {key!r} is not a numeric array")
+    return arr.astype(float)
+
+
 def state_from_json_dict(doc: dict) -> QubitQutritState:
     """Parse either the {"abc": ...} or the {"rho": ...} file form.
 
@@ -258,19 +247,21 @@ def state_from_json_dict(doc: dict) -> QubitQutritState:
         raise ValueError("state document must be a JSON object")
     if "abc" in doc:
         abc = doc["abc"]
-        for key, length in (("a", 3), ("b", 8), ("C", 3)):
+        if not isinstance(abc, dict):
+            raise ValueError("field 'abc' must be an object")
+        fields = {}
+        for key, shape in (("a", (3,)), ("b", (8,)), ("C", (3, 8))):
             if key not in abc:
                 raise ValueError(f"missing field {key!r} in abc state")
-            if len(abc[key]) != length:
+            fields[key] = _float_array(abc[key], key)
+            if fields[key].shape != shape:
                 raise ValueError(
-                    f"field {key!r} has length {len(abc[key])}, expected {length}")
-        C = np.asarray(abc["C"], dtype=float)
-        if C.shape != (3, 8):
-            raise ValueError(f"field 'C' has shape {C.shape}, expected (3, 8)")
-        return QubitQutritState(np.asarray(abc["a"], float),
-                                np.asarray(abc["b"], float), C)
+                    f"field {key!r} has shape {fields[key].shape}, expected {shape}")
+            if not np.isfinite(fields[key]).all():
+                raise ValueError(f"field {key!r} has non-finite entries")
+        return QubitQutritState(fields["a"], fields["b"], fields["C"])
     if "rho" in doc:
-        raw = np.asarray(doc["rho"], dtype=float)
+        raw = _float_array(doc["rho"], "rho")
         if raw.shape != (6, 6, 2):
             raise ValueError(
                 f"field 'rho' has shape {raw.shape}, expected (6, 6, 2) re/im pairs")

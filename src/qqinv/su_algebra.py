@@ -95,8 +95,6 @@ class IdentityReport:
     n: int
     violations: dict[str, float]
     tolerance: float = IDENTITY_TOL
-    method: str = "exhaustive-einsum"
-    seed: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -288,11 +286,11 @@ def symmetrized_trace_closed(sc: StructureConstants, indices) -> float:
 
 # -- JSON export --------------------------------------------------------------
 
-def to_json_dict(label: str, zero_tol: float = 1e-12) -> dict:
+def to_json_dict(label: str) -> dict:
     """Basis + structure-constant dump with 1-based indices.
 
-    Entries list each nonzero component once with A <= B <= C; the remaining
-    components follow from total (anti)symmetry.
+    Entries list each component above 1e-12 in magnitude once with
+    A <= B <= C; the remaining components follow from total (anti)symmetry.
     """
     basis = build_basis(label)
     sc = structure_constants(label)
@@ -304,7 +302,7 @@ def to_json_dict(label: str, zero_tol: float = 1e-12) -> dict:
             for b in range(a, k):
                 for c in range(b, k):
                     v = float(tensor[a, b, c])
-                    if abs(v) > zero_tol:
+                    if abs(v) > 1e-12:
                         out.append([a + 1, b + 1, c + 1, v])
         return out
 

@@ -179,6 +179,23 @@ def test_oracle_equivalence_panel():
             assert verdict == oracle == expect
 
 
+@pytest.mark.parametrize("ensemble", [-1e-3, -1e-5, -1e-6, -1e-7, "pure",
+                                      "rank-1", "rank-2", "rank-3", "rank-4",
+                                      "rank-5"])
+def test_verdicts_agree_near_the_boundary(ensemble):
+    # S_6 is about lambda_min * prod(lambda) ~ -3e-10 at lambda_min = -1e-6,
+    # inside 1e-9 on the raw scale but not on the normalized one
+    for seed in range(300):
+        if isinstance(ensemble, float):
+            s, expect = states.random_nonpsd_unit_trace(seed, ensemble), False
+        else:
+            s, expect = random_density(seed, ensemble), True
+        report = positivity_report(s)
+        oracle = eigenvalue_oracle(s).min() >= -cp.ORACLE_EIG_TOL
+        assert report.positive_semidefinite == oracle == expect
+        assert report.consistent
+
+
 def test_casimir_expr_affine_identification():
     # E_k = 1 - Sbar_k for k = 2..4 and E_k = Sbar_k for k = 5, 6
     for seed in range(60):

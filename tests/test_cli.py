@@ -126,6 +126,35 @@ def test_positivity_bad_shape(tmp_path):
     assert code == 2
 
 
+def _abc(**fields):
+    return {"abc": {"a": [0] * 3, "b": [0] * 8, "C": [[0] * 8] * 3, **fields}}
+
+
+_NAN_RHO = (np.eye(6) / 6).tolist()
+_NAN_RHO[0][0] = float("nan")
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"abc": 5}, id="abc-scalar"),
+    pytest.param(_abc(a=5), id="a-scalar"),
+    pytest.param(_abc(a={"x": 1, "y": 2, "z": 3}), id="a-object"),
+    pytest.param(_abc(a=[[0], [0], [0]]), id="a-column"),
+    pytest.param(_abc(a=["0.1", "0", "0"]), id="a-strings"),
+    pytest.param(_abc(C=[[0] * 8, [0] * 8, [0] * 7]), id="C-ragged"),
+    pytest.param(_abc(b=[0] * 7 + [float("nan")]), id="abc-nan"),
+    pytest.param({"rho": {"x": 1}}, id="rho-object"),
+    pytest.param({"rho": np.stack([_NAN_RHO, np.zeros((6, 6))], axis=-1).tolist()},
+                 id="rho-nan"),
+])
+def test_invalid_state_is_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    for command in ("positivity", "invariants"):
+        code, out = run_cli(command, str(path))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"qqinv: invalid state in {path}: ")
+
+
 def test_positivity_rho_form(tmp_path):
     rho = np.eye(6) / 6
     doc = {"rho": np.stack([rho, np.zeros((6, 6))], axis=-1).tolist()}

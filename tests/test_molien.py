@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
-                          TruncatedTorusSeries, WeightSystem,
-                          _axis_reach, _build_product_boxes,
+                          WeightSystem, _axis_reach, _build_product_boxes,
                           _root_polynomial,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
@@ -41,6 +40,24 @@ def expand_rational_fraction_oracle(numerator, denominator_exponents, max_degree
         series.append(acc / den[0])
     assert all(c.denominator == 1 for c in series)
     return [int(c) for c in series]
+
+
+def dict_product_series(weights, N):
+    """Independent expansion of prod over weights w of 1/(1 - q x^w) through
+    q^N as one {exponent: coefficient} dict per q-degree, every coefficient
+    kept."""
+    poly = {(0,) * (len(weights[0]) + 1): 1}  # (q-degree, *exponent) -> coefficient
+    for w in weights:
+        nxt = {}
+        for (d, *exp), c in poly.items():
+            for k in range(N + 1 - d):
+                key = (d + k,) + tuple(e + k * x for e, x in zip(exp, w))
+                nxt[key] = nxt.get(key, 0) + c
+        poly = nxt
+    out = [{} for _ in range(N + 1)]
+    for (d, *exp), c in poly.items():
+        out[d][tuple(exp)] = c
+    return out
 
 
 # -- weight systems ---------------------------------------------------------------
@@ -85,18 +102,22 @@ def test_unknown_group_spec():
 
 # -- truncated torus series --------------------------------------------------------
 
-def test_series_degree_zero_is_one():
-    ws = adjoint_weight_system("su2xsu2")
-    ser = TruncatedTorusSeries.from_weight_factors(ws.weights, ws.rank, 4)
-    assert ser.coeffs[0] == {(0, 0): 1}
-    assert ser.constant_term(0) == 1
+def full_reach_box_series(ws, N):
+    """The product box at reach N wmax, where the pruned windows are the full
+    supports, as one {exponent: coefficient} dict of nonzero cells per
+    q-degree."""
+    reach = tuple(N * m for m in _axis_reach(ws.weights, ws.rank))
+    boxes, center = _build_product_boxes(ws.weights, ws.rank, N, reach)
+    return [{tuple(int(p - c) for p, c in zip(pos, center))[:ws.rank]:
+             int(boxes[(d,) + tuple(pos)]) for pos in np.argwhere(boxes[d] != 0)}
+            for d in range(N + 1)]
 
 
 def test_series_exponents_bounded():
-    ws = adjoint_weight_system("su2xsu3")
     N = 5
-    ser = TruncatedTorusSeries.from_weight_factors(ws.weights, ws.rank, N)
-    for d, poly in enumerate(ser.coeffs):
+    series = full_reach_box_series(adjoint_weight_system("su2xsu3"), N)
+    assert series[0] == {(0, 0, 0): 1}
+    for d, poly in enumerate(series):
         for exp in poly:
             assert max(abs(e) for e in exp) <= d <= N
 
@@ -105,20 +126,7 @@ def test_series_matches_dict_product():
     # every coefficient, not only those near the origin: the full series
     # must not be clipped to a kernel's reach
     ws = adjoint_weight_system("su2xsu2")
-    N = 6
-    poly = {(0, 0, 0): 1}  # (q-degree, z, w) -> coefficient
-    for w in ws.weights:
-        nxt = {}
-        for (d, *exp), c in poly.items():
-            for k in range(N + 1 - d):
-                key = (d + k,) + tuple(e + k * x for e, x in zip(exp, w))
-                nxt[key] = nxt.get(key, 0) + c
-        poly = nxt
-    expect = [{} for _ in range(N + 1)]
-    for (d, *exp), c in poly.items():
-        expect[d][tuple(exp)] = c
-    ser = TruncatedTorusSeries.from_weight_factors(ws.weights, ws.rank, N)
-    assert list(ser.coeffs) == expect
+    assert full_reach_box_series(ws, 6) == dict_product_series(ws.weights, 6)
 
 
 def test_box_dtype_follows_entry_bound():
@@ -150,9 +158,8 @@ def test_pruned_series_matches_full_box_spin1_plus_spin2():
     ws = WeightSystem(1, weights, ((2,), (-2,)), 2)
     kernel = {(0,): 2, (2,): -1, (-2,): -1}  # (1 - x^2)(1 - x^-2)
     for N in range(25):
-        full = TruncatedTorusSeries.from_weight_factors(weights, 1, N)
         expect = []
-        for poly in full.coeffs:
+        for poly in dict_product_series(weights, N):
             total = sum(c * poly.get((-e,), 0) for (e,), c in kernel.items())
             assert total % 2 == 0
             expect.append(total // 2)

@@ -1,18 +1,16 @@
 """State parametrization, partial traces, random ensembles, unitaries, files."""
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from qqinv.states import (BlochState, QubitQutritState, bloch_from_matrix,
-                          bloch_to_matrix, conjugate, from_matrix,
+from qqinv.states import (QubitQutritState, conjugate, from_matrix,
                           omega_matrix, random_density, random_global_unitary,
                           random_local_unitary, random_nonpsd_unit_trace,
                           reduced_qubit, reduced_qutrit, state_from_json_dict,
                           state_to_json_dict, state_to_xi, to_matrix)
-from qqinv.su_algebra import GELL_MANN, PAULI, build_basis
+from qqinv.su_algebra import GELL_MANN, PAULI
 
 
 def random_state(seed, scale=0.25):
@@ -73,6 +71,10 @@ def test_from_matrix_rejects_bad_input():
         from_matrix(np.eye(6, dtype=complex))
     with pytest.raises(ValueError, match="6x6"):
         from_matrix(np.eye(4) / 4)
+    nan = np.eye(6, dtype=complex) / 6
+    nan[2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        from_matrix(nan)
 
 
 def test_reduced_states():
@@ -198,20 +200,6 @@ def test_state_to_xi_norm():
         om = omega_matrix(s)
         xi = state_to_xi(s)
         assert abs(np.trace(om @ om).real - 30.0 * xi @ xi) < 1e-10
-
-
-@pytest.mark.parametrize("label,n", [("su2-pauli", 2), ("su3-gellmann", 3),
-                                     ("su6-tensor", 6)])
-def test_bloch_roundtrip(label, n):
-    rng = np.random.default_rng(n)
-    elements = build_basis(label).elements
-    xi = rng.uniform(-0.1, 0.1, n * n - 1)
-    state = BlochState(n, xi, math.sqrt(n * (n - 1) / 2))
-    rho = bloch_to_matrix(state, elements)
-    assert abs(np.trace(rho) - 1) < 1e-12
-    assert np.abs(rho - rho.conj().T).max() < 1e-12
-    back = bloch_from_matrix(rho, elements)
-    assert np.abs(back.xi - xi).max() < 1e-12
 
 
 def test_state_json_roundtrip():
