@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .su_algebra import StructureConstants
+from .su_algebra import StructureConstants, _dot
 from .states import QubitQutritState
 
 TRACELESS_TOL = 1e-9
@@ -88,44 +88,57 @@ class PositivityReport:
 
 
 def _as_density_matrix(state) -> np.ndarray:
+    """The matrix of a state (or the stack of a stacked state); a matrix
+    given directly must be 6x6."""
     if isinstance(state, QubitQutritState):
         return states.to_matrix(state)
     rho = np.asarray(state, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    if rho.shape != (6, 6):
+        raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
     return rho
 
 
 def moments(rho: np.ndarray) -> tuple[float, ...]:
-    """t_k = tr(rho^k) for k = 1..6 by repeated multiplication."""
-    p = rho
-    out = [float(np.trace(p).real)]
-    for _ in range(5):
-        p = p @ rho
-        out.append(float(np.trace(p).real))
-    return tuple(out)
+    """t_k = tr(rho^k) for k = 1..6 by repeated multiplication, all six traced
+    in one call; over a (..., n, n) stack each t_k is an array of the batch
+    shape."""
+    p = np.empty((6,) + rho.shape, dtype=complex)
+    p[0] = rho
+    for k in range(1, 6):
+        np.matmul(p[k - 1], rho, out=p[k])
+    t = np.trace(p, axis1=-2, axis2=-1).real
+    # one matrix gives Python floats, so its verdicts stay plain bools
+    return tuple(t.tolist()) if t.ndim == 1 else tuple(t)
 
 
 def vee(u: np.ndarray, v: np.ndarray, sc: StructureConstants) -> np.ndarray:
-    """(u v v)_a = kappa d_abc u_b v_c with kappa = sqrt(n(n-1)/2)."""
+    """(u v v)_a = kappa d_abc u_b v_c with kappa = sqrt(n(n-1)/2), over the
+    last axis of (stacks of) vectors.  u_b d_bac = u_b d_abc (d is totally
+    symmetric) is one matrix product with d flattened to (dim, dim^2)."""
     u = np.asarray(u, float)
     v = np.asarray(v, float)
-    if u.shape != (sc.dim,) or v.shape != (sc.dim,):
+    k = sc.dim
+    if u.shape[-1:] != (k,) or v.shape[-1:] != (k,):
         raise ValueError(
-            f"vectors must have length {sc.dim}, got {u.shape} and {v.shape}")
-    kappa = states.bloch_kappa(sc.n)
-    return kappa * np.einsum("abc,b,c->a", sc.d, u, v)
+            f"vectors must have length {k}, got {u.shape} and {v.shape}")
+    D = (u @ sc.d.reshape(k, k * k)).reshape(u.shape[:-1] + (k, k))
+    return states.bloch_kappa(sc.n) * (D @ v[..., None])[..., 0]
 
 
 def casimirs_from_traces(state) -> CasimirValues:
-    """Invert the five moment relations of omega = n rho - I (trace route)."""
+    """Invert the five moment relations of omega = n rho - I (trace route);
+    a stacked state gives arrays of the batch shape."""
     rho = _as_density_matrix(state)
-    n = rho.shape[0]
+    n = rho.shape[-1]
     om = n * rho - np.eye(n)
-    tdev = abs(complex(np.trace(om)))
-    if tdev > TRACELESS_TOL or np.abs(om - om.conj().T).max() > TRACELESS_TOL:
+    tdev = float(np.abs(np.trace(om, axis1=-2, axis2=-1)).max())
+    if tdev > TRACELESS_TOL:
         raise ValueError(
-            f"omega = n rho - I is not traceless Hermitian (deviation {tdev:.3e})")
+            f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
+    hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max())
+    if hdev > TRACELESS_TOL:
+        raise ValueError(
+            f"omega = n rho - I is not Hermitian: max |omega - omega^+| = {hdev:.3e}")
     t2, t3, t4, t5, t6 = (t / n for t in moments(om)[1:])
     c2 = t2
     c3 = t3
@@ -146,21 +159,22 @@ def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
     to agree to < 1e-9; the trace route stays primary downstream.
     """
     xi = np.asarray(xi, float)
-    if xi.shape != (sc.dim,):
+    if xi.shape[-1:] != (sc.dim,):
         raise ValueError(f"xi must have length {sc.dim}, got shape {xi.shape}")
     n = sc.n
     xx = vee(xi, xi, sc)
-    c2 = (n - 1) * float(xi @ xi)
-    c3 = (n - 1) * float(xx @ xi)
-    c4 = (n - 1) * float(xx @ xx)
-    c5 = (n - 1) * float(vee(xx, xx, sc) @ xi)
+    c2 = (n - 1) * _dot(xi, xi)
+    c3 = (n - 1) * _dot(xx, xi)
+    c4 = (n - 1) * _dot(xx, xx)
+    c5 = (n - 1) * _dot(vee(xx, xx, sc), xi)
     v3 = vee(xx, xi, sc)
-    c6 = (n - 1) * float(v3 @ v3)
+    c6 = (n - 1) * _dot(v3, v3)
     return CasimirValues(n, (c2, c3, c4, c5, c6))
 
 
 def dual_route_report(state: QubitQutritState, sc: StructureConstants) -> dict:
-    """Trace-route and vee-route Casimirs side by side with |differences|."""
+    """Trace-route and vee-route Casimirs side by side with |differences|;
+    a stacked state gives arrays of the batch shape."""
     ct = casimirs_from_traces(state)
     cv = casimirs_from_vee(states.state_to_xi(state), sc)
     diff = tuple(abs(x - y) for x, y in zip(ct.raw, cv.raw))

@@ -102,20 +102,30 @@ def enumerate_words(degree: int) -> tuple[TraceWord, ...]:
 
 
 def _letter_matrices(state: QubitQutritState) -> dict[str, np.ndarray]:
+    """alpha, beta, gamma of a state, or (N, 6, 6) stacks of a stacked state;
+    _eval_on adds the prefix products it forms to this dict."""
     return {"a": states.alpha_matrix(state),
             "b": states.beta_matrix(state),
             "g": states.gamma_matrix(state)}
 
 
-def _eval_on(mats: dict[str, np.ndarray], word: str) -> complex:
-    m = mats[word[0]]
-    for ch in word[1:]:
-        m = m @ mats[ch]
-    return complex(np.trace(m))
+def _product(mats: dict[str, np.ndarray], word: str) -> np.ndarray:
+    """Product of the word's letter matrices, left to right, memoized in mats
+    under every prefix, so words sharing a prefix multiply it once."""
+    if word not in mats:
+        mats[word] = _product(mats, word[:-1]) @ mats[word[-1]]
+    return mats[word]
 
 
-def eval_trace_complex(word, state: QubitQutritState) -> complex:
-    """Trace of the word's matrix product, imaginary part and all.
+def _eval_on(mats: dict[str, np.ndarray], word: str) -> complex | np.ndarray:
+    """Trace of the word over the letter matrices in mats: a complex number,
+    or an array over the batch axis of stacked matrices."""
+    return np.trace(_product(mats, word), axis1=-2, axis2=-1)
+
+
+def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray:
+    """Trace of the word's matrix product, imaginary part and all (an array
+    of traces for a stacked state).
 
     Words of degree >= 5 whose class is not closed under reversal can have
     genuinely complex traces; real and imaginary parts are then separately
@@ -124,23 +134,26 @@ def eval_trace_complex(word, state: QubitQutritState) -> complex:
     return _eval_on(_letter_matrices(state), w)
 
 
-def eval_trace(word, state: QubitQutritState) -> float:
+def eval_trace(word, state: QubitQutritState) -> float | np.ndarray:
     """Real trace of the word's matrix product; a word whose trace picks up
-    an imaginary part beyond IMAG_TOL is flagged by raising, never truncated."""
+    an imaginary part beyond IMAG_TOL (on any state of a stack) is flagged by
+    raising, never truncated."""
     val = eval_trace_complex(word, state)
-    if abs(val.imag) > IMAG_TOL:
+    worst = float(np.abs(val.imag).max())
+    if worst > IMAG_TOL:
         w = word.letters if isinstance(word, TraceWord) else word
         raise ValueError(
-            f"trace of word {w!r} has imaginary part {val.imag:.3e}")
+            f"trace of word {w!r} has an imaginary part of {worst:.3e}")
     return val.real
 
 
 def random_panel(seed: int = DEFAULT_PANEL_SEED,
-                 size: int = DEFAULT_PANEL_SIZE) -> list[QubitQutritState]:
-    """Seeded Ginibre state panel used by all identity checks."""
+                 size: int = DEFAULT_PANEL_SIZE) -> QubitQutritState:
+    """Seeded Ginibre state panel used by all identity checks: the stack of
+    random_density(seed + i) for i < size."""
     if size < 1:
         raise ValueError(f"panel size must be >= 1, got {size}")
-    return [states.random_density(seed + i) for i in range(size)]
+    return states.random_densities(range(seed, seed + size))
 
 
 @dataclass(frozen=True)
@@ -153,12 +166,9 @@ class KernelResult:
 
 
 def _kernel_words(degree, panel):
-    mats = [_letter_matrices(s) for s in panel]
-    out = []
-    for w in enumerate_words(degree):
-        if max(abs(_eval_on(m, w.letters)) for m in mats) < KERNEL_TOL:
-            out.append(w)
-    return tuple(out)
+    mats = _letter_matrices(panel)
+    return tuple(w for w in enumerate_words(degree)
+                 if np.abs(_eval_on(mats, w.letters)).max() < KERNEL_TOL)
 
 
 def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
@@ -185,20 +195,34 @@ def _su3_constants() -> su_algebra.StructureConstants:
 
 
 def _sign_relation(s, mats):
-    return {"sign_relation": abs(_eval_on(mats, "abgg") + _eval_on(mats, "agbg"))}
+    z = _eval_on(mats, "abgg") + _eval_on(mats, "agbg")
+    # |z| by libm hypot, which Python's abs(complex) uses; numpy's complex
+    # absolute value can differ from it in the last bit
+    return {"sign_relation": np.hypot(z.real, z.imag)}
+
+
+def _gram(s) -> np.ndarray:
+    """G = C^T C, per state of a stack."""
+    return np.swapaxes(s.C, -1, -2) @ s.C
+
+
+def _quadratic(u, m, v):
+    """u^T m v, per state of a stack."""
+    return (u[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
 
 
 def _gamma3_formula(s, mats):
     lhs = _eval_on(mats, "ggg").real
-    rhs = -4.0 * np.einsum("ijk,abc,ia,jb,kc->", _EPSILON3, _su3_constants().f,
-                           s.C, s.C, s.C)
+    rhs = -4.0 * np.einsum("ijk,abc,...ia,...jb,...kc->...", _EPSILON3,
+                           _su3_constants().f, s.C, s.C, s.C)
     return {"gamma3_formula": abs(lhs - rhs)}
 
 
 def _i004_identity(s, mats):
-    G = s.C.T @ s.C
+    G = _gram(s)
     rhs = ((2.0 / 3.0) * correlation_quartic_ff(s)
-           - (np.trace(G) ** 2 - 2.0 * np.trace(G @ G)) / 3.0)
+           - (np.trace(G, axis1=-2, axis2=-1) ** 2
+              - 2.0 * np.trace(G @ G, axis1=-2, axis2=-1)) / 3.0)
     return {"i004_identity": abs(correlation_quartic_dd(s) - rhs)}
 
 
@@ -210,7 +234,7 @@ def _product_relation(s, mats):
 
 def _multidegree_relations(s, mats):
     d3 = _su3_constants().d
-    G = s.C.T @ s.C
+    G = _gram(s)
     aagg = _eval_on(mats, "aagg").real
     bbgg = _eval_on(mats, "bbgg").real
     taa = _eval_on(mats, "aa").real
@@ -218,15 +242,16 @@ def _multidegree_relations(s, mats):
     tgg = _eval_on(mats, "gg").real
     return {
         "aagg_agag": abs(aagg + _eval_on(mats, "agag").real
-                         - 8.0 * s.a @ (s.C @ s.C.T) @ s.a),
+                         - _quadratic(8.0 * s.a, s.C @ np.swapaxes(s.C, -1, -2),
+                                      s.a)),
         "aagg_product": abs(aagg - taa * tgg / 6.0),
         "bbgg_product": abs(bbgg - tbb * tgg / 6.0
-                            - 4.0 * np.einsum("abk,kcd,a,b,cd->", d3, d3,
-                                              s.b, s.b, G)),
+                            - 4.0 * np.einsum("abk,kcd,...a,...b,...cd->...",
+                                              d3, d3, s.b, s.b, G)),
         "bbgg_bgbg": abs(bbgg + _eval_on(mats, "bgbg").real
-                         - 8.0 * ((2.0 / 3.0) * s.b @ G @ s.b
-                                  + np.einsum("abk,kcd,a,c,bd->", d3, d3,
-                                              s.b, s.b, G))),
+                         - 8.0 * (_quadratic((2.0 / 3.0) * s.b, G, s.b)
+                                  + np.einsum("abk,kcd,...a,...c,...bd->...",
+                                              d3, d3, s.b, s.b, G))),
     }
 
 
@@ -245,8 +270,9 @@ def _casimir_decomposition(s, mats):
             "c4": abs(6 * c4 - dec4)}
 
 
-#: name -> (per-state residual function (state, letter matrices) -> {key:
-#: residual}, tolerance on the panel maximum); selftest prints in this order
+#: name -> (residual function (stacked panel, its letter matrices) -> {key:
+#: residual per state}, tolerance on the panel maximum); selftest prints in
+#: this order
 PANEL_IDENTITIES = {
     "sign_relation": (_sign_relation, CHECK_TOL),
     "gamma3_formula": (_gamma3_formula, CHECK_TOL),
@@ -262,14 +288,13 @@ def panel_violations(seed: int = DEFAULT_PANEL_SEED,
                      names: tuple[str, ...] = tuple(PANEL_IDENTITIES)
                      ) -> dict[str, dict[str, float]]:
     """Max residual per key of each named identity over one seeded panel,
-    as {name: {key: max}}; the letter matrices are built once per state."""
-    worst = {name: {} for name in names}
-    for s in random_panel(seed, panel_size):
-        mats = _letter_matrices(s)
-        for name in names:
-            for key, r in PANEL_IDENTITIES[name][0](s, mats).items():
-                worst[name][key] = float(max(worst[name].get(key, 0.0), r))
-    return worst
+    as {name: {key: max}}; the panel is drawn and its letter matrices and
+    word products are formed once, as stacks."""
+    panel = random_panel(seed, panel_size)
+    mats = _letter_matrices(panel)
+    return {name: {key: float(np.max(r)) for key, r
+                   in PANEL_IDENTITIES[name][0](panel, mats).items()}
+            for name in names}
 
 
 def _panel_max(name: str, seed: int, panel_size: int) -> dict[str, float]:
@@ -380,39 +405,39 @@ def rank_at_degree(degree: int, include_products: bool,
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
     if include_products:
         candidates += _product_candidates(degree, seed)
-    return _evaluation_rank(candidates, seed)
+    return _numerical_rank(_evaluation_matrix(candidates, seed))
 
 
-def _evaluation_rank(candidates, seed: int, extra=()) -> int:
-    """Numerical rank of the products of trace words in candidates, plus the
-    state functions in extra, on twice as many seeded states as columns."""
-    needed = sorted({w for cand in candidates for w in cand})
-    rows = []
-    for i in range(2 * (len(candidates) + len(extra))):
-        s = states.random_density(seed + 1000 + i)
-        mats = _letter_matrices(s)
-        values = {w: _eval_on(mats, w).real for w in needed}
-        rows.append([np.prod([values[w] for w in cand]) for cand in candidates]
-                    + [f(s) for f in extra])
-    return _numerical_rank(np.array(rows))
+def _evaluation_matrix(candidates, seed: int, extra=()) -> np.ndarray:
+    """Values of the products of trace words in candidates, then of the state
+    functions in extra (columns), on twice as many seeded states as columns:
+    row i is the state random_density(seed + 1000 + i)."""
+    rows = 2 * (len(candidates) + len(extra))
+    panel = states.random_densities(range(seed + 1000, seed + 1000 + rows))
+    mats = _letter_matrices(panel)
+    words = {w for cand in candidates for w in cand}
+    values = {w: _eval_on(mats, w).real for w in words}
+    columns = [np.prod([values[w] for w in cand], axis=0) for cand in candidates]
+    return np.column_stack(columns + [f(panel) for f in extra])
 
 
-def correlation_quartic_ff(state: QubitQutritState) -> float:
+def correlation_quartic_ff(state: QubitQutritState) -> float | np.ndarray:
     """f_apc f_cbq G_ab G_pq with G = C^T C, the f-contracted quartic in the
     correlation matrix.  This degree-(0,0,4) invariant lies outside the span
     of trace words and their products: together with them it completes the
-    15-dimensional space of degree-4 invariants (see rank_at_degree)."""
-    sc = _su3_constants()
-    G = state.C.T @ state.C
-    return float(np.einsum("apc,cbq,ab,pq->", sc.f, sc.f, G, G))
+    15-dimensional space of degree-4 invariants (see rank_at_degree).  A
+    stacked state gives one value per state."""
+    G = _gram(state)
+    f = _su3_constants().f
+    return np.einsum("apc,cbq,...ab,...pq->...", f, f, G, G)
 
 
-def correlation_quartic_dd(state: QubitQutritState) -> float:
+def correlation_quartic_dd(state: QubitQutritState) -> float | np.ndarray:
     """d_abc d_cpq G_ab G_pq with G = C^T C; related to correlation_quartic_ff
     by the exchange identity verified in i004_identity_violation."""
-    sc = _su3_constants()
-    G = state.C.T @ state.C
-    return float(np.einsum("abc,cpq,ab,pq->", sc.d, sc.d, G, G))
+    G = _gram(state)
+    d = _su3_constants().d
+    return np.einsum("abc,cpq,...ab,...pq->...", d, d, G, G)
 
 
 def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
@@ -424,28 +449,26 @@ def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
     the full count, so this returns 15."""
     candidates = [(w.letters,) for w in nonkernel_words(4, seed)]
     candidates += _product_candidates(4, seed)
-    return _evaluation_rank(candidates, seed, extra=(correlation_quartic_ff,))
+    return _numerical_rank(_evaluation_matrix(candidates, seed,
+                                               extra=(correlation_quartic_ff,)))
 
 
 def _params_to_state(vec: np.ndarray) -> QubitQutritState:
-    return QubitQutritState(vec[:3], vec[3:11], vec[11:].reshape(3, 8))
+    """(..., 35) parameter vectors (a, b, C row by row) as a state."""
+    return QubitQutritState(vec[..., :3], vec[..., 3:11], vec[..., 11:])
 
 
 def finite_difference_jacobian(words, point: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian with step JACOBIAN_STEP, shape
-    (35, len(words))."""
+    (35, len(words)); the 70 perturbed points are evaluated as two stacks."""
+    step = JACOBIAN_STEP * np.eye(35)
+    mu = _letter_matrices(_params_to_state(point + step))
+    md = _letter_matrices(_params_to_state(point - step))
     J = np.zeros((35, len(words)))
-    for p in range(35):
-        up = point.copy()
-        up[p] += JACOBIAN_STEP
-        dn = point.copy()
-        dn[p] -= JACOBIAN_STEP
-        mu = _letter_matrices(_params_to_state(up))
-        md = _letter_matrices(_params_to_state(dn))
-        for j, w in enumerate(words):
-            letters = w.letters if isinstance(w, TraceWord) else w
-            J[p, j] = (_eval_on(mu, letters).real
-                       - _eval_on(md, letters).real) / (2 * JACOBIAN_STEP)
+    for j, w in enumerate(words):
+        letters = w.letters if isinstance(w, TraceWord) else w
+        J[:, j] = (_eval_on(mu, letters).real
+                   - _eval_on(md, letters).real) / (2 * JACOBIAN_STEP)
     return J
 
 
@@ -481,7 +504,7 @@ def listed_invariants_through_degree4() -> tuple[TraceWord, ...]:
 _CASIMIR_SELECTORS = ("C2", "C3", "C4", "C5", "C6")
 
 
-def _evaluate_selector(selector, state: QubitQutritState) -> float:
+def _evaluate_selector(selector, state: QubitQutritState) -> float | np.ndarray:
     if isinstance(selector, TraceWord):
         return eval_trace(selector, state)
     if isinstance(selector, str) and selector in _CASIMIR_SELECTORS:
@@ -494,7 +517,9 @@ def _evaluate_selector(selector, state: QubitQutritState) -> float:
 
 def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
                     unitary: str | None = None) -> float:
-    """Max |value before - value after| over seeded random conjugations.
+    """Max |value before - value after| over seeded random conjugations:
+    trial i conjugates random_density(seed + 7000 + i) by the unitary of seed
+    seed + 9000 + i, all trials as one stack.
 
     Trace words are conjugated by local unitaries k1 x k2, Casimir selectors
     by global SU(6) unitaries; pass unitary="local"/"global" to override
@@ -504,13 +529,12 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
     if unitary is None:
         unitary = "global" if (isinstance(selector, str)
                                and selector in _CASIMIR_SELECTORS) else "local"
-    draw = (states.random_local_unitary if unitary == "local"
-            else states.random_global_unitary)
-    worst = 0.0
-    for i in range(trials):
-        s = states.random_density(seed + 7000 + i)
-        u = draw(seed + 9000 + i)
-        before = _evaluate_selector(selector, s)
-        after = _evaluate_selector(selector, states.conjugate(s, u))
-        worst = max(worst, abs(after - before))
-    return worst
+    if unitary not in ("local", "global"):
+        raise ValueError(
+            f"unitary must be None, 'local' or 'global', got {unitary!r}")
+    s = states.random_densities(range(seed + 7000, seed + 7000 + trials))
+    u = states.random_unitaries(range(seed + 9000, seed + 9000 + trials),
+                                local=unitary == "local")
+    before = _evaluate_selector(selector, s)
+    after = _evaluate_selector(selector, states.conjugate(s, u))
+    return float(np.abs(after - before).max())

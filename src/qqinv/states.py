@@ -45,16 +45,22 @@ _SIG_LAM = np.array([[np.kron(PAULI[i], GELL_MANN[a]) for a in range(8)]
 
 @dataclass
 class QubitQutritState:
-    """Bloch-type coordinates (a, b, C) of a 6x6 unit-trace Hermitian matrix."""
+    """Bloch-type coordinates (a, b, C) of a 6x6 unit-trace Hermitian matrix,
+    or of a stack of them: the leading axes of a are the batch shape, which
+    b and C share (N states have a (N, 3), b (N, 8), C (N, 3, 8)).  The
+    letter matrices, the matrix conversions, state_to_xi and conjugate map a
+    stack to a stack, as do the trace words and Casimir routes downstream;
+    a single state is the case without batch axes."""
 
-    a: np.ndarray  # (3,)
-    b: np.ndarray  # (8,)
-    C: np.ndarray  # (3, 8)
+    a: np.ndarray  # (..., 3)
+    b: np.ndarray  # (..., 8)
+    C: np.ndarray  # (..., 3, 8)
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float).reshape(3)
-        self.b = np.asarray(self.b, dtype=float).reshape(8)
-        self.C = np.asarray(self.C, dtype=float).reshape(3, 8)
+        self.a = np.asarray(self.a, dtype=float)
+        batch = self.a.shape[:-1]
+        self.b = np.asarray(self.b, dtype=float).reshape(batch + (8,))
+        self.C = np.asarray(self.C, dtype=float).reshape(batch + (3, 8))
 
     @classmethod
     def zero(cls) -> "QubitQutritState":
@@ -66,15 +72,15 @@ def bloch_kappa(n: int) -> float:
 
 
 def alpha_matrix(state: QubitQutritState) -> np.ndarray:
-    return np.einsum("i,iuv->uv", state.a, _SIG_I3)
+    return np.einsum("...i,iuv->...uv", state.a, _SIG_I3)
 
 
 def beta_matrix(state: QubitQutritState) -> np.ndarray:
-    return np.einsum("a,auv->uv", state.b, _I2_LAM)
+    return np.einsum("...a,auv->...uv", state.b, _I2_LAM)
 
 
 def gamma_matrix(state: QubitQutritState) -> np.ndarray:
-    return np.einsum("ia,iauv->uv", state.C, _SIG_LAM)
+    return np.einsum("...ia,iauv->...uv", state.C, _SIG_LAM)
 
 
 def omega_matrix(state: QubitQutritState) -> np.ndarray:
@@ -88,28 +94,29 @@ def to_matrix(state: QubitQutritState) -> np.ndarray:
 
 
 def from_matrix(rho: np.ndarray) -> QubitQutritState:
-    """Project a 6x6 matrix onto (a, b, C) coordinates.
+    """Project a 6x6 matrix, or a (..., 6, 6) stack, onto (a, b, C) coordinates.
 
     a_i = tr(rho sigma_i x I3), b_a = (3/2) tr(rho I2 x lambda_a),
     C_ia = (3/2) tr(rho sigma_i x lambda_a).
 
     Rejects inputs that have non-finite entries, or are not Hermitian or not
-    unit-trace within HERM_TOL and TRACE_TOL, reporting the measured deviation.
+    unit-trace within HERM_TOL and TRACE_TOL, reporting the measured deviation
+    (the largest over a stack).
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (6, 6):
+    if rho.shape[-2:] != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
-    herm = float(np.abs(rho - rho.conj().T).max())
+    herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max())
     if herm > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max |rho - rho^+| = {herm:.3e}")
-    tdev = abs(complex(np.trace(rho)) - 1.0)
+    tdev = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
     if tdev > TRACE_TOL:
         raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
-    a = np.einsum("uv,ivu->i", rho, _SIG_I3).real
-    b = 1.5 * np.einsum("uv,avu->a", rho, _I2_LAM).real
-    C = 1.5 * np.einsum("uv,iavu->ia", rho, _SIG_LAM).real
+    a = np.einsum("...uv,ivu->...i", rho, _SIG_I3).real
+    b = 1.5 * np.einsum("...uv,avu->...a", rho, _I2_LAM).real
+    C = 1.5 * np.einsum("...uv,iavu->...ia", rho, _SIG_LAM).real
     return QubitQutritState(a, b, C)
 
 
@@ -133,11 +140,10 @@ def state_to_xi(state: QubitQutritState) -> np.ndarray:
     sqrt(2) (qutrit and correlation sectors).
     """
     kappa = bloch_kappa(6)
-    xi = np.empty(35)
-    xi[0:3] = math.sqrt(3) * state.a / kappa
-    xi[3:11] = math.sqrt(2) * state.b / kappa
-    xi[11:35] = math.sqrt(2) * state.C.reshape(-1) / kappa
-    return xi
+    return np.concatenate([math.sqrt(3) * state.a / kappa,
+                           math.sqrt(2) * state.b / kappa,
+                           math.sqrt(2) * state.C.reshape(state.a.shape[:-1] + (24,))
+                           / kappa], axis=-1)
 
 
 # -- random ensembles ---------------------------------------------------------
@@ -146,12 +152,14 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_density(seed: int, ensemble: str = "ginibre-full-rank") -> QubitQutritState:
-    """Seeded random density matrix as a QubitQutritState.
+def random_densities(seeds, ensemble: str = "ginibre-full-rank") -> QubitQutritState:
+    """Stack of random density matrices, one per seed, with a leading batch
+    axis; state i is random_density(seeds[i], ensemble) bit for bit.
 
     ensemble is "ginibre-full-rank", "pure", or "rank-k" with k in 1..6.
-    The matrix is A A^+ / tr(A A^+) for a 6 x r complex standard-Gaussian A,
-    hence positive semi-definite by construction and reproducible per seed.
+    Each matrix is A A^+ / tr(A A^+) for a 6 x r complex standard-Gaussian A
+    drawn from its own generator default_rng(seed), hence positive
+    semi-definite by construction and reproducible per seed.
     """
     if ensemble == "ginibre-full-rank":
         r = 6
@@ -166,11 +174,16 @@ def random_density(seed: int, ensemble: str = "ginibre-full-rank") -> QubitQutri
             raise ValueError(f"rank must be in 1..6, got {r}")
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    rng = np.random.default_rng(seed)
-    A = _ginibre(rng, 6, r)
-    rho = A @ A.conj().T
-    rho /= np.trace(rho).real
+    A = np.array([_ginibre(np.random.default_rng(seed), 6, r) for seed in seeds])
+    rho = A @ A.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
     return from_matrix(rho)
+
+
+def random_density(seed: int, ensemble: str = "ginibre-full-rank") -> QubitQutritState:
+    """Seeded random density matrix: the one-state case of random_densities."""
+    s = random_densities([seed], ensemble)
+    return QubitQutritState(s.a[0], s.b[0], s.C[0])
 
 
 def random_nonpsd_unit_trace(seed: int, min_negative_eigenvalue: float) -> QubitQutritState:
@@ -189,33 +202,50 @@ def random_nonpsd_unit_trace(seed: int, min_negative_eigenvalue: float) -> Qubit
     return from_matrix(rho)
 
 
-def random_su(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random SU(n): QR of a Ginibre matrix with the R-diagonal phase
-    correction, then determinant normalized to 1."""
-    z = _ginibre(rng, n, n) / math.sqrt(2)
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar-random SU(n) from a (stack of) Ginibre matrix z / sqrt(2): QR with
+    the R-diagonal phase correction, then determinant normalized to 1."""
+    n = z.shape[-1]
     q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    q = q * ph
+    q = q * ph[..., None, :]
     det = np.linalg.det(q)
-    return q * np.exp(-1j * np.angle(det) / n)
+    return q * np.exp(-1j * (np.angle(det) / n))[..., None, None]
+
+
+def random_su(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random SU(n) drawn from rng."""
+    return _haar(_ginibre(rng, n, n) / math.sqrt(2))
+
+
+def random_unitaries(seeds, local: bool) -> np.ndarray:
+    """(N, 6, 6) stack with u[i] = random_local_unitary(seeds[i]) when local,
+    else random_global_unitary(seeds[i]); one generator per seed, bit for bit."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not local:
+        return _haar(np.array([_ginibre(rng, 6, 6) for rng in rngs]) / math.sqrt(2))
+    # each generator draws its SU(2) factor before its SU(3) factor
+    k1 = _haar(np.array([_ginibre(rng, 2, 2) for rng in rngs]) / math.sqrt(2))
+    k2 = _haar(np.array([_ginibre(rng, 3, 3) for rng in rngs]) / math.sqrt(2))
+    return (k1[:, :, None, :, None] * k2[:, None, :, None, :]).reshape(-1, 6, 6)
 
 
 def random_local_unitary(seed: int) -> np.ndarray:
     """k1 x k2 with k1 Haar-random in SU(2) and k2 Haar-random in SU(3)."""
-    rng = np.random.default_rng(seed)
-    return np.kron(random_su(2, rng), random_su(3, rng))
+    return random_unitaries([seed], local=True)[0]
 
 
 def random_global_unitary(seed: int) -> np.ndarray:
     """Haar-random SU(6)."""
-    return random_su(6, np.random.default_rng(seed))
+    return random_unitaries([seed], local=False)[0]
 
 
 def conjugate(state: QubitQutritState, u: np.ndarray) -> QubitQutritState:
-    """State of u rho u^+ in (a, b, C) coordinates."""
+    """State of u rho u^+ in (a, b, C) coordinates; a stack of states takes a
+    matching (..., 6, 6) stack of unitaries."""
     rho = to_matrix(state)
-    return from_matrix(u @ rho @ u.conj().T)
+    return from_matrix(u @ rho @ u.conj().swapaxes(-1, -2))
 
 
 # -- state files ---------------------------------------------------------------

@@ -151,14 +151,38 @@ def structure_constants_of(basis: SuBasis) -> StructureConstants:
             f"{defects['orthonormality']:.3e}"
         )
     t = basis.elements
-    abc = np.einsum("aij,bjk,cki->abc", t, t, t)
-    acb = np.einsum("aij,cjk,bki->abc", t, t, t)
+    k, n = t.shape[0], basis.n
+    # abc = tr(t_a t_b t_c) = sum over i of (t_a t_b)_{i.} . (t_c)_{.i}, summed
+    # over i in order; each row of the built-in bases has one nonzero entry,
+    # so every partial product is exact and the sum is bit for bit the one
+    # of the triple-index einsum
+    ab = (t[:, None] @ t[None, :]).reshape(k * k, n, n)
+    abc = ab[:, 0, :] @ t[:, :, 0].T
+    for i in range(1, n):
+        abc = abc + ab[:, i, :] @ t[:, :, i].T
+    abc = abc.reshape(k, k, k)
+    acb = abc.transpose(0, 2, 1)
     d = (abc + acb) / 4
     f = -1j * (abc - acb) / 4
     residue = max(np.abs(d.imag).max(), np.abs(f.imag).max())
     if residue > HERMITICITY_TOL:
         raise ValueError(f"imaginary residue {residue:.3e} in structure constants")
     return StructureConstants(basis.n, np.ascontiguousarray(d.real), np.ascontiguousarray(f.real))
+
+
+def _contractions(x: np.ndarray, y: np.ndarray):
+    """Nonzero terms of P[a,b,p,q] = sum_c x_abc y_cpq: index arrays a, b, p, q
+    and the values x_abc y_cpq, one per pair of nonzero entries sharing c.
+    Terms of one output index are not summed here."""
+    xc, xa, xb = np.nonzero(x.transpose(2, 0, 1))   # x entries ordered by c
+    yc, yp, yq = np.nonzero(y)                      # y entries ordered by c
+    x_val, y_val = x[xa, xb, xc], y[yc, yp, yq]
+    per_c = np.bincount(yc, minlength=x.shape[0])
+    first = np.cumsum(per_c) - per_c
+    reps = per_c[xc]
+    xi = np.repeat(np.arange(len(xc)), reps)
+    yi = first[xc][xi] + np.arange(len(xi)) - np.repeat(np.cumsum(reps) - reps, reps)
+    return (xa[xi], xb[xi], yp[yi], yq[yi]), x_val[xi] * y_val[yi]
 
 
 def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
@@ -176,37 +200,49 @@ def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
       dd_cyclic (su(3) only):
                    d_abc d_cpq + d_bpc d_caq + d_pac d_cbq
                                = (1/3)(d_ab d_pq + d_ap d_bq + d_aq d_bp)
+
+    Every product term is an index permutation of one of ff, df and dd,
+    P[i0,i1,i2,i3] = sum_c x_{i0 i1 c} y_{c i2 i3}, formed once from the
+    nonzero entries.  A family's residual gathers its terms into one flat
+    array over the k^4 free tuples (a, b, p, q) and is reduced to its maximum
+    before the next family is formed.
     """
     d, f, n = sc.d, sc.f, sc.n
     k = sc.dim
-    eye = np.eye(k)
-
-    def cyc(x, y):
-        return (np.einsum("abc,cpq->abpq", x, y)
-                + np.einsum("bpc,caq->abpq", x, y)
-                + np.einsum("pac,cbq->abpq", x, y))
-
-    ff = np.einsum("abc,cpq->abpq", f, f)
-    dpq = np.einsum("apc,cbq->abpq", d, d)
-    daq = np.einsum("aqc,cbp->abpq", d, d)
-    dd_pair = np.einsum("abc,cpq->abpq", d, d)
-    dl_ap_bq = np.einsum("ap,bq->abpq", eye, eye)
-    dl_aq_bp = np.einsum("aq,bp->abpq", eye, eye)
-    dl_ab_pq = np.einsum("ab,pq->abpq", eye, eye)
-
-    violations = {
-        "jacobi_ff": float(np.abs(cyc(f, f)).max()),
-        "mixed_df": float(np.abs(cyc(d, f)).max()),
-        "ff_to_dd": float(np.abs(
-            ff - dpq + daq - (2.0 / n) * (dl_ap_bq - dl_aq_bp)).max()),
-        "ff_dd_sym": float(np.abs(
-            ff + np.einsum("aqc,cpb->abpq", f, f)
-            - 2 * dpq + dd_pair + daq
-            - (2.0 / n) * (2 * dl_ap_bq - dl_ab_pq - dl_aq_bp)).max()),
+    x, y = np.divmod(np.arange(k * k), k)
+    products = {"ff": _contractions(f, f), "df": _contractions(d, f),
+                "dd": _contractions(d, d),
+                # delta_{i0 i1} delta_{i2 i3}
+                "delta": ((x, x, y, y), np.ones(k * k))}
+    # a term is (coefficient, product, the free index in each of its slots)
+    cyclic = ("abpq", "bpaq", "pabq")
+    families = {
+        "jacobi_ff": [(1, "ff", s) for s in cyclic],
+        "mixed_df": [(1, "df", s) for s in cyclic],
+        "ff_to_dd": [(1, "ff", "abpq"), (-1, "dd", "apbq"), (1, "dd", "aqbp"),
+                     (-2 / n, "delta", "apbq"), (2 / n, "delta", "aqbp")],
+        "ff_dd_sym": [(1, "ff", "abpq"), (1, "ff", "aqpb"), (-2, "dd", "apbq"),
+                      (1, "dd", "abpq"), (1, "dd", "aqbp"),
+                      (-4 / n, "delta", "apbq"), (2 / n, "delta", "abpq"),
+                      (2 / n, "delta", "aqbp")],
     }
     if n == 3:
-        rhs = (dl_ab_pq + dl_ap_bq + dl_aq_bp) / 3.0
-        violations["dd_cyclic"] = float(np.abs(cyc(d, d) - rhs).max())
+        families["dd_cyclic"] = ([(1, "dd", s) for s in cyclic]
+                                 + [(-1 / 3, "delta", s) for s in ("abpq", "apbq", "aqbp")])
+
+    violations = {}
+    for name, terms in families.items():
+        index, weight = [], []
+        for coef, prod, slots in terms:
+            idx, val = products[prod]
+            flat = 0
+            for free in "abpq":
+                flat = flat * k + idx[slots.index(free)]
+            index.append(flat)
+            weight.append(coef * val)
+        residual = np.bincount(np.concatenate(index), np.concatenate(weight),
+                               minlength=k ** 4)
+        violations[name] = float(np.abs(residual).max())
     return IdentityReport(n=n, violations=violations)
 
 
@@ -216,16 +252,12 @@ def closure_max_violation(basis: SuBasis, sc: StructureConstants,
     over a seeded random sample of index pairs."""
     rng = np.random.default_rng(seed)
     t = basis.elements
-    k = len(basis)
-    eye = np.eye(basis.n)
-    worst = 0.0
-    for _ in range(pairs):
-        a, b = rng.integers(0, k, size=2)
-        lhs = t[a] @ t[b]
-        rhs = (2.0 / basis.n) * (1.0 if a == b else 0.0) * eye
-        rhs = rhs + np.einsum("c,cij->ij", sc.d[a, b] + 1j * sc.f[a, b], t)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    k, n = len(basis), basis.n
+    a, b = np.array([rng.integers(0, k, size=2) for _ in range(pairs)]).T
+    lhs = t[a] @ t[b]
+    rhs = ((sc.d[a, b] + 1j * sc.f[a, b]) @ t.reshape(k, n * n)).reshape(-1, n, n)
+    rhs += (2.0 / n) * (a == b)[:, None, None] * np.eye(n)
+    return float(np.abs(lhs - rhs).max())
 
 
 # -- symmetrized traces -------------------------------------------------------
@@ -246,26 +278,34 @@ def _polarize(idx: tuple[int, ...], dim: int, value) -> float:
         (1/k!) sum_{S nonempty in [k]} (-1)^(k-|S|) value(x_S),
         x_S = sum_{j in S} e_{i_j}
 
-    (2^k - 1 evaluations; a repeated index simply counts twice in x_S).
+    value takes the 2^k - 1 vectors x_S as one (2^k - 1, dim) stack and
+    returns their values; a repeated index simply counts twice in x_S.
     """
     k = len(idx)
-    total = 0.0
-    for mask in range(1, 2 ** k):
-        members = [i for j, i in enumerate(idx) if mask >> j & 1]
-        x = np.bincount(members, minlength=dim).astype(float)
-        total += (-1) ** (k - len(members)) * value(x)
-    return total / math.factorial(k)
+    members = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1
+    x = members @ np.eye(dim)[list(idx)]
+    signs = (-1.0) ** (k - members.sum(axis=1))
+    return float(signs @ value(x)) / math.factorial(k)
 
 
-def _power_trace_closed(sc: StructureConstants, x: np.ndarray, k: int) -> float:
-    """tr((x.t)^k), 2 <= k <= 6, from delta/d contractions: D = d.x, v = D x."""
-    n, D = sc.n, sc.d @ x
-    v = D @ x
-    xx, vx, vv, Dv = float(x @ x), float(v @ x), float(v @ v), D @ v
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the last axis of (stacks of) vectors."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _power_trace_closed(sc: StructureConstants, x: np.ndarray, k: int) -> np.ndarray:
+    """tr((x.t)^k), 2 <= k <= 6, over the last axis of a stack of x, from
+    delta/d contractions: D_bc = x_a d_abc (d is totally symmetric) as one
+    matrix product with d flattened to (dim, dim^2), v = D x."""
+    n, dim = sc.n, sc.dim
+    D = (x @ sc.d.reshape(dim, dim * dim)).reshape(x.shape[:-1] + (dim, dim))
+    v = (D @ x[..., None])[..., 0]
+    Dv = (D @ v[..., None])[..., 0]
+    xx, vx, vv = _dot(x, x), _dot(v, x), _dot(v, v)
     return {2: 2 * xx, 3: 2 * vx, 4: (4 / n) * xx ** 2 + 2 * vv,
-            5: (8 / n) * xx * vx + 2 * float(v @ Dv),
+            5: (8 / n) * xx * vx + 2 * _dot(v, Dv),
             6: ((8 / n ** 2) * xx ** 3 + (8 / n) * xx * vv + (4 / n) * vx ** 2
-                + 2 * float(Dv @ Dv))}[k]
+                + 2 * _dot(Dv, Dv))}[k]
 
 
 def symmetrized_trace(basis: SuBasis, indices) -> float:
@@ -273,8 +313,9 @@ def symmetrized_trace(basis: SuBasis, indices) -> float:
     by polarizing tr((x.t)^k); indices are zero-based positions in the basis."""
     idx = _check_indices(indices, len(basis))
     t = basis.elements
-    return _polarize(idx, len(basis), lambda x: float(
-        np.trace(np.linalg.matrix_power(np.tensordot(x, t, 1), len(idx))).real))
+    return _polarize(idx, len(basis), lambda x: np.trace(
+        np.linalg.matrix_power(np.tensordot(x, t, 1), len(idx)),
+        axis1=-2, axis2=-1).real)
 
 
 def symmetrized_trace_closed(sc: StructureConstants, indices) -> float:

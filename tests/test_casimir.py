@@ -80,8 +80,30 @@ def test_casimirs_from_traces_eigenvalue_oracle():
 
 
 def test_casimirs_from_traces_rejects_wrong_trace():
-    with pytest.raises(ValueError, match="traceless"):
+    with pytest.raises(ValueError, match=r"not traceless: \|tr omega\| = 3.000e\+01"):
         casimirs_from_traces(np.eye(6, dtype=complex))
+
+
+def test_casimirs_from_traces_names_the_hermiticity_defect():
+    # traceless but not Hermitian: the message gives the Hermiticity
+    # deviation of omega = 6 rho - I, not the (zero) trace deviation
+    bad = np.eye(6, dtype=complex) / 6
+    bad[0, 1] = 1e-3
+    with pytest.raises(ValueError,
+                       match=r"not Hermitian: max \|omega - omega\^\+\| = 6.000e-03"):
+        casimirs_from_traces(bad)
+
+
+def test_casimir_routes_on_a_stack_match_single_states():
+    stack = states.random_densities(range(300, 320))
+    traces = casimirs_from_traces(stack)
+    vees = casimirs_from_vee(states.state_to_xi(stack), SC6)
+    for i in range(20):
+        s = random_density(300 + i)
+        assert tuple(c[i] for c in traces.raw) == casimirs_from_traces(s).raw
+        single = np.array(casimirs_from_vee(states.state_to_xi(s), SC6).raw)
+        stacked = np.array([c[i] for c in vees.raw])
+        assert (np.abs(stacked - single) <= 1e-14 * np.abs(single)).all()
 
 
 def test_vee_route_rejects_wrong_length():
@@ -160,6 +182,16 @@ def test_positivity_report_nonpsd_fails_both_ways():
         assert not report.positive_semidefinite
         assert not all(report.verdict_casimir)
         assert report.consistent
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (8, 8), (6, 5), (2, 6, 6)])
+def test_positivity_report_rejects_shapes_other_than_6x6(shape):
+    # 3x3 and 4x4 would divide by zero in CasimirValues.normalized, and an
+    # 8x8 matrix would be judged against the n = 6 table of max S_k
+    rho = np.zeros(shape, dtype=complex)
+    rho[..., 0, 0] = rho[..., 1, 1] = 0.5
+    with pytest.raises(ValueError, match="expected a 6x6 matrix"):
+        positivity_report(rho)
 
 
 def test_positivity_report_rejects_non_hermitian():

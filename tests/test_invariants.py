@@ -18,7 +18,8 @@ from qqinv.local_invariants import (canonical_form,
                                     multidegree_relations_check,
                                     rank_at_degree, sign_relation_violation,
                                     trace_word)
-from qqinv.states import QubitQutritState, random_density
+from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
+                          gamma_matrix, random_density)
 from qqinv.su_algebra import structure_constants
 
 DEGREE4_WORDS = ["aaaa", "aaab", "aaag", "aabb", "aabg", "aagg", "abbb",
@@ -114,6 +115,74 @@ def test_eval_flags_complex_traces():
 
 
 # -- kernel ---------------------------------------------------------------------------
+
+def left_to_right_trace(word, state):
+    """Reference: the trace of the letter matrices multiplied left to right."""
+    mats = {"a": alpha_matrix(state), "b": beta_matrix(state),
+            "g": gamma_matrix(state)}
+    m = mats[word[0]]
+    for ch in word[1:]:
+        m = m @ mats[ch]
+    return complex(np.trace(m))
+
+
+def test_stacked_trace_words_match_single_states():
+    panel = li.random_panel(900, 25)
+    for degree in range(1, 7):
+        for w in enumerate_words(degree):
+            stacked = eval_trace_complex(w, panel)
+            for i in range(25):
+                s = random_density(900 + i)
+                assert stacked[i] == eval_trace_complex(w, s)
+                assert stacked[i] == left_to_right_trace(w.letters, s)
+
+
+def kernel_words_reference(degree, seed, size):
+    """Reference: the kernel by a loop over the panel states, one at a time."""
+    panel = [random_density(seed + i) for i in range(size)]
+    return tuple(w for w in enumerate_words(degree)
+                 if max(abs(eval_trace_complex(w, s)) for s in panel) < li.KERNEL_TOL)
+
+
+@pytest.mark.parametrize("seed,size", [(li.DEFAULT_PANEL_SEED, 40), (3, 7)])
+def test_kernel_words_match_per_state_loop(seed, size):
+    for degree in range(1, 6):
+        assert kernel_at_degree(degree, seed, size).words == \
+            kernel_words_reference(degree, seed, size)
+
+
+def evaluation_matrix_reference(candidates, seed, extra=()):
+    """Reference: the rank evaluation matrix built one state per row."""
+    rows = []
+    for i in range(2 * (len(candidates) + len(extra))):
+        s = random_density(seed + 1000 + i)
+        rows.append([np.prod([eval_trace_complex(w, s).real for w in cand])
+                     for cand in candidates] + [f(s) for f in extra])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", [li.DEFAULT_PANEL_SEED, 11])
+def test_evaluation_matrix_matches_per_state_loop(seed):
+    candidates = [(w.letters,) for w in li.nonkernel_words(4, seed)]
+    candidates += li._product_candidates(4, seed)
+    extra = (correlation_quartic_ff,)
+    assert np.array_equal(li._evaluation_matrix(candidates, seed, extra),
+                          evaluation_matrix_reference(candidates, seed, extra))
+
+
+def test_jacobian_matches_per_point_loop():
+    words = listed_invariants_through_degree4()
+    point = np.random.default_rng(5).uniform(-0.3, 0.3, 35)
+    J = li.finite_difference_jacobian(words, point)
+    for p in (0, 7, 20, 34):
+        up, dn = point.copy(), point.copy()
+        up[p] += li.JACOBIAN_STEP
+        dn[p] -= li.JACOBIAN_STEP
+        for j, w in enumerate(words):
+            col = (eval_trace(w, li._params_to_state(up))
+                   - eval_trace(w, li._params_to_state(dn))) / (2 * li.JACOBIAN_STEP)
+            assert J[p, j] == col
+
 
 def test_kernel_degree4():
     result = kernel_at_degree(4)
@@ -324,3 +393,9 @@ def test_negative_control():
 def test_invariance_rejects_bad_trials():
     with pytest.raises(ValueError, match="trials"):
         invariance_test("aa", 0)
+
+
+def test_invariance_rejects_unknown_unitary_kind():
+    # a misspelt kind must not fall through to global unitaries
+    with pytest.raises(ValueError, match="'local' or 'global'"):
+        invariance_test("aa", 5, unitary="lokal")

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from qqinv.states import (QubitQutritState, conjugate, from_matrix,
-                          omega_matrix, random_density, random_global_unitary,
-                          random_local_unitary, random_nonpsd_unit_trace,
+from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
+                          conjugate, from_matrix, gamma_matrix, omega_matrix,
+                          random_densities, random_density,
+                          random_global_unitary, random_local_unitary,
+                          random_nonpsd_unit_trace, random_su, random_unitaries,
                           reduced_qubit, reduced_qutrit, state_from_json_dict,
                           state_to_json_dict, state_to_xi, to_matrix)
 from qqinv.su_algebra import GELL_MANN, PAULI
@@ -155,6 +157,46 @@ def test_random_nonpsd_rejects_bad_level():
         random_nonpsd_unit_trace(1, 0.1)
     with pytest.raises(ValueError, match=r"\[-1, 0\)"):
         random_nonpsd_unit_trace(1, -1.5)
+
+
+@pytest.mark.parametrize("ensemble", ["ginibre-full-rank", "pure", "rank-3"])
+def test_stacked_draw_matches_single_draws(ensemble):
+    seeds = range(500, 540)
+    stack = random_densities(seeds, ensemble)
+    assert stack.a.shape == (40, 3) and stack.C.shape == (40, 3, 8)
+    letters = (alpha_matrix, beta_matrix, gamma_matrix, to_matrix, state_to_xi)
+    stacked = [f(stack) for f in letters]
+    for i, seed in enumerate(seeds):
+        s = random_density(seed, ensemble)
+        assert np.array_equal(stack.a[i], s.a)
+        assert np.array_equal(stack.b[i], s.b)
+        assert np.array_equal(stack.C[i], s.C)
+        for f, values in zip(letters, stacked):
+            assert np.array_equal(values[i], f(s))
+
+
+def test_stacked_unitaries_and_conjugation_match_single_draws():
+    seeds = range(700, 730)
+    local, full = random_unitaries(seeds, local=True), random_unitaries(seeds, local=False)
+    stack = random_densities(range(30))
+    moved = conjugate(stack, full)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        k1 = random_su(2, rng)  # one generator: the SU(2) factor first
+        assert np.array_equal(local[i], np.kron(k1, random_su(3, rng)))
+        assert np.array_equal(local[i], random_local_unitary(seed))
+        assert np.array_equal(full[i], random_su(6, np.random.default_rng(seed)))
+        assert np.array_equal(full[i], random_global_unitary(seed))
+        single = conjugate(random_density(i), random_global_unitary(seed))
+        assert np.array_equal(moved.a[i], single.a)
+        assert np.array_equal(moved.C[i], single.C)
+
+
+def test_from_matrix_stack_reports_worst_deviation():
+    rho = np.array([np.eye(6) / 6] * 3, dtype=complex)
+    rho[1, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match="not Hermitian: .* 1.000e-03"):
+        from_matrix(rho)
 
 
 @pytest.mark.parametrize("draw,n", [(random_local_unitary, 6),

@@ -93,6 +93,87 @@ def test_structure_constants_reject_nonorthonormal():
         structure_constants_of(bad)
 
 
+def dense_identity_violations(sc):
+    """Reference: every identity family contracted densely over all k^4
+    free-index tuples, one einsum per product term."""
+    d, f, n = sc.d, sc.f, sc.n
+    eye = np.eye(sc.dim)
+
+    def cyc(x, y):
+        return (np.einsum("abc,cpq->abpq", x, y)
+                + np.einsum("bpc,caq->abpq", x, y)
+                + np.einsum("pac,cbq->abpq", x, y))
+
+    ff = np.einsum("abc,cpq->abpq", f, f)
+    dpq = np.einsum("apc,cbq->abpq", d, d)
+    daq = np.einsum("aqc,cbp->abpq", d, d)
+    dd_pair = np.einsum("abc,cpq->abpq", d, d)
+    dl_ap_bq = np.einsum("ap,bq->abpq", eye, eye)
+    dl_aq_bp = np.einsum("aq,bp->abpq", eye, eye)
+    dl_ab_pq = np.einsum("ab,pq->abpq", eye, eye)
+    out = {
+        "jacobi_ff": np.abs(cyc(f, f)).max(),
+        "mixed_df": np.abs(cyc(d, f)).max(),
+        "ff_to_dd": np.abs(ff - dpq + daq
+                           - (2.0 / n) * (dl_ap_bq - dl_aq_bp)).max(),
+        "ff_dd_sym": np.abs(ff + np.einsum("aqc,cpb->abpq", f, f)
+                            - 2 * dpq + dd_pair + daq
+                            - (2.0 / n) * (2 * dl_ap_bq - dl_ab_pq - dl_aq_bp)).max(),
+    }
+    if n == 3:
+        out["dd_cyclic"] = np.abs(cyc(d, d) - (dl_ab_pq + dl_ap_bq + dl_aq_bp) / 3).max()
+    return out
+
+
+@pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
+def test_sparse_identity_pass_matches_dense_contractions(label):
+    sc = structure_constants(label)
+    sparse = verify_structure_identities(sc).violations
+    dense = dense_identity_violations(sc)
+    assert set(sparse) == set(dense)
+    for family, value in dense.items():
+        assert abs(sparse[family] - value) <= 1e-14
+
+
+def test_sparse_identity_pass_detects_a_broken_tensor():
+    sc = structure_constants("su3-gellmann")
+    f = sc.f.copy()
+    for perm, sign in [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]:
+        f[tuple(np.array((0, 1, 2))[list(perm)])] = sign * 1.1
+    broken = su_algebra.StructureConstants(3, sc.d, f)
+    sparse = verify_structure_identities(broken).violations
+    dense = dense_identity_violations(broken)
+    assert sparse["jacobi_ff"] > 1e-3
+    for family, value in dense.items():
+        assert abs(sparse[family] - value) <= 1e-14
+
+
+@pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
+def test_structure_constants_match_triple_trace_einsum(label):
+    # the built-in bases have one nonzero entry per row, so the row-by-row
+    # products are exact and the tensors equal the einsum ones bit for bit
+    t = build_basis(label).elements
+    abc = np.einsum("aij,bjk,cki->abc", t, t, t)
+    acb = np.einsum("aij,cjk,bki->abc", t, t, t)
+    sc = structure_constants(label)
+    assert np.array_equal(sc.d, ((abc + acb) / 4).real)
+    assert np.array_equal(sc.f, (-1j * (abc - acb) / 4).real)
+
+
+def test_structure_constants_of_a_rotated_basis():
+    # a generic orthogonal mix of the Gell-Mann matrices has dense rows
+    lam = build_basis("su3-gellmann").elements
+    q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
+    t = np.einsum("ab,bij->aij", q, lam)
+    sc = structure_constants_of(SuBasis("rotated", 3, t))
+    abc = np.einsum("aij,bjk,cki->abc", t, t, t)
+    acb = np.einsum("aij,cjk,bki->abc", t, t, t)
+    assert np.abs(sc.d - ((abc + acb) / 4).real).max() < 1e-14
+    assert np.abs(sc.f - (-1j * (abc - acb) / 4).real).max() < 1e-14
+    assert verify_structure_identities(sc).passed
+
+
 @pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
 def test_identity_families(label):
     report = verify_structure_identities(structure_constants(label))
