@@ -23,7 +23,9 @@ in another form: E_k = 1 - Sbar_k for k = 2..4 and E_k = Sbar_k for k = 5, 6.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,20 @@ ORACLE_EIG_TOL = 1e-8
 
 MAX_S = {k: math.comb(6, 6 - k) / 6 ** k for k in range(1, 7)}
 
+_EYE6 = np.eye(6)
+
+
+@functools.cache
+def _normalizers(n: int) -> tuple[float, ...]:
+    """(k-1)!/((n-1)...(n-k+1)) for k = 2..6."""
+    out = []
+    for k in range(2, 7):
+        denom = 1.0
+        for j in range(1, k):
+            denom *= (n - j)
+        out.append(math.factorial(k - 1) / denom)
+    return tuple(out)
+
 
 @dataclass(frozen=True)
 class CasimirValues:
@@ -48,14 +64,12 @@ class CasimirValues:
 
     @property
     def normalized(self) -> tuple[float, ...]:
-        n = self.n
-        out = []
-        for k, c in zip(range(2, 7), self.raw):
-            denom = 1.0
-            for j in range(1, k):
-                denom *= (n - j)
-            out.append(math.factorial(k - 1) / denom * c)
-        return tuple(out)
+        return tuple(f * c for f, c in zip(_normalizers(self.n), self.raw))
+
+
+def _all(verdicts):
+    """Conjunction of per-k verdicts: a bool, or a bool array over a stack."""
+    return functools.reduce(operator.and_, verdicts)
 
 
 @dataclass(frozen=True)
@@ -72,7 +86,7 @@ class PositivityReport:
 
     @property
     def positive_semidefinite(self) -> bool:
-        return all(self.verdict_S)
+        return _all(self.verdict_S)
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,12 +139,26 @@ def vee(u: np.ndarray, v: np.ndarray, sc: StructureConstants) -> np.ndarray:
     return states.bloch_kappa(sc.n) * (D @ v[..., None])[..., 0]
 
 
+def _power(x, k: int):
+    """x ** k by Python's float power, element by element on an array: numpy's
+    vectorized power rounds the last bit differently for some inputs, and a
+    stacked state must give the bits of its one-state call."""
+    if isinstance(x, np.ndarray):
+        return np.frompyfunc(pow, 2, 1)(x, k).astype(float)
+    return x ** k
+
+
 def casimirs_from_traces(state) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
-    a stacked state gives arrays of the batch shape."""
-    rho = _as_density_matrix(state)
-    n = rho.shape[-1]
-    om = n * rho - np.eye(n)
+    a stacked state gives arrays of the batch shape, each entry bit for bit
+    its one-state value."""
+    return _casimirs_of_matrix(_as_density_matrix(state))
+
+
+def _casimirs_of_matrix(rho: np.ndarray) -> CasimirValues:
+    """casimirs_from_traces of a 6x6 matrix or a (..., 6, 6) stack."""
+    n = 6
+    om = n * rho - _EYE6
     tdev = float(np.abs(np.trace(om, axis1=-2, axis2=-1)).max())
     if tdev > TRACELESS_TOL:
         raise ValueError(
@@ -142,9 +170,9 @@ def casimirs_from_traces(state) -> CasimirValues:
     t2, t3, t4, t5, t6 = (t / n for t in moments(om)[1:])
     c2 = t2
     c3 = t3
-    c4 = t4 - c2 ** 2
+    c4 = t4 - _power(c2, 2)
     c5 = t5 - 2 * c2 * c3
-    c6 = t6 - c2 ** 3 - 2 * c2 * c4 - c3 ** 2
+    c6 = t6 - _power(c2, 3) - 2 * c2 * c4 - _power(c3, 2)
     return CasimirValues(n, (c2, c3, c4, c5, c6))
 
 
@@ -184,33 +212,44 @@ def dual_route_report(state: QubitQutritState, sc: StructureConstants) -> dict:
 def char_poly_coeffs(t) -> tuple[float, ...]:
     """S_1..S_n from moments t_1..t_n via the Newton recurrence
 
-        k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i.
+        k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i;
+
+    an (M, n) array of moment vectors gives n arrays of length M.
     """
-    t = tuple(float(x) for x in t)
+    t = np.asarray(t, dtype=float)
+    return _newton(t.tolist() if t.ndim == 1 else tuple(np.moveaxis(t, -1, 0)))
+
+
+def _newton(t) -> tuple[float, ...]:
+    """The Newton recurrence over moments t_1..t_n given as n Python floats,
+    or as n arrays of a common batch shape (as moments returns them)."""
     S = [1.0]
     for k in range(1, len(t) + 1):
         acc = 0.0
         for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * S[k - i] * t[i - 1]
+            if i % 2:
+                acc += S[k - i] * t[i - 1]
+            else:
+                acc -= S[k - i] * t[i - 1]
         S.append(acc / k)
     return tuple(S[1:])
 
 
 def char_poly_coeffs_determinant(t) -> tuple[float, ...]:
     """Independent determinant route: S_k = (1/k!) det of the k x k matrix
-    with t_{i-j+1} below the diagonal and i on the superdiagonal."""
-    t = tuple(float(x) for x in t)
+    with t_{i-j+1} below the diagonal and i on the superdiagonal; an (M, n)
+    array of moment vectors gives n arrays of length M, one (M, k, k)
+    determinant stack per k."""
+    t = np.asarray(t, dtype=float)
     out = []
-    for k in range(1, len(t) + 1):
-        m = np.zeros((k, k))
+    for k in range(1, t.shape[-1] + 1):
+        m = np.zeros(t.shape[:-1] + (k, k))
         for i in range(k):
-            for j in range(k):
-                if j == i + 1:
-                    m[i, j] = i + 1
-                elif j <= i:
-                    m[i, j] = t[i - j]
-        out.append(float(np.linalg.det(m)) / math.factorial(k))
-    return tuple(out)
+            m[..., i, :i + 1] = t[..., i::-1]
+            if i + 1 < k:
+                m[..., i, i + 1] = i + 1
+        out.append(np.linalg.det(m) / math.factorial(k))
+    return tuple(out) if t.ndim > 1 else tuple(float(d) for d in out)
 
 
 def casimir_inequality_exprs(normalized) -> tuple[float, ...]:
@@ -219,9 +258,9 @@ def casimir_inequality_exprs(normalized) -> tuple[float, ...]:
     C2, C3, C4, C5, C6 = normalized
     e2 = C2
     e3 = 3 * C2 - C3
-    e4 = 6 * C2 - 5 * C2 ** 2 - 4 * C3 + C4
-    e5 = (1 - 5 * C2) ** 2 - 30 * C2 * C3 + 10 * C3 - 5 * C4 + C5
-    e6 = ((1 - 5 * C2) ** 3 - 180 * C2 * C3 + 125 * C2 * C4
+    e4 = 6 * C2 - 5 * _power(C2, 2) - 4 * C3 + C4
+    e5 = _power(1 - 5 * C2, 2) - 30 * C2 * C3 + 10 * C3 - 5 * C4 + C5
+    e6 = (_power(1 - 5 * C2, 3) - 180 * C2 * C3 + 125 * C2 * C4
           + 20 * C3 * (1 + 5 * C3) - 15 * C4 + 6 * C5 - C6)
     return (e2, e3, e4, e5, e6)
 
@@ -231,18 +270,21 @@ def positivity_report(state) -> PositivityReport:
 
     Both verdicts apply BOUNDARY_TOL on the normalized scale: verdict_S to
     S_k / max S_k and verdict_casimir to E_k, which is that same ratio (or
-    one minus it)."""
+    one minus it).  One state gives Python floats and bools; a stacked state
+    gives arrays of the batch shape throughout, entry i bit for bit the
+    report of state i."""
     rho = _as_density_matrix(state)
-    if np.abs(rho - rho.conj().T).max() > states.HERM_TOL:
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > states.HERM_TOL:
         raise ValueError("input matrix is not Hermitian")
     t = moments(rho)
-    S = char_poly_coeffs(t)
+    S = _newton(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
-    cas = casimirs_from_traces(rho)
+    cas = _casimirs_of_matrix(rho)
     exprs = casimir_inequality_exprs(cas.normalized)
     verdict_S = tuple(s >= -BOUNDARY_TOL for s in (S[0] / MAX_S[1],) + S_bar)
-    verdict_casimir = tuple(-BOUNDARY_TOL <= e <= 1.0 + BOUNDARY_TOL for e in exprs)
-    consistent = all(verdict_S) == all(verdict_casimir)
+    verdict_casimir = tuple((e >= -BOUNDARY_TOL) & (e <= 1.0 + BOUNDARY_TOL)
+                            for e in exprs)
+    consistent = _all(verdict_S) == _all(verdict_casimir)
     return PositivityReport(t, S, S_bar, exprs, verdict_S, verdict_casimir,
                             consistent)
 

@@ -195,26 +195,23 @@ def _selftest_rows(seed: int, panel_size: int):
     add("casimir: c6 left-associated reading discrepancy",
         worst[4] < 1e-9, f"reported {worst[4]:.2e}")
 
-    rng = np.random.default_rng(seed + 1)
-    worst_nd = 0.0
-    for _ in range(100):
-        t = rng.uniform(-1, 1, 6)
-        newton = casimir_positivity.char_poly_coeffs(t)
-        det = casimir_positivity.char_poly_coeffs_determinant(t)
-        worst_nd = max(worst_nd, max(abs(x - y) for x, y in zip(newton, det)))
+    t = np.random.default_rng(seed + 1).uniform(-1, 1, (100, 6))
+    newton = casimir_positivity.char_poly_coeffs(t)
+    det = casimir_positivity.char_poly_coeffs_determinant(t)
+    worst_nd = max(float(np.max(np.abs(x - y))) for x, y in zip(newton, det))
     add("positivity: Newton route matches determinant route", worst_nd < 1e-12,
         f"max {worst_nd:.2e}")
 
     agree = True
-    for i in range(panel_size):
-        psd = states.random_density(seed + 300 + i)
-        bad = states.random_nonpsd_unit_trace(seed + 600 + i, -0.1)
-        for s, expect in ((psd, True), (bad, False)):
-            report = casimir_positivity.positivity_report(s)
-            eig = (casimir_positivity.eigenvalue_oracle(s).min()
-                   >= -casimir_positivity.ORACLE_EIG_TOL)
-            agree &= (report.positive_semidefinite == expect == eig
-                      and report.consistent)
+    psd = states.random_densities(range(seed + 300, seed + 300 + panel_size))
+    bad = states.random_nonpsd_unit_traces(
+        range(seed + 600, seed + 600 + panel_size), -0.1)
+    for s, expect in ((psd, True), (bad, False)):
+        report = casimir_positivity.positivity_report(s)
+        eig = (casimir_positivity.eigenvalue_oracle(s).min(axis=-1)
+               >= -casimir_positivity.ORACLE_EIG_TOL)
+        agree &= bool(np.all((report.positive_semidefinite == expect)
+                             & (eig == expect) & report.consistent))
     add("positivity: S_k verdict == eigenvalue oracle == Casimir verdict",
         agree, f"{2 * panel_size} states")
 
@@ -241,9 +238,9 @@ def _selftest_rows(seed: int, panel_size: int):
     cap = li.independence_evidence(4, seed)
     add("invariants: independence evidence <= 24", cap <= 24, f"rank {cap}")
 
-    dev = max(li.invariance_test(w, 25, seed) for w in li.listed_invariants_through_degree4())
+    dev = li.invariance_test(li.listed_invariants_through_degree4(), 25, seed)
     add("invariants: local-unitary invariance", dev < 1e-9, f"max {dev:.2e}")
-    dev = max(li.invariance_test(f"C{k}", 25, seed) for k in range(2, 7))
+    dev = li.invariance_test([f"C{k}" for k in range(2, 7)], 25, seed)
     add("casimir: global-unitary invariance", dev < 1e-9, f"max {dev:.2e}")
     dev = li.invariance_test("aa", 25, seed, unitary="global")
     add("invariants: negative control changes under global action",

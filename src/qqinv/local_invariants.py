@@ -519,22 +519,34 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
                     unitary: str | None = None) -> float:
     """Max |value before - value after| over seeded random conjugations:
     trial i conjugates random_density(seed + 7000 + i) by the unitary of seed
-    seed + 9000 + i, all trials as one stack.
+    seed + 9000 + i, all trials as one stack.  selector is one selector or a
+    sequence of them; the trials are drawn and conjugated once, every
+    selector is evaluated on both stacks, and the maximum over all is
+    returned (exactly the maximum of the one-selector calls).
 
     Trace words are conjugated by local unitaries k1 x k2, Casimir selectors
-    by global SU(6) unitaries; pass unitary="local"/"global" to override
-    (e.g. a trace word under a global unitary is the negative control)."""
+    by global SU(6) unitaries, so a sequence must be of one kind; pass
+    unitary="local"/"global" to override (e.g. a trace word under a global
+    unitary is the negative control)."""
+    selectors = ([selector] if isinstance(selector, (str, TraceWord))
+                 else list(selector))
+    if not selectors:
+        raise ValueError("no invariant selector given")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if unitary is None:
-        unitary = "global" if (isinstance(selector, str)
-                               and selector in _CASIMIR_SELECTORS) else "local"
+        kinds = {isinstance(x, str) and x in _CASIMIR_SELECTORS for x in selectors}
+        if len(kinds) > 1:
+            raise ValueError("selectors mix Casimir selectors and trace words; "
+                             "pass unitary='local' or 'global'")
+        unitary = "global" if kinds.pop() else "local"
     if unitary not in ("local", "global"):
         raise ValueError(
             f"unitary must be None, 'local' or 'global', got {unitary!r}")
     s = states.random_densities(range(seed + 7000, seed + 7000 + trials))
     u = states.random_unitaries(range(seed + 9000, seed + 9000 + trials),
                                 local=unitary == "local")
-    before = _evaluate_selector(selector, s)
-    after = _evaluate_selector(selector, states.conjugate(s, u))
-    return float(np.abs(after - before).max())
+    conjugated = states.conjugate(s, u)
+    return max(float(np.abs(_evaluate_selector(x, conjugated)
+                            - _evaluate_selector(x, s)).max())
+               for x in selectors)

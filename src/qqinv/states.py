@@ -186,20 +186,30 @@ def random_density(seed: int, ensemble: str = "ginibre-full-rank") -> QubitQutri
     return QubitQutritState(s.a[0], s.b[0], s.C[0])
 
 
-def random_nonpsd_unit_trace(seed: int, min_negative_eigenvalue: float) -> QubitQutritState:
-    """Hermitian unit-trace matrix with smallest eigenvalue at the requested
-    negative level, built by spectral surgery on a random Hermitian matrix."""
+def random_nonpsd_unit_traces(seeds, min_negative_eigenvalue: float) -> QubitQutritState:
+    """Stack of Hermitian unit-trace matrices, one per seed, each with its
+    smallest eigenvalue at the requested negative level, built by spectral
+    surgery on a random Hermitian matrix drawn from default_rng(seed); state
+    i is random_nonpsd_unit_trace(seeds[i], ...) bit for bit."""
     m = float(min_negative_eigenvalue)
     if not -1.0 <= m < 0.0:
         raise ValueError(f"min_negative_eigenvalue must lie in [-1, 0), got {m}")
-    rng = np.random.default_rng(seed)
-    h = _ginibre(rng, 6, 6)
-    h = (h + h.conj().T) / 2
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    h = np.array([_ginibre(rng, 6, 6) for rng in rngs])
+    h = (h + h.conj().swapaxes(-1, -2)) / 2
     _, vecs = np.linalg.eigh(h)
-    pos = rng.uniform(0.2, 1.0, size=5)
-    eigs = np.concatenate([[m], (1.0 - m) * pos / pos.sum()])
-    rho = (vecs * eigs) @ vecs.conj().T
+    # each generator draws its Hermitian matrix before its spectrum
+    pos = np.array([rng.uniform(0.2, 1.0, size=5) for rng in rngs])
+    eigs = np.insert((1.0 - m) * pos / pos.sum(axis=-1, keepdims=True), 0, m, axis=-1)
+    rho = (vecs * eigs[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     return from_matrix(rho)
+
+
+def random_nonpsd_unit_trace(seed: int, min_negative_eigenvalue: float) -> QubitQutritState:
+    """Seeded non-PSD unit-trace matrix: the one-state case of
+    random_nonpsd_unit_traces."""
+    s = random_nonpsd_unit_traces([seed], min_negative_eigenvalue)
+    return QubitQutritState(s.a[0], s.b[0], s.C[0])
 
 
 def _haar(z: np.ndarray) -> np.ndarray:

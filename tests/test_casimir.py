@@ -161,6 +161,15 @@ def test_newton_equals_determinant_route():
         assert max(abs(a - b) for a, b in zip(newton, det)) < 1e-12
 
 
+def test_both_routes_on_moment_stacks_match_single_vectors():
+    t = np.random.default_rng(18).uniform(-1, 1, (40, 6))
+    newton, det = char_poly_coeffs(t), char_poly_coeffs_determinant(t)
+    assert all(c.shape == (40,) for c in newton + det)
+    for i in range(40):
+        assert tuple(c[i] for c in newton) == char_poly_coeffs(t[i])
+        assert tuple(c[i] for c in det) == char_poly_coeffs_determinant(t[i])
+
+
 def test_positivity_report_maximally_mixed():
     report = positivity_report(QubitQutritState.zero())
     assert report.positive_semidefinite and report.consistent
@@ -199,6 +208,49 @@ def test_positivity_report_rejects_non_hermitian():
     bad[0, 1] = 1j
     with pytest.raises(ValueError, match="Hermitian"):
         positivity_report(bad)
+
+
+@pytest.mark.parametrize("size", [5, 6])
+def test_positivity_report_takes_a_stack(size):
+    # a stack of exactly 6 states once passed through conj().T, which also
+    # reversed the batch axis and failed the Hermiticity check
+    stack = states.random_densities(range(size))
+    report = positivity_report(stack)
+    assert report.positive_semidefinite.shape == (size,)
+    assert report.positive_semidefinite.all() and report.consistent.all()
+
+
+def _stack(case, n=200):
+    if case == "zero":  # the maximally mixed state, twice, between two drawn ones
+        zero, some = QubitQutritState.zero(), states.random_densities(range(2))
+        mix = lambda z, x: np.stack([z, x[0], z, x[1]])
+        return QubitQutritState(mix(zero.a, some.a), mix(zero.b, some.b),
+                                mix(zero.C, some.C))
+    if isinstance(case, float):
+        return states.random_nonpsd_unit_traces(range(n), case)
+    return states.random_densities(range(n), case)
+
+
+@pytest.mark.parametrize("case", ["ginibre-full-rank", "pure"]
+                         + [f"rank-{r}" for r in range(1, 6)]
+                         + [-10.0 ** -e for e in range(1, 10)] + ["zero"])
+def test_stacked_report_is_the_single_reports_bit_for_bit(case):
+    # exact equality: the powers in the Casimir route and in E_k go through
+    # Python's float power on both paths (numpy's vectorized cube differs in
+    # the last bit of E_6 on some states)
+    fields = ("t", "S", "S_bar", "casimir_exprs", "verdict_S",
+              "verdict_casimir")
+    stack = _stack(case)
+    report = positivity_report(stack)
+    for i in range(stack.a.shape[0]):
+        one = positivity_report(QubitQutritState(stack.a[i], stack.b[i], stack.C[i]))
+        for field in fields:
+            single = getattr(one, field)
+            assert all(type(x) in (float, bool) for x in single)
+            assert tuple(x[i] for x in getattr(report, field)) == single, field
+        assert type(one.consistent) is bool
+        assert report.consistent[i] == one.consistent
+        assert report.positive_semidefinite[i] == one.positive_semidefinite
 
 
 def test_oracle_equivalence_panel():

@@ -275,3 +275,30 @@ def test_selftest_c6_row_fails_on_route_disagreement(monkeypatch):
     failed = [r for r in json.loads(js) if not r["passed"]]
     assert [(r["name"], r["detail"]) for r in failed] == [
         ("casimir: c6 left-associated reading discrepancy", "reported 1.00e-06")]
+
+
+def test_selftest_positivity_row_fails_on_one_flipped_oracle_verdict(monkeypatch):
+    oracle = casimir_positivity.eigenvalue_oracle
+
+    def flipped(state):
+        eig = oracle(state).copy()
+        eig[-1, 0] = -1.0  # flips the verdict of the last PSD state only
+        return eig
+
+    monkeypatch.setattr(casimir_positivity, "eigenvalue_oracle", flipped)
+    code, js = run_cli("selftest", "--panel-size", "3", "--format", "json")
+    assert code == 1
+    failed = [r for r in json.loads(js) if not r["passed"]]
+    assert [(r["name"], r["detail"]) for r in failed] == [
+        ("positivity: S_k verdict == eigenvalue oracle == Casimir verdict",
+         "6 states")]
+
+
+def test_selftest_local_invariance_row_fails_under_global_unitaries(monkeypatch):
+    unitaries = states.random_unitaries
+    monkeypatch.setattr(states, "random_unitaries",
+                        lambda seeds, local: unitaries(seeds, local=False))
+    code, js = run_cli("selftest", "--panel-size", "2", "--format", "json")
+    assert code == 1
+    failed = [r["name"] for r in json.loads(js) if not r["passed"]]
+    assert failed == ["invariants: local-unitary invariance"]

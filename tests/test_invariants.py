@@ -390,6 +390,22 @@ def test_negative_control():
     assert invariance_test("aa", 25, unitary="global") > 1e-6
 
 
+def test_selector_sequence_is_the_max_of_single_calls():
+    words = listed_invariants_through_degree4()
+    casimirs = [f"C{k}" for k in range(2, 7)]
+    for group, unitary in ((words, None), (casimirs, None),
+                           (["aa", "C3", "bgg"], "global")):
+        singles = [invariance_test(x, 10, 5, unitary=unitary) for x in group]
+        assert invariance_test(group, 10, 5, unitary=unitary) == max(singles)
+
+
+def test_invariance_rejects_mixed_or_empty_selectors():
+    with pytest.raises(ValueError, match="mix Casimir selectors and trace words"):
+        invariance_test(["C2", trace_word("gg")], 5)
+    with pytest.raises(ValueError, match="no invariant selector"):
+        invariance_test([], 5)
+
+
 def test_invariance_rejects_bad_trials():
     with pytest.raises(ValueError, match="trials"):
         invariance_test("aa", 0)

@@ -9,7 +9,8 @@ from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
                           conjugate, from_matrix, gamma_matrix, omega_matrix,
                           random_densities, random_density,
                           random_global_unitary, random_local_unitary,
-                          random_nonpsd_unit_trace, random_su, random_unitaries,
+                          random_nonpsd_unit_trace, random_nonpsd_unit_traces,
+                          random_su, random_unitaries,
                           reduced_qubit, reduced_qutrit, state_from_json_dict,
                           state_to_json_dict, state_to_xi, to_matrix)
 from qqinv.su_algebra import GELL_MANN, PAULI
@@ -173,6 +174,18 @@ def test_stacked_draw_matches_single_draws(ensemble):
         assert np.array_equal(stack.C[i], s.C)
         for f, values in zip(letters, stacked):
             assert np.array_equal(values[i], f(s))
+
+
+@pytest.mark.parametrize("level", [-10.0 ** -e for e in range(1, 10)])
+def test_stacked_nonpsd_draw_matches_single_draws(level):
+    seeds = range(800, 830)
+    stack = random_nonpsd_unit_traces(seeds, level)
+    assert stack.a.shape == (30, 3) and stack.C.shape == (30, 3, 8)
+    for i, seed in enumerate(seeds):
+        s = random_nonpsd_unit_trace(seed, level)
+        assert np.array_equal(stack.a[i], s.a)
+        assert np.array_equal(stack.b[i], s.b)
+        assert np.array_equal(stack.C[i], s.C)
 
 
 def test_stacked_unitaries_and_conjugation_match_single_draws():
