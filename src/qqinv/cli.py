@@ -260,12 +260,13 @@ def _selftest_rows(seed: int, panel_size: int):
         s23 == molien.qubit_qutrit_rational().series(16), "exact")
     add("molien: reduced backend agrees (2x3, degree 8)",
         molien.molien_series(ws23, 8, backend="reduced") == reference[:9], "exact")
+    forms = (molien.TWO_QUBIT_RATIONAL, molien.qubit_qutrit_rational())
     add("molien: palindromy of both rational forms",
-        molien.palindromy_check(molien.TWO_QUBIT_RATIONAL.numerator,
-                                molien.TWO_QUBIT_RATIONAL.denominator, -1, 15)
-        and molien.palindromy_check(molien.qubit_qutrit_rational().numerator,
-                                    molien.QUBIT_QUTRIT_DENOMINATOR, 1, 35),
-        "signs (-,15) and (+,35)")
+        all(molien.palindromy_check(f.numerator, f.denominator,
+                                    f.palindromic_sign, f.palindromic_degree)
+            for f in forms),
+        "signs " + " and ".join(f"({'+' if f.palindromic_sign > 0 else '-'},"
+                                f"{f.palindromic_degree})" for f in forms))
     return rows
 
 

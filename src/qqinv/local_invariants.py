@@ -195,6 +195,7 @@ def _su3_constants() -> su_algebra.StructureConstants:
 
 
 def _sign_relation(s, mats):
+    """tr(a b g g) = -tr(a g b g)."""
     z = _eval_on(mats, "abgg") + _eval_on(mats, "agbg")
     # |z| by libm hypot, which Python's abs(complex) uses; numpy's complex
     # absolute value can differ from it in the last bit
@@ -212,6 +213,7 @@ def _quadratic(u, m, v):
 
 
 def _gamma3_formula(s, mats):
+    """tr(g^3) = -4 eps_ijk f_abc C_ia C_jb C_kc."""
     lhs = _eval_on(mats, "ggg").real
     rhs = -4.0 * np.einsum("ijk,abc,...ia,...jb,...kc->...", _EPSILON3,
                            _su3_constants().f, s.C, s.C, s.C)
@@ -219,6 +221,12 @@ def _gamma3_formula(s, mats):
 
 
 def _i004_identity(s, mats):
+    """Degree-(0,0,4) exchange identity between the d- and f-contracted
+    correlation invariants:
+
+        d_abc d_cpq G_ab G_pq = (2/3) f_apc f_cbq G_ab G_pq
+                                - (1/3) [ (tr G)^2 - 2 tr(G^2) ],  G = C^T C.
+    """
     G = _gram(s)
     rhs = ((2.0 / 3.0) * correlation_quartic_ff(s)
            - (np.trace(G, axis1=-2, axis2=-1) ** 2
@@ -227,12 +235,24 @@ def _i004_identity(s, mats):
 
 
 def _product_relation(s, mats):
+    """tr(a a b b) = (1/6) tr(a a) tr(b b)."""
     return {"product_relation": abs(_eval_on(mats, "aabb").real
                                     - _eval_on(mats, "aa").real
                                     * _eval_on(mats, "bb").real / 6.0)}
 
 
 def _multidegree_relations(s, mats):
+    """Relations tying same-multidegree traces to explicit (a, b, C)
+    contractions:
+
+      (2,0,2): tr(a a g g) + tr(a g a g) = 8 a C C^T a
+               tr(a a g g) = (1/6) tr(a a) tr(g g)
+      (0,2,2): tr(b b g g) - (1/6) tr(b b) tr(g g)
+                   = 4 d_{j1 j2 k} d_{k j3 j4} b_{j1} b_{j2} (C^T C)_{j3 j4}
+               tr(b b g g) + tr(b g b g)
+                   = 8 [ (2/3) b C^T C b
+                         + d_{j1 j2 k} d_{k j3 j4} b_{j1} b_{j3} (C^T C)_{j2 j4} ]
+    """
     d3 = _su3_constants().d
     G = _gram(s)
     aagg = _eval_on(mats, "aagg").real
@@ -256,6 +276,8 @@ def _multidegree_relations(s, mats):
 
 
 def _casimir_decomposition(s, mats):
+    """Expansions of 6 c_2, 6 c_3 and 6 c_4 over the trace scalars, against
+    the trace-route Casimir values."""
     t = lambda w: _eval_on(mats, w).real
     c2, c3, c4, _, _ = casimir_positivity.casimirs_from_traces(s).raw
     dec4 = ((t("aa") * (2 * t("bb") + t("gg"))
@@ -284,73 +306,16 @@ PANEL_IDENTITIES = {
 
 
 def panel_violations(seed: int = DEFAULT_PANEL_SEED,
-                     panel_size: int = DEFAULT_PANEL_SIZE,
-                     names: tuple[str, ...] = tuple(PANEL_IDENTITIES)
+                     panel_size: int = DEFAULT_PANEL_SIZE
                      ) -> dict[str, dict[str, float]]:
-    """Max residual per key of each named identity over one seeded panel,
-    as {name: {key: max}}; the panel is drawn and its letter matrices and
-    word products are formed once, as stacks."""
+    """Max residual per key of each identity in PANEL_IDENTITIES over one
+    seeded panel, as {name: {key: max}}; the panel is drawn and its letter
+    matrices and word products are formed once, as stacks."""
     panel = random_panel(seed, panel_size)
     mats = _letter_matrices(panel)
-    return {name: {key: float(np.max(r)) for key, r
-                   in PANEL_IDENTITIES[name][0](panel, mats).items()}
-            for name in names}
-
-
-def _panel_max(name: str, seed: int, panel_size: int) -> dict[str, float]:
-    return panel_violations(seed, panel_size, (name,))[name]
-
-
-def sign_relation_violation(seed: int = DEFAULT_PANEL_SEED,
-                            panel_size: int = DEFAULT_PANEL_SIZE) -> float:
-    """tr(a b g g) = -tr(a g b g) across the panel."""
-    return _panel_max("sign_relation", seed, panel_size)["sign_relation"]
-
-
-def gamma3_formula_violation(seed: int = DEFAULT_PANEL_SEED,
-                             panel_size: int = DEFAULT_PANEL_SIZE) -> float:
-    """tr(g^3) = -4 eps_ijk f_abc C_ia C_jb C_kc across the panel."""
-    return _panel_max("gamma3_formula", seed, panel_size)["gamma3_formula"]
-
-
-def i004_identity_violation(seed: int = DEFAULT_PANEL_SEED,
-                            panel_size: int = DEFAULT_PANEL_SIZE) -> float:
-    """Degree-(0,0,4) exchange identity between the d- and f-contracted
-    correlation invariants:
-
-        d_abc d_cpq G_ab G_pq = (2/3) f_apc f_cbq G_ab G_pq
-                                - (1/3) [ (tr G)^2 - 2 tr(G^2) ],  G = C^T C.
-    """
-    return _panel_max("i004_identity", seed, panel_size)["i004_identity"]
-
-
-def multidegree_relations_check(seed: int = DEFAULT_PANEL_SEED,
-                                panel_size: int = DEFAULT_PANEL_SIZE) -> dict[str, float]:
-    """Max violations of the relations tying same-multidegree traces to
-    explicit (a, b, C) contractions:
-
-      (2,0,2): tr(a a g g) + tr(a g a g) = 8 a C C^T a
-               tr(a a g g) = (1/6) tr(a a) tr(g g)
-      (0,2,2): tr(b b g g) - (1/6) tr(b b) tr(g g)
-                   = 4 d_{j1 j2 k} d_{k j3 j4} b_{j1} b_{j2} (C^T C)_{j3 j4}
-               tr(b b g g) + tr(b g b g)
-                   = 8 [ (2/3) b C^T C b
-                         + d_{j1 j2 k} d_{k j3 j4} b_{j1} b_{j3} (C^T C)_{j2 j4} ]
-    """
-    return _panel_max("multidegree_relations", seed, panel_size)
-
-
-def product_relation_violation(seed: int = DEFAULT_PANEL_SEED,
-                               panel_size: int = DEFAULT_PANEL_SIZE) -> float:
-    """tr(a a b b) = (1/6) tr(a a) tr(b b) across the panel."""
-    return _panel_max("product_relation", seed, panel_size)["product_relation"]
-
-
-def casimir_decomposition_check(seed: int = DEFAULT_PANEL_SEED,
-                                panel_size: int = DEFAULT_PANEL_SIZE) -> dict[str, float]:
-    """Max violation of the expansions of 6 c_2, 6 c_3 and 6 c_4 over the
-    trace scalars, against the trace-route Casimir values."""
-    return _panel_max("casimir_decomposition", seed, panel_size)
+    return {name: {key: float(np.max(r))
+                   for key, r in residuals(panel, mats).items()}
+            for name, (residuals, _) in PANEL_IDENTITIES.items()}
 
 
 # -- ranks and independence -----------------------------------------------------
@@ -394,17 +359,20 @@ def rank_at_degree(degree: int, include_products: bool,
     invariants (non-kernel words, plus lower-degree products when asked) on
     at least twice as many seeded random states as candidates.
 
-    Degrees 2 and 3 give 3 and 4, the full invariant counts.  At degree 4
-    the candidates span only 14 of the 15 invariant dimensions: the trace
-    identities tr(a a b b) = (1/6) tr(a a) tr(b b) and its alpha/gamma
-    analogue make two of the products redundant, and the missing direction
-    (correlation_quartic_ff) is not a trace word.  See
+    Degree 1 gives 0: every degree-1 word is in the kernel, so there are no
+    candidates.  Degrees 2 and 3 give 3 and 4, the full invariant counts.
+    At degree 4 the candidates span only 14 of the 15 invariant dimensions:
+    the trace identities tr(a a b b) = (1/6) tr(a a) tr(b b) and its
+    alpha/gamma analogue make two of the products redundant, and the missing
+    direction (correlation_quartic_ff) is not a trace word.  See
     degree4_completion_rank for the restored count."""
     if degree > 6:
         raise ValueError(f"rank evaluation supports degree <= 6, got {degree}")
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
     if include_products:
         candidates += _product_candidates(degree, seed)
+    if not candidates:
+        return 0
     return _numerical_rank(_evaluation_matrix(candidates, seed))
 
 
@@ -434,7 +402,7 @@ def correlation_quartic_ff(state: QubitQutritState) -> float | np.ndarray:
 
 def correlation_quartic_dd(state: QubitQutritState) -> float | np.ndarray:
     """d_abc d_cpq G_ab G_pq with G = C^T C; related to correlation_quartic_ff
-    by the exchange identity verified in i004_identity_violation."""
+    by the exchange identity of _i004_identity."""
     G = _gram(state)
     d = _su3_constants().d
     return np.einsum("abc,cpq,...ab,...pq->...", d, d, G, G)
@@ -505,12 +473,10 @@ _CASIMIR_SELECTORS = ("C2", "C3", "C4", "C5", "C6")
 
 
 def _evaluate_selector(selector, state: QubitQutritState) -> float | np.ndarray:
-    if isinstance(selector, TraceWord):
-        return eval_trace(selector, state)
     if isinstance(selector, str) and selector in _CASIMIR_SELECTORS:
         k = int(selector[1])
         return casimir_positivity.casimirs_from_traces(state).normalized[k - 2]
-    if isinstance(selector, str):
+    if isinstance(selector, (str, TraceWord)):
         return eval_trace(selector, state)
     raise ValueError(f"unknown invariant selector {selector!r}")
 

@@ -36,6 +36,7 @@ HERMITICITY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-10
+CLOSURE_PAIRS = 250
 
 BASIS_LABELS = ("su2-pauli", "su3-gellmann", "su6-tensor")
 
@@ -94,11 +95,10 @@ class IdentityReport:
 
     n: int
     violations: dict[str, float]
-    tolerance: float = IDENTITY_TOL
 
     @property
     def passed(self) -> bool:
-        return all(v <= self.tolerance for v in self.violations.values())
+        return all(v <= IDENTITY_TOL for v in self.violations.values())
 
 
 @lru_cache(maxsize=None)
@@ -247,13 +247,13 @@ def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
 
 
 def closure_max_violation(basis: SuBasis, sc: StructureConstants,
-                          pairs: int = 250, seed: int = 202) -> float:
+                          seed: int) -> float:
     """Max violation of t_A t_B = (2/n) delta_AB I + (d_ABC + i f_ABC) t_C
-    over a seeded random sample of index pairs."""
+    over CLOSURE_PAIRS seeded random index pairs."""
     rng = np.random.default_rng(seed)
     t = basis.elements
     k, n = len(basis), basis.n
-    a, b = np.array([rng.integers(0, k, size=2) for _ in range(pairs)]).T
+    a, b = np.array([rng.integers(0, k, size=2) for _ in range(CLOSURE_PAIRS)]).T
     lhs = t[a] @ t[b]
     rhs = ((sc.d[a, b] + 1j * sc.f[a, b]) @ t.reshape(k, n * n)).reshape(-1, n, n)
     rhs += (2.0 / n) * (a == b)[:, None, None] * np.eye(n)

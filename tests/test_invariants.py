@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from qqinv import local_invariants as li
-from qqinv.local_invariants import (canonical_form,
-                                    casimir_decomposition_check,
-                                    correlation_quartic_dd,
+from qqinv.local_invariants import (canonical_form, correlation_quartic_dd,
                                     correlation_quartic_ff,
                                     degree4_completion_rank, enumerate_words,
                                     eval_trace, eval_trace_complex,
-                                    gamma3_formula_violation,
-                                    i004_identity_violation,
                                     independence_evidence, invariance_test,
                                     jacobian_rank, kernel_at_degree,
                                     listed_invariants_through_degree4,
-                                    multidegree_relations_check,
-                                    rank_at_degree, sign_relation_violation,
+                                    panel_violations, rank_at_degree,
                                     trace_word)
 from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
                           gamma_matrix, random_density)
@@ -211,7 +206,7 @@ def test_kernel_words_vanish_algebraically():
 # -- identity checks ------------------------------------------------------------------
 
 def test_sign_relation():
-    assert sign_relation_violation() < li.CHECK_TOL
+    assert panel_violations()["sign_relation"]["sign_relation"] < li.CHECK_TOL
     s = rand_state(3)
     assert abs(eval_trace("abgg", s) + eval_trace("agbg", s)) < 1e-12
     noC = QubitQutritState(s.a, s.b, np.zeros((3, 8)))
@@ -220,7 +215,7 @@ def test_sign_relation():
 
 
 def test_gamma3_formula():
-    assert gamma3_formula_violation() < li.CHECK_TOL
+    assert panel_violations()["gamma3_formula"]["gamma3_formula"] < li.CHECK_TOL
     zero = QubitQutritState.zero()
     assert abs(eval_trace("ggg", zero)) == 0.0
     # rank-one correlation matrix kills both routes
@@ -230,7 +225,7 @@ def test_gamma3_formula():
 
 
 def test_i004_identity():
-    assert i004_identity_violation() < li.CHECK_TOL
+    assert panel_violations()["i004_identity"]["i004_identity"] < li.CHECK_TOL
     sc = structure_constants("su3-gellmann")
     C = np.zeros((3, 8))
     C[0, 2] = 1.0  # single correlation entry
@@ -244,16 +239,18 @@ def test_i004_identity():
     assert abs(correlation_quartic_ff(s) - ff) < 1e-14
 
 
-def test_panel_violations_match_accessors():
-    report = li.panel_violations(5, 7)
+def test_panel_violations_cover_the_registry():
+    report = panel_violations(5, 7)
     assert list(report) == list(li.PANEL_IDENTITIES)
-    for name, accessor in (("sign_relation", li.sign_relation_violation),
-                           ("gamma3_formula", li.gamma3_formula_violation),
-                           ("i004_identity", li.i004_identity_violation),
-                           ("product_relation", li.product_relation_violation)):
-        assert report[name] == {name: accessor(5, 7)}
-    assert report["multidegree_relations"] == li.multidegree_relations_check(5, 7)
-    assert report["casimir_decomposition"] == li.casimir_decomposition_check(5, 7)
+    assert {name: set(worst) for name, worst in report.items()} == {
+        "sign_relation": {"sign_relation"},
+        "gamma3_formula": {"gamma3_formula"},
+        "i004_identity": {"i004_identity"},
+        "product_relation": {"product_relation"},
+        "multidegree_relations": {"aagg_agag", "aagg_product", "bbgg_product",
+                                  "bbgg_bgbg"},
+        "casimir_decomposition": {"c2", "c3", "c4"},
+    }
 
 
 def test_random_panel_rejects_empty():
@@ -263,7 +260,7 @@ def test_random_panel_rejects_empty():
 
 
 def test_multidegree_relations():
-    report = multidegree_relations_check()
+    report = panel_violations()["multidegree_relations"]
     assert set(report) == {"aagg_agag", "aagg_product", "bbgg_product",
                            "bbgg_bgbg"}
     assert max(report.values()) < 1e-9
@@ -276,7 +273,7 @@ def test_multidegree_relations_b_zero():
 
 
 def test_casimir_decomposition():
-    report = casimir_decomposition_check()
+    report = panel_violations()["casimir_decomposition"]
     assert set(report) == {"c2", "c3", "c4"}
     assert max(report.values()) < 1e-8
 
@@ -292,12 +289,15 @@ def test_casimir_decomposition_a_only():
 # -- ranks ----------------------------------------------------------------------------
 
 def test_rank_degree2_and_3():
+    assert rank_at_degree(1, include_products=False) == 0
     assert rank_at_degree(2, include_products=False) == 3
     assert rank_at_degree(3, include_products=False) == 4
 
 
 def test_rank_degree3_products_change_nothing():
-    # the only partitions of 3 involve degree-1 words, which all vanish
+    # the only partitions of 3 involve degree-1 words, which all vanish;
+    # degree 1 itself has neither words nor products
+    assert rank_at_degree(1, include_products=True) == 0
     assert rank_at_degree(3, include_products=True) == 4
 
 

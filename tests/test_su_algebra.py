@@ -189,7 +189,7 @@ def test_identity_families(label):
 def test_closure_relation(label):
     basis = build_basis(label)
     sc = structure_constants(label)
-    assert closure_max_violation(basis, sc, pairs=250, seed=11) < 1e-12
+    assert closure_max_violation(basis, sc, seed=11) < 1e-12
 
 
 def test_symmetrized_trace_pair_and_triple():
