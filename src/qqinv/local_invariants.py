@@ -9,9 +9,9 @@ representative is the lexicographic minimum of the equivalence class.
 The trace values are polynomials in (a, b, C) invariant under conjugation
 by SU(2) x SU(3).  This module enumerates canonical words, evaluates them,
 finds the words whose trace vanishes identically (the kernel), verifies the
-exchange identities between specific traces and structure-constant
-contractions, measures ranks of invariant collections, and produces
-finite-difference evidence for functional independence.
+exchange identities between specific traces and traces of the su(3) blocks
+M_i = sum_a C_ia lambda_a, B = sum_a b_a lambda_a, measures ranks of
+invariant collections and gives finite-difference independence evidence.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ JACOBIAN_PARAM_SCALE = 0.3
 LISTED_DEGREE2 = ("aa", "bb", "gg")
 LISTED_DEGREE3 = ("bbb", "ggg", "abg", "bgg")
 LISTED_DEGREE4 = ("gggg", "aggg", "bggg", "agag", "bbgg", "bgbg", "abbg", "abgg")
-
-_EPSILON3 = np.zeros((3, 3, 3))
-for _p in itertools.permutations(range(3)):
-    _i, _j, _k = _p
-    _EPSILON3[_p] = (_j - _i) * (_k - _i) * (_k - _j) / 2
 
 
 @dataclass(frozen=True, order=True)
@@ -117,10 +112,15 @@ def _product(mats: dict[str, np.ndarray], word: str) -> np.ndarray:
     return mats[word]
 
 
+def _tr(x):
+    """Trace over the last two axes (one value per matrix of a stack)."""
+    return np.trace(x, axis1=-2, axis2=-1)
+
+
 def _eval_on(mats: dict[str, np.ndarray], word: str) -> complex | np.ndarray:
     """Trace of the word over the letter matrices in mats: a complex number,
     or an array over the batch axis of stacked matrices."""
-    return np.trace(_product(mats, word), axis1=-2, axis2=-1)
+    return _tr(_product(mats, word))
 
 
 def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray:
@@ -165,8 +165,7 @@ class KernelResult:
     threshold: float
 
 
-def _kernel_words(degree, panel):
-    mats = _letter_matrices(panel)
+def _kernel_words(degree, mats):
     return tuple(w for w in enumerate_words(degree)
                  if np.abs(_eval_on(mats, w.letters)).max() < KERNEL_TOL)
 
@@ -176,22 +175,57 @@ def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
     """Canonical words whose trace vanishes on the whole seeded panel."""
     if degree > 6:
         raise ValueError(f"kernel enumeration supports degree <= 6, got {degree}")
-    panel = random_panel(seed, panel_size)
-    return KernelResult(degree, _kernel_words(degree, panel), seed,
+    mats = _letter_matrices(random_panel(seed, panel_size))
+    return KernelResult(degree, _kernel_words(degree, mats), seed,
                         panel_size, KERNEL_TOL)
 
 
 @lru_cache(maxsize=None)
+def _seeded_words(degree: int, seed: int):
+    """The non-kernel words of the degree on the default seeded panel, and
+    the letters of those whose trace there has an imaginary part beyond
+    IMAG_TOL (see eval_trace_complex)."""
+    mats = _letter_matrices(random_panel(seed, DEFAULT_PANEL_SIZE))
+    dead = set(_kernel_words(degree, mats))
+    live = tuple(w for w in enumerate_words(degree) if w not in dead)
+    return live, tuple(w.letters for w in live
+                       if np.abs(_eval_on(mats, w.letters).imag).max() > IMAG_TOL)
+
+
 def nonkernel_words(degree: int, seed: int = DEFAULT_PANEL_SEED) -> tuple[TraceWord, ...]:
-    panel = random_panel(seed, DEFAULT_PANEL_SIZE)
-    dead = set(_kernel_words(degree, panel))
-    return tuple(w for w in enumerate_words(degree) if w not in dead)
+    return _seeded_words(degree, seed)[0]
 
 
 # -- identity checks ------------------------------------------------------------
 
-def _su3_constants() -> su_algebra.StructureConstants:
-    return su_algebra.structure_constants("su3-gellmann")
+def _traceless(x):
+    """T(X) = X - tr(X)/3 I for 3x3 matrices X (or stacks of them)."""
+    return x - _tr(x)[..., None, None] * np.eye(3) / 3.0
+
+
+def _su3_contractions(s) -> dict[str, np.ndarray]:
+    """The su(3) contractions of the exchange identities as traces of the
+    blocks M_i = sum_a C_ia lambda_a and B = sum_a b_a lambda_a, per state of
+    a stack (G = C^T C, S = sum_i M_i^2, T = _traceless):
+
+      gamma3  -4 eps_ijk f_abc C_ia C_jb C_kc = Re 6i tr(M_1 [M_2, M_3])
+      ff      f_apc f_cbq G_ab G_pq = -(1/8) sum_ij tr([M_i, M_j]^2)
+      dd      d_abc d_cpq G_ab G_pq = (1/2) tr(T(S)^2)
+      bbgg    d_abk d_kcd b_a b_b G_cd = (1/2) tr(T(B^2) S)
+      bgbg    d_abk d_kcd b_a b_c G_bd = (1/8) sum_i tr(T({B, M_i})^2)
+    """
+    M = np.einsum("...ia,auv->...iuv", s.C, su_algebra.GELL_MANN)
+    B = np.einsum("...a,auv->...uv", s.b, su_algebra.GELL_MANN)
+    comm = M[..., :, None, :, :] @ M[..., None, :, :, :]
+    comm = comm - np.swapaxes(comm, -3, -4)
+    S = (M @ M).sum(axis=-3)
+    P = _traceless(S)
+    anti = _traceless(B[..., None, :, :] @ M + M @ B[..., None, :, :])
+    return {"gamma3": (6j * _tr(M[..., 0, :, :] @ comm[..., 1, 2, :, :])).real,
+            "ff": -_tr(comm @ comm).real.sum(axis=(-2, -1)) / 8.0,
+            "dd": 0.5 * _tr(P @ P).real,
+            "bbgg": 0.5 * _tr(_traceless(B @ B) @ S).real,
+            "bgbg": _tr(anti @ anti).real.sum(axis=-1) / 8.0}
 
 
 def _sign_relation(s, mats):
@@ -202,48 +236,33 @@ def _sign_relation(s, mats):
     return {"sign_relation": np.hypot(z.real, z.imag)}
 
 
-def _gram(s) -> np.ndarray:
-    """G = C^T C, per state of a stack."""
-    return np.swapaxes(s.C, -1, -2) @ s.C
-
-
-def _quadratic(u, m, v):
-    """u^T m v, per state of a stack."""
-    return (u[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
-
-
 def _gamma3_formula(s, mats):
-    """tr(g^3) = -4 eps_ijk f_abc C_ia C_jb C_kc."""
-    lhs = _eval_on(mats, "ggg").real
-    rhs = -4.0 * np.einsum("ijk,abc,...ia,...jb,...kc->...", _EPSILON3,
-                           _su3_constants().f, s.C, s.C, s.C)
-    return {"gamma3_formula": abs(lhs - rhs)}
+    """tr(g^3) = -4 eps_ijk f_abc C_ia C_jb C_kc = Re 6i tr(M_1 [M_2, M_3])."""
+    return {"gamma3_formula": abs(_eval_on(mats, "ggg").real
+                                  - _su3_contractions(s)["gamma3"])}
 
 
 def _i004_identity(s, mats):
     """Degree-(0,0,4) exchange identity between the d- and f-contracted
-    correlation invariants:
+    correlation invariants (both as traces, see _su3_contractions):
 
         d_abc d_cpq G_ab G_pq = (2/3) f_apc f_cbq G_ab G_pq
                                 - (1/3) [ (tr G)^2 - 2 tr(G^2) ],  G = C^T C.
     """
-    G = _gram(s)
-    rhs = ((2.0 / 3.0) * correlation_quartic_ff(s)
-           - (np.trace(G, axis1=-2, axis2=-1) ** 2
-              - 2.0 * np.trace(G @ G, axis1=-2, axis2=-1)) / 3.0)
-    return {"i004_identity": abs(correlation_quartic_dd(s) - rhs)}
+    G, c = np.swapaxes(s.C, -1, -2) @ s.C, _su3_contractions(s)
+    rhs = (2.0 / 3.0) * c["ff"] - (_tr(G) ** 2 - 2.0 * _tr(G @ G)) / 3.0
+    return {"i004_identity": abs(c["dd"] - rhs)}
 
 
 def _product_relation(s, mats):
     """tr(a a b b) = (1/6) tr(a a) tr(b b)."""
-    return {"product_relation": abs(_eval_on(mats, "aabb").real
-                                    - _eval_on(mats, "aa").real
-                                    * _eval_on(mats, "bb").real / 6.0)}
+    t = lambda w: _eval_on(mats, w).real
+    return {"product_relation": abs(t("aabb") - t("aa") * t("bb") / 6.0)}
 
 
 def _multidegree_relations(s, mats):
     """Relations tying same-multidegree traces to explicit (a, b, C)
-    contractions:
+    contractions (the d-contractions as traces, see _su3_contractions):
 
       (2,0,2): tr(a a g g) + tr(a g a g) = 8 a C C^T a
                tr(a a g g) = (1/6) tr(a a) tr(g g)
@@ -253,25 +272,17 @@ def _multidegree_relations(s, mats):
                    = 8 [ (2/3) b C^T C b
                          + d_{j1 j2 k} d_{k j3 j4} b_{j1} b_{j3} (C^T C)_{j2 j4} ]
     """
-    d3 = _su3_constants().d
-    G = _gram(s)
-    aagg = _eval_on(mats, "aagg").real
-    bbgg = _eval_on(mats, "bbgg").real
-    taa = _eval_on(mats, "aa").real
-    tbb = _eval_on(mats, "bb").real
-    tgg = _eval_on(mats, "gg").real
+    t = lambda w: _eval_on(mats, w).real
+    c = _su3_contractions(s)
+    aCCa = ((s.a[..., None, :] @ s.C) ** 2).sum(axis=(-2, -1))
+    bGb = ((s.C @ s.b[..., :, None]) ** 2).sum(axis=(-2, -1))
     return {
-        "aagg_agag": abs(aagg + _eval_on(mats, "agag").real
-                         - _quadratic(8.0 * s.a, s.C @ np.swapaxes(s.C, -1, -2),
-                                      s.a)),
-        "aagg_product": abs(aagg - taa * tgg / 6.0),
-        "bbgg_product": abs(bbgg - tbb * tgg / 6.0
-                            - 4.0 * np.einsum("abk,kcd,...a,...b,...cd->...",
-                                              d3, d3, s.b, s.b, G)),
-        "bbgg_bgbg": abs(bbgg + _eval_on(mats, "bgbg").real
-                         - 8.0 * (_quadratic((2.0 / 3.0) * s.b, G, s.b)
-                                  + np.einsum("abk,kcd,...a,...c,...bd->...",
-                                              d3, d3, s.b, s.b, G))),
+        "aagg_agag": abs(t("aagg") + t("agag") - 8.0 * aCCa),
+        "aagg_product": abs(t("aagg") - t("aa") * t("gg") / 6.0),
+        "bbgg_product": abs(t("bbgg") - t("bb") * t("gg") / 6.0
+                            - 4.0 * c["bbgg"]),
+        "bbgg_bgbg": abs(t("bbgg") + t("bgbg")
+                         - 8.0 * ((2.0 / 3.0) * bGb + c["bgbg"])),
     }
 
 
@@ -356,8 +367,10 @@ def _numerical_rank(matrix: np.ndarray) -> int:
 def rank_at_degree(degree: int, include_products: bool,
                    seed: int = DEFAULT_PANEL_SEED) -> int:
     """Numerical rank of the evaluation matrix of all degree-d candidate
-    invariants (non-kernel words, plus lower-degree products when asked) on
-    at least twice as many seeded random states as candidates.
+    invariants on twice as many seeded random states as columns.  The
+    candidates are the real parts of the non-kernel words, the imaginary
+    parts of those whose traces are complex, and, when asked, the
+    lower-degree products.
 
     Degree 1 gives 0: every degree-1 word is in the kernel, so there are no
     candidates.  Degrees 2 and 3 give 3 and 4, the full invariant counts.
@@ -365,7 +378,10 @@ def rank_at_degree(degree: int, include_products: bool,
     the trace identities tr(a a b b) = (1/6) tr(a a) tr(b b) and its
     alpha/gamma analogue make two of the products redundant, and the missing
     direction (correlation_quartic_ff) is not a trace word.  See
-    degree4_completion_rank for the restored count."""
+    degree4_completion_rank for the restored count.  Traces through degree 4
+    are real; with products, degree 5 gives 23 (of 25) and degree 6 gives 70
+    (of 90), one imaginary direction per conjugate pair of complex words
+    (agbgg/aggbg at degree 5, five pairs at degree 6)."""
     if degree > 6:
         raise ValueError(f"rank evaluation supports degree <= 6, got {degree}")
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
@@ -377,35 +393,37 @@ def rank_at_degree(degree: int, include_products: bool,
 
 
 def _evaluation_matrix(candidates, seed: int, extra=()) -> np.ndarray:
-    """Values of the products of trace words in candidates, then of the state
-    functions in extra (columns), on twice as many seeded states as columns:
-    row i is the state random_density(seed + 1000 + i)."""
-    rows = 2 * (len(candidates) + len(extra))
+    """Values of the products of the real traces of the words in candidates,
+    then of the imaginary trace of each one-word candidate whose trace is
+    complex (see _seeded_words), then of the state functions in extra
+    (columns), on twice as many seeded states as columns: row i is the state
+    random_density(seed + 1000 + i)."""
+    imaginary = [c[0] for c in candidates
+                 if len(c) == 1 and c[0] in _seeded_words(len(c[0]), seed)[1]]
+    rows = 2 * (len(candidates) + len(imaginary) + len(extra))
     panel = states.random_densities(range(seed + 1000, seed + 1000 + rows))
     mats = _letter_matrices(panel)
     words = {w for cand in candidates for w in cand}
-    values = {w: _eval_on(mats, w).real for w in words}
-    columns = [np.prod([values[w] for w in cand], axis=0) for cand in candidates]
-    return np.column_stack(columns + [f(panel) for f in extra])
+    values = {w: _eval_on(mats, w) for w in words}
+    columns = [np.prod([values[w].real for w in cand], axis=0)
+               for cand in candidates]
+    return np.column_stack(columns + [values[w].imag for w in imaginary]
+                           + [f(panel) for f in extra])
 
 
 def correlation_quartic_ff(state: QubitQutritState) -> float | np.ndarray:
-    """f_apc f_cbq G_ab G_pq with G = C^T C, the f-contracted quartic in the
-    correlation matrix.  This degree-(0,0,4) invariant lies outside the span
-    of trace words and their products: together with them it completes the
-    15-dimensional space of degree-4 invariants (see rank_at_degree).  A
-    stacked state gives one value per state."""
-    G = _gram(state)
-    f = _su3_constants().f
-    return np.einsum("apc,cbq,...ab,...pq->...", f, f, G, G)
+    """f_apc f_cbq G_ab G_pq = -(1/8) sum_ij tr([M_i, M_j]^2), G = C^T C: the
+    f-contracted correlation quartic.  This degree-(0,0,4) invariant lies
+    outside the span of trace words and their products: together with them
+    it completes the 15-dimensional space of degree-4 invariants (see
+    rank_at_degree).  A stacked state gives one value per state."""
+    return _su3_contractions(state)["ff"]
 
 
 def correlation_quartic_dd(state: QubitQutritState) -> float | np.ndarray:
-    """d_abc d_cpq G_ab G_pq with G = C^T C; related to correlation_quartic_ff
-    by the exchange identity of _i004_identity."""
-    G = _gram(state)
-    d = _su3_constants().d
-    return np.einsum("abc,cpq,...ab,...pq->...", d, d, G, G)
+    """d_abc d_cpq G_ab G_pq = (1/2) tr(T(S)^2) (see _su3_contractions), tied
+    to correlation_quartic_ff by the exchange identity of _i004_identity."""
+    return _su3_contractions(state)["dd"]
 
 
 def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:

@@ -187,8 +187,7 @@ def test_invariants_checks_flag(tmp_path):
                            "casimir_decomposition"}
     assert all(c["passed"] for c in checks.values())
     for name, c in checks.items():
-        tol = 1e-8 if name == "casimir_decomposition" else local_invariants.CHECK_TOL
-        assert c["tolerance"] == tol
+        assert c["tolerance"] == local_invariants.PANEL_IDENTITIES[name][1]
     assert set(checks["multidegree_relations"]["detail"]) == {
         "aagg_agag", "aagg_product", "bbgg_product", "bbgg_bgbg"}
     assert set(checks["casimir_decomposition"]["detail"]) == {"c2", "c3", "c4"}

@@ -1,5 +1,7 @@
 """Trace-word enumeration, kernel, exchange identities, ranks, independence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -146,13 +148,15 @@ def test_kernel_words_match_per_state_loop(seed, size):
             kernel_words_reference(degree, seed, size)
 
 
-def evaluation_matrix_reference(candidates, seed, extra=()):
+def evaluation_matrix_reference(candidates, seed, extra=(), imaginary=()):
     """Reference: the rank evaluation matrix built one state per row."""
     rows = []
-    for i in range(2 * (len(candidates) + len(extra))):
+    for i in range(2 * (len(candidates) + len(imaginary) + len(extra))):
         s = random_density(seed + 1000 + i)
         rows.append([np.prod([eval_trace_complex(w, s).real for w in cand])
-                     for cand in candidates] + [f(s) for f in extra])
+                     for cand in candidates]
+                    + [eval_trace_complex(w, s).imag for w in imaginary]
+                    + [f(s) for f in extra])
     return np.array(rows)
 
 
@@ -163,6 +167,17 @@ def test_evaluation_matrix_matches_per_state_loop(seed):
     extra = (correlation_quartic_ff,)
     assert np.array_equal(li._evaluation_matrix(candidates, seed, extra),
                           evaluation_matrix_reference(candidates, seed, extra))
+
+
+def test_evaluation_matrix_imaginary_columns_match_per_state_loop():
+    seed = li.DEFAULT_PANEL_SEED
+    candidates = [(w.letters,) for w in li.nonkernel_words(5, seed)]
+    imaginary = ("agbgg", "aggbg")
+    matrix = li._evaluation_matrix(candidates, seed)
+    assert matrix.shape == (2 * (len(candidates) + 2), len(candidates) + 2)
+    assert np.array_equal(
+        matrix, evaluation_matrix_reference(candidates, seed, imaginary=imaginary))
+    assert np.abs(matrix[:, -2:]).min() > 0
 
 
 def test_jacobian_matches_per_point_loop():
@@ -239,6 +254,40 @@ def test_i004_identity():
     assert abs(correlation_quartic_ff(s) - ff) < 1e-14
 
 
+def dense_su3_contractions(s):
+    """Reference: the su(3) contractions of the exchange identities as dense
+    einsums over every index tuple of eps, f and d."""
+    sc = structure_constants("su3-gellmann")
+    eps = np.zeros((3, 3, 3))
+    for p in itertools.permutations(range(3)):
+        i, j, k = p
+        eps[p] = (j - i) * (k - i) * (k - j) / 2
+    f, d = sc.f, sc.d
+    G = np.swapaxes(s.C, -1, -2) @ s.C
+    return {
+        "gamma3": -4.0 * np.einsum("ijk,abc,...ia,...jb,...kc->...",
+                                   eps, f, s.C, s.C, s.C),
+        "ff": np.einsum("apc,cbq,...ab,...pq->...", f, f, G, G),
+        "dd": np.einsum("abc,cpq,...ab,...pq->...", d, d, G, G),
+        "bbgg": np.einsum("abk,kcd,...a,...b,...cd->...", d, d, s.b, s.b, G),
+        "bgbg": np.einsum("abk,kcd,...a,...c,...bd->...", d, d, s.b, s.b, G),
+    }
+
+
+@pytest.mark.parametrize("seed,size", [(li.DEFAULT_PANEL_SEED, 200), (7, 60)])
+def test_su3_trace_forms_match_dense_contractions(seed, size):
+    panel = li.random_panel(seed, size)
+    traces = li._su3_contractions(panel)
+    dense = dense_su3_contractions(panel)
+    assert set(traces) == set(dense)
+    for key, ref in dense.items():
+        assert ref.shape == (size,)
+        assert np.all(np.abs(traces[key] - ref)
+                      <= 1e-14 * np.maximum(1.0, np.abs(ref))), key
+    assert np.array_equal(correlation_quartic_ff(panel), traces["ff"])
+    assert np.array_equal(correlation_quartic_dd(panel), traces["dd"])
+
+
 def test_panel_violations_cover_the_registry():
     report = panel_violations(5, 7)
     assert list(report) == list(li.PANEL_IDENTITIES)
@@ -308,6 +357,15 @@ def test_rank_degree4_word_span():
     # identities, leaving 14 of the 15 invariant dimensions
     assert rank_at_degree(4, include_products=False) == 12
     assert rank_at_degree(4, include_products=True) == 14
+
+
+def test_rank_degree5_and_6_count_imaginary_parts():
+    # agbgg/aggbg at degree 5 and five such pairs at degree 6 have complex
+    # conjugate traces; each pair adds its imaginary part as one direction
+    assert li._seeded_words(5, li.DEFAULT_PANEL_SEED)[1] == ("agbgg", "aggbg")
+    assert len(li._seeded_words(6, li.DEFAULT_PANEL_SEED)[1]) == 10
+    assert rank_at_degree(5, include_products=True) == 23
+    assert rank_at_degree(6, include_products=True) == 70
 
 
 def test_rank_degree4_completed_by_correlation_quartic():
