@@ -96,9 +96,10 @@ def enumerate_words(degree: int) -> tuple[TraceWord, ...]:
     return tuple(TraceWord(w) for w in sorted(reps))
 
 
-def _letter_matrices(state: QubitQutritState) -> dict[str, np.ndarray]:
+def _letter_matrices(state: QubitQutritState) -> dict:
     """alpha, beta, gamma of a state, or (N, 6, 6) stacks of a stacked state;
-    _eval_on adds the prefix products it forms to this dict."""
+    _eval_on adds the prefix products it forms to this dict, and _panel_su3
+    the su(3) contractions."""
     return {"a": states.alpha_matrix(state),
             "b": states.beta_matrix(state),
             "g": states.gamma_matrix(state)}
@@ -228,6 +229,14 @@ def _su3_contractions(s) -> dict[str, np.ndarray]:
             "bgbg": _tr(anti @ anti).real.sum(axis=-1) / 8.0}
 
 
+def _panel_su3(s, mats) -> dict[str, np.ndarray]:
+    """_su3_contractions of the panel, formed once and kept in its letter
+    matrix dict under a key no trace word can take."""
+    if "su3" not in mats:
+        mats["su3"] = _su3_contractions(s)
+    return mats["su3"]
+
+
 def _sign_relation(s, mats):
     """tr(a b g g) = -tr(a g b g)."""
     z = _eval_on(mats, "abgg") + _eval_on(mats, "agbg")
@@ -239,7 +248,7 @@ def _sign_relation(s, mats):
 def _gamma3_formula(s, mats):
     """tr(g^3) = -4 eps_ijk f_abc C_ia C_jb C_kc = Re 6i tr(M_1 [M_2, M_3])."""
     return {"gamma3_formula": abs(_eval_on(mats, "ggg").real
-                                  - _su3_contractions(s)["gamma3"])}
+                                  - _panel_su3(s, mats)["gamma3"])}
 
 
 def _i004_identity(s, mats):
@@ -249,7 +258,7 @@ def _i004_identity(s, mats):
         d_abc d_cpq G_ab G_pq = (2/3) f_apc f_cbq G_ab G_pq
                                 - (1/3) [ (tr G)^2 - 2 tr(G^2) ],  G = C^T C.
     """
-    G, c = np.swapaxes(s.C, -1, -2) @ s.C, _su3_contractions(s)
+    G, c = np.swapaxes(s.C, -1, -2) @ s.C, _panel_su3(s, mats)
     rhs = (2.0 / 3.0) * c["ff"] - (_tr(G) ** 2 - 2.0 * _tr(G @ G)) / 3.0
     return {"i004_identity": abs(c["dd"] - rhs)}
 
@@ -273,7 +282,7 @@ def _multidegree_relations(s, mats):
                          + d_{j1 j2 k} d_{k j3 j4} b_{j1} b_{j3} (C^T C)_{j2 j4} ]
     """
     t = lambda w: _eval_on(mats, w).real
-    c = _su3_contractions(s)
+    c = _panel_su3(s, mats)
     aCCa = ((s.a[..., None, :] @ s.C) ** 2).sum(axis=(-2, -1))
     bGb = ((s.C @ s.b[..., :, None]) ** 2).sum(axis=(-2, -1))
     return {

@@ -12,15 +12,23 @@ becomes a constant-term extraction against the Weyl density:
 
 All arithmetic is exact and no floating point enters this module.  The
 truncated product is built in a dense box of Laurent coefficients per
-q-degree, pruned to the cells that can still reach the kernel's exponents:
-at degree d of N the update runs on the window |p_a| <= min(d wmax_a,
-(N - d) wmax_a + reach_a), where wmax_a is the largest weight coordinate and
-reach_a the largest kernel exponent on axis a, so the box has about half the
-full radius N wmax_a.  Every box entry counts weight multisets, so it is
-bounded by C(m + d - 1, d) for m weights at degree d; the box is int64 while
-that bound fits and holds arbitrary-precision Python integers otherwise (for
-SU(2)xSU(3) from degree 32 on).  The kernel product is gathered from the box
-in one index and summed in Python integers.
+q-degree, pruned to the cells that can still reach the kernel's exponents.
+The factors are applied in a fixed order (zero weights, then weights at rest
+on axis 0, then weights moving axis 0 and another axis, then weights on
+axis 0 alone), and factor k updates degree d of N on its own window
+|p_a| <= min(d P_ka, (N - d) S_ka + reach_a): P_ka is the largest |w_a| of
+the factors applied so far (k included), which bounds the support of the
+partial product, S_ka the largest |w_a| of the factors still to come
+(k included), which bounds how far a cell can still move, and reach_a the
+largest kernel exponent on axis a.  Zero weights thus sweep one cell per
+degree, and the SU(2) axis or the other axes stay still for the first and
+last groups of weights.  The box has the radius of the widest window, about
+half the full radius N wmax_a (see _build_product_boxes for the proof that
+every read cell is exact).  Every box entry counts weight multisets, so it
+is bounded by C(m + d - 1, d) for m weights at degree d; the box is int64
+while that bound fits and holds arbitrary-precision Python integers
+otherwise (for SU(2)xSU(3) from degree 32 on).  The kernel product is
+gathered from the box in one index and summed in Python integers.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -164,7 +172,10 @@ def _padded_weights(ws_weights, rank: int) -> list[tuple[int, int, int]]:
 
 def _coefficient_bound(n_weights: int, max_degree: int) -> int:
     """Every coefficient of the truncated product is a nonnegative count of
-    weight multisets, hence bounded by C(m + d - 1, d)."""
+    weight multisets, hence bounded by C(m + d - 1, d); the empty product is
+    the constant 1."""
+    if n_weights == 0:
+        return 1
     return math.comb(n_weights + max_degree - 1, max_degree)
 
 
@@ -193,51 +204,79 @@ def _axis_windows(shift: int, radii, c: int) -> list:
     return out
 
 
+def _application_order(w) -> tuple:
+    """Sort key of the order in which the factors are applied: the zero
+    weight, then weights with w_0 = 0, then weights moving axis 0 and another
+    axis, then weights moving axis 0 alone; ties by the weight itself."""
+    if not any(w):
+        return (0, w)
+    if w[0] == 0:
+        return (1, w)
+    return (2 if any(w[1:]) else 3, w)
+
+
 def _build_product_boxes(weights, rank: int, max_degree: int,
                          reach) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Truncated prod over weights w of 1/(1 - q x^w), one dense box of
     Laurent coefficients per q-degree, exact on every cell within `reach`
     (per axis) of the origin at every degree.
 
-    Multiplying by 1/(1 - q x^w) is S_d += shift(S_{d-1}, w) for
-    d = 1..N, ascending.  With wmax_a = max |w_a| the degree-d coefficients
-    vanish outside |p_a| <= d wmax_a, and a degree-d cell can still feed a
-    cell within reach at degree d' >= d only when
-    |p_a| <= (N - d) wmax_a + reach_a.  Each update therefore runs on the
-    window of radius rad_d = min(d wmax_a, (N - d) wmax_a + reach_a), and the
-    box has radius max_d rad_d.  The clipping drops no needed term: the
-    predecessor p - w of a cell p in the degree-d window has
-    |p_a - w_a| <= (N - d + 1) wmax_a + reach_a, so it is either zero or in
-    the degree-(d-1) window; the cells that can reach a read cell are closed
-    under predecessors.  Cells outside the windows stay zero and are never
-    read.
+    Multiplying by the factor of weight w is S_d += shift(S_{d-1}, w) for
+    d = 1..N, ascending.  The factors w_1..w_m run in the order of
+    _application_order, and factor k updates degree d on axis a within the
+    radius min(d P_ka, (N - d) S_ka + reach_a): P_ka = max_{j <= k} |w_ja|
+    bounds the support of the partial product (zero beyond d P_ka), and
+    S_ka = max_{j >= k} |w_ja|, k included, bounds how far factors k..m can
+    still move a cell.  By induction over k and d, every cell in factor k's
+    window holds the exact coefficient of the product of w_1..w_k:
+      - the predecessor p - w_k it reads at degree d - 1 has
+        |p_a - w_ka| <= (N - d + 1) S_ka + reach_a, since |w_ka| <= S_ka, so
+        it is in factor k's degree-(d-1) window or beyond (d - 1) P_ka;
+      - the cell p it adds to holds the product of w_1..w_(k-1) (at k = 1
+        the empty product): S never increases along the order, so p is in
+        factor k - 1's window or beyond d P_(k-1)a.
+    Beyond those radii the partial products are zero, and so are the box
+    cells, since clipping only drops nonnegative terms.  At k = m every cell
+    within reach is in the window or beyond d wmax_a, so every cell read is
+    exact; any order is exact, the order only sets the cost.  The box
+    radius, max_d min(d wmax_a, (N - d) wmax_a + reach_a), covers every
+    window.
 
     The box is int64 while the bound C(m + d - 1, d) on its entries fits and
     holds Python integers otherwise.
     """
     if rank > 3:
         raise ValueError(f"torus rank {rank} not supported (max 3)")
-    padded = sorted(_padded_weights(weights, rank))
-    wmax = _axis_reach(padded, 3)
+    padded = sorted(_padded_weights(weights, rank), key=_application_order)
     reach = tuple(reach) + (0,) * (3 - rank)
-    radii = [[min(d * m, (max_degree - d) * m + r) for d in range(max_degree + 1)]
-             for m, r in zip(wmax, reach)]
-    center = tuple(max(rad) for rad in radii)
+    center = tuple(max(min(d * m, (max_degree - d) * m + r)
+                       for d in range(max_degree + 1))
+                   for m, r in zip(_axis_reach(padded, 3), reach))
     shape = (max_degree + 1,) + tuple(2 * c + 1 for c in center)
     fits = _coefficient_bound(len(padded), max_degree) < INT64_SAFE_LIMIT
     coeffs = np.zeros(shape, dtype=np.int64 if fits else object)
     coeffs[(0,) + center] = 1
-    shifts = {(axis, w[axis]) for w in padded for axis in range(3)}
-    axis_windows = {(axis, s): _axis_windows(s, radii[axis], center[axis])
-                    for axis, s in shifts}
-    # views into the box, built once per distinct weight (2x3: 21 of 35)
-    views = {}
-    for w in set(padded):
-        per_degree = zip(*(axis_windows[axis, s] for axis, s in enumerate(w)))
-        views[w] = [(coeffs[d, x[0], y[0], z[0]], coeffs[d - 1, x[1], y[1], z[1]])
-                    for d, (x, y, z) in enumerate(per_degree) if x and y and z]
-    for w in padded:
-        for dst, src in views[w]:
+    # P_k and S_k per factor: running maxima of |w_a| from the front and back
+    absw = np.abs(np.array(padded, dtype=np.int64).reshape(-1, 3))
+    prefix = map(tuple, np.maximum.accumulate(absw).tolist())
+    suffix = map(tuple, np.maximum.accumulate(absw[::-1])[::-1].tolist())
+    factors = list(zip(padded, prefix, suffix))
+    # views into the box, built once per distinct (w, P_k, S_k); the slices
+    # of one axis depend only on (w_a, P_ka, S_ka, reach_a, center_a)
+    axis_windows, views = {}, {}
+    for factor in set(factors):
+        per_axis = []
+        for key in zip(*factor, reach, center):
+            if key not in axis_windows:
+                shift, p, s, r, c = key
+                axis_windows[key] = _axis_windows(
+                    shift, [min(d * p, (max_degree - d) * s + r)
+                            for d in range(max_degree + 1)], c)
+            per_axis.append(axis_windows[key])
+        views[factor] = [(coeffs[d, x[0], y[0], z[0]], coeffs[d - 1, x[1], y[1], z[1]])
+                         for d, (x, y, z) in enumerate(zip(*per_axis)) if x and y and z]
+    for factor in factors:
+        for dst, src in views[factor]:
             dst += src
     return coeffs, center
 

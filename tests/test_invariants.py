@@ -302,6 +302,24 @@ def test_panel_violations_cover_the_registry():
     }
 
 
+@pytest.mark.parametrize("seed,size", [(li.DEFAULT_PANEL_SEED, 60), (7, 12)])
+def test_panel_violations_form_su3_contractions_once(monkeypatch, seed, size):
+    # the reference evaluates each identity on its own letter matrices, so
+    # each forms its own contractions; sharing them must not move a bit
+    panel = li.random_panel(seed, size)
+    reference = {name: {key: float(np.max(r)) for key, r in
+                        residuals(panel, li._letter_matrices(panel)).items()}
+                 for name, (residuals, _) in li.PANEL_IDENTITIES.items()}
+    calls = []
+    contractions = li._su3_contractions
+    monkeypatch.setattr(li, "_su3_contractions",
+                        lambda s: calls.append(1) or contractions(s))
+    assert panel_violations(seed, size) == reference
+    assert len(calls) == 1
+    panel_violations(seed, size)
+    assert len(calls) == 2
+
+
 def test_random_panel_rejects_empty():
     for size in (0, -3):
         with pytest.raises(ValueError, match="panel size"):

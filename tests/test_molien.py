@@ -1,5 +1,6 @@
 """Torus weight systems, exact series extraction and rational-form checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
-                          rational_series)
+                          rational_form_for, rational_series)
 
 POINCARE_2X3 = [1, 0, 3, 4, 15, 25, 90, 170, 489, 1059, 2600, 5641, 12872,
                 27099, 57990, 118254, 240187]
@@ -166,6 +167,46 @@ def test_pruned_series_matches_full_box_spin1_plus_spin2():
         assert molien_series(ws, N, degree_cap=N) == expect
 
 
+#: rank 2, |w_a| up to 2, every support pattern: the zero weight, weights
+#: on axis 1 alone (|w_1| <= 1), on both axes (|w_1| up to 2) and on axis 0
+#: alone (|w_0| up to 2).  Early in the order P_k < S_k on axis 1, so a reach
+#: side built from P_k is too narrow; the last factors move axis 0 by 2, so
+#: an S_k without factor k itself is too narrow
+MIXED_WEIGHTS = ((0, 0), (0, 1), (0, -1), (1, 2), (-1, -2), (2, -1), (-2, 1),
+                 (1, 1), (1, 0), (-1, 0), (2, 0), (-2, 0))
+
+
+def test_per_factor_windows_exact_within_reach():
+    # a cell within reach but outside the box reads as 0, as in
+    # _extract_constant_terms
+    reach = (1, 2)
+    expect = dict_product_series(MIXED_WEIGHTS, 12)  # degree d is the same at any N >= d
+    for N in range(13):
+        boxes, center = _build_product_boxes(MIXED_WEIGHTS, 2, N, reach)
+        for d in range(N + 1):
+            for p in itertools.product(*(range(-r, r + 1) for r in reach)):
+                cell = (d, center[0] + p[0], center[1] + p[1], 0)
+                inside = all(abs(x) <= c for x, c in zip(p, center))
+                got = int(boxes[cell]) if inside else 0
+                assert got == expect[d].get(p, 0), (N, d, p)
+
+
+def test_box_independent_of_weight_order():
+    rng = np.random.default_rng(3)
+    for N in (5, 12):
+        boxes, center = _build_product_boxes(MIXED_WEIGHTS, 2, N, (1, 2))
+        shuffled = [MIXED_WEIGHTS[i] for i in rng.permutation(len(MIXED_WEIGHTS))]
+        again, center_again = _build_product_boxes(shuffled, 2, N, (1, 2))
+        assert center_again == center
+        assert again.dtype == boxes.dtype and np.array_equal(again, boxes)
+
+
+def test_empty_weight_system():
+    ws = WeightSystem(1, (), (), 1)
+    assert molien_series(ws, 0) == [1]
+    assert molien_series(ws, 3) == [1, 0, 0, 0]
+
+
 # -- series values ------------------------------------------------------------------
 
 def test_poincare_2x3_low_degrees():
@@ -266,6 +307,18 @@ def test_qubit_qutrit_series_matches_rational_through_38(backend):
     ws = adjoint_weight_system("su2xsu3")
     assert (molien_series(ws, 38, backend=backend, degree_cap=38)
             == qubit_qutrit_rational().series(38))
+
+
+@pytest.mark.parametrize("backend", ["weyl", "reduced"])
+@pytest.mark.parametrize("spec,top", [("su2xsu2", 60), ("su2xsu3", 31)])
+def test_series_matches_rational_at_every_degree(spec, top, backend):
+    # each truncation degree N has windows of its own, so each is checked
+    # as a request of its own
+    ws = adjoint_weight_system(spec)
+    rational = rational_form_for(spec).series(top)
+    for N in range(top + 1):
+        assert (molien_series(ws, N, backend=backend, degree_cap=N)
+                == rational[:N + 1]), N
 
 
 def test_rational_series_validates_denominator():
