@@ -112,6 +112,24 @@ def _as_density_matrix(state) -> np.ndarray:
     return rho
 
 
+def _reject(rho: np.ndarray, message: str):
+    """Raise ValueError(message) for a deviation not within its tolerance, or
+    with from_matrix's wording when rho has a non-finite entry: such an entry
+    makes the deviation NaN or inf, which `dev > tol` would let pass."""
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
+    raise ValueError(message)
+
+
+def _hermitian_matrix(state) -> np.ndarray:
+    """_as_density_matrix(state), rejected unless finite and Hermitian
+    within states.HERM_TOL."""
+    rho = _as_density_matrix(state)
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= states.HERM_TOL:
+        _reject(rho, "input matrix is not Hermitian")
+    return rho
+
+
 def moments(rho: np.ndarray) -> tuple[float, ...]:
     """t_k = tr(rho^k) for k = 1..6 by repeated multiplication, all six traced
     in one call; over a (..., n, n) stack each t_k is an array of the batch
@@ -160,13 +178,12 @@ def _casimirs_of_matrix(rho: np.ndarray) -> CasimirValues:
     n = 6
     om = n * rho - _EYE6
     tdev = float(np.abs(np.trace(om, axis1=-2, axis2=-1)).max())
-    if tdev > TRACELESS_TOL:
-        raise ValueError(
-            f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
+    if not tdev <= TRACELESS_TOL:
+        _reject(rho, f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
     hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max())
-    if hdev > TRACELESS_TOL:
-        raise ValueError(
-            f"omega = n rho - I is not Hermitian: max |omega - omega^+| = {hdev:.3e}")
+    if not hdev <= TRACELESS_TOL:
+        _reject(rho, "omega = n rho - I is not Hermitian: "
+                f"max |omega - omega^+| = {hdev:.3e}")
     t2, t3, t4, t5, t6 = (t / n for t in moments(om)[1:])
     c2 = t2
     c3 = t3
@@ -273,9 +290,7 @@ def positivity_report(state) -> PositivityReport:
     one minus it).  One state gives Python floats and bools; a stacked state
     gives arrays of the batch shape throughout, entry i bit for bit the
     report of state i."""
-    rho = _as_density_matrix(state)
-    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > states.HERM_TOL:
-        raise ValueError("input matrix is not Hermitian")
+    rho = _hermitian_matrix(state)
     t = moments(rho)
     S = _newton(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
@@ -290,5 +305,11 @@ def positivity_report(state) -> PositivityReport:
 
 
 def eigenvalue_oracle(state) -> np.ndarray:
-    """Sorted eigenvalues; PSD there means min eigenvalue >= -ORACLE_EIG_TOL."""
-    return np.linalg.eigvalsh(_as_density_matrix(state))
+    """Sorted eigenvalues; PSD there means min eigenvalue >= -ORACLE_EIG_TOL.
+
+    A matrix given directly is rejected unless finite and Hermitian, as in
+    positivity_report (eigvalsh reads only its lower triangle); a state is
+    Hermitian by construction and goes straight to eigvalsh."""
+    if isinstance(state, QubitQutritState):
+        return np.linalg.eigvalsh(states.to_matrix(state))
+    return np.linalg.eigvalsh(_hermitian_matrix(state))

@@ -120,6 +120,10 @@ def _cmd_invariants(args, out) -> int:
 def _cmd_molien(args, out) -> int:
     label = {"2x2": "su2xsu2", "2x3": "su2xsu3"}[args.group]
     ws = molien.adjoint_weight_system(label)
+    if args.degree > args.cap:
+        # molien_series would refuse too, naming its degree_cap argument
+        raise InputError(f"--degree {args.degree} exceeds the resource cap "
+                         f"{args.cap}; pass --cap to override")
     try:
         series = molien.molien_series(ws, args.degree, backend=args.backend,
                                       degree_cap=args.cap)

@@ -203,10 +203,44 @@ def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
 
     Every product term is an index permutation of one of ff, df and dd,
     P[i0,i1,i2,i3] = sum_c x_{i0 i1 c} y_{c i2 i3}, formed once from the
-    nonzero entries.  A family's residual gathers its terms into one flat
-    array over the k^4 free tuples (a, b, p, q) and is reduced to its maximum
-    before the next family is formed.
+    nonzero entries.  A family's residual is gathered in blocks of one value
+    of the leading free index a, k^3 bins over (b, p, q) each: the family's
+    terms are stably ordered by a, so each bin sums the same terms in the
+    same order as one flat array over all k^4 tuples would, and every
+    violation is bit for bit that array's maximum, NaN included.
     """
+    k = sc.dim
+    products, families = _identity_terms(sc)
+    # a as the smallest unsigned type, which numpy's stable sort radix-sorts
+    lead_type = np.min_scalar_type(k)
+    violations = {}
+    for name, terms in families.items():
+        lead, index, weight = [], [], []
+        for coef, prod, slots in terms:
+            idx, val = products[prod]
+            flat = 0
+            for free in "bpq":
+                flat = flat * k + idx[slots.index(free)]
+            lead.append(idx[slots.index("a")].astype(lead_type))
+            index.append(flat)
+            weight.append(coef * val)
+        lead = np.concatenate(lead)
+        order = np.argsort(lead, kind="stable")
+        index = np.concatenate(index)[order]
+        weight = np.concatenate(weight)[order]
+        cut = np.searchsorted(lead[order], np.arange(k + 1))
+        worst = [np.abs(np.bincount(index[lo:hi], weight[lo:hi],
+                                    minlength=k ** 3)).max()
+                 for lo, hi in zip(cut[:-1], cut[1:])]
+        # np.max, not Python's max, so that a NaN block survives the fold
+        violations[name] = float(np.max(worst))
+    return IdentityReport(n=sc.n, violations=violations)
+
+
+def _identity_terms(sc: StructureConstants):
+    """The products of verify_structure_identities as (index arrays, values)
+    and each family's terms as (coefficient, product, the free index in each
+    of its slots)."""
     d, f, n = sc.d, sc.f, sc.n
     k = sc.dim
     x, y = np.divmod(np.arange(k * k), k)
@@ -214,7 +248,6 @@ def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
                 "dd": _contractions(d, d),
                 # delta_{i0 i1} delta_{i2 i3}
                 "delta": ((x, x, y, y), np.ones(k * k))}
-    # a term is (coefficient, product, the free index in each of its slots)
     cyclic = ("abpq", "bpaq", "pabq")
     families = {
         "jacobi_ff": [(1, "ff", s) for s in cyclic],
@@ -229,21 +262,7 @@ def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
     if n == 3:
         families["dd_cyclic"] = ([(1, "dd", s) for s in cyclic]
                                  + [(-1 / 3, "delta", s) for s in ("abpq", "apbq", "aqbp")])
-
-    violations = {}
-    for name, terms in families.items():
-        index, weight = [], []
-        for coef, prod, slots in terms:
-            idx, val = products[prod]
-            flat = 0
-            for free in "abpq":
-                flat = flat * k + idx[slots.index(free)]
-            index.append(flat)
-            weight.append(coef * val)
-        residual = np.bincount(np.concatenate(index), np.concatenate(weight),
-                               minlength=k ** 4)
-        violations[name] = float(np.abs(residual).max())
-    return IdentityReport(n=n, violations=violations)
+    return products, families
 
 
 def closure_max_violation(basis: SuBasis, sc: StructureConstants,

@@ -210,6 +210,52 @@ def test_positivity_report_rejects_non_hermitian():
         positivity_report(bad)
 
 
+def nan_inputs():
+    nan_state = QubitQutritState.zero()
+    nan_state.C[1, 4] = np.nan
+    inf_diag = np.eye(6, dtype=complex) / 6
+    inf_diag[2, 2] = np.inf
+    return {"nan matrix": np.full((6, 6), np.nan), "inf diagonal": inf_diag,
+            "nan state": nan_state}
+
+
+# inf - inf on the way to the deviation warns before the check names the cause
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", ["nan matrix", "inf diagonal", "nan state"])
+@pytest.mark.parametrize("check", [positivity_report, casimirs_from_traces])
+def test_non_finite_input_is_rejected(check, case):
+    # a NaN deviation compares False with `> tol`, so these once came back as
+    # positive_semidefinite=False, consistent=True
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        check(nan_inputs()[case])
+
+
+def test_oracle_rejects_a_non_hermitian_matrix():
+    # eigvalsh reads the lower triangle only and gave [0, 0, 0, 0, .5, .5]
+    bad = np.diag([0.5, 0.5, 0, 0, 0, 0]).astype(complex)
+    bad[0, 5] = 0.3
+    with pytest.raises(ValueError, match="input matrix is not Hermitian"):
+        eigenvalue_oracle(bad)
+
+
+# inf - inf on the way to the deviation warns before the check names the cause
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", ["nan matrix", "inf diagonal"])
+def test_oracle_rejects_a_non_finite_matrix(case):
+    # eigvalsh raised LinAlgError: Eigenvalues did not converge
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        eigenvalue_oracle(nan_inputs()[case])
+
+
+def test_oracle_of_a_state_skips_the_matrix_checks(monkeypatch):
+    # a state is Hermitian by construction: the positivity path of a state
+    # costs no Hermiticity check in the oracle
+    s = random_density(3)
+    assert np.array_equal(eigenvalue_oracle(to_matrix(s)), eigenvalue_oracle(s))
+    monkeypatch.setattr(cp, "_hermitian_matrix", None)
+    assert np.array_equal(eigenvalue_oracle(s), np.linalg.eigvalsh(to_matrix(s)))
+
+
 @pytest.mark.parametrize("size", [5, 6])
 def test_positivity_report_takes_a_stack(size):
     # a stack of exactly 6 states once passed through conj().T, which also

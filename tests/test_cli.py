@@ -63,6 +63,13 @@ def test_molien_degree_cap_is_input_error():
     assert code == 2
 
 
+def test_molien_cap_message_names_the_cli_option(capsys):
+    code, _ = run_cli("molien", "--group", "2x3", "--degree", "40")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "qqinv: --degree 40 exceeds the resource cap 20; pass --cap to override\n")
+
+
 def test_molien_cap_override():
     code, out = run_cli("molien", "--group", "2x2", "--degree", "21",
                         "--cap", "25")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,18 +136,83 @@ def test_sparse_identity_pass_matches_dense_contractions(label):
         assert abs(sparse[family] - value) <= 1e-14
 
 
-def test_sparse_identity_pass_detects_a_broken_tensor():
+def broken_su3():
     sc = structure_constants("su3-gellmann")
     f = sc.f.copy()
     for perm, sign in [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]:
         f[tuple(np.array((0, 1, 2))[list(perm)])] = sign * 1.1
-    broken = su_algebra.StructureConstants(3, sc.d, f)
+    return su_algebra.StructureConstants(3, sc.d, f)
+
+
+def test_sparse_identity_pass_detects_a_broken_tensor():
+    broken = broken_su3()
     sparse = verify_structure_identities(broken).violations
     dense = dense_identity_violations(broken)
     assert sparse["jacobi_ff"] > 1e-3
     for family, value in dense.items():
         assert abs(sparse[family] - value) <= 1e-14
+
+
+def flat_bincount_violations(sc):
+    """Reference: each family gathered by one bincount over a flat array of
+    all k^4 tuples, the pass the blockwise one replaced (12 MB per family
+    for su(6))."""
+    k = sc.dim
+    products, families = su_algebra._identity_terms(sc)
+    out = {}
+    for name, terms in families.items():
+        index, weight = [], []
+        for coef, prod, slots in terms:
+            idx, val = products[prod]
+            flat = 0
+            for free in "abpq":
+                flat = flat * k + idx[slots.index(free)]
+            index.append(flat)
+            weight.append(coef * val)
+        residual = np.bincount(np.concatenate(index), np.concatenate(weight),
+                               minlength=k ** 4)
+        out[name] = float(np.abs(residual).max())
+    return out
+
+
+@pytest.mark.parametrize("label", su_algebra.BASIS_LABELS + ("broken",))
+def test_blockwise_residuals_equal_the_flat_pass(label):
+    # the terms are stably ordered by a, so every bin sums the same terms in
+    # the same order as the flat array: equal, not merely close
+    sc = broken_su3() if label == "broken" else structure_constants(label)
+    assert verify_structure_identities(sc).violations == flat_bincount_violations(sc)
+
+
+@pytest.mark.parametrize("tensor, entry", [("d", (4, 18, 12)), ("f", (8, 6, 4)),
+                                           ("d", (20, 3, 14))])
+def test_nan_entry_fails_the_identity_pass(tensor, entry):
+    sc = structure_constants("su6-tensor")
+    broken = {"d": sc.d.copy(), "f": sc.f.copy()}
+    broken[tensor][entry] = np.nan
+    report = verify_structure_identities(
+        su_algebra.StructureConstants(6, broken["d"], broken["f"]))
+    clean = verify_structure_identities(sc).violations
+    # every family but jacobi_ff has a d or f in each product; jacobi_ff has f only
+    for family, value in report.violations.items():
+        if tensor == "d" and family == "jacobi_ff":
+            assert value == clean[family]
+        else:
+            assert math.isnan(value)
+    assert not report.passed
+
+
+def test_su6_identity_pass_peak_memory():
+    # the flat pass held a 12 MB array of k^4 bins per family and peaked at
+    # about 35 MB; the blocks of k^3 bins bring it to about 13 MB
+    sc = structure_constants("su6-tensor")
+    tracemalloc.start()
+    try:
+        verify_structure_identities(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 @pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
