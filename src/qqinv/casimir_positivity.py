@@ -103,22 +103,19 @@ class PositivityReport:
 
 def _as_density_matrix(state) -> np.ndarray:
     """The matrix of a state (or the stack of a stacked state); a matrix
-    given directly must be 6x6."""
+    given directly must be 6x6.  Either is rejected, with from_matrix's
+    wording, unless every entry is finite: this is checked before any
+    deviation is formed, since a NaN deviation passes `dev > tol` and
+    inf - inf warns."""
     if isinstance(state, QubitQutritState):
-        return states.to_matrix(state)
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
-    return rho
-
-
-def _reject(rho: np.ndarray, message: str):
-    """Raise ValueError(message) for a deviation not within its tolerance, or
-    with from_matrix's wording when rho has a non-finite entry: such an entry
-    makes the deviation NaN or inf, which `dev > tol` would let pass."""
+        rho = states.to_matrix(state)
+    else:
+        rho = np.asarray(state, dtype=complex)
+        if rho.shape != (6, 6):
+            raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
-    raise ValueError(message)
+    return rho
 
 
 def _hermitian_matrix(state) -> np.ndarray:
@@ -126,7 +123,7 @@ def _hermitian_matrix(state) -> np.ndarray:
     within states.HERM_TOL."""
     rho = _as_density_matrix(state)
     if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= states.HERM_TOL:
-        _reject(rho, "input matrix is not Hermitian")
+        raise ValueError("input matrix is not Hermitian")
     return rho
 
 
@@ -179,11 +176,11 @@ def _casimirs_of_matrix(rho: np.ndarray) -> CasimirValues:
     om = n * rho - _EYE6
     tdev = float(np.abs(np.trace(om, axis1=-2, axis2=-1)).max())
     if not tdev <= TRACELESS_TOL:
-        _reject(rho, f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
+        raise ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
     hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max())
     if not hdev <= TRACELESS_TOL:
-        _reject(rho, "omega = n rho - I is not Hermitian: "
-                f"max |omega - omega^+| = {hdev:.3e}")
+        raise ValueError("omega = n rho - I is not Hermitian: "
+                         f"max |omega - omega^+| = {hdev:.3e}")
     t2, t3, t4, t5, t6 = (t / n for t in moments(om)[1:])
     c2 = t2
     c3 = t3
@@ -307,9 +304,9 @@ def positivity_report(state) -> PositivityReport:
 def eigenvalue_oracle(state) -> np.ndarray:
     """Sorted eigenvalues; PSD there means min eigenvalue >= -ORACLE_EIG_TOL.
 
-    A matrix given directly is rejected unless finite and Hermitian, as in
-    positivity_report (eigvalsh reads only its lower triangle); a state is
-    Hermitian by construction and goes straight to eigvalsh."""
+    Input is rejected unless finite, and a matrix given directly unless
+    Hermitian, as in positivity_report (eigvalsh reads only its lower
+    triangle); a state is Hermitian by construction and skips that check."""
     if isinstance(state, QubitQutritState):
-        return np.linalg.eigvalsh(states.to_matrix(state))
+        return np.linalg.eigvalsh(_as_density_matrix(state))
     return np.linalg.eigvalsh(_hermitian_matrix(state))

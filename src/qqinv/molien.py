@@ -20,15 +20,22 @@ axis 0 alone), and factor k updates degree d of N on its own window
 the factors applied so far (k included), which bounds the support of the
 partial product, S_ka the largest |w_a| of the factors still to come
 (k included), which bounds how far a cell can still move, and reach_a the
-largest kernel exponent on axis a.  Zero weights thus sweep one cell per
-degree, and the SU(2) axis or the other axes stay still for the first and
-last groups of weights.  The box has the radius of the widest window, about
-half the full radius N wmax_a (see _build_product_boxes for the proof that
-every read cell is exact).  Every box entry counts weight multisets, so it
-is bounded by C(m + d - 1, d) for m weights at degree d; the box is int64
-while that bound fits and holds arbitrary-precision Python integers
-otherwise (for SU(2)xSU(3) from degree 32 on).  The kernel product is
-gathered from the box in one index and summed in Python integers.
+largest kernel exponent on axis a.  The box has the radius of the widest
+window, about half the full radius N wmax_a, and is laid out as (degree,
+first torus axis, the other torus axes flattened), so that each update is
+one add over contiguous runs, a single 1-D add when the window spans one
+plane of the first axis.  A run also covers the innermost-axis cells
+outside the window between its rows, and a read there may cross a row end;
+a gutter of max |w| cells at both ends of the innermost axis keeps every
+cell of the box proper reading its true predecessor, and the gutter cells
+that the kernel can still reach hold exactly 0 (see _build_product_boxes
+for the proof that every read cell is exact).  The zero weights never leave
+the origin, which starts from C(d + z - 1, d) in closed form.  Every box
+entry counts weight multisets, so it is bounded by C(m + d - 1, d) for m
+weights at degree d; the box is int64 while that bound fits and holds
+arbitrary-precision Python integers otherwise (for SU(2)xSU(3) from degree
+32 on).  The kernel product is gathered from the box in one index and
+summed in Python integers.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -166,10 +173,6 @@ def _reduced_kernel(label: str) -> tuple:
 
 # -- truncated product of 1/(1 - q x^w) factors --------------------------------
 
-def _padded_weights(ws_weights, rank: int) -> list[tuple[int, int, int]]:
-    return [tuple(w) + (0,) * (3 - rank) for w in ws_weights]
-
-
 def _coefficient_bound(n_weights: int, max_degree: int) -> int:
     """Every coefficient of the truncated product is a nonnegative count of
     weight multisets, hence bounded by C(m + d - 1, d); the empty product is
@@ -183,25 +186,6 @@ def _axis_reach(vectors, rank: int) -> tuple[int, ...]:
     """Largest |v_a| over the vectors, per torus axis."""
     return tuple(max((abs(v[axis]) for v in vectors), default=0)
                  for axis in range(rank))
-
-
-def _axis_windows(shift: int, radii, c: int) -> list:
-    """Slice pairs (destination, source) on one axis of S_d += S_{d-1}
-    shifted by `shift`, for d = 1..N (index d; index 0 is None), the
-    destination clipped to the degree-d window and the source to the
-    degree-(d-1) window; None where nothing is added.
-
-    A shift wider than both windows leaves lo > hi, and the slice stop would
-    be negative, which numpy wraps instead of rejecting, so it must be
-    skipped.
-    """
-    out = [None]
-    for d in range(1, len(radii)):
-        lo = max(-radii[d], shift - radii[d - 1])
-        hi = min(radii[d], shift + radii[d - 1])
-        out.append((slice(c + lo, c + hi + 1), slice(c + lo - shift, c + hi + 1 - shift))
-                   if lo <= hi else None)
-    return out
 
 
 def _application_order(w) -> tuple:
@@ -224,61 +208,119 @@ def _build_product_boxes(weights, rank: int, max_degree: int,
     Multiplying by the factor of weight w is S_d += shift(S_{d-1}, w) for
     d = 1..N, ascending.  The factors w_1..w_m run in the order of
     _application_order, and factor k updates degree d on axis a within the
-    radius min(d P_ka, (N - d) S_ka + reach_a): P_ka = max_{j <= k} |w_ja|
-    bounds the support of the partial product (zero beyond d P_ka), and
-    S_ka = max_{j >= k} |w_ja|, k included, bounds how far factors k..m can
-    still move a cell.  By induction over k and d, every cell in factor k's
-    window holds the exact coefficient of the product of w_1..w_k:
-      - the predecessor p - w_k it reads at degree d - 1 has
-        |p_a - w_ka| <= (N - d + 1) S_ka + reach_a, since |w_ka| <= S_ka, so
-        it is in factor k's degree-(d-1) window or beyond (d - 1) P_ka;
-      - the cell p it adds to holds the product of w_1..w_(k-1) (at k = 1
-        the empty product): S never increases along the order, so p is in
-        factor k - 1's window or beyond d P_(k-1)a.
-    Beyond those radii the partial products are zero, and so are the box
-    cells, since clipping only drops nonnegative terms.  At k = m every cell
-    within reach is in the window or beyond d wmax_a, so every cell read is
-    exact; any order is exact, the order only sets the cost.  The box
-    radius, max_d min(d wmax_a, (N - d) wmax_a + reach_a), covers every
-    window.
+    window |p_a| <= min(d P_ka, (N - d) S_ka + reach_a): P_ka =
+    max_{j <= k} |w_ja| bounds the support of the partial product (zero
+    beyond d P_ka), and S_ka = max_{j >= k} |w_ja|, k included, bounds how
+    far factors k..m can still move a cell.
+
+    Layout.  The torus axes are padded to three at the front and the box is
+    stored as (degree, axis 0, axes 1 and 2 flattened).  The radius
+    c_a = max_d min(d wmax_a, (N - d) wmax_a + reach_a) covers every window,
+    and axis 2 has a gutter of g = wmax_2 cells beyond c_2 at both ends.
+    Factor k updates degree d with one add: in each axis-0 plane of its
+    window, the contiguous run from its first to its last window cell in
+    flattened order.  Between rows a run also covers the axis-2 cells
+    outside the window, gutter included.  A read moves w_1 rows and w_2
+    cells back in that order and lands on p - w unless it crosses a row end.
+    A cell with |p_2| <= c_2 has |p_2 - w_2| <= c_2 + g, so only a gutter
+    cell reads across a row end, and then it reads a gutter cell.
+
+    Exactness.  Let K_k(d) be the cone |p_a| <= (N - d) S_ka + reach_a of
+    cells that factors k..m can still carry to the kernel.  The zero weights
+    come first; their windows are the origin, and after z of them the origin
+    holds C(d + z - 1, d) at degree d, which is set in closed form.  From
+    there, by induction over k and d:
+      (a) at a degree d with d wmax_2 <= c_2, every cell beyond the support
+          d P_ka on some axis a holds 0, gutter cells included.  Its value
+          before factor k was 0, beyond d P_(k-1)a.  A read that lands on
+          p - w comes from beyond (d - 1) P_ka, and a read across a row end
+          from a gutter cell, beyond c_2 >= (d - 1) wmax_2; both hold 0 by
+          (a) at degree d - 1.
+      (b) once factor k has run through degree d, every cell p in K_k(d)
+          holds the exact coefficient of the product of w_1..w_k.  A gutter
+          cell in K_k(d) has c_2 < |p_2| <= (N - d) wmax_2 + reach_2, so
+          d wmax_2 <= c_2 by the definition of c_2; it is beyond the
+          support, so it holds 0 by (a).  Any other cell p in K_k(d) held
+          the product of w_1..w_(k-1), since S never increases along the
+          order, so K_k(d) lies in K_(k-1)(d).  If a run covers p, it adds
+          the cell p - w at degree d - 1, which is in K_k(d - 1) since
+          |w_ka| <= S_ka, and so is exact.  Otherwise p is outside the
+          window.  Then p is beyond d P_k, or p - w is beyond (d - 1) P_k
+          (p - w beyond the cone would put p beyond K_k(d)), and factor k
+          adds nothing to p.
+    K_m(d) holds every cell within reach, so every cell that
+    _extract_constant_terms reads is exact.  Any order is exact; the order
+    only sets the cost.
 
     The box is int64 while the bound C(m + d - 1, d) on its entries fits and
-    holds Python integers otherwise.
+    holds Python integers otherwise.  It is returned as an (N + 1, X, Y, Z)
+    view with the torus axes first and size-1 padding last, together with
+    the index of the origin.
     """
     if rank > 3:
         raise ValueError(f"torus rank {rank} not supported (max 3)")
-    padded = sorted(_padded_weights(weights, rank), key=_application_order)
-    reach = tuple(reach) + (0,) * (3 - rank)
-    center = tuple(max(min(d * m, (max_degree - d) * m + r)
-                       for d in range(max_degree + 1))
-                   for m, r in zip(_axis_reach(padded, 3), reach))
-    shape = (max_degree + 1,) + tuple(2 * c + 1 for c in center)
-    fits = _coefficient_bound(len(padded), max_degree) < INT64_SAFE_LIMIT
-    coeffs = np.zeros(shape, dtype=np.int64 if fits else object)
-    coeffs[(0,) + center] = 1
-    # P_k and S_k per factor: running maxima of |w_a| from the front and back
-    absw = np.abs(np.array(padded, dtype=np.int64).reshape(-1, 3))
-    prefix = map(tuple, np.maximum.accumulate(absw).tolist())
-    suffix = map(tuple, np.maximum.accumulate(absw[::-1])[::-1].tolist())
-    factors = list(zip(padded, prefix, suffix))
-    # views into the box, built once per distinct (w, P_k, S_k); the slices
-    # of one axis depend only on (w_a, P_ka, S_ka, reach_a, center_a)
-    axis_windows, views = {}, {}
-    for factor in set(factors):
-        per_axis = []
-        for key in zip(*factor, reach, center):
-            if key not in axis_windows:
-                shift, p, s, r, c = key
-                axis_windows[key] = _axis_windows(
-                    shift, [min(d * p, (max_degree - d) * s + r)
-                            for d in range(max_degree + 1)], c)
-            per_axis.append(axis_windows[key])
-        views[factor] = [(coeffs[d, x[0], y[0], z[0]], coeffs[d - 1, x[1], y[1], z[1]])
-                         for d, (x, y, z) in enumerate(zip(*per_axis)) if x and y and z]
-    for factor in factors:
-        for dst, src in views[factor]:
+    lead = (0,) * (3 - rank)
+    order = sorted(map(tuple, weights), key=_application_order)
+    w = np.array([lead + x for x in order], dtype=np.int64).reshape(-1, 3)
+    absw = np.abs(w)
+    wmax = absw.max(axis=0, initial=0)
+    reach = np.array(lead + tuple(reach), dtype=np.int64)
+    degree = np.arange(max_degree + 1)[:, None]
+    center = (np.minimum(degree * wmax, (max_degree - degree) * wmax + reach).max(axis=0)
+              + [0, 0, wmax[2]])
+    size_x, size_y, size_z = (2 * center + 1).tolist()
+    fits = _coefficient_bound(len(w), max_degree) < INT64_SAFE_LIMIT
+    coeffs = np.zeros((max_degree + 1, size_x, size_y * size_z),
+                      dtype=np.int64 if fits else object)
+    zeros = int((~absw.any(axis=1)).sum())
+    coeffs[:, center[0], center[1] * size_z + center[2]] = [1] + [
+        math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)]
+    # the windows of every distinct (w, P_k, S_k) at every degree at once,
+    # as index bounds [lo, hi) per axis, shape (factors, degrees, axes)
+    prefix = np.maximum.accumulate(absw)
+    suffix = np.maximum.accumulate(absw[::-1])[::-1]
+    index = {}
+    which = [index.setdefault(key, len(index)) for key in
+             map(tuple, np.hstack([w, prefix, suffix])[zeros:].tolist())]
+    factors = np.array(list(index), dtype=np.int64).reshape(-1, 9)
+    shift, p, s = factors[:, None, :3], factors[:, None, 3:6], factors[:, None, 6:]
+    radii = np.minimum(degree * p, (max_degree - degree) * s + reach)
+    lo = np.maximum(-radii[:, 1:], shift - radii[:, :-1]) + center
+    hi = np.minimum(radii[:, 1:], shift + radii[:, :-1]) + center + 1
+    # a shift wider than both windows leaves lo >= hi on some axis, where
+    # the flat run would be empty or wrapped, so it must be skipped
+    live = (lo < hi).all(axis=2)
+    # a run starts and stops at these flat offsets; one row of `rows` is
+    # one axis-0 plane of one degree
+    plane = size_y * size_z
+    row = np.arange(1, max_degree + 1) * size_x + lo[..., 0]
+    start = lo[..., 1] * size_z + lo[..., 2]
+    stop = (hi[..., 1] - 1) * size_z + hi[..., 2]
+    flat, rows = coeffs.reshape(-1), coeffs.reshape(-1, plane)
+    runs = []
+    for (w_x, w_y, w_z), *bounds in zip(
+            factors[:, :3].tolist(), live.tolist(), (hi[..., 0] - lo[..., 0]).tolist(),
+            row.tolist(), start.tolist(), stop.tolist()):
+        # the source is one degree and w back
+        back_r, back_f = size_x + w_x, w_y * size_z + w_z
+        back = back_r * plane + back_f
+        pairs = []
+        for ok, n, r, f0, f1 in zip(*bounds):
+            if not ok:
+                continue
+            if n == 1:
+                a, b = r * plane + f0, r * plane + f1
+                pairs.append((flat[a:b], flat[a - back:b - back]))
+            else:
+                pairs.append((rows[r:r + n, f0:f1],
+                              rows[r - back_r:r - back_r + n, f0 - back_f:f1 - back_f]))
+        runs.append(pairs)
+    for k in which:
+        for dst, src in runs[k]:
             dst += src
-    return coeffs, center
+    torus = (size_x, size_y, size_z)[3 - rank:]
+    return (coeffs.reshape((max_degree + 1,) + torus + (1,) * (3 - rank)),
+            tuple(center.tolist()[3 - rank:]) + lead)
 
 
 def _extract_constant_terms(boxes: np.ndarray, center, kernel: tuple,

@@ -142,14 +142,15 @@ def test_box_dtype_follows_entry_bound():
 
 
 def test_pruned_box_shape_2x3():
-    # radius max_d min(d, 30 - d + reach) per axis, kernel reach (1, 2, 2)
+    # radius max_d min(d, 30 - d + reach) per axis, kernel reach (1, 2, 2),
+    # and a gutter of max |w_z| = 1 at both ends of the innermost axis
     ws = adjoint_weight_system("su2xsu3")
     reach = _axis_reach([exp for exp, _ in _root_polynomial(ws.roots, ws.rank)],
                         ws.rank)
     assert reach == (1, 2, 2)
     boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
-    assert boxes.shape == (31, 31, 33, 33)
-    assert center == (15, 16, 16)
+    assert boxes.shape == (31, 31, 33, 35)
+    assert center == (15, 16, 17)
 
 
 def test_pruned_series_matches_full_box_spin1_plus_spin2():
@@ -175,20 +176,27 @@ def test_pruned_series_matches_full_box_spin1_plus_spin2():
 MIXED_WEIGHTS = ((0, 0), (0, 1), (0, -1), (1, 2), (-1, -2), (2, -1), (-2, 1),
                  (1, 1), (1, 0), (-1, 0), (2, 0), (-2, 0))
 
+#: rank 3, |w_a| up to 2 on every axis: runs over the flattened axes 1 and 2
+#: cross row ends by up to 2 cells, which the gutter must absorb
+WRAP_WEIGHTS = ((0, 0, 0), (0, 2, -1), (0, -2, 1), (0, 1, 2), (0, -1, -2),
+                (0, 0, 2), (0, 0, -2), (1, 2, 2), (-1, -2, -2), (2, -1, 1),
+                (-2, 1, -1), (2, 0, 0), (-2, 0, 0))
+
 
 def test_per_factor_windows_exact_within_reach():
     # a cell within reach but outside the box reads as 0, as in
     # _extract_constant_terms
-    reach = (1, 2)
-    expect = dict_product_series(MIXED_WEIGHTS, 12)  # degree d is the same at any N >= d
-    for N in range(13):
-        boxes, center = _build_product_boxes(MIXED_WEIGHTS, 2, N, reach)
-        for d in range(N + 1):
-            for p in itertools.product(*(range(-r, r + 1) for r in reach)):
-                cell = (d, center[0] + p[0], center[1] + p[1], 0)
-                inside = all(abs(x) <= c for x, c in zip(p, center))
-                got = int(boxes[cell]) if inside else 0
-                assert got == expect[d].get(p, 0), (N, d, p)
+    for weights, reach in ((MIXED_WEIGHTS, (1, 2)), (WRAP_WEIGHTS, (1, 2, 2))):
+        rank = len(reach)
+        expect = dict_product_series(weights, 12)  # degree d is the same at any N >= d
+        for N in range(13):
+            boxes, center = _build_product_boxes(weights, rank, N, reach)
+            for d in range(N + 1):
+                for p in itertools.product(*(range(-r, r + 1) for r in reach)):
+                    cell = (d,) + tuple(c + x for c, x in zip(center, p + (0,) * (3 - rank)))
+                    inside = all(abs(x) <= c for x, c in zip(p, center))
+                    got = int(boxes[cell]) if inside else 0
+                    assert got == expect[d].get(p, 0), (weights, N, d, p)
 
 
 def test_box_independent_of_weight_order():
