@@ -226,17 +226,16 @@ def dual_route_report(state: QubitQutritState, sc: StructureConstants) -> dict:
 def char_poly_coeffs(t) -> tuple[float, ...]:
     """S_1..S_n from moments t_1..t_n via the Newton recurrence
 
-        k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i;
+        k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i.
 
-    an (M, n) array of moment vectors gives n arrays of length M.
+    A tuple is taken as moments returns it, n Python floats or n arrays of
+    a common batch shape, and enters the recurrence as it is.  Any other
+    sequence or array holds moment vectors: one vector gives n floats, an
+    (M, n) array n arrays of length M.
     """
-    t = np.asarray(t, dtype=float)
-    return _newton(t.tolist() if t.ndim == 1 else tuple(np.moveaxis(t, -1, 0)))
-
-
-def _newton(t) -> tuple[float, ...]:
-    """The Newton recurrence over moments t_1..t_n given as n Python floats,
-    or as n arrays of a common batch shape (as moments returns them)."""
+    if not isinstance(t, tuple):
+        t = np.asarray(t, dtype=float)
+        t = t.tolist() if t.ndim == 1 else tuple(np.moveaxis(t, -1, 0))
     S = [1.0]
     for k in range(1, len(t) + 1):
         acc = 0.0
@@ -289,7 +288,7 @@ def positivity_report(state) -> PositivityReport:
     report of state i."""
     rho = _hermitian_matrix(state)
     t = moments(rho)
-    S = _newton(t)
+    S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
     cas = _casimirs_of_matrix(rho)
     exprs = casimir_inequality_exprs(cas.normalized)

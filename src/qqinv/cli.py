@@ -94,19 +94,19 @@ def _cmd_positivity(args, out) -> int:
 
 def _cmd_invariants(args, out) -> int:
     state = _load_state(args.statefile)
+    listed = [w for degree in range(1, args.max_degree + 1)
+              for w in local_invariants.enumerate_words(degree)]
     words = []
-    for degree in range(1, args.max_degree + 1):
-        for w in local_invariants.enumerate_words(degree):
-            val = local_invariants.eval_trace_complex(w, state)
-            entry = {"word": w.letters, "multidegree": list(w.multidegree)}
-            if abs(val.imag) > local_invariants.IMAG_TOL:
-                # complex trace: outside the real sector, never truncated
-                entry["value"] = None
-                entry["trace_re"] = val.real
-                entry["trace_im"] = val.imag
-            else:
-                entry["value"] = val.real
-            words.append(entry)
+    for w, val in zip(listed, local_invariants.eval_trace_complex(listed, state)):
+        entry = {"word": w.letters, "multidegree": list(w.multidegree)}
+        if abs(val.imag) > local_invariants.IMAG_TOL:
+            # complex trace: outside the real sector, never truncated
+            entry["value"] = None
+            entry["trace_re"] = val.real
+            entry["trace_im"] = val.imag
+        else:
+            entry["value"] = val.real
+        words.append(entry)
     doc = {"max_degree": args.max_degree, "words": words}
     failed = False
     if args.checks:
@@ -328,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series of invariant counts, one 'd c_d' per line")
     p.add_argument("--group", choices=("2x2", "2x3"), required=True)
     p.add_argument("--degree", type=int, required=True, metavar="N")
-    p.add_argument("--backend", choices=("weyl", "reduced"), default="weyl")
+    p.add_argument("--backend", choices=("weyl", "reduced"), default="weyl",
+                   help="constant-term kernel: weyl, the product over all roots "
+                        "of (1 - x^r) divided by |W|; reduced, the product over "
+                        "the positive roots of (1 - x^-r)")
     p.add_argument("--compare-rational", action="store_true",
                    help="exit nonzero unless the series matches the rational form")
     p.add_argument("--cap", type=int, default=molien.DEFAULT_DEGREE_CAP,

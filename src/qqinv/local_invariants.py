@@ -124,15 +124,23 @@ def _eval_on(mats: dict[str, np.ndarray], word: str) -> complex | np.ndarray:
     return _tr(_product(mats, word))
 
 
-def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray:
+def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray | list:
     """Trace of the word's matrix product, imaginary part and all (an array
-    of traces for a stacked state).
+    of traces for a stacked state).  word is one word or a sequence of them;
+    a sequence gives a list of traces, all taken over one set of letter
+    matrices and prefix products, each bit for bit the one-word value.
 
     Words of degree >= 5 whose class is not closed under reversal can have
     genuinely complex traces; real and imaginary parts are then separately
     invariant polynomials."""
-    w = word.letters if isinstance(word, TraceWord) else canonical_form(word)
-    return _eval_on(_letter_matrices(state), w)
+    mats = _letter_matrices(state)
+    if isinstance(word, (str, TraceWord)):
+        return _eval_on(mats, _letters(word))
+    return [_eval_on(mats, _letters(w)) for w in word]
+
+
+def _letters(word) -> str:
+    return word.letters if isinstance(word, TraceWord) else canonical_form(word)
 
 
 def eval_trace(word, state: QubitQutritState) -> float | np.ndarray:

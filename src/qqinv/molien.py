@@ -34,14 +34,17 @@ the origin, which starts from C(d + z - 1, d) in closed form.  Every box
 entry counts weight multisets, so it is bounded by C(m + d - 1, d) for m
 weights at degree d; the box is int64 while that bound fits and holds
 arbitrary-precision Python integers otherwise (for SU(2)xSU(3) from degree
-32 on).  The kernel product is gathered from the box in one index and
-summed in Python integers.
+32 on).  The box cells at the kernel's exponents are gathered in one index
+and summed against the kernel's coefficients in one product of Python
+integers.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
 SU(2)xSU(3) (35 weights, torus coordinates x, y, z).  A second "reduced"
-backend integrates the symmetry-reduced kernels of those two groups and is
-normalized by its own degree-0 term; it must agree with the Weyl backend.
+backend integrates the positive-root half prod_{r > 0} (1 - x^-r) of the
+Weyl density with divisor 1; on the Weyl-invariant q-degrees of the product
+it gives the Weyl average, so it agrees with the Weyl backend on any weight
+system.
 
 The rational closed forms of both series are bundled for cross-validation:
 the two-qubit form exactly as printed, the qubit-qutrit numerator completed
@@ -147,28 +150,31 @@ def _root_polynomial(roots: tuple, rank: int) -> tuple:
     return tuple(poly.items())
 
 
-#: symmetry-reduced kernels as (monomial, factors): x^monomial times the
-#: product over the factors r of (1 - x^r)
-_REDUCED_KERNELS = {
-    "su2xsu2": ((-1, -1), ((1, 0), (1, 0), (0, 1), (0, 1))),
-    "su2xsu3": ((0, 0, 0), ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, -1, -1))),
-}
-
-
 @lru_cache(maxsize=None)
-def _reduced_kernel(label: str) -> tuple:
-    """Symmetry-reduced constant-term kernel replacing the Weyl density, as
-    (exponent, coefficient) items.
+def _kernel(roots: tuple, rank: int, backend: str, weyl_order: int) -> tuple:
+    """A backend's kernel as (exponents padded to three axes at the back, an
+    int64 row per term; coefficients, an object array of Python ints; reach
+    of the exponents; divisor of the constant terms).
 
-    su2xsu2:  z^-1 w^-1 (1 - z)^2 (1 - w)^2
-    su2xsu3:  (1 - x^-1)(1 - y^-1)(1 - z^-1)(1 - (yz)^-1)
+    weyl:     prod over all roots r of (1 - x^r), divisor |W|
+    reduced:  prod over the roots r > 0, whose first nonzero coordinate is
+              positive, of (1 - x^-r), divisor 1
     """
-    if label not in _REDUCED_KERNELS:
-        raise ValueError(
-            f"reduced backend is only defined for {GROUP_LABELS}, got {label!r}")
-    monomial, factors = _REDUCED_KERNELS[label]
-    return tuple((tuple(m + e for m, e in zip(monomial, exp)), coef)
-                 for exp, coef in _root_polynomial(factors, len(monomial)))
+    if backend == "weyl":
+        factors, divisor = roots, weyl_order
+    elif backend == "reduced":
+        factors = tuple(tuple(-x for x in r) for r in roots
+                        if next((x for x in r if x), 0) > 0)
+        divisor = 1
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    items = _root_polynomial(factors, rank)
+    exps = np.array([e + (0,) * (3 - rank) for e, _ in items],
+                    dtype=np.int64).reshape(-1, max(rank, 3))
+    coefs = np.array([c for _, c in items], dtype=object)
+    # the record is shared by every request through the cache
+    exps.flags.writeable = coefs.flags.writeable = False
+    return exps, coefs, _axis_reach([e for e, _ in items], rank), divisor
 
 
 # -- truncated product of 1/(1 - q x^w) factors --------------------------------
@@ -323,21 +329,16 @@ def _build_product_boxes(weights, rank: int, max_degree: int,
             tuple(center.tolist()[3 - rank:]) + lead)
 
 
-def _extract_constant_terms(boxes: np.ndarray, center, kernel: tuple,
-                            rank: int) -> list[int]:
-    """CT per q-degree of kernel * series: the box entries at the negated
-    kernel exponents, gathered for every degree at once and summed against
-    the kernel coefficients in Python integers (out-of-box lookups are
-    exact zeros)."""
-    coefs, positions = [], []
-    for exp, coef in kernel:
-        pos = tuple(c - e for c, e in zip(center, tuple(exp) + (0,) * (3 - rank)))
-        if all(0 <= p < s for p, s in zip(pos, boxes.shape[1:])):
-            coefs.append(int(coef))
-            positions.append(pos)
-    index = np.array(positions, dtype=np.intp).reshape(-1, 3).T
-    rows = boxes[:, index[0], index[1], index[2]].tolist()
-    return [sum(c * v for c, v in zip(coefs, row)) for row in rows]
+def _extract_constant_terms(boxes: np.ndarray, center, exps: np.ndarray,
+                            coefs: np.ndarray) -> list[int]:
+    """CT per q-degree of kernel * series: the box entries at center minus
+    the kernel exponents, gathered for every degree at once and summed
+    against the kernel coefficients in one product of Python integers
+    (out-of-box lookups are exact zeros)."""
+    pos = np.subtract(center, exps)
+    inside = ((pos >= 0) & (pos < boxes.shape[1:])).all(axis=1)
+    x, y, z = pos[inside].T
+    return (boxes[:, x, y, z].astype(object) @ coefs[inside]).tolist()
 
 
 def molien_series(ws: WeightSystem, max_degree: int, *,
@@ -346,8 +347,8 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     """Exact invariant counts c_0..c_max_degree for the weight system.
 
     backend "weyl" averages against the full root product with the explicit
-    1/|W| normalization; "reduced" (built-in groups only) integrates the
-    symmetry-reduced kernel normalized by its degree-0 constant term.
+    1/|W| normalization; "reduced" integrates the positive-root half
+    prod_{r > 0} (1 - x^-r) of it with divisor 1 (see _kernel).
     The product box covers only the cells within the kernel's reach (see
     _build_product_boxes).  It is int64 while the proven bound
     C(m + d - 1, d) on its entries fits and holds Python integers otherwise;
@@ -363,25 +364,11 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
         raise ValueError(
             f"max_degree {max_degree} exceeds the resource cap {degree_cap}; "
             f"pass degree_cap explicitly to override")
-    if backend == "weyl":
-        kernel = _root_polynomial(tuple(map(tuple, ws.roots)), ws.rank)
-        divisor = ws.weyl_order
-    elif backend == "reduced":
-        kernel = _reduced_kernel(ws.label)
-        divisor = None  # normalized by the degree-0 term below
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    reach = _axis_reach([exp for exp, _ in kernel], ws.rank)
+    exps, coefs, reach, divisor = _kernel(tuple(map(tuple, ws.roots)), ws.rank,
+                                          backend, ws.weyl_order)
     boxes, center = _build_product_boxes(ws.weights, ws.rank, max_degree, reach)
-    raw = _extract_constant_terms(boxes, center, kernel, ws.rank)
-
-    if divisor is None:
-        divisor = raw[0]
-        if divisor <= 0:
-            raise ArithmeticError("reduced kernel has non-positive degree-0 term")
     out = []
-    for d, value in enumerate(raw):
+    for d, value in enumerate(_extract_constant_terms(boxes, center, exps, coefs)):
         if value % divisor:
             raise ArithmeticError(
                 f"constant term {value} at degree {d} is not divisible by {divisor}")
@@ -468,10 +455,14 @@ def complete_numerator_by_palindromy(prefix: dict[int, int],
     """Fill unstated numerator coefficients with their mirror images.
 
     Any coefficient stated on both sides of the mirror must agree; an
-    inconsistent prefix is reported by raising, never patched over.
+    inconsistent prefix is reported by raising, never patched over, and so
+    is a degree outside 0..top_degree.
     """
     coeffs = [None] * (top_degree + 1)
     for k, v in prefix.items():
+        if not 0 <= k <= top_degree:
+            raise ValueError(
+                f"numerator degree {k} is outside 0..{top_degree}")
         coeffs[k] = int(v)
     for k in range(top_degree + 1):
         mirror = top_degree - k

@@ -170,6 +170,16 @@ def test_both_routes_on_moment_stacks_match_single_vectors():
         assert tuple(c[i] for c in det) == char_poly_coeffs_determinant(t[i])
 
 
+def test_positivity_report_takes_S_from_char_poly_coeffs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cp, "char_poly_coeffs",
+                        lambda t: calls.append(t) or char_poly_coeffs(t))
+    for state in (random_density(3), states.random_densities(range(4))):
+        report = positivity_report(state)
+        assert calls[-1] is report.t
+    assert len(calls) == 2
+
+
 def test_positivity_report_maximally_mixed():
     report = positivity_report(QubitQutritState.zero())
     assert report.positive_semidefinite and report.consistent

@@ -232,6 +232,16 @@ def test_invariants_flags_complex_words(tmp_path):
     assert flagged and all("trace_im" in w for w in flagged)
 
 
+def test_invariants_forms_the_letter_matrices_once(mixed_file, monkeypatch):
+    calls = []
+    letter_matrices = local_invariants._letter_matrices
+    monkeypatch.setattr(local_invariants, "_letter_matrices",
+                        lambda state: calls.append(state) or letter_matrices(state))
+    code, out = run_cli("invariants", mixed_file, "--max-degree", "4")
+    assert code == 0 and len(json.loads(out)["words"]) > 1
+    assert len(calls) == 1
+
+
 def test_invariants_bad_degree(mixed_file):
     code, _ = run_cli("invariants", mixed_file, "--max-degree", "9")
     assert code == 2

@@ -123,6 +123,14 @@ def left_to_right_trace(word, state):
     return complex(np.trace(m))
 
 
+def test_word_sequence_matches_one_word_calls():
+    s = rand_state(4)
+    words = [w for degree in range(1, 7) for w in enumerate_words(degree)]
+    words += ["gba", "ab"]  # non-canonical spellings are canonicalized
+    assert (eval_trace_complex(words, s)
+            == [eval_trace_complex(w, s) for w in words])
+
+
 def test_stacked_trace_words_match_single_states():
     panel = li.random_panel(900, 25)
     for degree in range(1, 7):

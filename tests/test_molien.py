@@ -9,7 +9,7 @@ import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           WeightSystem, _axis_reach, _build_product_boxes,
-                          _root_polynomial,
+                          _kernel, _root_polynomial,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
@@ -153,15 +153,21 @@ def test_pruned_box_shape_2x3():
     assert center == (15, 16, 17)
 
 
+#: SU(2) on spin 1, in the torus coordinate of the adjoint weights
+SPIN1 = WeightSystem(1, ((0,), (1,), (-1,)), ((1,), (-1,)), 2)
+
+#: SU(2) on spin 1 + spin 2: weights up to 4 against a kernel of reach 2,
+#: so the shift of a weight can be wider than both windows at low degree
+SPIN1_PLUS_SPIN2 = WeightSystem(
+    1, ((2,), (0,), (-2,), (4,), (2,), (0,), (-2,), (-4,)), ((2,), (-2,)), 2)
+
+
 def test_pruned_series_matches_full_box_spin1_plus_spin2():
-    # SU(2) on spin 1 + spin 2: weights up to 4 against a kernel of reach 2,
-    # so the shift of a weight can be wider than both windows at low degree
-    weights = ((2,), (0,), (-2,), (4,), (2,), (0,), (-2,), (-4,))
-    ws = WeightSystem(1, weights, ((2,), (-2,)), 2)
+    ws = SPIN1_PLUS_SPIN2
     kernel = {(0,): 2, (2,): -1, (-2,): -1}  # (1 - x^2)(1 - x^-2)
     for N in range(25):
         expect = []
-        for poly in dict_product_series(weights, N):
+        for poly in dict_product_series(ws.weights, N):
             total = sum(c * poly.get((-e,), 0) for (e,), c in kernel.items())
             assert total % 2 == 0
             expect.append(total // 2)
@@ -255,10 +261,31 @@ def test_reduced_backend_agrees():
             == POINCARE_2X3[:9])
 
 
-def test_reduced_backend_needs_known_group():
-    ws = WeightSystem(1, ((0,), (1,), (-1,)), ((1,), (-1,)), 2)
-    with pytest.raises(ValueError, match="reduced backend"):
-        molien_series(ws, 4, backend="reduced")
+@pytest.mark.parametrize("ws", [SPIN1, SPIN1_PLUS_SPIN2],
+                         ids=["spin1", "spin1+spin2"])
+def test_reduced_backend_matches_weyl_on_any_weight_system(ws):
+    assert molien_series(ws, 20, backend="reduced") == molien_series(ws, 20)
+
+
+def kernel_items(spec, backend):
+    ws = adjoint_weight_system(spec)
+    exps, coefs, _, divisor = _kernel(ws.roots, ws.rank, backend, ws.weyl_order)
+    assert all(type(c) is int for c in coefs)
+    return list(zip(map(tuple, exps[:, :ws.rank].tolist()), coefs.tolist())), divisor
+
+
+def test_reduced_kernels_of_the_built_in_groups():
+    # (1 - z^-1)(1 - w^-1)
+    assert kernel_items("su2xsu2", "reduced") == (
+        [((0, 0), 1), ((0, -1), -1), ((-1, 0), -1), ((-1, -1), 1)], 1)
+    # (1 - x^-1)(1 - y^-1)(1 - z^-1)(1 - (yz)^-1)
+    assert kernel_items("su2xsu3", "reduced") == (
+        [((0, 0, 0), 1), ((0, 0, -1), -1), ((0, -1, -2), 1), ((0, -1, 0), -1),
+         ((0, -2, -1), 1), ((0, -2, -2), -1), ((-1, 0, 0), -1), ((-1, 0, -1), 1),
+         ((-1, -1, -2), -1), ((-1, -1, 0), 1), ((-1, -2, -1), -1),
+         ((-1, -2, -2), 1)], 1)
+    items, divisor = kernel_items("su2xsu2", "weyl")
+    assert len(items) == 9 and divisor == 4
 
 
 def test_degree_cap():
@@ -365,6 +392,13 @@ def test_numerator_completion_consistency():
     assert num[39] == num[36] == 4308636
     assert num[72] == num[73] == num[74] == 0
     assert num == num[::-1]
+
+
+@pytest.mark.parametrize("prefix,degree", [({-1: 5}, -1), ({0: 1, -2: 3}, -2),
+                                           ({0: 1, 5: 2}, 5)])
+def test_numerator_completion_rejects_degrees_outside_range(prefix, degree):
+    with pytest.raises(ValueError, match=rf"degree {degree} is outside 0\.\.4"):
+        complete_numerator_by_palindromy(prefix, 4)
 
 
 def test_numerator_completion_rejects_inconsistent_prefix():
