@@ -38,6 +38,14 @@ arbitrary-precision Python integers otherwise (for SU(2)xSU(3) from degree
 and summed against the kernel's coefficients in one product of Python
 integers.
 
+All of this but the box itself depends only on (weights, N, reach): the
+application order, the geometry, the dtype, the origin seeds and the offset
+of every run are planned once per such key and kept in a bounded cache
+(_box_plan), and both backends, having the same reach, share one plan.  A
+request allocates its own box, seeds the origin, builds its (dst, src) views
+from the offsets and adds them; the cache never holds a box or a view, so
+no box outlives its request.
+
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
 SU(2)xSU(3) (35 weights, torus coordinates x, y, z).  A second "reduced"
@@ -54,8 +62,10 @@ from its printed prefix by palindromy (N(q) = q^75 N(1/q)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -194,6 +204,17 @@ def _axis_reach(vectors, rank: int) -> tuple[int, ...]:
                  for axis in range(rank))
 
 
+def _box_radius(wmax: int, reach: int, max_degree: int) -> int:
+    """max over d = 0..N of min(d wmax, (N - d) wmax + reach): the first
+    term grows with d and the second falls, so the maximum sits at the last
+    d where the first is the smaller, t = (N wmax + reach) // (2 wmax), or
+    at t + 1, and at most at d = N."""
+    if wmax == 0:
+        return 0
+    t = (max_degree * wmax + reach) // (2 * wmax)
+    return min(max_degree * wmax, max(t * wmax, (max_degree - t - 1) * wmax + reach))
+
+
 def _application_order(w) -> tuple:
     """Sort key of the order in which the factors are applied: the zero
     weight, then weights with w_0 = 0, then weights moving axis 0 and another
@@ -203,6 +224,114 @@ def _application_order(w) -> tuple:
     if w[0] == 0:
         return (1, w)
     return (2 if any(w[1:]) else 3, w)
+
+
+@dataclass(frozen=True)
+class BoxPlan:
+    """Everything about one product box that (weights, degree, reach) fix;
+    see _box_plan."""
+
+    #: the box as returned, (N + 1, torus axes, size-1 padding)
+    shape: tuple[int, ...]
+    #: index of the origin in `shape`, without the degree
+    center: tuple[int, ...]
+    dtype: np.dtype
+    #: the box as allocated, (N + 1, axis 0, axes 1 and 2 flattened)
+    layout: tuple[int, int, int]
+    #: index of the origin in the last two axes of `layout`
+    origin: tuple[int, int]
+    #: the origin per degree after the zero weights, C(d + z - 1, d)
+    seeds: np.ndarray
+    #: per window class, how far a read moves back in `layout`: (rows,
+    #: cells, flat offset)
+    backs: np.ndarray
+    #: per window class, its live runs in degree order, one column each:
+    #: (first row, number of rows, first cell, stop cell); a run of one row
+    #: gives the flat cells of its source in the box instead
+    runs: tuple[np.ndarray, ...]
+    #: the window class of each nonzero weight, in application order
+    which: tuple[int, ...]
+
+    @property
+    def cells(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the box array, as its `nbytes` (for an object box, the
+        pointers alone)."""
+        return self.cells * self.dtype.itemsize
+
+
+# A plan holds one run of 16 bytes (int32) per window class and degree and
+# a few KB of array headers and seeds: 31 KB for SU(2)xSU(3) at degree 76
+# (20 classes), 14 KB at degree 31 and 10 KB for SU(2)xSU(2) at degree 60.
+# 128 plans therefore hold at most about 4 MB up to degree 76, however many
+# distinct requests arrive.
+@lru_cache(maxsize=128)
+def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPlan:
+    """What _build_product_boxes derives from its arguments alone.  It
+    holds offsets, never a box or a view of one, in read-only arrays, since
+    every request shares it.  rank, max_degree and reach arrive as Python
+    ints; the weights are keyed as given, and a weight equal to an integer
+    one (3.0, a numpy integer) plans the same box, as every weight becomes
+    int64 here, so the cache state never changes a result."""
+    if rank > 3:
+        raise ValueError(f"torus rank {rank} not supported (max 3)")
+    lead = (0,) * (3 - rank)
+    order = sorted(weights, key=_application_order)
+    w = np.array([lead + x for x in order], dtype=np.int64).reshape(-1, 3)
+    absw = np.abs(w)
+    wmax = absw.max(axis=0, initial=0)
+    center = np.array([_box_radius(m, r, max_degree)
+                       for m, r in zip(wmax.tolist(), lead + reach)]) + [0, 0, wmax[2]]
+    size_x, size_y, size_z = (2 * center + 1).tolist()
+    fits = _coefficient_bound(len(w), max_degree) < INT64_SAFE_LIMIT
+    dtype = np.dtype(np.int64 if fits else object)
+    zeros = sum(1 for x in order if not any(x))
+    seeds = np.array([1] + [math.comb(zeros + d - 1, d)
+                            for d in range(1, max_degree + 1)], dtype=dtype)
+    # the windows of every distinct (w, P_k, S_k) at every degree at once,
+    # as index bounds [lo, hi) per axis, shape (factors, degrees, axes)
+    prefix = np.maximum.accumulate(absw)
+    suffix = np.maximum.accumulate(absw[::-1])[::-1]
+    index = {}
+    which = tuple(index.setdefault(key, len(index)) for key in
+                  map(tuple, np.hstack([w, prefix, suffix])[zeros:].tolist()))
+    factors = np.array(list(index), dtype=np.int64).reshape(-1, 9)
+    shift, p, s = factors[:, None, :3], factors[:, None, 3:6], factors[:, None, 6:]
+    degree = np.arange(max_degree + 1)[:, None]
+    radii = np.minimum(degree * p, (max_degree - degree) * s + (lead + reach))
+    lo = np.maximum(-radii[:, 1:], shift - radii[:, :-1]) + center
+    hi = np.minimum(radii[:, 1:], shift + radii[:, :-1]) + (center + 1)
+    # a shift wider than both windows leaves lo >= hi on some axis, where
+    # the flat run would be empty or wrapped, so it must be skipped
+    live = (lo < hi).all(axis=2)
+    # each run as a column (first row, rows, first cell, stop cell), where
+    # a row is one axis-0 plane of one degree and the cells are offsets in
+    # its planes; a run of one row is a single 1-D add, and its cells are
+    # the flat offsets of its source in the box, `back` cells before it
+    layout = (max_degree + 1, size_x, size_y * size_z)
+    table = np.empty((4,) + live.shape,
+                     dtype=np.int32 if math.prod(layout) < 2 ** 31 else np.int64)
+    table[0] = lo[..., 0] + np.arange(1, max_degree + 1) * size_x
+    table[1] = hi[..., 0] - lo[..., 0]
+    # the source is one degree and w back: (rows, cells, flat offset)
+    backs = factors[:, :3] @ [[1, 0, layout[2]], [0, size_z, size_z], [0, 1, 1]]
+    backs += [size_x, 0, size_x * layout[2]]
+    base = np.where(table[1] == 1, table[0] * layout[2] - backs[:, 2:], 0)
+    table[2] = lo[..., 1] * size_z + lo[..., 2] + base
+    table[3] = hi[..., 1] * size_z + hi[..., 2] - size_z + base
+    table = table[:, live]
+    for array in (seeds, table, backs):
+        array.flags.writeable = False
+    ends = list(accumulate(live.sum(axis=1).tolist()))
+    return BoxPlan(
+        shape=(max_degree + 1,) + (size_x, size_y, size_z)[3 - rank:] + (1,) * (3 - rank),
+        center=tuple(center.tolist()[3 - rank:]) + lead, dtype=dtype, layout=layout,
+        origin=(center[0].item(), center[1].item() * size_z + center[2].item()),
+        seeds=seeds, backs=backs,
+        runs=tuple(table[:, a:b] for a, b in zip([0] + ends, ends)), which=which)
 
 
 def _build_product_boxes(weights, rank: int, max_degree: int,
@@ -262,71 +391,37 @@ def _build_product_boxes(weights, rank: int, max_degree: int,
     holds Python integers otherwise.  It is returned as an (N + 1, X, Y, Z)
     view with the torus axes first and size-1 padding last, together with
     the index of the origin.
+
+    Plan.  The shape, gutter, dtype, seeds, window classes and run offsets
+    come from _box_plan, computed once per (weights, N, reach) and cached.
+    Each request allocates a fresh box from the plan, seeds the origin,
+    builds the (dst, src) views of every run of each class once and adds
+    them class by class in the application order.  These are the windows,
+    runs, order and adds of the proof above, computed by the same formulas,
+    so the proof holds as it stands; the cache only decides when they are
+    computed.
     """
-    if rank > 3:
-        raise ValueError(f"torus rank {rank} not supported (max 3)")
-    lead = (0,) * (3 - rank)
-    order = sorted(map(tuple, weights), key=_application_order)
-    w = np.array([lead + x for x in order], dtype=np.int64).reshape(-1, 3)
-    absw = np.abs(w)
-    wmax = absw.max(axis=0, initial=0)
-    reach = np.array(lead + tuple(reach), dtype=np.int64)
-    degree = np.arange(max_degree + 1)[:, None]
-    center = (np.minimum(degree * wmax, (max_degree - degree) * wmax + reach).max(axis=0)
-              + [0, 0, wmax[2]])
-    size_x, size_y, size_z = (2 * center + 1).tolist()
-    fits = _coefficient_bound(len(w), max_degree) < INT64_SAFE_LIMIT
-    coeffs = np.zeros((max_degree + 1, size_x, size_y * size_z),
-                      dtype=np.int64 if fits else object)
-    zeros = int((~absw.any(axis=1)).sum())
-    coeffs[:, center[0], center[1] * size_z + center[2]] = [1] + [
-        math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)]
-    # the windows of every distinct (w, P_k, S_k) at every degree at once,
-    # as index bounds [lo, hi) per axis, shape (factors, degrees, axes)
-    prefix = np.maximum.accumulate(absw)
-    suffix = np.maximum.accumulate(absw[::-1])[::-1]
-    index = {}
-    which = [index.setdefault(key, len(index)) for key in
-             map(tuple, np.hstack([w, prefix, suffix])[zeros:].tolist())]
-    factors = np.array(list(index), dtype=np.int64).reshape(-1, 9)
-    shift, p, s = factors[:, None, :3], factors[:, None, 3:6], factors[:, None, 6:]
-    radii = np.minimum(degree * p, (max_degree - degree) * s + reach)
-    lo = np.maximum(-radii[:, 1:], shift - radii[:, :-1]) + center
-    hi = np.minimum(radii[:, 1:], shift + radii[:, :-1]) + center + 1
-    # a shift wider than both windows leaves lo >= hi on some axis, where
-    # the flat run would be empty or wrapped, so it must be skipped
-    live = (lo < hi).all(axis=2)
-    # a run starts and stops at these flat offsets; one row of `rows` is
-    # one axis-0 plane of one degree
-    plane = size_y * size_z
-    row = np.arange(1, max_degree + 1) * size_x + lo[..., 0]
-    start = lo[..., 1] * size_z + lo[..., 2]
-    stop = (hi[..., 1] - 1) * size_z + hi[..., 2]
+    plan = _box_plan(tuple(map(tuple, weights)), operator.index(rank),
+                     operator.index(max_degree),
+                     tuple(map(operator.index, reach)))
+    coeffs = np.zeros(plan.layout, dtype=plan.dtype)
+    origin_row, origin_cell = plan.origin
+    coeffs[:, origin_row, origin_cell] = plan.seeds
+    plane = plan.layout[2]
     flat, rows = coeffs.reshape(-1), coeffs.reshape(-1, plane)
-    runs = []
-    for (w_x, w_y, w_z), *bounds in zip(
-            factors[:, :3].tolist(), live.tolist(), (hi[..., 0] - lo[..., 0]).tolist(),
-            row.tolist(), start.tolist(), stop.tolist()):
-        # the source is one degree and w back
-        back_r, back_f = size_x + w_x, w_y * size_z + w_z
-        back = back_r * plane + back_f
-        pairs = []
-        for ok, n, r, f0, f1 in zip(*bounds):
-            if not ok:
-                continue
-            if n == 1:
-                a, b = r * plane + f0, r * plane + f1
-                pairs.append((flat[a:b], flat[a - back:b - back]))
-            else:
-                pairs.append((rows[r:r + n, f0:f1],
-                              rows[r - back_r:r - back_r + n, f0 - back_f:f1 - back_f]))
-        runs.append(pairs)
-    for k in which:
-        for dst, src in runs[k]:
+    # the (dst, src) views of every run, built once per class; ahead[i] is
+    # flat[i + back], so a 1-D run adds its source flat[f0:f1] to ahead[f0:f1]
+    views = []
+    for (back_r, back_f, back), table in zip(plan.backs.tolist(), plan.runs):
+        ahead = flat[back:]
+        views.append([(ahead[f0:f1], flat[f0:f1]) if n == 1 else
+                      (rows[r:r + n, f0:f1],
+                       rows[r - back_r:r - back_r + n, f0 - back_f:f1 - back_f])
+                      for r, n, f0, f1 in zip(*table.tolist())])
+    for k in plan.which:
+        for dst, src in views[k]:
             dst += src
-    torus = (size_x, size_y, size_z)[3 - rank:]
-    return (coeffs.reshape((max_degree + 1,) + torus + (1,) * (3 - rank)),
-            tuple(center.tolist()[3 - rank:]) + lead)
+    return coeffs.reshape(plan.shape), plan.center
 
 
 def _extract_constant_terms(boxes: np.ndarray, center, exps: np.ndarray,
@@ -356,8 +451,12 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     at every degree.
 
     Requests beyond degree_cap are rejected so that runaway degrees fail
-    fast; pass a larger degree_cap explicitly to override.
+    fast; pass a larger degree_cap explicitly to override.  max_degree is
+    an integer (a numpy integer will do), never a bool or a float.
     """
+    if isinstance(max_degree, bool) or not hasattr(type(max_degree), "__index__"):
+        raise TypeError(f"max_degree must be an integer, got {max_degree!r}")
+    max_degree = operator.index(max_degree)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if max_degree > degree_cap:

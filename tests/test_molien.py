@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
-                          WeightSystem, _axis_reach, _build_product_boxes,
-                          _kernel, _root_polynomial,
+                          WeightSystem, _axis_reach, _box_plan, _box_radius,
+                          _build_product_boxes, _kernel, _root_polynomial,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
                           rational_form_for, rational_series)
+
+@pytest.fixture(autouse=True)
+def empty_plan_cache():
+    """Every test starts without box plans, so that none passes only because
+    an earlier test planned its box."""
+    _box_plan.cache_clear()
+
 
 POINCARE_2X3 = [1, 0, 3, 4, 15, 25, 90, 170, 489, 1059, 2600, 5641, 12872,
                 27099, 57990, 118254, 240187]
@@ -213,6 +220,103 @@ def test_box_independent_of_weight_order():
         again, center_again = _build_product_boxes(shuffled, 2, N, (1, 2))
         assert center_again == center
         assert again.dtype == boxes.dtype and np.array_equal(again, boxes)
+
+
+# -- box plans ---------------------------------------------------------------------
+
+def kernel_reach(spec):
+    ws = adjoint_weight_system(spec)
+    return ws, _kernel(ws.roots, ws.rank, "weyl", ws.weyl_order)[2]
+
+
+@pytest.mark.parametrize("weights,rank,N,reach", [
+    (MIXED_WEIGHTS, 2, 30, (1, 2)),
+    (WRAP_WEIGHTS, 3, 20, (1, 2, 2)),
+    (SPIN1_PLUS_SPIN2.weights, 1, 30, (2,)),
+    (adjoint_weight_system("su2xsu2").weights, 2, 30, (1, 1)),
+    (adjoint_weight_system("su2xsu3").weights, 3, 30, (1, 2, 2)),
+    (adjoint_weight_system("su2xsu3").weights, 3, 32, (1, 2, 2)),
+], ids=["mixed", "wrap", "spin1+spin2", "2x2", "2x3-int64", "2x3-object"])
+def test_box_from_cached_plan_equals_freshly_planned(weights, rank, N, reach):
+    _build_product_boxes(weights, rank, N, reach)
+    hits = _box_plan.cache_info().hits
+    cached, center = _build_product_boxes(weights, rank, N, reach)
+    assert _box_plan.cache_info().hits == hits + 1
+    _box_plan.cache_clear()
+    fresh, fresh_center = _build_product_boxes(weights, rank, N, reach)
+    assert _box_plan.cache_info().misses == 1
+    assert center == fresh_center
+    assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+
+
+def test_box_radius_is_the_widest_window():
+    for wmax, reach, N in itertools.product(range(6), range(12), range(30)):
+        widest = max(min(d * wmax, (N - d) * wmax + reach) for d in range(N + 1))
+        assert _box_radius(wmax, reach, N) == widest, (wmax, reach, N)
+
+
+def test_plan_reports_box_geometry():
+    ws, reach = kernel_reach("su2xsu3")
+    boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
+    plan = _box_plan(ws.weights, ws.rank, 30, reach)
+    assert plan.shape == boxes.shape == (31, 31, 33, 35)
+    assert plan.center == center
+    assert plan.dtype == boxes.dtype == np.int64
+    assert plan.cells == boxes.size
+    assert plan.nbytes == boxes.nbytes
+    assert _box_plan(ws.weights, ws.rank, 32, reach).dtype == object
+
+
+def test_weyl_and_reduced_share_one_plan():
+    ws = adjoint_weight_system("su2xsu3")
+    molien_series(ws, 12)
+    before = _box_plan.cache_info()
+    molien_series(ws, 12, backend="reduced")
+    after = _box_plan.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.currsize == before.currsize == 1
+
+
+def test_plan_arrays_are_read_only():
+    ws, reach = kernel_reach("su2xsu3")
+    plan = _box_plan(ws.weights, ws.rank, 12, reach)
+    for array in (plan.seeds, plan.backs) + plan.runs:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    with pytest.raises(AttributeError):
+        plan.shape = (1,)
+
+
+def test_mutating_a_box_leaves_the_next_request_unchanged():
+    ws, reach = kernel_reach("su2xsu2")
+    boxes, _ = _build_product_boxes(ws.weights, ws.rank, 20, reach)
+    expect = boxes.copy()
+    boxes[...] = 7
+    again, _ = _build_product_boxes(ws.weights, ws.rank, 20, reach)
+    assert np.array_equal(again, expect)
+    assert molien_series(ws, 20) == TWO_QUBIT_RATIONAL.series(20)
+
+
+def test_plan_cache_is_bounded():
+    bound = _box_plan.cache_info().maxsize
+    assert bound is not None
+    for N in range(bound + 8):
+        _build_product_boxes(SPIN1.weights, 1, N, (1,))
+        assert _box_plan.cache_info().currsize <= bound
+    assert _box_plan.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_max_degree_must_be_an_integer(warm):
+    # 3.0 hashes like 3: with the plan for 3 cached it must still fail
+    ws = adjoint_weight_system("su2xsu2")
+    if warm:
+        molien_series(ws, 3)
+        molien_series(ws, 1)
+    for bad in (3.0, 1.0, True, False, "3"):
+        with pytest.raises(TypeError, match="max_degree"):
+            molien_series(ws, bad)
+    assert molien_series(ws, np.int64(4)) == molien_series(ws, 4)
 
 
 def test_empty_weight_system():
