@@ -127,10 +127,37 @@ def _hermitian_matrix(state) -> np.ndarray:
     return rho
 
 
+def _checked_matrix(state) -> np.ndarray:
+    """The matrix of a state, or a matrix given directly, with the checks it
+    needs: a state's matrix is Hermitian by construction (states.to_matrix)
+    and is only checked finite."""
+    if isinstance(state, QubitQutritState):
+        return _as_density_matrix(state)
+    return _hermitian_matrix(state)
+
+
+def _check_omega(om: np.ndarray, of_state: bool) -> None:
+    """Reject omega = n rho - I unless traceless and, for a matrix given
+    directly, Hermitian, both within TRACELESS_TOL; the omega of a state is
+    Hermitian by construction.  On rho these bounds are n times tighter than
+    states.TRACE_TOL and HERM_TOL, so a matrix that from_matrix accepts can
+    fail here."""
+    tdev = float(np.abs(np.trace(om, axis1=-2, axis2=-1)).max())
+    if not tdev <= TRACELESS_TOL:
+        raise ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
+    if of_state:
+        return
+    hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max())
+    if not hdev <= TRACELESS_TOL:
+        raise ValueError("omega = n rho - I is not Hermitian: "
+                         f"max |omega - omega^+| = {hdev:.3e}")
+
+
 def moments(rho: np.ndarray) -> tuple[float, ...]:
     """t_k = tr(rho^k) for k = 1..6 by repeated multiplication, all six traced
     in one call; over a (..., n, n) stack each t_k is an array of the batch
-    shape."""
+    shape, entry i bit for bit the moment of matrix i alone, so
+    positivity_report runs rho and omega = 6 rho - I as one stack."""
     p = np.empty((6,) + rho.shape, dtype=complex)
     p[0] = rho
     for k in range(1, 6):
@@ -167,21 +194,17 @@ def casimirs_from_traces(state) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
-    return _casimirs_of_matrix(_as_density_matrix(state))
+    rho = _as_density_matrix(state)
+    om = 6 * rho - _EYE6
+    _check_omega(om, isinstance(state, QubitQutritState))
+    return _casimirs_of_omega_moments(moments(om))
 
 
-def _casimirs_of_matrix(rho: np.ndarray) -> CasimirValues:
-    """casimirs_from_traces of a 6x6 matrix or a (..., 6, 6) stack."""
+def _casimirs_of_omega_moments(t) -> CasimirValues:
+    """The Casimirs of omega = 6 rho - I from its moments t_1..t_6, each a
+    float or an array of the batch shape."""
     n = 6
-    om = n * rho - _EYE6
-    tdev = float(np.abs(np.trace(om, axis1=-2, axis2=-1)).max())
-    if not tdev <= TRACELESS_TOL:
-        raise ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
-    hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max())
-    if not hdev <= TRACELESS_TOL:
-        raise ValueError("omega = n rho - I is not Hermitian: "
-                         f"max |omega - omega^+| = {hdev:.3e}")
-    t2, t3, t4, t5, t6 = (t / n for t in moments(om)[1:])
+    t2, t3, t4, t5, t6 = (x / n for x in t[1:])
     c2 = t2
     c3 = t3
     c4 = t4 - _power(c2, 2)
@@ -285,13 +308,22 @@ def positivity_report(state) -> PositivityReport:
     S_k / max S_k and verdict_casimir to E_k, which is that same ratio (or
     one minus it).  One state gives Python floats and bools; a stacked state
     gives arrays of the batch shape throughout, entry i bit for bit the
-    report of state i."""
-    rho = _hermitian_matrix(state)
-    t = moments(rho)
+    report of state i.
+
+    rho and omega = 6 rho - I go through one call of moments as one stack:
+    t feeds S_k, the moments of omega the Casimir route.  A matrix given
+    directly is checked finite and Hermitian, then omega traceless and
+    Hermitian; a state's matrix is Hermitian by construction, so only the
+    finiteness and trace checks apply to it."""
+    rho = _checked_matrix(state)
+    pair = np.array([rho, 6 * rho - _EYE6])
+    _check_omega(pair[1], isinstance(state, QubitQutritState))
+    tt = moments(pair)
+    # each t_k holds rho's and omega's; one state takes Python floats
+    t, t_om = zip(*(x.tolist() for x in tt)) if rho.ndim == 2 else zip(*tt)
     S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
-    cas = _casimirs_of_matrix(rho)
-    exprs = casimir_inequality_exprs(cas.normalized)
+    exprs = casimir_inequality_exprs(_casimirs_of_omega_moments(t_om).normalized)
     verdict_S = tuple(s >= -BOUNDARY_TOL for s in (S[0] / MAX_S[1],) + S_bar)
     verdict_casimir = tuple((e >= -BOUNDARY_TOL) & (e <= 1.0 + BOUNDARY_TOL)
                             for e in exprs)
@@ -306,6 +338,4 @@ def eigenvalue_oracle(state) -> np.ndarray:
     Input is rejected unless finite, and a matrix given directly unless
     Hermitian, as in positivity_report (eigvalsh reads only its lower
     triangle); a state is Hermitian by construction and skips that check."""
-    if isinstance(state, QubitQutritState):
-        return np.linalg.eigvalsh(_as_density_matrix(state))
-    return np.linalg.eigvalsh(_hermitian_matrix(state))
+    return np.linalg.eigvalsh(_checked_matrix(state))

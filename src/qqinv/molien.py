@@ -35,8 +35,8 @@ entry counts weight multisets, so it is bounded by C(m + d - 1, d) for m
 weights at degree d; the box is int64 while that bound fits and holds
 arbitrary-precision Python integers otherwise (for SU(2)xSU(3) from degree
 32 on).  The box cells at the kernel's exponents are gathered in one index
-and summed against the kernel's coefficients in one product of Python
-integers.
+and summed against the kernel's coefficients in one product, in int64 while
+sum |coefficient| * C(m + N - 1, N) < 2^63 and in Python integers otherwise.
 
 All of this but the box itself depends only on (weights, N, reach): the
 application order, the geometry, the dtype, the origin seeds and the offset
@@ -425,15 +425,20 @@ def _build_product_boxes(weights, rank: int, max_degree: int,
 
 
 def _extract_constant_terms(boxes: np.ndarray, center, exps: np.ndarray,
-                            coefs: np.ndarray) -> list[int]:
+                            coefs: np.ndarray, bound: int) -> list[int]:
     """CT per q-degree of kernel * series: the box entries at center minus
     the kernel exponents, gathered for every degree at once and summed
-    against the kernel coefficients in one product of Python integers
-    (out-of-box lookups are exact zeros)."""
+    against the kernel coefficients in one product (out-of-box lookups are
+    exact zeros).  No box entry exceeds bound, so no partial sum exceeds
+    sum |coefficient| * bound: below 2^63 an int64 box is summed in int64,
+    otherwise the product is taken in Python integers."""
     pos = np.subtract(center, exps)
     inside = ((pos >= 0) & (pos < boxes.shape[1:])).all(axis=1)
     x, y, z = pos[inside].T
-    return (boxes[:, x, y, z].astype(object) @ coefs[inside]).tolist()
+    rows, kept = boxes[:, x, y, z], coefs[inside]
+    if boxes.dtype == np.int64 and sum(map(abs, coefs)) * bound < 2 ** 63:
+        return (rows @ kept.astype(np.int64)).tolist()
+    return (rows.astype(object) @ kept).tolist()
 
 
 def molien_series(ws: WeightSystem, max_degree: int, *,
@@ -447,8 +452,9 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     The product box covers only the cells within the kernel's reach (see
     _build_product_boxes).  It is int64 while the proven bound
     C(m + d - 1, d) on its entries fits and holds Python integers otherwise;
-    the kernel product is summed in Python integers, so the counts are exact
-    at every degree.
+    the kernel product is summed in int64 only while that bound times the
+    kernel's absolute coefficient sum stays below 2^63, so the counts are
+    exact at every degree.
 
     Requests beyond degree_cap are rejected so that runaway degrees fail
     fast; pass a larger degree_cap explicitly to override.  max_degree is
@@ -466,8 +472,10 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     exps, coefs, reach, divisor = _kernel(tuple(map(tuple, ws.roots)), ws.rank,
                                           backend, ws.weyl_order)
     boxes, center = _build_product_boxes(ws.weights, ws.rank, max_degree, reach)
+    bound = _coefficient_bound(len(ws.weights), max_degree)
     out = []
-    for d, value in enumerate(_extract_constant_terms(boxes, center, exps, coefs)):
+    for d, value in enumerate(_extract_constant_terms(boxes, center, exps,
+                                                      coefs, bound)):
         if value % divisor:
             raise ArithmeticError(
                 f"constant term {value} at degree {d} is not divisible by {divisor}")

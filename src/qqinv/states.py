@@ -41,6 +41,8 @@ _SIG_I3 = np.array([np.kron(PAULI[i], _I3) for i in range(3)])
 _I2_LAM = np.array([np.kron(_I2, GELL_MANN[a]) for a in range(8)])
 _SIG_LAM = np.array([[np.kron(PAULI[i], GELL_MANN[a]) for a in range(8)]
                      for i in range(3)])
+# all 35 in the order of (a, b, C row by row), for the one projection
+_BASIS = np.concatenate([_SIG_I3, _I2_LAM, _SIG_LAM.reshape(24, 6, 6)])
 
 
 @dataclass
@@ -57,10 +59,23 @@ class QubitQutritState:
     C: np.ndarray  # (..., 3, 8)
 
     def __post_init__(self):
+        """a must end in 3, b in 8 and C in (3, 8), or in the flat (24,) of C
+        row by row, all over the batch shape of a; any other shape is
+        rejected, not reshaped (C.T would scramble the correlations)."""
         self.a = np.asarray(self.a, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        self.C = np.asarray(self.C, dtype=float)
+        if self.a.shape[-1:] != (3,):
+            raise ValueError(f"field 'a' has shape {self.a.shape}, expected (..., 3)")
         batch = self.a.shape[:-1]
-        self.b = np.asarray(self.b, dtype=float).reshape(batch + (8,))
-        self.C = np.asarray(self.C, dtype=float).reshape(batch + (3, 8))
+        if self.b.shape != batch + (8,):
+            raise ValueError(
+                f"field 'b' has shape {self.b.shape}, expected {batch + (8,)}")
+        if self.C.shape == batch + (24,):
+            self.C = self.C.reshape(batch + (3, 8))
+        elif self.C.shape != batch + (3, 8):
+            raise ValueError(f"field 'C' has shape {self.C.shape}, expected "
+                             f"{batch + (3, 8)} or {batch + (24,)}")
 
     @classmethod
     def zero(cls) -> "QubitQutritState":
@@ -99,6 +114,11 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
     a_i = tr(rho sigma_i x I3), b_a = (3/2) tr(rho I2 x lambda_a),
     C_ia = (3/2) tr(rho sigma_i x lambda_a).
 
+    All 35 traces are one einsum against the stacked basis.  It gives the
+    bits of one einsum per group (sigma x I3, I2 x lambda, sigma x lambda):
+    numpy does not promise this, the tests check it on spectral, widely
+    scaled and stacked matrices.
+
     Rejects inputs that have non-finite entries, or are not Hermitian or not
     unit-trace within HERM_TOL and TRACE_TOL, reporting the measured deviation
     (the largest over a stack).
@@ -114,10 +134,8 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
     tdev = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
     if tdev > TRACE_TOL:
         raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
-    a = np.einsum("...uv,ivu->...i", rho, _SIG_I3).real
-    b = 1.5 * np.einsum("...uv,avu->...a", rho, _I2_LAM).real
-    C = 1.5 * np.einsum("...uv,iavu->...ia", rho, _SIG_LAM).real
-    return QubitQutritState(a, b, C)
+    x = np.einsum("...uv,kvu->...k", rho, _BASIS).real
+    return QubitQutritState(x[..., :3], 1.5 * x[..., 3:11], 1.5 * x[..., 11:])
 
 
 def reduced_qubit(state: QubitQutritState) -> np.ndarray:

@@ -254,6 +254,99 @@ def test_oracle_rejects_a_non_finite_matrix(case):
         eigenvalue_oracle(nan_inputs()[case])
 
 
+REPORT_FIELDS = ("t", "S", "S_bar", "casimir_exprs", "verdict_S",
+                 "verdict_casimir", "consistent")
+
+
+def report_states():
+    """States of each kind the positivity path meets: the maximally mixed
+    one and 20 each of Ginibre, fixed-rank and non-PSD draws."""
+    out = [QubitQutritState.zero()]
+    for seed in range(20):
+        out.append(random_density(seed))
+        out.append(random_density(seed, f"rank-{seed % 5 + 1}"))
+        out.append(states.random_nonpsd_unit_trace(seed, -10.0 ** -(seed % 12 + 1)))
+    return out
+
+
+def test_report_of_a_state_is_the_report_of_its_matrix():
+    # the state path skips the Hermiticity checks and nothing else: every
+    # field, type included, is the matrix path's
+    for s in report_states():
+        one, other = positivity_report(s), positivity_report(to_matrix(s))
+        for field in REPORT_FIELDS[:-1]:
+            got, want = getattr(one, field), getattr(other, field)
+            assert got == want, field
+            assert list(map(type, got)) == list(map(type, want)), field
+        assert one.consistent == other.consistent
+        assert type(one.consistent) is bool
+
+
+def test_report_moments_are_the_moments_of_the_matrix():
+    for s in report_states():
+        t = positivity_report(s).t
+        assert t == moments(to_matrix(s))
+        assert all(type(x) is float for x in t)
+    stack = states.random_nonpsd_unit_traces(range(40), -1e-4)
+    for got, want in zip(positivity_report(stack).t, moments(to_matrix(stack))):
+        assert np.array_equal(got, want)
+
+
+def test_report_exprs_are_the_trace_route_exprs():
+    for s in report_states():
+        assert (positivity_report(s).casimir_exprs
+                == casimir_inequality_exprs(casimirs_from_traces(s).normalized))
+    stack = states.random_densities(range(40), "rank-3")
+    want = casimir_inequality_exprs(casimirs_from_traces(stack).normalized)
+    for got, expected in zip(positivity_report(stack).casimir_exprs, want):
+        assert np.array_equal(got, expected)
+
+
+def test_report_of_a_state_skips_the_hermiticity_check(monkeypatch):
+    # a state's matrix is exactly Hermitian (see test_states), so neither rho
+    # nor omega = 6 rho - I is checked; a matrix given directly still is
+    s, stack = random_density(5), states.random_densities(range(6))
+    want, want_stack = positivity_report(s), positivity_report(stack)
+
+    def fail(state):
+        raise AssertionError("_hermitian_matrix called for a state")
+    omega_checks = []
+    check_omega = cp._check_omega
+    monkeypatch.setattr(cp, "_hermitian_matrix", fail)
+    monkeypatch.setattr(cp, "_check_omega", lambda om, of_state: (
+        omega_checks.append(of_state), check_omega(om, of_state)))
+    assert positivity_report(s) == want
+    got_stack = positivity_report(stack)
+    for field in REPORT_FIELDS[:-1]:
+        for x, y in zip(getattr(got_stack, field), getattr(want_stack, field)):
+            assert np.array_equal(x, y)
+    assert omega_checks == [True, True]
+    with pytest.raises(AssertionError, match="called for a state"):
+        positivity_report(to_matrix(s))
+    monkeypatch.setattr(cp, "_hermitian_matrix", cp._as_density_matrix)
+    positivity_report(to_matrix(s))
+    assert omega_checks == [True, True, False]
+
+
+def test_omega_checks_reject_what_from_matrix_accepts():
+    # the omega checks apply TRACELESS_TOL to omega = 6 rho - I, so on rho
+    # they are 6 times tighter than states.HERM_TOL and TRACE_TOL; these
+    # matrices pass from_matrix and the rho check but not the omega checks
+    skew = np.eye(6, dtype=complex) / 6
+    skew[0, 1] = 4e-10
+    heavy = np.eye(6, dtype=complex) * (1 / 6 + 1e-10)
+    for rho in (skew, heavy):
+        states.from_matrix(rho)
+        cp._hermitian_matrix(rho)
+    for check in (positivity_report, casimirs_from_traces):
+        with pytest.raises(ValueError, match=r"^omega = n rho - I is not Hermitian: "
+                                             r"max \|omega - omega\^\+\| = 2.400e-09$"):
+            check(skew)
+        with pytest.raises(ValueError, match=r"^omega = n rho - I is not traceless: "
+                                             r"\|tr omega\| = 3.600e-09$"):
+            check(heavy)
+
+
 def test_oracle_of_a_state_skips_the_matrix_checks(monkeypatch):
     # a state is Hermitian by construction: the positivity path of a state
     # costs no Hermiticity check in the oracle

@@ -9,7 +9,8 @@ import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           WeightSystem, _axis_reach, _box_plan, _box_radius,
-                          _build_product_boxes, _kernel, _root_polynomial,
+                          _build_product_boxes, _coefficient_bound,
+                          _extract_constant_terms, _kernel, _root_polynomial,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
@@ -390,6 +391,50 @@ def test_reduced_kernels_of_the_built_in_groups():
          ((-1, -2, -2), 1)], 1)
     items, divisor = kernel_items("su2xsu2", "weyl")
     assert len(items) == 9 and divisor == 4
+
+
+def object_constant_terms(boxes, center, exps, coefs):
+    """The kernel product summed in Python integers: the reference for the
+    int64 sum."""
+    pos = np.subtract(center, exps)
+    inside = ((pos >= 0) & (pos < boxes.shape[1:])).all(axis=1)
+    x, y, z = pos[inside].T
+    return (boxes[:, x, y, z].astype(object) @ coefs[inside]).tolist()
+
+
+# 2x3 leaves the int64 sum at degree 26 (weyl) and 30 (reduced) and the int64
+# box at 32; degrees 34..40 would take the object path of 32 and 33 again at
+# about 3 s of box building
+@pytest.mark.parametrize("spec,top", [("su2xsu2", 40), ("su2xsu3", 33)])
+def test_constant_terms_in_int64_equal_the_python_integer_sum(spec, top):
+    ws = adjoint_weight_system(spec)
+    kernels = [_kernel(ws.roots, ws.rank, backend, ws.weyl_order)
+               for backend in ("weyl", "reduced")]
+    reach = kernels[0][2]
+    assert kernels[1][2] == reach
+    in_int64 = set()
+    for N in range(top + 1):
+        boxes, center = _build_product_boxes(ws.weights, ws.rank, N, reach)
+        bound = _coefficient_bound(len(ws.weights), N)
+        for exps, coefs, _, _ in kernels:
+            got = _extract_constant_terms(boxes, center, exps, coefs, bound)
+            assert got == object_constant_terms(boxes, center, exps, coefs), N
+            assert all(type(v) is int for v in got)
+            in_int64.add(boxes.dtype == np.int64
+                         and sum(map(abs, coefs)) * bound < 2 ** 63)
+    assert in_int64 == ({True} if spec == "su2xsu2" else {True, False})
+
+
+@pytest.mark.parametrize("coefs", [(1, 1, 0), (1, 1, 1), (1, -1, -1)])
+def test_constant_terms_leave_int64_before_a_sum_can_overflow(coefs):
+    # every entry at the bound 2^62 - 1: two of them still sum in int64, a
+    # third would wrap around, so the sum must move to Python integers
+    top = 2 ** 62 - 1
+    boxes = np.full((2, 3, 1, 1), top, dtype=np.int64)
+    exps = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0]], dtype=np.int64)
+    got = _extract_constant_terms(boxes, (1, 0, 0), exps,
+                                  np.array(coefs, dtype=object), top)
+    assert got == [sum(coefs) * top] * 2
 
 
 def test_degree_cap():

@@ -1,10 +1,12 @@
 """State parametrization, partial traces, random ensembles, unitaries, files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from qqinv import states
 from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
                           conjugate, from_matrix, gamma_matrix, omega_matrix,
                           random_densities, random_density,
@@ -78,6 +80,124 @@ def test_from_matrix_rejects_bad_input():
     nan[2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         from_matrix(nan)
+
+
+def same_bits(x, y):
+    """Equal down to the last bit and the sign of every zero."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes())
+
+
+def per_group_projection(rho):
+    """from_matrix's coordinates as three einsums, one per group of the
+    basis: the reference for the one stacked projection."""
+    a = np.einsum("...uv,ivu->...i", rho, states._SIG_I3).real
+    b = 1.5 * np.einsum("...uv,avu->...a", rho, states._I2_LAM).real
+    C = 1.5 * np.einsum("...uv,iavu->...ia", rho, states._SIG_LAM).real
+    return a, b, C
+
+
+def spectral_matrices(seed, n):
+    """U diag(lam) U^+ with Haar U and lam in every sign pattern the
+    positivity benchmark draws: positive, rank-deficient and slightly
+    negative."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        lam = rng.uniform(0.2, 1.0, 6)
+        lam[:i % 4] = (0.0, -1e-3, -1e-9)[i % 3]
+        lam /= lam.sum()
+        u = random_su(6, rng)
+        rho = (u * lam) @ u.conj().T
+        out.append((rho + rho.conj().T) / 2)
+    return np.array(out)
+
+
+def scaled_hermitian(seed, scale):
+    """Unit-trace Hermitian matrix whose off-diagonal entries have the given
+    scale; mirrored exactly, with a diagonal that sums to 1."""
+    rng = np.random.default_rng(seed)
+    z = scale * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    rho = np.triu(z, 1) + np.triu(z, 1).conj().T
+    lam = rng.uniform(0.2, 1.0, 6)
+    rho[np.diag_indices(6)] = lam / lam.sum()
+    return rho
+
+
+@pytest.mark.parametrize("case", ["spectral", "scaled", "stack"])
+def test_from_matrix_is_the_per_group_projection_bit_for_bit(case):
+    if case == "spectral":
+        mats = list(spectral_matrices(7, 400))
+    elif case == "scaled":
+        mats = [scaled_hermitian(seed, 10.0 ** e)
+                for e in range(-20, 21) for seed in range(5)]
+    else:
+        mats = [spectral_matrices(8, 60), spectral_matrices(9, 24).reshape(4, 6, 6, 6)]
+    for rho in mats:
+        s = from_matrix(rho)
+        a, b, C = per_group_projection(rho)
+        assert same_bits(s.a, a) and same_bits(s.b, b) and same_bits(s.C, C)
+
+
+@pytest.mark.parametrize("exponent", [-300, -200, -100, -20, 0, 20, 100, 200, 300])
+def test_to_matrix_is_exactly_hermitian(exponent):
+    # positivity_report and eigenvalue_oracle skip the Hermiticity check of a
+    # state's matrix: this is the invariant that makes it safe
+    rng = np.random.default_rng(exponent + 400)
+    scale = 10.0 ** exponent
+    for _ in range(20):
+        s = QubitQutritState(scale * rng.uniform(-1, 1, 3),
+                             scale * rng.uniform(-1, 1, 8),
+                             scale * rng.uniform(-1, 1, (3, 8)))
+        rho = to_matrix(s)
+        assert np.isfinite(rho).all()
+        assert np.array_equal(rho, rho.conj().T)
+    stack = random_densities(range(30))
+    moved = QubitQutritState(scale * stack.a, scale * stack.b, scale * stack.C)
+    rho = to_matrix(moved)
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+
+
+def test_to_matrix_is_exactly_hermitian_with_signed_zeros():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        coords = [rng.choice([-0.0, 0.0, -1e-300, 1e-300, -0.5, 0.5], size=shape)
+                  for shape in ((3,), (8,), (3, 8))]
+        rho = to_matrix(QubitQutritState(*coords))
+        assert np.array_equal(rho, rho.conj().T)
+    rho = to_matrix(QubitQutritState(-np.zeros(3), -np.zeros(8), -np.zeros((3, 8))))
+    assert np.array_equal(rho, rho.conj().T)
+
+
+def test_state_accepts_flat_correlations():
+    rng = np.random.default_rng(3)
+    a, b, C = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 8), rng.uniform(-1, 1, (3, 8))
+    assert np.array_equal(QubitQutritState(a, b, C.reshape(24)).C, C)
+    stacked = QubitQutritState(np.stack([a, a]), np.stack([b, b]),
+                               np.stack([C, C]).reshape(2, 24))
+    assert stacked.C.shape == (2, 3, 8) and np.array_equal(stacked.C[1], C)
+
+
+@pytest.mark.parametrize("a,b,C,field,shape", [
+    # C.T has 24 entries too, but reshaping it scrambles the correlations
+    ((3,), (8,), (8, 3), "C", (8, 3)),
+    ((4,), (8,), (3, 8), "a", (4,)),
+    ((), (8,), (3, 8), "a", ()),
+    ((3,), (2, 4), (3, 8), "b", (2, 4)),
+    ((3,), (1, 8), (3, 8), "b", (1, 8)),
+    ((3,), (8,), (25,), "C", (25,)),
+    ((2, 3), (8,), (2, 3, 8), "b", (8,)),
+    ((2, 3), (2, 8), (3, 8), "C", (3, 8)),
+    ((2, 3), (3, 8), (3, 3, 8), "b", (3, 8)),
+    ((2, 3), (2, 8), (3, 24), "C", (3, 24)),
+], ids=["C-transposed", "a-length-4", "a-scalar", "b-2x4", "b-1x8",
+        "C-length-25", "b-without-batch", "C-without-batch", "b-other-batch",
+        "C-flat-other-batch"])
+def test_state_rejects_misshapen_fields(a, b, C, field, shape):
+    with pytest.raises(ValueError,
+                       match=rf"field '{field}' has shape {re.escape(str(shape))}"):
+        QubitQutritState(np.zeros(a), np.zeros(b), np.zeros(C))
 
 
 def test_reduced_states():
