@@ -120,9 +120,12 @@ def _as_density_matrix(state) -> np.ndarray:
 
 def _hermitian_matrix(state) -> np.ndarray:
     """_as_density_matrix(state), rejected unless finite and Hermitian
-    within states.HERM_TOL."""
+    within states.HERM_TOL (a difference that overflows is rejected, not
+    warned about)."""
     rho = _as_density_matrix(state)
-    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= states.HERM_TOL:
+    with np.errstate(over="ignore"):
+        dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
+    if not dev <= states.HERM_TOL:
         raise ValueError("input matrix is not Hermitian")
     return rho
 
@@ -151,6 +154,25 @@ def _check_omega(om: np.ndarray, of_state: bool) -> None:
     if not hdev <= TRACELESS_TOL:
         raise ValueError("omega = n rho - I is not Hermitian: "
                          f"max |omega - omega^+| = {hdev:.3e}")
+
+
+def _check_moments(t1, moments) -> None:
+    """Reject input unless t_1 = tr rho lies within states.TRACE_TOL of 1
+    and every moment is finite.  The trace check of omega misses huge
+    states, whose -I rounds away, and their powers overflow; omega and the
+    moments are formed with numpy's overflow warnings off so that these
+    checks report it.  One state gives Python floats, a stack arrays of the
+    batch shape.  With finite moments of omega, c_2^3 and c_3^2 stay below
+    t_6 / 6 by the power-mean inequality, so the Casimirs cannot overflow."""
+    if isinstance(t1, float):
+        if abs(t1 - 1) <= states.TRACE_TOL and all(map(math.isfinite, moments)):
+            return
+    elif (np.abs(t1 - 1) <= states.TRACE_TOL).all() and np.isfinite(moments).all():
+        return
+    dev = np.abs(np.subtract(t1, 1)).max()
+    if not dev <= states.TRACE_TOL:
+        raise ValueError(f"rho does not have unit trace: |tr rho - 1| = {dev:.3e}")
+    raise ValueError("the moments tr rho^k overflow")
 
 
 def moments(rho: np.ndarray) -> tuple[float, ...]:
@@ -195,9 +217,13 @@ def casimirs_from_traces(state) -> CasimirValues:
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
     rho = _as_density_matrix(state)
-    om = 6 * rho - _EYE6
-    _check_omega(om, isinstance(state, QubitQutritState))
-    return _casimirs_of_omega_moments(moments(om))
+    with np.errstate(over="ignore", invalid="ignore"):
+        om = 6 * rho - _EYE6
+        _check_omega(om, isinstance(state, QubitQutritState))
+        t_om = moments(om)
+        t1 = np.trace(rho, axis1=-2, axis2=-1).real
+    _check_moments(t1, t_om)
+    return _casimirs_of_omega_moments(t_om)
 
 
 def _casimirs_of_omega_moments(t) -> CasimirValues:
@@ -314,13 +340,16 @@ def positivity_report(state) -> PositivityReport:
     t feeds S_k, the moments of omega the Casimir route.  A matrix given
     directly is checked finite and Hermitian, then omega traceless and
     Hermitian; a state's matrix is Hermitian by construction, so only the
-    finiteness and trace checks apply to it."""
+    finiteness and trace checks apply to it.  Either is rejected unless tr
+    rho is 1 and every moment finite (see _check_moments)."""
     rho = _checked_matrix(state)
-    pair = np.array([rho, 6 * rho - _EYE6])
-    _check_omega(pair[1], isinstance(state, QubitQutritState))
-    tt = moments(pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = np.array([rho, 6 * rho - _EYE6])
+        _check_omega(pair[1], isinstance(state, QubitQutritState))
+        tt = moments(pair)
     # each t_k holds rho's and omega's; one state takes Python floats
     t, t_om = zip(*(x.tolist() for x in tt)) if rho.ndim == 2 else zip(*tt)
+    _check_moments(t[0], t + t_om)
     S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
     exprs = casimir_inequality_exprs(_casimirs_of_omega_moments(t_om).normalized)

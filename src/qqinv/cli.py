@@ -82,7 +82,10 @@ def _cmd_basis(args, out) -> int:
 
 def _cmd_positivity(args, out) -> int:
     state = _load_state(args.statefile)
-    report = casimir_positivity.positivity_report(state)
+    try:
+        report = casimir_positivity.positivity_report(state)
+    except ValueError as exc:
+        raise InputError(f"invalid state in {args.statefile}: {exc}") from None
     doc = report.to_json_dict()
     if args.oracle:
         doc["eigenvalues"] = casimir_positivity.eigenvalue_oracle(state).tolist()

@@ -21,30 +21,36 @@ the factors applied so far (k included), which bounds the support of the
 partial product, S_ka the largest |w_a| of the factors still to come
 (k included), which bounds how far a cell can still move, and reach_a the
 largest kernel exponent on axis a.  The box has the radius of the widest
-window, about half the full radius N wmax_a, and is laid out as (degree,
-first torus axis, the other torus axes flattened), so that each update is
-one add over contiguous runs, a single 1-D add when the window spans one
-plane of the first axis.  A run also covers the innermost-axis cells
-outside the window between its rows, and a read there may cross a row end;
-a gutter of max |w| cells at both ends of the innermost axis keeps every
-cell of the box proper reading its true predecessor, and the gutter cells
-that the kernel can still reach hold exactly 0 (see _build_product_boxes
-for the proof that every read cell is exact).  The zero weights never leave
-the origin, which starts from C(d + z - 1, d) in closed form.  Every box
-entry counts weight multisets, so it is bounded by C(m + d - 1, d) for m
-weights at degree d; the box is int64 while that bound fits and holds
-arbitrary-precision Python integers otherwise (for SU(2)xSU(3) from degree
-32 on).  The box cells at the kernel's exponents are gathered in one index
-and summed against the kernel's coefficients in one product, in int64 while
-sum |coefficient| * C(m + N - 1, N) < 2^63 and in Python integers otherwise.
+window, about half the full radius N wmax_a, and is stored flat: degree
+after degree, and within a degree the torus axes in order, the last
+innermost.  Each update is then one contiguous add from the first cell of
+its window to the last.  Such a run also covers the cells outside the window
+between its rows and planes, and a read there may cross a row or plane end;
+gutters of max |w_a| cells at both ends of the two inner axes (of the middle
+one only when the first has more than one plane) keep every cell of the box
+proper reading its true predecessor, and the gutter cells that the kernel
+can still reach hold exactly 0 (see _build_product_boxes for the proof that
+every read cell is exact).  The zero weights never leave the origin, which
+starts from C(d + z - 1, d) in closed form.
+
+Every box entry counts weight multisets, so it is bounded by C(m + d - 1, d)
+for m weights at degree d.  The box is uint64.  While the bound is below
+2^64 one pass gives the exact box (for SU(2)xSU(3) through degree 33);
+beyond that the same adds run once with 2^64 wraparound and once per odd
+modulus below 2^62, reducing after each add, until the moduli cover every
+value the constant terms can take, and the Chinese remainder theorem joins
+the passes' constant terms.  The box cells at the kernel's exponents are
+gathered in one take and summed against the kernel's coefficients, in one
+int64 product while sum |coefficient| * C(m + N - 1, N) < 2^63 and by
+32-bit halves otherwise.
 
 All of this but the box itself depends only on (weights, N, reach): the
-application order, the geometry, the dtype, the origin seeds and the offset
-of every run are planned once per such key and kept in a bounded cache
-(_box_plan), and both backends, having the same reach, share one plan.  A
-request allocates its own box, seeds the origin, builds its (dst, src) views
-from the offsets and adds them; the cache never holds a box or a view, so
-no box outlives its request.
+application order, the geometry, the origin seeds and the offset of every
+run are planned once per such key and kept in a bounded cache (_box_plan),
+and both backends, having the same reach, share one plan, which also keeps
+each kernel's cell offsets.  A pass allocates its own box, seeds the origin,
+builds its (dst, src) views from the offsets and adds them; the cache never
+holds a box or a view, so no box outlives its pass.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -63,14 +69,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 DEFAULT_DEGREE_CAP = 20
-INT64_SAFE_LIMIT = 2 ** 62
 
 GROUP_LABELS = ("su2xsu2", "su2xsu3")
 
@@ -162,9 +166,10 @@ def _root_polynomial(roots: tuple, rank: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _kernel(roots: tuple, rank: int, backend: str, weyl_order: int) -> tuple:
-    """A backend's kernel as (exponents padded to three axes at the back, an
-    int64 row per term; coefficients, an object array of Python ints; reach
-    of the exponents; divisor of the constant terms).
+    """A backend's kernel as (exponents, an int64 row per term; int64
+    coefficients; reach of the exponents; divisor of the constant terms).
+    The coefficients' absolute sum must stay below 2^31 (see _kernel_sums);
+    it is at most 2^R for R root factors.
 
     weyl:     prod over all roots r of (1 - x^r), divisor |W|
     reduced:  prod over the roots r > 0, whose first nonzero coordinate is
@@ -179,9 +184,10 @@ def _kernel(roots: tuple, rank: int, backend: str, weyl_order: int) -> tuple:
     else:
         raise ValueError(f"unknown backend {backend!r}")
     items = _root_polynomial(factors, rank)
-    exps = np.array([e + (0,) * (3 - rank) for e, _ in items],
-                    dtype=np.int64).reshape(-1, max(rank, 3))
-    coefs = np.array([c for _, c in items], dtype=object)
+    if sum(abs(c) for _, c in items) >= 2 ** 31:
+        raise ValueError(f"kernel of {len(factors)} root factors is too large")
+    exps = np.array([e for e, _ in items], dtype=np.int64).reshape(-1, rank)
+    coefs = np.array([c for _, c in items], dtype=np.int64)
     # the record is shared by every request through the cache
     exps.flags.writeable = coefs.flags.writeable = False
     return exps, coefs, _axis_reach([e for e, _ in items], rank), divisor
@@ -235,39 +241,42 @@ class BoxPlan:
     shape: tuple[int, ...]
     #: index of the origin in `shape`, without the degree
     center: tuple[int, ...]
-    dtype: np.dtype
-    #: the box as allocated, (N + 1, axis 0, axes 1 and 2 flattened)
-    layout: tuple[int, int, int]
-    #: index of the origin in the last two axes of `layout`
-    origin: tuple[int, int]
+    #: cells per degree; the box is stored flat, one degree after the other
+    plane: int
+    #: flat offset of the origin within a degree
+    origin: int
+    #: flat offset of one step along each torus axis of `shape`
+    steps: tuple[int, ...]
+    #: C(m + N - 1, N), the largest possible box entry
+    bound: int
     #: the origin per degree after the zero weights, C(d + z - 1, d)
-    seeds: np.ndarray
-    #: per window class, how far a read moves back in `layout`: (rows,
-    #: cells, flat offset)
-    backs: np.ndarray
-    #: per window class, its live runs in degree order, one column each:
-    #: (first row, number of rows, first cell, stop cell); a run of one row
-    #: gives the flat cells of its source in the box instead
+    seeds: tuple[int, ...]
+    #: per window class, how far back in the flat box its reads lie
+    backs: tuple[int, ...]
+    #: per window class, one column per live degree: the flat [start, stop)
+    #: of the cells its run reads
     runs: tuple[np.ndarray, ...]
     #: the window class of each nonzero weight, in application order
     which: tuple[int, ...]
+    #: the cells of each kernel in the box, filled in by _kernel_cells
+    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def cells(self) -> int:
-        return math.prod(self.shape)
+        return self.shape[0] * self.plane
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the box array, as its `nbytes` (for an object box, the
-        pointers alone)."""
-        return self.cells * self.dtype.itemsize
+        """Bytes of one box, as its `nbytes`."""
+        return self.cells * np.dtype(np.uint64).itemsize
 
 
-# A plan holds one run of 16 bytes (int32) per window class and degree and
-# a few KB of array headers and seeds: 31 KB for SU(2)xSU(3) at degree 76
-# (20 classes), 14 KB at degree 31 and 10 KB for SU(2)xSU(2) at degree 60.
-# 128 plans therefore hold at most about 4 MB up to degree 76, however many
-# distinct requests arrive.
+# A plan holds one run of 8 bytes (int32) per window class and degree, a few
+# KB of array headers and seeds, and the cell offsets of each kernel used
+# with it: with both built-in kernels, 19 KB for SU(2)xSU(3) at degree 76
+# (20 classes), 10 KB at degree 31 and 8 KB for SU(2)xSU(2) at degree 60.
+# 128 plans therefore hold at most about 2.5 MB up to degree 76, however
+# many distinct requests arrive.
 @lru_cache(maxsize=128)
 def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPlan:
     """What _build_product_boxes derives from its arguments alone.  It
@@ -282,17 +291,16 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
     order = sorted(weights, key=_application_order)
     w = np.array([lead + x for x in order], dtype=np.int64).reshape(-1, 3)
     absw = np.abs(w)
-    wmax = absw.max(axis=0, initial=0)
-    center = np.array([_box_radius(m, r, max_degree)
-                       for m, r in zip(wmax.tolist(), lead + reach)]) + [0, 0, wmax[2]]
-    size_x, size_y, size_z = (2 * center + 1).tolist()
-    fits = _coefficient_bound(len(w), max_degree) < INT64_SAFE_LIMIT
-    dtype = np.dtype(np.int64 if fits else object)
+    wmax = absw.max(axis=0, initial=0).tolist()
+    radius = [_box_radius(m, r, max_degree) for m, r in zip(wmax, lead + reach)]
+    # the gutters of axes 1 and 2; see _build_product_boxes
+    half = np.add(radius, [0, wmax[1] if radius[0] else 0, wmax[2]])
+    size = 2 * half + 1
+    steps = np.array([size[1] * size[2], size[2], 1])
+    plane = int(size.prod())
     zeros = sum(1 for x in order if not any(x))
-    seeds = np.array([1] + [math.comb(zeros + d - 1, d)
-                            for d in range(1, max_degree + 1)], dtype=dtype)
     # the windows of every distinct (w, P_k, S_k) at every degree at once,
-    # as index bounds [lo, hi) per axis, shape (factors, degrees, axes)
+    # as inclusive index bounds per axis, shape (factors, degrees 1..N, axes)
     prefix = np.maximum.accumulate(absw)
     suffix = np.maximum.accumulate(absw[::-1])[::-1]
     index = {}
@@ -302,43 +310,34 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
     shift, p, s = factors[:, None, :3], factors[:, None, 3:6], factors[:, None, 6:]
     degree = np.arange(max_degree + 1)[:, None]
     radii = np.minimum(degree * p, (max_degree - degree) * s + (lead + reach))
-    lo = np.maximum(-radii[:, 1:], shift - radii[:, :-1]) + center
-    hi = np.minimum(radii[:, 1:], shift + radii[:, :-1]) + (center + 1)
-    # a shift wider than both windows leaves lo >= hi on some axis, where
-    # the flat run would be empty or wrapped, so it must be skipped
-    live = (lo < hi).all(axis=2)
-    # each run as a column (first row, rows, first cell, stop cell), where
-    # a row is one axis-0 plane of one degree and the cells are offsets in
-    # its planes; a run of one row is a single 1-D add, and its cells are
-    # the flat offsets of its source in the box, `back` cells before it
-    layout = (max_degree + 1, size_x, size_y * size_z)
-    table = np.empty((4,) + live.shape,
-                     dtype=np.int32 if math.prod(layout) < 2 ** 31 else np.int64)
-    table[0] = lo[..., 0] + np.arange(1, max_degree + 1) * size_x
-    table[1] = hi[..., 0] - lo[..., 0]
-    # the source is one degree and w back: (rows, cells, flat offset)
-    backs = factors[:, :3] @ [[1, 0, layout[2]], [0, size_z, size_z], [0, 1, 1]]
-    backs += [size_x, 0, size_x * layout[2]]
-    base = np.where(table[1] == 1, table[0] * layout[2] - backs[:, 2:], 0)
-    table[2] = lo[..., 1] * size_z + lo[..., 2] + base
-    table[3] = hi[..., 1] * size_z + hi[..., 2] - size_z + base
-    table = table[:, live]
-    for array in (seeds, table, backs):
+    first = np.maximum(-radii[:, 1:], shift - radii[:, :-1]) + half
+    last = np.minimum(radii[:, 1:], shift + radii[:, :-1]) + half
+    # a shift wider than both windows leaves first > last on some axis,
+    # where the flat run would be empty or wrapped, so it must be skipped
+    live = (first <= last).all(axis=2)
+    # each run is the flat range from the first window cell to the last; it
+    # reads the cells `back` before it, one degree and w back
+    backs = plane + factors[:, :3] @ steps
+    dst = np.arange(1, max_degree + 1) * plane - backs[:, None]
+    table = np.stack([first @ steps + dst, last @ steps + dst + 1]).astype(
+        np.int32 if (max_degree + 1) * plane < 2 ** 31 else np.int64)
+    runs = tuple(table[:, k, live[k]] for k in range(len(factors)))
+    for array in runs:
         array.flags.writeable = False
-    ends = list(accumulate(live.sum(axis=1).tolist()))
     return BoxPlan(
-        shape=(max_degree + 1,) + (size_x, size_y, size_z)[3 - rank:] + (1,) * (3 - rank),
-        center=tuple(center.tolist()[3 - rank:]) + lead, dtype=dtype, layout=layout,
-        origin=(center[0].item(), center[1].item() * size_z + center[2].item()),
-        seeds=seeds, backs=backs,
-        runs=tuple(table[:, a:b] for a, b in zip([0] + ends, ends)), which=which)
+        shape=(max_degree + 1,) + tuple(size.tolist()[3 - rank:]) + (1,) * (3 - rank),
+        center=tuple(half.tolist()[3 - rank:]) + lead, plane=plane,
+        origin=int(half @ steps), steps=tuple(steps.tolist()[3 - rank:]),
+        bound=_coefficient_bound(len(w), max_degree),
+        seeds=(1,) + tuple(math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)),
+        backs=tuple(backs.tolist()), runs=runs, which=which)
 
 
-def _build_product_boxes(weights, rank: int, max_degree: int,
-                         reach) -> tuple[np.ndarray, tuple[int, int, int]]:
+def _build_product_boxes(weights, rank: int, max_degree: int, reach,
+                         modulus: int = 2 ** 64) -> tuple[np.ndarray, tuple[int, ...]]:
     """Truncated prod over weights w of 1/(1 - q x^w), one dense box of
-    Laurent coefficients per q-degree, exact on every cell within `reach`
-    (per axis) of the origin at every degree.
+    Laurent coefficients per q-degree, exact modulo `modulus` on every cell
+    within `reach` (per axis) of the origin at every degree.
 
     Multiplying by the factor of weight w is S_d += shift(S_{d-1}, w) for
     d = 1..N, ascending.  The factors w_1..w_m run in the order of
@@ -348,97 +347,188 @@ def _build_product_boxes(weights, rank: int, max_degree: int,
     beyond d P_ka), and S_ka = max_{j >= k} |w_ja|, k included, bounds how
     far factors k..m can still move a cell.
 
-    Layout.  The torus axes are padded to three at the front and the box is
-    stored as (degree, axis 0, axes 1 and 2 flattened).  The radius
+    Layout.  The torus axes are padded to three at the front.  The radius
     c_a = max_d min(d wmax_a, (N - d) wmax_a + reach_a) covers every window,
-    and axis 2 has a gutter of g = wmax_2 cells beyond c_2 at both ends.
-    Factor k updates degree d with one add: in each axis-0 plane of its
-    window, the contiguous run from its first to its last window cell in
-    flattened order.  Between rows a run also covers the axis-2 cells
-    outside the window, gutter included.  A read moves w_1 rows and w_2
-    cells back in that order and lands on p - w unless it crosses a row end.
-    A cell with |p_2| <= c_2 has |p_2 - w_2| <= c_2 + g, so only a gutter
-    cell reads across a row end, and then it reads a gutter cell.
+    and axes 1 and 2 have gutters of g_a cells beyond c_a at both ends, so
+    that axis a has h_a = c_a + g_a cells on either side of the origin and
+    S_a = 2 h_a + 1 in all.  The box is stored flat, degree after degree with
+    axis 2 innermost: cell p (origin 0) of degree d sits at d V + fl(p), V
+    the cells per degree and fl(p) = (p_0 S_1 + p_1) S_2 + p_2.  Factor k
+    updates degree d with one add over the flat range from the first to the
+    last cell of its window, which also covers the cells between window rows
+    outside the window; the read of a cell lies V + fl(w) before it.
+    g_2 = wmax_2, and g_1 = wmax_1 when axis 0 has more than one plane; with
+    one plane a run keeps to the window's rows of axis 1, which needs no
+    gutter.  A gutter cell is one with |p_1| > c_1 or |p_2| > c_2.
 
-    Exactness.  Let K_k(d) be the cone |p_a| <= (N - d) S_ka + reach_a of
-    cells that factors k..m can still carry to the kernel.  The zero weights
-    come first; their windows are the origin, and after z of them the origin
-    holds C(d + z - 1, d) at degree d, which is set in closed form.  From
-    there, by induction over k and d:
-      (a) at a degree d with d wmax_2 <= c_2, every cell beyond the support
-          d P_ka on some axis a holds 0, gutter cells included.  Its value
-          before factor k was 0, beyond d P_(k-1)a.  A read that lands on
-          p - w comes from beyond (d - 1) P_ka, and a read across a row end
-          from a gutter cell, beyond c_2 >= (d - 1) wmax_2; both hold 0 by
-          (a) at degree d - 1.
-      (b) once factor k has run through degree d, every cell p in K_k(d)
-          holds the exact coefficient of the product of w_1..w_k.  A gutter
-          cell in K_k(d) has c_2 < |p_2| <= (N - d) wmax_2 + reach_2, so
-          d wmax_2 <= c_2 by the definition of c_2; it is beyond the
-          support, so it holds 0 by (a).  Any other cell p in K_k(d) held
-          the product of w_1..w_(k-1), since S never increases along the
-          order, so K_k(d) lies in K_(k-1)(d).  If a run covers p, it adds
-          the cell p - w at degree d - 1, which is in K_k(d - 1) since
-          |w_ka| <= S_ka, and so is exact.  Otherwise p is outside the
-          window.  Then p is beyond d P_k, or p - w is beyond (d - 1) P_k
-          (p - w beyond the cone would put p beyond K_k(d)), and factor k
-          adds nothing to p.
+    (i) Reads.  The read of a cell p stays in degree d - 1, and it is p - w
+    unless p is a gutter cell.  If |p_a| <= c_a then |p_a - w_a| <= h_a, so
+    a read carries from axis 2 into axis 1, or from axis 1 into axis 0, only
+    from a gutter cell, and by one step at most.  A carry into axis 0 keeps
+    the read within |p_0| <= c_0: the first plane of a run starts at a
+    window cell and cannot borrow, the last ends at one and cannot carry,
+    and the planes between are strictly inside the window, whose reads
+    p_0 - w_0 lie within c_0.  Without a carry the read is p - w, in the box
+    on axis 0 because the window is.
+
+    (ii) Support.  A read moves an entry by V + fl(w) and the seeds sit at
+    the origin, so a cell p of degree d holds a nonzero entry only if
+    fl(p) = fl(u) for a sum u of d weights, |u_a| <= d wmax_a.
+
+    (iii) Exactness.  Let K_k(d) be the cone |p_a| <= (N - d) S_ka + reach_a
+    of cells that factors k..m can still carry to the kernel.  The zero
+    weights come first; their windows are the origin, and after z of them
+    the origin holds C(d + z - 1, d) at degree d, which is set in closed
+    form.  From there, by induction over k and d, once factor k has run
+    through degree d every cell of K_k(d) in the box holds the coefficient
+    of the product of w_1..w_k; a cell of K_k(d) beyond the box has
+    coefficient 0, as c_a >= min(d wmax_a, (N - d) wmax_a + reach_a) puts it
+    beyond the support d wmax_a.
+      A gutter cell p in K_k(d), with |p_a| > c_a, has
+      c_a < (N - d) wmax_a + reach_a, so d wmax_a <= c_a by the definition
+      of c_a, and its coefficient is 0.  So is its entry.  Let u be as in
+      (ii).  On axis b = 2, and then on b = 1 if it has a gutter,
+      |p_b - u_b| < S_b: either d wmax_b <= h_b and both lie within h_b,
+      or c_b < N wmax_b, so reach_b < N wmax_b and c_b >= t wmax_b at
+      t = (N wmax_b + reach_b) // (2 wmax_b), whence 2 c_b + 2 wmax_b >
+      N wmax_b + reach_b >= |p_b| + |u_b|, p being in the cone.  So
+      fl(p) = fl(u) forces p_2 = u_2 and then p_1 = u_1, against
+      |u_a| <= d wmax_a < |p_a|.
+      Any other cell p in K_k(d) held the product of w_1..w_(k-1), since S
+      never increases along the order, so K_k(d) lies in K_(k-1)(d).  If the
+      run covers p, it adds the cell p - w at degree d - 1 by (i), which is
+      in K_k(d - 1) since |w_ka| <= S_ka, and so is exact.  Otherwise p is
+      outside the window.  Then p is beyond d P_k, or p - w is beyond
+      (d - 1) P_k (p - w beyond the cone would put p beyond K_k(d)), and
+      factor k adds nothing to p.
     K_m(d) holds every cell within reach, so every cell that
-    _extract_constant_terms reads is exact.  Any order is exact; the order
-    only sets the cost.
+    _constant_terms reads is exact.  Any order is exact; the order only sets
+    the cost.
 
-    The box is int64 while the bound C(m + d - 1, d) on its entries fits and
-    holds Python integers otherwise.  It is returned as an (N + 1, X, Y, Z)
-    view with the torus axes first and size-1 padding last, together with
-    the index of the origin.
+    Residues.  The box is uint64.  Every pass makes the same adds, so a
+    pass computes the exact integer box reduced modulo its modulus: 2^64
+    by wraparound, or an odd modulus below 2^62, subtracted once after an
+    add whenever the sum reaches it.  No entry exceeds C(m + N - 1, N), so
+    the 2^64 pass is the exact box while that bound is below 2^64.  The
+    box is returned as an (N + 1, X, Y, Z) view with the torus axes first
+    and size-1 padding last, together with the index of the origin.
 
-    Plan.  The shape, gutter, dtype, seeds, window classes and run offsets
-    come from _box_plan, computed once per (weights, N, reach) and cached.
-    Each request allocates a fresh box from the plan, seeds the origin,
-    builds the (dst, src) views of every run of each class once and adds
-    them class by class in the application order.  These are the windows,
-    runs, order and adds of the proof above, computed by the same formulas,
-    so the proof holds as it stands; the cache only decides when they are
-    computed.
+    Plan.  The shape, gutters, seeds, window classes and run offsets come
+    from _box_plan, computed once per (weights, N, reach) and cached.  Each
+    pass allocates a fresh box from the plan, seeds the origin, builds the
+    (dst, src) views of every run of each class once and adds them class by
+    class in the application order.  These are the windows, runs, order and
+    adds of the proof above, computed by the same formulas, so the proof
+    holds as it stands; the cache only decides when they are computed.
     """
     plan = _box_plan(tuple(map(tuple, weights)), operator.index(rank),
                      operator.index(max_degree),
                      tuple(map(operator.index, reach)))
-    coeffs = np.zeros(plan.layout, dtype=plan.dtype)
-    origin_row, origin_cell = plan.origin
-    coeffs[:, origin_row, origin_cell] = plan.seeds
-    plane = plan.layout[2]
-    flat, rows = coeffs.reshape(-1), coeffs.reshape(-1, plane)
+    return _fill_box(plan, modulus).reshape(plan.shape), plan.center
+
+
+def _fill_box(plan: BoxPlan, modulus: int) -> np.ndarray:
+    """The flat box of _build_product_boxes modulo 2^64 or an odd modulus
+    below 2^62."""
+    box = np.zeros(plan.cells, dtype=np.uint64)
+    box[plan.origin::plan.plane] = [s % modulus for s in plan.seeds]
     # the (dst, src) views of every run, built once per class; ahead[i] is
-    # flat[i + back], so a 1-D run adds its source flat[f0:f1] to ahead[f0:f1]
+    # box[i + back], so a run adds its source box[f0:f1] to ahead[f0:f1]
     views = []
-    for (back_r, back_f, back), table in zip(plan.backs.tolist(), plan.runs):
-        ahead = flat[back:]
-        views.append([(ahead[f0:f1], flat[f0:f1]) if n == 1 else
-                      (rows[r:r + n, f0:f1],
-                       rows[r - back_r:r - back_r + n, f0 - back_f:f1 - back_f])
-                      for r, n, f0, f1 in zip(*table.tolist())])
+    for back, table in zip(plan.backs, plan.runs):
+        ahead = box[back:]
+        views.append([(ahead[f0:f1], box[f0:f1]) for f0, f1 in zip(*table.tolist())])
+    if modulus == 2 ** 64:
+        for k in plan.which:
+            for dst, src in views[k]:
+                dst += src
+        return box
+    # both terms are below the modulus, so the sum is below 2^63 and one
+    # conditional subtract reduces it: dst - modulus wraps past dst when
+    # dst < modulus, and the minimum keeps the reduced value; no run is
+    # longer than a degree
+    spare = np.empty(plan.plane, dtype=np.uint64)
     for k in plan.which:
         for dst, src in views[k]:
             dst += src
-    return coeffs.reshape(plan.shape), plan.center
+            low = spare[:dst.size]
+            np.subtract(dst, modulus, out=low)
+            np.minimum(dst, low, out=dst)
+    return box
 
 
-def _extract_constant_terms(boxes: np.ndarray, center, exps: np.ndarray,
-                            coefs: np.ndarray, bound: int) -> list[int]:
-    """CT per q-degree of kernel * series: the box entries at center minus
-    the kernel exponents, gathered for every degree at once and summed
-    against the kernel coefficients in one product (out-of-box lookups are
-    exact zeros).  No box entry exceeds bound, so no partial sum exceeds
-    sum |coefficient| * bound: below 2^63 an int64 box is summed in int64,
-    otherwise the product is taken in Python integers."""
-    pos = np.subtract(center, exps)
-    inside = ((pos >= 0) & (pos < boxes.shape[1:])).all(axis=1)
-    x, y, z = pos[inside].T
-    rows, kept = boxes[:, x, y, z], coefs[inside]
-    if boxes.dtype == np.int64 and sum(map(abs, coefs)) * bound < 2 ** 63:
-        return (rows @ kept.astype(np.int64)).tolist()
-    return (rows.astype(object) @ kept).tolist()
+def _kernel_cells(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> tuple:
+    """The kernel terms whose cells lie in the box, as (flat offset of each
+    within a degree; their coefficients; the sum of their negative
+    coefficients; the sum of their absolute values).  A term outside the
+    box reads an exact zero.  Kept in the plan per kernel, so that each
+    request makes one gather."""
+    key = (exps.tobytes(), coefs.tobytes())
+    cells = plan.kernels.get(key)
+    if cells is None:
+        inside = (np.abs(exps) <= plan.center[:exps.shape[1]]).all(axis=1)
+        offsets = plan.origin - exps[inside] @ plan.steps
+        kept = coefs[inside]
+        offsets.flags.writeable = kept.flags.writeable = False
+        cells = plan.kernels[key] = (offsets, kept, int(kept[kept < 0].sum()),
+                                     int(np.abs(kept).sum()))
+    return cells
+
+
+def _moduli(span: int) -> list[int]:
+    """2^64, then the largest odd numbers below 2^62 coprime to every
+    modulus before them, until the product of the moduli exceeds span."""
+    moduli, product, candidate = [2 ** 64], 2 ** 64, 2 ** 62 - 1
+    while product <= span:
+        if math.gcd(candidate, product) == 1:
+            moduli.append(candidate)
+            product *= candidate
+        candidate -= 2
+    return moduli
+
+
+def _kernel_sums(rows: np.ndarray, coefs: np.ndarray, span: int) -> list[int]:
+    """sum_j coefs[j] rows[i, j] per row i in Python integers, for uint64
+    rows, sum |coefs| < 2^31 and no partial sum beyond span in absolute
+    value.  Below 2^63 that is one int64 product; otherwise each 32-bit
+    half of the rows is summed in int64, where no partial sum reaches
+    sum |coefs| 2^32 <= 2^63."""
+    if span < 2 ** 63:
+        return (rows.view(np.int64) @ coefs).tolist()
+    low = (rows & 0xFFFFFFFF).view(np.int64) @ coefs
+    high = (rows >> 32).view(np.int64) @ coefs
+    return [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())]
+
+
+def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[int]:
+    """CT per q-degree of kernel * series: the box entries at the origin
+    minus the kernel exponents, gathered for every degree at once and
+    summed against the kernel's coefficients.
+
+    Every entry lies in [0, bound], so every constant term lies in
+    [negative * bound, negative * bound + weight * bound] for the sum
+    `negative` of the negative coefficients and the sum `weight` of their
+    absolute values.  While the bound is below 2^64, the one 2^64 pass is
+    the exact box.  Otherwise each pass of _moduli gives the constant terms
+    modulo its modulus, the Chinese remainder theorem combines them modulo
+    the product of the moduli, and since that product exceeds the width of
+    the range, the range fixes them.  Each pass's box is freed before the
+    next is built."""
+    offsets, kept, negative, weight = _kernel_cells(plan, exps, coefs)
+    degrees = plan.shape[0]
+    if plan.bound < 2 ** 64:
+        rows = _fill_box(plan, 2 ** 64).reshape(degrees, -1).take(offsets, axis=1)
+        return _kernel_sums(rows, kept, weight * plan.bound)
+    total, product = [0] * degrees, 1
+    for modulus in _moduli(weight * plan.bound):
+        rows = _fill_box(plan, modulus).reshape(degrees, -1).take(offsets, axis=1)
+        sums = _kernel_sums(rows, kept, weight * (modulus - 1))
+        inverse = pow(product, -1, modulus)
+        total = [t + product * ((s - t) * inverse % modulus)
+                 for t, s in zip(total, sums)]
+        product *= modulus
+    least = negative * plan.bound
+    return [least + (t - least) % product for t in total]
 
 
 def molien_series(ws: WeightSystem, max_degree: int, *,
@@ -450,11 +540,10 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     1/|W| normalization; "reduced" integrates the positive-root half
     prod_{r > 0} (1 - x^-r) of it with divisor 1 (see _kernel).
     The product box covers only the cells within the kernel's reach (see
-    _build_product_boxes).  It is int64 while the proven bound
-    C(m + d - 1, d) on its entries fits and holds Python integers otherwise;
-    the kernel product is summed in int64 only while that bound times the
-    kernel's absolute coefficient sum stays below 2^63, so the counts are
-    exact at every degree.
+    _build_product_boxes).  It is computed in uint64, once while the proven
+    bound C(m + d - 1, d) on its entries is below 2^64 and otherwise once
+    per modulus of a residue system wide enough for the constant terms (see
+    _constant_terms), so the counts are exact at every degree.
 
     Requests beyond degree_cap are rejected so that runaway degrees fail
     fast; pass a larger degree_cap explicitly to override.  max_degree is
@@ -471,11 +560,9 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
             f"pass degree_cap explicitly to override")
     exps, coefs, reach, divisor = _kernel(tuple(map(tuple, ws.roots)), ws.rank,
                                           backend, ws.weyl_order)
-    boxes, center = _build_product_boxes(ws.weights, ws.rank, max_degree, reach)
-    bound = _coefficient_bound(len(ws.weights), max_degree)
+    plan = _box_plan(tuple(map(tuple, ws.weights)), ws.rank, max_degree, reach)
     out = []
-    for d, value in enumerate(_extract_constant_terms(boxes, center, exps,
-                                                      coefs, bound)):
+    for d, value in enumerate(_constant_terms(plan, exps, coefs)):
         if value % divisor:
             raise ArithmeticError(
                 f"constant term {value} at degree {d} is not divisible by {divisor}")

@@ -106,6 +106,46 @@ def test_casimir_routes_on_a_stack_match_single_states():
         assert (np.abs(stacked - single) <= 1e-14 * np.abs(single)).all()
 
 
+def huge_states():
+    """Unit-trace states so large that tr omega still rounds to 0 while tr
+    rho does not, or while their powers overflow: random_density(3) with
+    every coordinate scaled by 1e49 or 1e52, and a = (1e60, 0, 0)."""
+    base = random_density(3)
+    out = {f"{s:.0e}": QubitQutritState(base.a * s, base.b * s, base.C * s)
+           for s in (1e49, 1e52)}
+    out["a=1e60"] = QubitQutritState(np.array([1e60, 0.0, 0.0]), np.zeros(8),
+                                     np.zeros((3, 8)))
+    return out
+
+
+@pytest.mark.parametrize("case,message", [
+    ("1e+49", r"unit trace: \|tr rho - 1\| = 2.434e\+32"),
+    ("1e+52", r"unit trace: \|tr rho - 1\| = 8.308e\+34"),
+    ("a=1e60", "moments tr rho\\^k overflow"),
+], ids=["scaled-1e49", "scaled-1e52", "a-1e60"])
+def test_huge_states_are_rejected(case, message):
+    # 1e49 got a report with t_1 = 2.4e32; 1e52 warned of overflow in
+    # matmul and raised OverflowError; a = 1e60 warned of overflow.  The
+    # suite turns RuntimeWarnings into errors, so none may escape
+    state, other = huge_states()[case], random_density(4)
+    stack = QubitQutritState(*(np.stack([x, y]) for x, y in
+                               zip((other.a, other.b, other.C),
+                                   (state.a, state.b, state.C))))
+    for f in (positivity_report, casimirs_from_traces):
+        for given in (state, stack, to_matrix(state)):
+            with pytest.raises(ValueError, match=message):
+                f(given)
+
+
+def test_a_non_hermitian_matrix_at_the_float_limit_is_rejected():
+    # rho - rho^+ overflowed with a RuntimeWarning before the check
+    bad = np.zeros((6, 6), dtype=complex)
+    bad[0, 0], bad[0, 1], bad[1, 0] = 1.0, 1e308, -1e308
+    for f in (positivity_report, eigenvalue_oracle):
+        with pytest.raises(ValueError, match="input matrix is not Hermitian"):
+            f(bad)
+
+
 def test_vee_route_rejects_wrong_length():
     with pytest.raises(ValueError, match="length 35"):
         casimirs_from_vee(np.zeros(8), SC6)

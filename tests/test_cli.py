@@ -162,6 +162,26 @@ def test_invalid_state_is_input_error(tmp_path, capsys, doc):
         assert capsys.readouterr().err.startswith(f"qqinv: invalid state in {path}: ")
 
 
+@pytest.mark.parametrize("scale,message", [
+    (1e49, "rho does not have unit trace"), (1e52, "rho does not have unit trace"),
+    (1e60, "the moments tr rho^k overflow")], ids=["scaled-1e49", "scaled-1e52", "a-1e60"])
+def test_positivity_of_a_huge_state_is_input_error(tmp_path, capsys, scale, message):
+    # 1e49 printed a report, 1e52 and 1e60 died with a traceback
+    base = states.random_density(3)
+    path = tmp_path / "huge.json"
+    if scale == 1e60:
+        save_state(QubitQutritState(np.array([scale, 0.0, 0.0]), np.zeros(8),
+                                    np.zeros((3, 8))), str(path))
+    else:
+        save_state(QubitQutritState(base.a * scale, base.b * scale, base.C * scale),
+                   str(path))
+    for extra in ((), ("--oracle",)):
+        code, out = run_cli("positivity", str(path), *extra)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"qqinv: invalid state in {path}: {message}")
+
+
 def test_positivity_rho_form(tmp_path):
     rho = np.eye(6) / 6
     doc = {"rho": np.stack([rho, np.zeros((6, 6))], axis=-1).tolist()}

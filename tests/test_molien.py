@@ -9,8 +9,8 @@ import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           WeightSystem, _axis_reach, _box_plan, _box_radius,
-                          _build_product_boxes, _coefficient_bound,
-                          _extract_constant_terms, _kernel, _root_polynomial,
+                          _build_product_boxes, _constant_terms, _kernel,
+                          _kernel_cells, _kernel_sums, _moduli, _root_polynomial,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
@@ -138,27 +138,74 @@ def test_series_matches_dict_product():
     assert full_reach_box_series(ws, 6) == dict_product_series(ws.weights, 6)
 
 
-def test_box_dtype_follows_entry_bound():
-    # 35 weights: C(65, 31) < 2^62 <= C(66, 32)
+def test_residue_passes_follow_the_entry_bound():
+    # 35 zero weights hold C(d + 34, d) at the origin of degree d, and
+    # C(67, 33) < 2^64 <= C(68, 34): through degree 33 the 2^64 pass is the
+    # exact box, at 34 a second modulus is needed
     zeros = ((0,),) * 35
-    boxes, _ = _build_product_boxes(zeros, 1, 31, (0,))
-    assert boxes.dtype == np.int64
-    assert int(boxes[31, 0, 0, 0]) == math.comb(65, 31)
-    boxes, _ = _build_product_boxes(zeros, 1, 32, (0,))
-    assert boxes.dtype == object
-    assert boxes[32, 0, 0, 0] == math.comb(66, 32)
+    ws = WeightSystem(1, zeros, (), 1)
+    for N in (33, 34):
+        expect = [math.comb(d + 34, d) for d in range(N + 1)]
+        moduli = _moduli(_box_plan(zeros, 1, N, (0,)).bound)
+        assert moduli[0] == 2 ** 64 and len(moduli) == N - 32
+        for modulus in moduli:
+            boxes, _ = _build_product_boxes(zeros, 1, N, (0,), modulus)
+            assert boxes.dtype == np.uint64
+            assert boxes[:, 0, 0, 0].tolist() == [v % modulus for v in expect]
+        assert molien_series(ws, N, degree_cap=N) == expect
+    assert max(expect) >= 2 ** 64 > expect[-2]
+    assert moduli[1] < 2 ** 62 and moduli[1] % 2
+
+
+def test_residue_system_needs_three_more_moduli():
+    # C(259, 60) ~ 2^198: 2^64 and three moduli below 2^62 (2^250) cover
+    # it, two (2^188) do not
+    zeros = ((0,),) * 200
+    assert len(_moduli(_box_plan(zeros, 1, 60, (0,)).bound)) == 4
+    ws = WeightSystem(1, zeros, (), 1)
+    assert (molien_series(ws, 60, degree_cap=60)
+            == [math.comb(d + 199, d) for d in range(61)])
+
+
+def test_residue_passes_reduce_after_every_add():
+    # 100 zero weights seed the origin with C(d + 99, d) ~ 2^113 at degree
+    # 40 and four moving weights carry it across the box, so an odd-modulus
+    # pass that skipped a reduction would wrap past 2^64
+    moving = ((1,), (-1,), (1,), (-1,))
+    ws = WeightSystem(1, ((0,),) * 100 + moving, ((1,), (-1,)), 2)
+    N = 40
+    assert len(_moduli(_box_plan(ws.weights, 1, N, (1,)).bound * 4)) == 2
+    series = dict_product_series(moving, N)
+    kernel = {(0,): 2, (1,): -1, (-1,): -1}  # (1 - x)(1 - x^-1)
+    expect = []
+    for d in range(N + 1):
+        total = sum(math.comb(j + 99, j) * c * series[d - j].get((-e,), 0)
+                    for j in range(d + 1) for (e,), c in kernel.items())
+        assert total % 2 == 0
+        expect.append(total // 2)
+    assert molien_series(ws, N, degree_cap=N) == expect
+    assert molien_series(ws, N, backend="reduced", degree_cap=N) == expect
+
+
+def test_moduli_are_pairwise_coprime():
+    for span in (0, 2 ** 64 - 1, 2 ** 64, 2 ** 200, 2 ** 400):
+        moduli = _moduli(span)
+        assert math.prod(moduli) > span
+        assert math.prod(moduli[:-1]) <= span or len(moduli) == 1
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+        assert all(m % 2 and m < 2 ** 62 for m in moduli[1:])
 
 
 def test_pruned_box_shape_2x3():
     # radius max_d min(d, 30 - d + reach) per axis, kernel reach (1, 2, 2),
-    # and a gutter of max |w_z| = 1 at both ends of the innermost axis
+    # and gutters of max |w_y| = max |w_z| = 1 at both ends of axes y and z
     ws = adjoint_weight_system("su2xsu3")
     reach = _axis_reach([exp for exp, _ in _root_polynomial(ws.roots, ws.rank)],
                         ws.rank)
     assert reach == (1, 2, 2)
     boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
-    assert boxes.shape == (31, 31, 33, 35)
-    assert center == (15, 16, 17)
+    assert boxes.shape == (31, 31, 35, 35)
+    assert center == (15, 17, 17)
 
 
 #: SU(2) on spin 1, in the torus coordinate of the adjoint weights
@@ -190,8 +237,8 @@ def test_pruned_series_matches_full_box_spin1_plus_spin2():
 MIXED_WEIGHTS = ((0, 0), (0, 1), (0, -1), (1, 2), (-1, -2), (2, -1), (-2, 1),
                  (1, 1), (1, 0), (-1, 0), (2, 0), (-2, 0))
 
-#: rank 3, |w_a| up to 2 on every axis: runs over the flattened axes 1 and 2
-#: cross row ends by up to 2 cells, which the gutter must absorb
+#: rank 3, |w_a| up to 2 on every axis: runs over the flattened torus axes
+#: cross row and plane ends by up to 2 cells, which the gutters must absorb
 WRAP_WEIGHTS = ((0, 0, 0), (0, 2, -1), (0, -2, 1), (0, 1, 2), (0, -1, -2),
                 (0, 0, 2), (0, 0, -2), (1, 2, 2), (-1, -2, -2), (2, -1, 1),
                 (-2, 1, -1), (2, 0, 0), (-2, 0, 0))
@@ -236,18 +283,19 @@ def kernel_reach(spec):
     (SPIN1_PLUS_SPIN2.weights, 1, 30, (2,)),
     (adjoint_weight_system("su2xsu2").weights, 2, 30, (1, 1)),
     (adjoint_weight_system("su2xsu3").weights, 3, 30, (1, 2, 2)),
-    (adjoint_weight_system("su2xsu3").weights, 3, 32, (1, 2, 2)),
-], ids=["mixed", "wrap", "spin1+spin2", "2x2", "2x3-int64", "2x3-object"])
+    (adjoint_weight_system("su2xsu3").weights, 3, 34, (1, 2, 2)),
+], ids=["mixed", "wrap", "spin1+spin2", "2x2", "2x3-int64", "2x3-residue"])
 def test_box_from_cached_plan_equals_freshly_planned(weights, rank, N, reach):
-    _build_product_boxes(weights, rank, N, reach)
-    hits = _box_plan.cache_info().hits
-    cached, center = _build_product_boxes(weights, rank, N, reach)
-    assert _box_plan.cache_info().hits == hits + 1
-    _box_plan.cache_clear()
-    fresh, fresh_center = _build_product_boxes(weights, rank, N, reach)
-    assert _box_plan.cache_info().misses == 1
-    assert center == fresh_center
-    assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+    for modulus in (2 ** 64, _moduli(2 ** 64)[1]):
+        _build_product_boxes(weights, rank, N, reach, modulus)
+        hits = _box_plan.cache_info().hits
+        cached, center = _build_product_boxes(weights, rank, N, reach, modulus)
+        assert _box_plan.cache_info().hits == hits + 1
+        _box_plan.cache_clear()
+        fresh, fresh_center = _build_product_boxes(weights, rank, N, reach, modulus)
+        assert _box_plan.cache_info().misses == 1
+        assert center == fresh_center
+        assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
 
 
 def test_box_radius_is_the_widest_window():
@@ -260,12 +308,13 @@ def test_plan_reports_box_geometry():
     ws, reach = kernel_reach("su2xsu3")
     boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
     plan = _box_plan(ws.weights, ws.rank, 30, reach)
-    assert plan.shape == boxes.shape == (31, 31, 33, 35)
+    assert plan.shape == boxes.shape == (31, 31, 35, 35)
     assert plan.center == center
-    assert plan.dtype == boxes.dtype == np.int64
+    assert boxes.dtype == np.uint64
     assert plan.cells == boxes.size
     assert plan.nbytes == boxes.nbytes
-    assert _box_plan(ws.weights, ws.rank, 32, reach).dtype == object
+    assert plan.bound == math.comb(64, 30) < 2 ** 64
+    assert _box_plan(ws.weights, ws.rank, 34, reach).bound == math.comb(68, 34) >= 2 ** 64
 
 
 def test_weyl_and_reduced_share_one_plan():
@@ -280,8 +329,10 @@ def test_weyl_and_reduced_share_one_plan():
 
 def test_plan_arrays_are_read_only():
     ws, reach = kernel_reach("su2xsu3")
+    molien_series(ws, 12)
     plan = _box_plan(ws.weights, ws.rank, 12, reach)
-    for array in (plan.seeds, plan.backs) + plan.runs:
+    offsets, kept, _, _ = next(iter(plan.kernels.values()))
+    for array in plan.runs + (offsets, kept):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     with pytest.raises(AttributeError):
@@ -344,7 +395,7 @@ def test_two_qubit_series_matches_rational():
 
 
 def test_trivial_group_counts_free_ring():
-    # the last input has bound C(79, 40) ~ 2^75 and runs on the object box
+    # the last input has bound C(79, 40) ~ 2^75 and runs two residue passes
     for dim, degree in [(1, 10), (2, 10), (3, 10), (4, 10), (5, 10), (40, 40)]:
         ws = WeightSystem(1, ((0,),) * dim, (), 1)
         series = molien_series(ws, degree, degree_cap=degree)
@@ -375,8 +426,8 @@ def test_reduced_backend_matches_weyl_on_any_weight_system(ws):
 def kernel_items(spec, backend):
     ws = adjoint_weight_system(spec)
     exps, coefs, _, divisor = _kernel(ws.roots, ws.rank, backend, ws.weyl_order)
-    assert all(type(c) is int for c in coefs)
-    return list(zip(map(tuple, exps[:, :ws.rank].tolist()), coefs.tolist())), divisor
+    assert exps.dtype == coefs.dtype == np.int64
+    return list(zip(map(tuple, exps.tolist()), coefs.tolist())), divisor
 
 
 def test_reduced_kernels_of_the_built_in_groups():
@@ -393,18 +444,22 @@ def test_reduced_kernels_of_the_built_in_groups():
     assert len(items) == 9 and divisor == 4
 
 
-def object_constant_terms(boxes, center, exps, coefs):
-    """The kernel product summed in Python integers: the reference for the
-    int64 sum."""
-    pos = np.subtract(center, exps)
-    inside = ((pos >= 0) & (pos < boxes.shape[1:])).all(axis=1)
-    x, y, z = pos[inside].T
-    return (boxes[:, x, y, z].astype(object) @ coefs[inside]).tolist()
+def python_integer_constant_terms(boxes, center, exps, coefs):
+    """The kernel product summed in Python integers, every box entry read
+    on its own: the reference for the int64 sums."""
+    out = []
+    for row in boxes:
+        total = 0
+        for e, c in zip(exps.tolist(), coefs.tolist()):
+            pos = tuple(x - y for x, y in zip(center, e + [0] * (3 - len(e))))
+            if all(0 <= p < n for p, n in zip(pos, row.shape)):
+                total += c * int(row[pos])
+        out.append(total)
+    return out
 
 
-# 2x3 leaves the int64 sum at degree 26 (weyl) and 30 (reduced) and the int64
-# box at 32; degrees 34..40 would take the object path of 32 and 33 again at
-# about 3 s of box building
+# 2x3 leaves the single int64 sum at degree 26 (weyl) and 30 (reduced), and
+# its entries stay below 2^64 through degree 33
 @pytest.mark.parametrize("spec,top", [("su2xsu2", 40), ("su2xsu3", 33)])
 def test_constant_terms_in_int64_equal_the_python_integer_sum(spec, top):
     ws = adjoint_weight_system(spec)
@@ -414,27 +469,28 @@ def test_constant_terms_in_int64_equal_the_python_integer_sum(spec, top):
     assert kernels[1][2] == reach
     in_int64 = set()
     for N in range(top + 1):
+        plan = _box_plan(ws.weights, ws.rank, N, reach)
         boxes, center = _build_product_boxes(ws.weights, ws.rank, N, reach)
-        bound = _coefficient_bound(len(ws.weights), N)
         for exps, coefs, _, _ in kernels:
-            got = _extract_constant_terms(boxes, center, exps, coefs, bound)
-            assert got == object_constant_terms(boxes, center, exps, coefs), N
+            got = _constant_terms(plan, exps, coefs)
+            assert got == python_integer_constant_terms(boxes, center, exps, coefs), N
             assert all(type(v) is int for v in got)
-            in_int64.add(boxes.dtype == np.int64
-                         and sum(map(abs, coefs)) * bound < 2 ** 63)
+            in_int64.add(_kernel_cells(plan, exps, coefs)[3] * plan.bound < 2 ** 63)
     assert in_int64 == ({True} if spec == "su2xsu2" else {True, False})
 
 
 @pytest.mark.parametrize("coefs", [(1, 1, 0), (1, 1, 1), (1, -1, -1)])
 def test_constant_terms_leave_int64_before_a_sum_can_overflow(coefs):
-    # every entry at the bound 2^62 - 1: two of them still sum in int64, a
-    # third would wrap around, so the sum must move to Python integers
-    top = 2 ** 62 - 1
-    boxes = np.full((2, 3, 1, 1), top, dtype=np.int64)
-    exps = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0]], dtype=np.int64)
-    got = _extract_constant_terms(boxes, (1, 0, 0), exps,
-                                  np.array(coefs, dtype=object), top)
-    assert got == [sum(coefs) * top] * 2
+    # entries at 2^62 - 1: two of them still sum in int64, a third would
+    # wrap around, so the sum must move to 32-bit halves; entries up to
+    # 2^64 - 1, as the 2^64 pass leaves them, sum by halves too
+    coefs = np.array(coefs, dtype=np.int64)
+    weight = int(np.abs(coefs).sum())
+    for top in (2 ** 62 - 1, 2 ** 63, 2 ** 64 - 1):
+        rows = np.array([[top] * 3, [top, top - 1, 1], [0, top, top]], dtype=np.uint64)
+        expect = [sum(c * v for c, v in zip(coefs.tolist(), row))
+                  for row in rows.tolist()]
+        assert _kernel_sums(rows, coefs, weight * top) == expect
 
 
 def test_degree_cap():
@@ -442,6 +498,15 @@ def test_degree_cap():
     with pytest.raises(ValueError, match="resource cap 20"):
         molien_series(ws, 21)
     assert len(molien_series(ws, 22, degree_cap=25)) == 23
+
+
+def test_kernel_coefficients_must_sum_below_2_31():
+    # (1 - x)^16 (1 - x^-1)^16 = x^-16 (1 - x)^32 has |coefficient| sum 2^32;
+    # its positive half (1 - x^-1)^16 has 2^16
+    roots = ((1,), (-1,)) * 16
+    with pytest.raises(ValueError, match="too large"):
+        _kernel(roots, 1, "weyl", 2)
+    assert sum(map(abs, _kernel(roots, 1, "reduced", 2)[1].tolist())) == 2 ** 16
 
 
 def test_bad_backend():
@@ -478,7 +543,7 @@ def test_qubit_qutrit_rational_matches_series():
 
 @pytest.mark.parametrize("backend", ["weyl", "reduced"])
 def test_qubit_qutrit_series_matches_rational_through_31(backend):
-    # 31 is the deepest degree whose product box still fits int64
+    # 31 is the deepest degree whose entries stay below 2^62
     ws = adjoint_weight_system("su2xsu3")
     assert (molien_series(ws, 31, backend=backend, degree_cap=31)
             == qubit_qutrit_rational().series(31))
@@ -486,11 +551,20 @@ def test_qubit_qutrit_series_matches_rational_through_31(backend):
 
 @pytest.mark.parametrize("backend", ["weyl", "reduced"])
 def test_qubit_qutrit_series_matches_rational_through_38(backend):
-    # q^38 is the last printed numerator coefficient; from 32 on the box
-    # holds Python integers
+    # q^38 is the last printed numerator coefficient; from 34 on the
+    # series comes from residue passes
     ws = adjoint_weight_system("su2xsu3")
     assert (molien_series(ws, 38, backend=backend, degree_cap=38)
             == qubit_qutrit_rational().series(38))
+
+
+def test_qubit_qutrit_series_matches_rational_through_76():
+    # the whole completed numerator, q^0..q^75, and one degree beyond; the
+    # box entries reach C(110, 76) ~ 2^95, so this runs the 2^64 pass and
+    # one odd-modulus pass
+    ws = adjoint_weight_system("su2xsu3")
+    assert (molien_series(ws, 76, degree_cap=76)
+            == qubit_qutrit_rational().series(76))
 
 
 @pytest.mark.parametrize("backend", ["weyl", "reduced"])
