@@ -99,8 +99,13 @@ def _cmd_invariants(args, out) -> int:
     state = _load_state(args.statefile)
     listed = [w for degree in range(1, args.max_degree + 1)
               for w in local_invariants.enumerate_words(degree)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = local_invariants.eval_trace_complex(listed, state)
     words = []
-    for w, val in zip(listed, local_invariants.eval_trace_complex(listed, state)):
+    for w, val in zip(listed, values):
+        if not np.isfinite(val):
+            raise InputError(f"invalid state in {args.statefile}: trace of "
+                             f"word {w.letters!r} is not finite")
         entry = {"word": w.letters, "multidegree": list(w.multidegree)}
         if abs(val.imag) > local_invariants.IMAG_TOL:
             # complex trace: outside the real sector, never truncated
@@ -354,8 +359,9 @@ def run(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = "table" if args.command in ("molien", "selftest") else "json"
-    if args.command == "invariants" and not 1 <= args.max_degree <= 8:
-        print("qqinv: --max-degree must be in 1..8", file=sys.stderr)
+    cap = local_invariants.MAX_WORD_DEGREE
+    if args.command == "invariants" and not 1 <= args.max_degree <= cap:
+        print(f"qqinv: --max-degree must be in 1..{cap}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.command in ("invariants", "selftest") and args.panel_size < 1:
         print("qqinv: --panel-size must be >= 1", file=sys.stderr)

@@ -36,6 +36,8 @@ IMAG_TOL = 1e-9
 RANK_EPS = 1e-12
 JACOBIAN_STEP = 1e-5
 JACOBIAN_PARAM_SCALE = 0.3
+#: highest word degree of enumerate_words, independence_evidence and the CLI
+MAX_WORD_DEGREE = 8
 
 #: linearly independent invariants that are not products of lower ones
 LISTED_DEGREE2 = ("aa", "bb", "gg")
@@ -43,11 +45,19 @@ LISTED_DEGREE3 = ("bbb", "ggg", "abg", "bgg")
 LISTED_DEGREE4 = ("gggg", "aggg", "bggg", "agag", "bbgg", "bgbg", "abbg", "abgg")
 
 
+def _check_letters(word: str) -> None:
+    if not word or any(ch not in LETTERS for ch in word):
+        raise ValueError(f"word must be nonempty over {LETTERS!r}, got {word!r}")
+
+
 @dataclass(frozen=True, order=True)
 class TraceWord:
     """Canonical word over {alpha, beta, gamma}; letters is e.g. 'abgg'."""
 
     letters: str
+
+    def __post_init__(self):
+        _check_letters(self.letters)
 
     @property
     def multidegree(self) -> tuple[int, int, int]:
@@ -58,28 +68,19 @@ class TraceWord:
         return self.letters
 
 
-@lru_cache(maxsize=None)
 def canonical_form(word: str) -> str:
-    """Lexicographic minimum over the closure of cyclic rotations and
-    adjacent alpha/beta swaps (breadth-first over the tiny class)."""
-    if not word or any(ch not in LETTERS for ch in word):
-        raise ValueError(f"word must be nonempty over {LETTERS!r}, got {word!r}")
-    seen = {word}
-    stack = [word]
-    while stack:
-        w = stack.pop()
-        for r in range(1, len(w)):
-            rot = w[r:] + w[:r]
-            if rot not in seen:
-                seen.add(rot)
-                stack.append(rot)
-        for i in range(len(w) - 1):
-            if w[i] != w[i + 1] and {w[i], w[i + 1]} == {"a", "b"}:
-                swp = w[:i] + w[i + 1] + w[i] + w[i + 2:]
-                if swp not in seen:
-                    seen.add(swp)
-                    stack.append(swp)
-    return min(seen)
+    """Lexicographic minimum of the word's class under cyclic rotation and
+    adjacent alpha/beta swaps.  A word without gamma is a^i b^j.  Otherwise
+    the class is the cyclic sequence of its gamma-terminated blocks, each
+    block a^i b^j g since alpha and beta commute inside it, and the minimum
+    starts at a block start: it is the least rotation of that sequence."""
+    _check_letters(word)
+    if "g" not in word:
+        return "a" * word.count("a") + "b" * word.count("b")
+    cut = word.rindex("g") + 1
+    blocks = ["a" * b.count("a") + "b" * b.count("b") + "g"
+              for b in (word[cut:] + word[:cut]).split("g")[:-1]]
+    return min("".join(blocks[i:] + blocks[:i]) for i in range(len(blocks)))
 
 
 def trace_word(word: str) -> TraceWord:
@@ -88,9 +89,9 @@ def trace_word(word: str) -> TraceWord:
 
 @lru_cache(maxsize=None)
 def enumerate_words(degree: int) -> tuple[TraceWord, ...]:
-    """All canonical words of the given length, sorted. 1 <= degree <= 8."""
-    if not 1 <= degree <= 8:
-        raise ValueError(f"degree must be in 1..8, got {degree}")
+    """All canonical words of the given length (1..MAX_WORD_DEGREE), sorted."""
+    if not 1 <= degree <= MAX_WORD_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_WORD_DEGREE}, got {degree}")
     reps = {canonical_form("".join(t))
             for t in itertools.product(LETTERS, repeat=degree)}
     return tuple(TraceWord(w) for w in sorted(reps))
@@ -350,28 +351,18 @@ def panel_violations(seed: int = DEFAULT_PANEL_SEED,
 
 def _product_candidates(degree: int, seed: int) -> list[tuple[str, ...]]:
     """Multisets of lower-degree non-kernel words with total degree equal to
-    degree (products of at least two invariants)."""
-    pools = {d: [w.letters for w in nonkernel_words(d, seed)]
-             for d in range(1, degree)}
+    degree (products of at least two invariants), as sorted tuples, sorted;
+    factors are picked in non-decreasing pool position, so each comes once."""
+    pool = sorted(w.letters for d in range(1, degree)
+                  for w in nonkernel_words(d, seed))
 
-    def partitions(total, max_part):
-        if total == 0:
-            yield ()
-            return
-        for part in range(min(total, max_part), 0, -1):
-            for rest in partitions(total - part, part):
-                yield (part,) + rest
+    def grow(start, left):
+        if not left:
+            return [()]
+        return [(w,) + rest for i, w in enumerate(pool[start:], start)
+                if len(w) <= left for rest in grow(i, left - len(w))]
 
-    out = set()
-    for part in partitions(degree, degree - 1):
-        if len(part) < 2 or any(not pools[p] for p in part):
-            continue
-        sizes = {p: part.count(p) for p in set(part)}
-        per_size = [list(itertools.combinations_with_replacement(pools[p], c))
-                    for p, c in sorted(sizes.items())]
-        for combo in itertools.product(*per_size):
-            out.add(tuple(sorted(itertools.chain.from_iterable(combo))))
-    return sorted(out)
+    return sorted(grow(0, degree))
 
 
 def _numerical_rank(matrix: np.ndarray) -> int:
@@ -485,8 +476,8 @@ def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED) -> in
 
     The returned rank can never exceed 24, the dimension of the quotient of
     the su(6) adjoint orbit space by the local action (35 - 11)."""
-    if not 1 <= degree_cap <= 8:
-        raise ValueError(f"degree_cap must be in 1..8, got {degree_cap}")
+    if not 1 <= degree_cap <= MAX_WORD_DEGREE:
+        raise ValueError(f"degree_cap must be in 1..{MAX_WORD_DEGREE}, got {degree_cap}")
     words = [w for d in range(1, degree_cap + 1) for w in nonkernel_words(d, seed)]
     rng = np.random.default_rng(seed)
     best = 0

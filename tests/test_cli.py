@@ -262,6 +262,15 @@ def test_invariants_forms_the_letter_matrices_once(mixed_file, monkeypatch):
     assert len(calls) == 1
 
 
+def test_invariants_rejects_non_finite_traces(tmp_path, capsys):
+    s = states.random_density(3)
+    path = tmp_path / "huge.json"
+    save_state(QubitQutritState(1e200 * s.a, 1e200 * s.b, 1e200 * s.C), str(path))
+    code, out = run_cli("invariants", str(path))
+    assert code == 2 and out == ""
+    assert "trace of word 'aa' is not finite" in capsys.readouterr().err
+
+
 def test_invariants_bad_degree(mixed_file):
     code, _ = run_cli("invariants", mixed_file, "--max-degree", "9")
     assert code == 2

@@ -14,7 +14,7 @@ from qqinv.local_invariants import (canonical_form, correlation_quartic_dd,
                                     jacobian_rank, kernel_at_degree,
                                     listed_invariants_through_degree4,
                                     panel_violations, rank_at_degree,
-                                    trace_word)
+                                    trace_word, TraceWord)
 from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
                           gamma_matrix, random_density)
 from qqinv.su_algebra import structure_constants
@@ -62,6 +62,43 @@ def test_canonical_form_moves():
     assert canonical_form("ggba") == "abgg"
     with pytest.raises(ValueError):
         canonical_form("axg")
+
+
+def _closure(word):
+    """The class of a word under cyclic rotation and adjacent a<->b swaps,
+    by exhaustive search."""
+    seen, stack = {word}, [word]
+    while stack:
+        w = stack.pop()
+        moves = [w[r:] + w[:r] for r in range(1, len(w))]
+        moves += [w[:i] + w[i + 1] + w[i] + w[i + 2:] for i in range(len(w) - 1)
+                  if {w[i], w[i + 1]} == {"a", "b"}]
+        for m in moves:
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
+
+
+def test_canonical_form_is_the_class_minimum_through_degree8():
+    counts = []
+    for degree in range(1, 9):
+        left = {"".join(t) for t in itertools.product("abg", repeat=degree)}
+        minima = []
+        while left:
+            members = _closure(next(iter(left)))
+            left -= members
+            minima.append(min(members))
+            assert {canonical_form(w) for w in members} == {minima[-1]}
+        assert [w.letters for w in enumerate_words(degree)] == sorted(minima)
+        counts.append(len(minima))
+    assert counts == [3, 6, 10, 18, 31, 65, 129, 292]
+
+
+@pytest.mark.parametrize("letters", ["", "axg"])
+def test_trace_word_rejects_bad_letters(letters):
+    with pytest.raises(ValueError, match="nonempty over"):
+        TraceWord(letters)
 
 
 def test_multidegree():
@@ -362,6 +399,15 @@ def test_casimir_decomposition_a_only():
 
 
 # -- ranks ----------------------------------------------------------------------------
+
+def test_product_candidate_counts():
+    seed = li.DEFAULT_PANEL_SEED
+    assert [len(li._product_candidates(d, seed)) for d in range(1, 7)] == [
+        0, 0, 0, 6, 12, 59]
+    for cand in li._product_candidates(6, seed):
+        assert len(cand) >= 2 and list(cand) == sorted(cand)
+        assert sum(map(len, cand)) == 6
+
 
 def test_rank_degree2_and_3():
     assert rank_at_degree(1, include_products=False) == 0
