@@ -145,12 +145,12 @@ def _check_omega(om: np.ndarray, of_state: bool) -> None:
     Hermitian by construction.  On rho these bounds are n times tighter than
     states.TRACE_TOL and HERM_TOL, so a matrix that from_matrix accepts can
     fail here."""
-    tdev = float(np.abs(np.trace(om, axis1=-2, axis2=-1)).max())
+    tdev = float(np.abs(om.trace(axis1=-2, axis2=-1)).max(initial=0.0))
     if not tdev <= TRACELESS_TOL:
         raise ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
     if of_state:
         return
-    hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max())
+    hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not hdev <= TRACELESS_TOL:
         raise ValueError("omega = n rho - I is not Hermitian: "
                          f"max |omega - omega^+| = {hdev:.3e}")
@@ -184,7 +184,7 @@ def moments(rho: np.ndarray) -> tuple[float, ...]:
     p[0] = rho
     for k in range(1, 6):
         np.matmul(p[k - 1], rho, out=p[k])
-    t = np.trace(p, axis1=-2, axis2=-1).real
+    t = p.trace(axis1=-2, axis2=-1).real
     # one matrix gives Python floats, so its verdicts stay plain bools
     return tuple(t.tolist()) if t.ndim == 1 else tuple(t)
 

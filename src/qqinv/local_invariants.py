@@ -101,9 +101,7 @@ def _letter_matrices(state: QubitQutritState) -> dict:
     """alpha, beta, gamma of a state, or (N, 6, 6) stacks of a stacked state;
     _eval_on adds the prefix products it forms to this dict, and _panel_su3
     the su(3) contractions."""
-    return {"a": states.alpha_matrix(state),
-            "b": states.beta_matrix(state),
-            "g": states.gamma_matrix(state)}
+    return dict(zip(LETTERS, states.letter_matrices(state)))
 
 
 def _product(mats: dict[str, np.ndarray], word: str) -> np.ndarray:

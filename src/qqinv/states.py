@@ -36,13 +36,51 @@ _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3, dtype=complex)
 _I6 = np.eye(6, dtype=complex)
 
-# sigma_i x I3, I2 x lambda_a, sigma_i x lambda_a, precomputed once
-_SIG_I3 = np.array([np.kron(PAULI[i], _I3) for i in range(3)])
-_I2_LAM = np.array([np.kron(_I2, GELL_MANN[a]) for a in range(8)])
-_SIG_LAM = np.array([[np.kron(PAULI[i], GELL_MANN[a]) for a in range(8)]
-                     for i in range(3)])
-# all 35 in the order of (a, b, C row by row), for the one projection
-_BASIS = np.concatenate([_SIG_I3, _I2_LAM, _SIG_LAM.reshape(24, 6, 6)])
+# sigma_i x I3, I2 x lambda_a and sigma_i x lambda_a in the order of (a, b,
+# C row by row), for the one projection and the gather table
+_BASIS = np.array([np.kron(PAULI[i], _I3) for i in range(3)]
+                  + [np.kron(_I2, GELL_MANN[a]) for a in range(8)]
+                  + [np.kron(PAULI[i], GELL_MANN[a]) for i in range(3) for a in range(8)])
+
+
+def _gather_table() -> tuple[np.ndarray, np.ndarray]:
+    """Each letter as a gather from the 35 coordinates x = (a, b, C).
+
+    Every entry of sigma_i x I3, I2 x lambda_a and sigma_i x lambda_a is
+    real or imaginary, so each of the 72 floats of a letter (its 36 entries,
+    real and imaginary parts interleaved) is a sum of terms x_k c_k with real
+    c_k, and within one letter at most two of them are nonzero (alpha has one
+    per part, beta two real and one imaginary, gamma two and two).  Entry
+    [g, j, e] of the table is term j of float e of letter g, in coordinate
+    order and padded with terms of coefficient 0; e is then split as (row,
+    12 floats), so that the summed terms view as the letter's complex rows.
+    Two terms add to the same float in either order and zero terms leave a
+    nonzero sum as it is, so the gather has the bits of the full sum
+    sum_k x_k B_k in whatever order that is taken (the tests compare it byte
+    for byte with one einsum per letter); only the sign of a zero entry
+    depends on the order, and _letters sums from +0 so that it is +0.
+    """
+    flat = _BASIS.reshape(35, 36).view(float)
+    index, coef = [], []
+    for lo, hi in ((0, 3), (3, 11), (11, 35)):
+        block = flat[lo:hi]
+        # the nonzero terms of each float first, in coordinate order
+        rows = np.argsort(block == 0, axis=0, kind="stable")[:2]
+        index.append(lo + rows)
+        coef.append(np.take_along_axis(block, rows, axis=0))
+    return np.reshape(index, (3, 2, 6, 12)), np.reshape(coef, (3, 2, 6, 12))
+
+
+_GATHER_INDEX, _GATHER_COEF = _gather_table()
+
+
+def _real_field(name: str, value) -> np.ndarray:
+    """A coordinate field as a float array; complex input is rejected, not
+    converted (the conversion would drop the imaginary part)."""
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
+        raise ValueError(f"field {name!r} has dtype {value.dtype}, expected real coordinates")
+    return np.asarray(value, dtype=float)
 
 
 @dataclass
@@ -60,11 +98,12 @@ class QubitQutritState:
 
     def __post_init__(self):
         """a must end in 3, b in 8 and C in (3, 8), or in the flat (24,) of C
-        row by row, all over the batch shape of a; any other shape is
-        rejected, not reshaped (C.T would scramble the correlations)."""
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
+        row by row, all over the batch shape of a, and be real; any other
+        shape is rejected, not reshaped (C.T would scramble the
+        correlations)."""
+        self.a = _real_field("a", self.a)
+        self.b = _real_field("b", self.b)
+        self.C = _real_field("C", self.C)
         if self.a.shape[-1:] != (3,):
             raise ValueError(f"field 'a' has shape {self.a.shape}, expected (..., 3)")
         batch = self.a.shape[:-1]
@@ -86,21 +125,39 @@ def bloch_kappa(n: int) -> float:
     return math.sqrt(n * (n - 1) / 2.0)
 
 
+def _letters(state: QubitQutritState) -> np.ndarray:
+    """alpha, beta and gamma side by side, a (..., 3, 6, 6) array with the
+    letter axis after the batch axes, by one gather (see _gather_table).
+    take keeps the batch axes outermost, so the result is C-contiguous
+    (x[..., index] would put them innermost)."""
+    x = np.concatenate((state.a, state.b,
+                        state.C.reshape(state.a.shape[:-1] + (24,))), axis=-1)
+    terms = x.take(_GATHER_INDEX, axis=-1) * _GATHER_COEF
+    return np.add.reduce(terms, axis=-3, initial=0.0).view(complex)
+
+
+def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
+    """(alpha, beta, gamma), each a C-contiguous (..., 6, 6) array."""
+    letters = _letters(state)
+    return tuple(letters[..., k, :, :].copy() for k in range(3))
+
+
 def alpha_matrix(state: QubitQutritState) -> np.ndarray:
-    return np.einsum("...i,iuv->...uv", state.a, _SIG_I3)
+    return letter_matrices(state)[0]
 
 
 def beta_matrix(state: QubitQutritState) -> np.ndarray:
-    return np.einsum("...a,auv->...uv", state.b, _I2_LAM)
+    return letter_matrices(state)[1]
 
 
 def gamma_matrix(state: QubitQutritState) -> np.ndarray:
-    return np.einsum("...ia,iauv->...uv", state.C, _SIG_LAM)
+    return letter_matrices(state)[2]
 
 
 def omega_matrix(state: QubitQutritState) -> np.ndarray:
-    """The traceless part 6*rho - I = alpha + beta + gamma."""
-    return alpha_matrix(state) + beta_matrix(state) + gamma_matrix(state)
+    """The traceless part 6*rho - I = (alpha + beta) + gamma."""
+    letters = _letters(state)
+    return (letters[..., 0, :, :] + letters[..., 1, :, :]) + letters[..., 2, :, :]
 
 
 def to_matrix(state: QubitQutritState) -> np.ndarray:
@@ -128,10 +185,10 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
         raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
-    herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max())
+    herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
     if herm > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max |rho - rho^+| = {herm:.3e}")
-    tdev = float(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
+    tdev = float(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if tdev > TRACE_TOL:
         raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
     x = np.einsum("...uv,kvu->...k", rho, _BASIS).real
@@ -140,14 +197,14 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
 
 def reduced_qubit(state: QubitQutritState) -> np.ndarray:
     """Partial trace over the qutrit; equals (I2 + a.sigma)/2."""
-    rho = to_matrix(state).reshape(2, 3, 2, 3)
-    return np.einsum("iaja->ij", rho)
+    rho = to_matrix(state).reshape(state.a.shape[:-1] + (2, 3, 2, 3))
+    return np.einsum("...iaja->...ij", rho)
 
 
 def reduced_qutrit(state: QubitQutritState) -> np.ndarray:
     """Partial trace over the qubit; equals (I3 + b.lambda)/3."""
-    rho = to_matrix(state).reshape(2, 3, 2, 3)
-    return np.einsum("iaib->ab", rho)
+    rho = to_matrix(state).reshape(state.a.shape[:-1] + (2, 3, 2, 3))
+    return np.einsum("...iaib->...ab", rho)
 
 
 def state_to_xi(state: QubitQutritState) -> np.ndarray:
@@ -168,6 +225,12 @@ def state_to_xi(state: QubitQutritState) -> np.ndarray:
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _ginibres(rngs, rows: int, cols: int) -> np.ndarray:
+    """(N, rows, cols) stack of one Ginibre draw per generator, N = 0 too."""
+    return np.array([_ginibre(rng, rows, cols) for rng in rngs],
+                    dtype=complex).reshape(-1, rows, cols)
 
 
 def random_densities(seeds, ensemble: str = "ginibre-full-rank") -> QubitQutritState:
@@ -192,7 +255,7 @@ def random_densities(seeds, ensemble: str = "ginibre-full-rank") -> QubitQutritS
             raise ValueError(f"rank must be in 1..6, got {r}")
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    A = np.array([_ginibre(np.random.default_rng(seed), 6, r) for seed in seeds])
+    A = _ginibres(map(np.random.default_rng, seeds), 6, r)
     rho = A @ A.conj().swapaxes(-1, -2)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
     return from_matrix(rho)
@@ -213,11 +276,11 @@ def random_nonpsd_unit_traces(seeds, min_negative_eigenvalue: float) -> QubitQut
     if not -1.0 <= m < 0.0:
         raise ValueError(f"min_negative_eigenvalue must lie in [-1, 0), got {m}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    h = np.array([_ginibre(rng, 6, 6) for rng in rngs])
+    h = _ginibres(rngs, 6, 6)
     h = (h + h.conj().swapaxes(-1, -2)) / 2
     _, vecs = np.linalg.eigh(h)
     # each generator draws its Hermitian matrix before its spectrum
-    pos = np.array([rng.uniform(0.2, 1.0, size=5) for rng in rngs])
+    pos = np.array([rng.uniform(0.2, 1.0, size=5) for rng in rngs]).reshape(-1, 5)
     eigs = np.insert((1.0 - m) * pos / pos.sum(axis=-1, keepdims=True), 0, m, axis=-1)
     rho = (vecs * eigs[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     return from_matrix(rho)
@@ -252,10 +315,10 @@ def random_unitaries(seeds, local: bool) -> np.ndarray:
     else random_global_unitary(seeds[i]); one generator per seed, bit for bit."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if not local:
-        return _haar(np.array([_ginibre(rng, 6, 6) for rng in rngs]) / math.sqrt(2))
+        return _haar(_ginibres(rngs, 6, 6) / math.sqrt(2))
     # each generator draws its SU(2) factor before its SU(3) factor
-    k1 = _haar(np.array([_ginibre(rng, 2, 2) for rng in rngs]) / math.sqrt(2))
-    k2 = _haar(np.array([_ginibre(rng, 3, 3) for rng in rngs]) / math.sqrt(2))
+    k1 = _haar(_ginibres(rngs, 2, 2) / math.sqrt(2))
+    k2 = _haar(_ginibres(rngs, 3, 3) / math.sqrt(2))
     return (k1[:, :, None, :, None] * k2[:, None, :, None, :]).reshape(-1, 6, 6)
 
 

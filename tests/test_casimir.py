@@ -137,6 +137,17 @@ def test_huge_states_are_rejected(case, message):
                 f(given)
 
 
+def test_an_empty_stack_gets_an_empty_report():
+    empty = states.random_densities([])
+    report = positivity_report(empty)
+    for values in (report.t, report.S, report.S_bar, report.casimir_exprs,
+                   report.verdict_S, report.verdict_casimir):
+        assert all(v.shape == (0,) for v in values)
+    assert report.consistent.shape == (0,)
+    assert report.positive_semidefinite.shape == (0,)
+    assert eigenvalue_oracle(empty).shape == (0, 6)
+
+
 def test_a_non_hermitian_matrix_at_the_float_limit_is_rejected():
     # rho - rho^+ overflowed with a RuntimeWarning before the check
     bad = np.zeros((6, 6), dtype=complex)

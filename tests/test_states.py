@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from qqinv import states
 from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
-                          conjugate, from_matrix, gamma_matrix, omega_matrix,
+                          conjugate, from_matrix, gamma_matrix,
+                          letter_matrices, omega_matrix,
                           random_densities, random_density,
                           random_global_unitary, random_local_unitary,
                           random_nonpsd_unit_trace, random_nonpsd_unit_traces,
@@ -16,6 +16,13 @@ from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
                           reduced_qubit, reduced_qutrit, state_from_json_dict,
                           state_to_json_dict, state_to_xi, to_matrix)
 from qqinv.su_algebra import GELL_MANN, PAULI
+
+# sigma_i x I3, I2 x lambda_a and sigma_i x lambda_a: the Kronecker bases of
+# the reference einsums below
+SIG_I3 = np.array([np.kron(PAULI[i], np.eye(3, dtype=complex)) for i in range(3)])
+I2_LAM = np.array([np.kron(np.eye(2, dtype=complex), GELL_MANN[a]) for a in range(8)])
+SIG_LAM = np.array([[np.kron(PAULI[i], GELL_MANN[a]) for a in range(8)]
+                    for i in range(3)])
 
 
 def random_state(seed, scale=0.25):
@@ -92,10 +99,33 @@ def same_bits(x, y):
 def per_group_projection(rho):
     """from_matrix's coordinates as three einsums, one per group of the
     basis: the reference for the one stacked projection."""
-    a = np.einsum("...uv,ivu->...i", rho, states._SIG_I3).real
-    b = 1.5 * np.einsum("...uv,avu->...a", rho, states._I2_LAM).real
-    C = 1.5 * np.einsum("...uv,iavu->...ia", rho, states._SIG_LAM).real
+    a = np.einsum("...uv,ivu->...i", rho, SIG_I3).real
+    b = 1.5 * np.einsum("...uv,avu->...a", rho, I2_LAM).real
+    C = 1.5 * np.einsum("...uv,iavu->...ia", rho, SIG_LAM).real
     return a, b, C
+
+
+def einsum_matrices(s):
+    """alpha, beta, gamma, omega and rho of a state with one einsum per
+    letter against the Kronecker bases: the reference for the gather table."""
+    alpha = np.einsum("...i,iuv->...uv", s.a, SIG_I3)
+    beta = np.einsum("...a,auv->...uv", s.b, I2_LAM)
+    gamma = np.einsum("...ia,iauv->...uv", s.C, SIG_LAM)
+    omega = alpha + beta + gamma
+    return alpha, beta, gamma, omega, (np.eye(6) + omega) / 6.0
+
+
+MATRIX_FUNCTIONS = (alpha_matrix, beta_matrix, gamma_matrix, omega_matrix, to_matrix)
+
+
+def gathered_matrices(s):
+    """The same five matrices from the program, each checked C-contiguous."""
+    out = tuple(f(s) for f in MATRIX_FUNCTIONS)
+    assert all(m.flags.c_contiguous for m in out)
+    letters = letter_matrices(s)
+    assert all(m.flags.c_contiguous for m in letters)
+    assert all(same_bits(x, y) for x, y in zip(letters, out))
+    return out
 
 
 def spectral_matrices(seed, n):
@@ -170,6 +200,101 @@ def test_to_matrix_is_exactly_hermitian_with_signed_zeros():
     assert np.array_equal(rho, rho.conj().T)
 
 
+def scaled(s, factor):
+    return QubitQutritState(factor * s.a, factor * s.b, factor * s.C)
+
+
+def signed_zero_stack(seed, batch):
+    """States of the given batch shape whose coordinates are +-0, +-1e-300
+    or +-0.5."""
+    rng = np.random.default_rng(seed)
+    return QubitQutritState(*(rng.choice([-0.0, 0.0, -1e-300, 1e-300, -0.5, 0.5],
+                                         size=batch + shape)
+                              for shape in ((3,), (8,), (3, 8))))
+
+
+def unstack(s):
+    return [QubitQutritState(s.a[i], s.b[i], s.C[i]) for i in range(len(s.a))]
+
+
+def gather_cases(case):
+    """States for the gather-table tests, one state or a stack each."""
+    if case == "spectral":
+        stack = from_matrix(spectral_matrices(11, 120))
+        return [stack] + unstack(stack)[::7]
+    if case == "scaled":
+        stack = random_densities(range(30))
+        return [scaled(s, 10.0 ** e) for e in range(-300, 301, 25)
+                for s in (stack, random_density(e + 1000))]
+    if case == "signed-zeros":
+        zeros = [QubitQutritState(z * np.ones(3), z * np.ones(8), z * np.ones((3, 8)))
+                 for z in (0.0, -0.0)]
+        return zeros + unstack(signed_zero_stack(13, (60,)))
+    if case == "stacks":
+        return [random_densities(range(60)), random_densities([]),
+                signed_zero_stack(14, (4, 6))]
+    # non-contiguous fields: strided slices of a wider array, Fortran order
+    rng = np.random.default_rng(15)
+    wide = [rng.uniform(-0.3, 0.3, (50, 2 * n)) for n in (3, 8, 24)]
+    strided = QubitQutritState(wide[0][::2, ::2], wide[1][::2, ::2],
+                               wide[2][::2, ::2].reshape(25, 3, 8))
+    fortran = random_densities(range(40, 52))
+    fortran = QubitQutritState(np.asfortranarray(fortran.a), np.asfortranarray(fortran.b),
+                               np.asfortranarray(fortran.C))
+    single = random_density(16)
+    return [strided, fortran, unstack(strided)[3],
+            QubitQutritState(single.a[::-1], single.b[::-1], np.asfortranarray(single.C))]
+
+
+@pytest.mark.parametrize("case", ["spectral", "scaled", "signed-zeros", "stacks",
+                                  "non-contiguous"])
+def test_letters_and_matrices_are_the_einsums_byte_for_byte(case):
+    for s in gather_cases(case):
+        for x, y in zip(gathered_matrices(s), einsum_matrices(s)):
+            assert same_bits(x, y)
+
+
+@pytest.mark.parametrize("case", ["spectral", "stacks", "non-contiguous"])
+def test_stacked_matrices_are_the_single_state_matrices(case):
+    for s in gather_cases(case):
+        batch = s.a.shape[:-1]
+        if not batch:
+            continue
+        got = gathered_matrices(s)
+        for i in np.ndindex(batch):
+            one = gathered_matrices(QubitQutritState(s.a[i], s.b[i], s.C[i]))
+            for x, y in zip(got, one):
+                assert same_bits(x[i], y)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "C"])
+def test_state_rejects_complex_coordinates(field):
+    # numpy would drop the imaginary part with a ComplexWarning
+    fields = {"a": np.zeros(3), "b": np.zeros(8), "C": np.zeros((3, 8))}
+    fields[field] = fields[field] + 1j
+    with pytest.raises(ValueError,
+                       match=rf"field '{field}' has dtype complex128, expected real"):
+        QubitQutritState(**fields)
+    fields[field] = fields[field].real.astype(complex)
+    with pytest.raises(ValueError, match=rf"field '{field}' has dtype complex128"):
+        QubitQutritState(**fields)
+
+
+def test_empty_batches_give_empty_results():
+    empty = from_matrix(np.zeros((0, 6, 6)))
+    assert (empty.a.shape, empty.b.shape, empty.C.shape) == ((0, 3), (0, 8), (0, 3, 8))
+    for ensemble in ("ginibre-full-rank", "pure", "rank-3"):
+        s = random_densities([], ensemble)
+        assert (s.a.shape, s.b.shape, s.C.shape) == ((0, 3), (0, 8), (0, 3, 8))
+    assert random_nonpsd_unit_traces([], -0.1).C.shape == (0, 3, 8)
+    for local in (True, False):
+        u = random_unitaries([], local)
+        assert u.shape == (0, 6, 6)
+        assert conjugate(random_densities([]), u).C.shape == (0, 3, 8)
+    assert to_matrix(empty).shape == (0, 6, 6)
+    assert state_to_xi(empty).shape == (0, 35)
+
+
 def test_state_accepts_flat_correlations():
     rng = np.random.default_rng(3)
     a, b, C = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 8), rng.uniform(-1, 1, (3, 8))
@@ -209,6 +334,18 @@ def test_reduced_states():
                           np.random.default_rng(5).uniform(-0.2, 0.2, (3, 8)))
     assert np.abs(reduced_qubit(sC) - np.eye(2) / 2).max() < 1e-12
     assert np.abs(reduced_qutrit(sC) - np.eye(3) / 3).max() < 1e-12
+
+
+def test_reduced_states_of_a_stack_are_the_single_state_results():
+    stack = random_densities(range(3))
+    grid = signed_zero_stack(17, (2, 3))
+    for f, n in ((reduced_qubit, 2), (reduced_qutrit, 3)):
+        assert f(random_densities([])).shape == (0, n, n)
+        for s in (stack, grid):
+            got = f(s)
+            assert got.shape == s.a.shape[:-1] + (n, n)
+            for i in np.ndindex(s.a.shape[:-1]):
+                assert same_bits(got[i], f(QubitQutritState(s.a[i], s.b[i], s.C[i])))
 
 
 def test_reduced_states_match_bloch_form():
