@@ -188,20 +188,19 @@ def _selftest_rows(seed: int, panel_size: int):
             su_algebra.closure_max_violation(basis, sc, seed=seed) < 1e-12,
             "product of basis elements")
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for arity in range(2, 7):
-            for _ in range(10):
-                idx = tuple(int(i) for i in rng.integers(0, len(basis), size=arity))
-                worst = max(worst, abs(su_algebra.symmetrized_trace(basis, idx)
-                                       - su_algebra.symmetrized_trace_closed(sc, idx)))
+        # ten index tuples of each arity 2..6, each arity as one stack
+        stacks = [rng.integers(0, len(basis), size=(10, arity))
+                  for arity in range(2, 7)]
+        worst = float(np.max([np.abs(su_algebra.symmetrized_trace(basis, idx)
+                                     - su_algebra.symmetrized_trace_closed(sc, idx))
+                              for idx in stacks]))
         add(f"{label}: symmetrized traces vs closed forms",
             worst < su_algebra.CLOSED_FORM_TOL,
             f"max {worst:.2e}")
 
     sc6 = su_algebra.structure_constants("su6-tensor")
-    panel = states.random_densities(range(seed, seed + panel_size))
-    worst = [float(np.max(d)) for d in
-             casimir_positivity.dual_route_report(panel, sc6)["abs_diff"]]
+    worst = [float(np.max(d)) for d in casimir_positivity.dual_route_report(
+        local_invariants.random_panel(seed, panel_size), sc6)["abs_diff"]]
     add("casimir: vee route matches trace route (c2..c5)",
         max(worst[:4]) < 1e-9, f"max {max(worst[:4]):.2e}")
     add("casimir: c6 left-associated reading discrepancy",

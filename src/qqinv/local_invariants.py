@@ -155,13 +155,41 @@ def eval_trace(word, state: QubitQutritState) -> float | np.ndarray:
     return val.real
 
 
+# The panel store: per start seed, the a, b and C arrays (read-only) of the
+# stack random_density(start + i), i < the largest size requested so far.  A
+# state is 35 floats, 280 bytes.  At most _PANEL_STARTS start seeds and
+# _PANEL_STATES states (1.1 MB) are kept, the least recently used start
+# dropped first; only a single panel larger than that is kept on its own.
+# One selftest at its defaults keeps three starts and 265 states (74 KB).
+_PANELS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_PANEL_STARTS = 8
+_PANEL_STATES = 4096
+_NO_PANEL = (np.empty((0, 3)), np.empty((0, 8)), np.empty((0, 3, 8)))
+
+
 def random_panel(seed: int = DEFAULT_PANEL_SEED,
                  size: int = DEFAULT_PANEL_SIZE) -> QubitQutritState:
     """Seeded Ginibre state panel used by all identity checks: the stack of
-    random_density(seed + i) for i < size."""
+    random_density(seed + i) for i < size.  Each state is drawn once per
+    process: the panel's arrays are read-only views of a prefix of the
+    stored stack starting at seed, which a larger request extends by the
+    states it lacks."""
     if size < 1:
         raise ValueError(f"panel size must be >= 1, got {size}")
-    return states.random_densities(range(seed, seed + size))
+    held = _PANELS.pop(seed, _NO_PANEL)
+    have = len(held[0])
+    if size > have:
+        more = states.random_densities(range(seed + have, seed + size))
+        held = tuple(np.concatenate(pair)
+                     for pair in zip(held, (more.a, more.b, more.C)))
+        for x in held:
+            x.flags.writeable = False
+    _PANELS[seed] = held
+    while len(_PANELS) > 1 and (
+            len(_PANELS) > _PANEL_STARTS
+            or sum(len(p[0]) for p in _PANELS.values()) > _PANEL_STATES):
+        del _PANELS[next(iter(_PANELS))]
+    return QubitQutritState(*(x[:size] for x in held))
 
 
 @dataclass(frozen=True)
@@ -406,8 +434,8 @@ def _evaluation_matrix(candidates, seed: int, extra=()) -> np.ndarray:
     random_density(seed + 1000 + i)."""
     imaginary = [c[0] for c in candidates
                  if len(c) == 1 and c[0] in _seeded_words(len(c[0]), seed)[1]]
-    rows = 2 * (len(candidates) + len(imaginary) + len(extra))
-    panel = states.random_densities(range(seed + 1000, seed + 1000 + rows))
+    panel = random_panel(seed + 1000,
+                         2 * (len(candidates) + len(imaginary) + len(extra)))
     mats = _letter_matrices(panel)
     words = {w for cand in candidates for w in cand}
     values = {w: _eval_on(mats, w) for w in words}
@@ -533,7 +561,7 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
     if unitary not in ("local", "global"):
         raise ValueError(
             f"unitary must be None, 'local' or 'global', got {unitary!r}")
-    s = states.random_densities(range(seed + 7000, seed + 7000 + trials))
+    s = random_panel(seed + 7000, trials)
     u = states.random_unitaries(range(seed + 9000, seed + 9000 + trials),
                                 local=unitary == "local")
     conjugated = states.conjugate(s, u)

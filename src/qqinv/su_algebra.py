@@ -204,10 +204,12 @@ def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
     Every product term is an index permutation of one of ff, df and dd,
     P[i0,i1,i2,i3] = sum_c x_{i0 i1 c} y_{c i2 i3}, formed once from the
     nonzero entries.  A family's residual is gathered in blocks of one value
-    of the leading free index a, k^3 bins over (b, p, q) each: the family's
-    terms are stably ordered by a, so each bin sums the same terms in the
-    same order as one flat array over all k^4 tuples would, and every
-    violation is bit for bit that array's maximum, NaN included.
+    of the leading free index a, k^3 bins over (b, p, q) each: each term's
+    entries are stably ordered by a once, and block a joins every term's
+    run of a in term order, which is the family's stable order by a.  So
+    each bin sums the same terms in the same order as one flat array over
+    all k^4 tuples would, and every violation is bit for bit that array's
+    maximum, NaN included, while the family's terms are held only once.
     """
     k = sc.dim
     products, families = _identity_terms(sc)
@@ -215,23 +217,23 @@ def verify_structure_identities(sc: StructureConstants) -> IdentityReport:
     lead_type = np.min_scalar_type(k)
     violations = {}
     for name, terms in families.items():
-        lead, index, weight = [], [], []
+        # per term: where each value of a starts, then the flat (b, p, q)
+        # index and the weight of its entries ordered by a
+        runs = []
         for coef, prod, slots in terms:
             idx, val = products[prod]
+            lead = idx[slots.index("a")].astype(lead_type)
+            order = np.argsort(lead, kind="stable")
             flat = 0
             for free in "bpq":
-                flat = flat * k + idx[slots.index(free)]
-            lead.append(idx[slots.index("a")].astype(lead_type))
-            index.append(flat)
-            weight.append(coef * val)
-        lead = np.concatenate(lead)
-        order = np.argsort(lead, kind="stable")
-        index = np.concatenate(index)[order]
-        weight = np.concatenate(weight)[order]
-        cut = np.searchsorted(lead[order], np.arange(k + 1))
-        worst = [np.abs(np.bincount(index[lo:hi], weight[lo:hi],
-                                    minlength=k ** 3)).max()
-                 for lo, hi in zip(cut[:-1], cut[1:])]
+                flat = flat * k + idx[slots.index(free)][order]
+            runs.append((np.searchsorted(lead[order], np.arange(k + 1)),
+                         flat, coef * val[order]))
+        worst = [np.abs(np.bincount(
+                     np.concatenate([f[c[a]:c[a + 1]] for c, f, _ in runs]),
+                     np.concatenate([w[c[a]:c[a + 1]] for c, _, w in runs]),
+                     minlength=k ** 3)).max()
+                 for a in range(k)]
         # np.max, not Python's max, so that a NaN block survives the fold
         violations[name] = float(np.max(worst))
     return IdentityReport(n=sc.n, violations=violations)
@@ -272,7 +274,7 @@ def closure_max_violation(basis: SuBasis, sc: StructureConstants,
     rng = np.random.default_rng(seed)
     t = basis.elements
     k, n = len(basis), basis.n
-    a, b = np.array([rng.integers(0, k, size=2) for _ in range(CLOSURE_PAIRS)]).T
+    a, b = rng.integers(0, k, size=(CLOSURE_PAIRS, 2)).T
     lhs = t[a] @ t[b]
     rhs = ((sc.d[a, b] + 1j * sc.f[a, b]) @ t.reshape(k, n * n)).reshape(-1, n, n)
     rhs += (2.0 / n) * (a == b)[:, None, None] * np.eye(n)
@@ -281,30 +283,42 @@ def closure_max_violation(basis: SuBasis, sc: StructureConstants,
 
 # -- symmetrized traces -------------------------------------------------------
 
-def _check_indices(indices, dim: int) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    if not 2 <= len(idx) <= 6:
-        raise ValueError(f"need 2..6 indices, got {len(idx)}")
-    if any(i < 0 or i >= dim for i in idx):
-        raise ValueError(f"index out of range for basis of size {dim}: {idx}")
+def _check_indices(indices, dim: int) -> np.ndarray:
+    """indices as an (m, k) int array: one tuple is the stack of m = 1."""
+    idx = np.array(indices, dtype=np.int64)
+    if idx.ndim not in (1, 2):
+        raise ValueError(f"indices must be one tuple or an (m, k) stack, "
+                         f"got shape {idx.shape}")
+    idx = idx.reshape(-1, idx.shape[-1])
+    if not 2 <= idx.shape[1] <= 6:
+        raise ValueError(f"need 2..6 indices, got {idx.shape[1]}")
+    bad = ((idx < 0) | (idx >= dim)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"index out of range for basis of size {dim}: "
+                         f"{tuple(int(i) for i in idx[bad.argmax()])}")
     return idx
 
 
-def _polarize(idx: tuple[int, ...], dim: int, value) -> float:
+def _polarize(indices, dim: int, power) -> float | np.ndarray:
     """A symmetric k-form T on (e_{i_1}, ..., e_{i_k}) from its diagonal
-    value(x) = T(x, ..., x), by the polarization identity
+    power(x, k) = T(x, ..., x), by the polarization identity
 
-        (1/k!) sum_{S nonempty in [k]} (-1)^(k-|S|) value(x_S),
+        (1/k!) sum_{S nonempty in [k]} (-1)^(k-|S|) power(x_S, k),
         x_S = sum_{j in S} e_{i_j}
 
-    value takes the 2^k - 1 vectors x_S as one (2^k - 1, dim) stack and
-    returns their values; a repeated index simply counts twice in x_S.
+    indices is one tuple, giving a float, or an (m, k) stack of them, giving
+    m values.  power takes the vectors x_S of all tuples as one
+    (m, 2^k - 1, dim) stack and returns their values; a repeated index
+    simply counts twice in x_S.  Each tuple's signed sum is its own dot
+    product, so value i is bit for bit the value of tuple i alone.
     """
-    k = len(idx)
+    idx = _check_indices(indices, dim)
+    k = idx.shape[1]
     members = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1
-    x = members @ np.eye(dim)[list(idx)]
+    x = members @ np.eye(dim)[idx]
     signs = (-1.0) ** (k - members.sum(axis=1))
-    return float(signs @ value(x)) / math.factorial(k)
+    values = np.array([signs @ v for v in power(x, k)]) / math.factorial(k)
+    return float(values[0]) if np.ndim(indices) == 1 else values
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -327,21 +341,23 @@ def _power_trace_closed(sc: StructureConstants, x: np.ndarray, k: int) -> np.nda
                 + 2 * _dot(Dv, Dv))}[k]
 
 
-def symmetrized_trace(basis: SuBasis, indices) -> float:
+def symmetrized_trace(basis: SuBasis, indices) -> float | np.ndarray:
     """(1/k!) sum over permutations p of tr(t_{p(1)} ... t_{p(k)}), 2 <= k <= 6,
-    by polarizing tr((x.t)^k); indices are zero-based positions in the basis."""
-    idx = _check_indices(indices, len(basis))
+    by polarizing tr((x.t)^k); indices are zero-based positions in the basis.
+    An (m, k) stack of index tuples gives their m values as one array, entry
+    i bit for bit the value of tuple i alone."""
     t = basis.elements
-    return _polarize(idx, len(basis), lambda x: np.trace(
-        np.linalg.matrix_power(np.tensordot(x, t, 1), len(idx)),
+    return _polarize(indices, len(basis), lambda x, k: np.trace(
+        np.linalg.matrix_power(np.tensordot(x, t, 1), k),
         axis1=-2, axis2=-1).real)
 
 
-def symmetrized_trace_closed(sc: StructureConstants, indices) -> float:
+def symmetrized_trace_closed(sc: StructureConstants, indices) -> float | np.ndarray:
     """The same symmetrized trace from delta/d contractions alone: polarizes
-    _power_trace_closed, and never forms a basis matrix."""
-    idx = _check_indices(indices, sc.dim)
-    return _polarize(idx, sc.dim, lambda x: _power_trace_closed(sc, x, len(idx)))
+    _power_trace_closed, and never forms a basis matrix.  Takes one index
+    tuple or an (m, k) stack of them, as symmetrized_trace does."""
+    return _polarize(indices, sc.dim,
+                     lambda x, k: _power_trace_closed(sc, x, k))
 
 
 # -- JSON export --------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,3 +351,20 @@ def test_selftest_local_invariance_row_fails_under_global_unitaries(monkeypatch)
     assert code == 1
     failed = [r["name"] for r in json.loads(js) if not r["passed"]]
     assert failed == ["invariants: local-unitary invariance"]
+
+
+def test_selftest_in_one_process_equals_cold_runs():
+    # the panel store and the cached kernel words outlive a run; a run after
+    # others in one process must print what a fresh process prints
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + sys.path))
+    cold = {}
+    for seed, size in ((20260, 60), (5, 17)):
+        argv = ["selftest", "--seed", str(seed), "--panel-size", str(size),
+                "--format", "json"]
+        proc = subprocess.run([sys.executable, "-m", "qqinv", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        cold[seed] = (proc.returncode, proc.stdout, argv)
+    for seed in (20260, 5, 20260):
+        code, out, argv = cold[seed]
+        assert run_cli(*argv) == (code, out)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qqinv import local_invariants as li
+from qqinv import states
 from qqinv.local_invariants import (canonical_form, correlation_quartic_dd,
                                     correlation_quartic_ff,
                                     degree4_completion_rank, enumerate_words,
@@ -369,6 +370,60 @@ def test_random_panel_rejects_empty():
     for size in (0, -3):
         with pytest.raises(ValueError, match="panel size"):
             li.random_panel(5, size)
+
+
+fresh_draw = states.random_densities
+
+
+def same_bytes(state, reference):
+    return all(getattr(state, f).tobytes() == getattr(reference, f).tobytes()
+               for f in "abC")
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """An empty panel store for one test, with the seed ranges it draws."""
+    drawn = []
+    monkeypatch.setattr(li, "_PANELS", {})
+    monkeypatch.setattr(states, "random_densities",
+                        lambda seeds: drawn.append(seeds) or fresh_draw(seeds))
+    return drawn
+
+
+@pytest.mark.parametrize("sizes", [(6, 40), (40, 6), (6, 40, 6, 40)])
+def test_panel_store_prefixes_and_extensions_are_fresh_draws(empty_store, sizes):
+    start = 1000 + li.DEFAULT_PANEL_SEED
+    for size in sizes:
+        fresh = fresh_draw(range(start, start + size))
+        assert same_bytes(li.random_panel(start, size), fresh)
+    # the store drew each state once
+    assert [x for r in empty_store for x in r] == list(range(start, start + 40))
+
+
+def test_panel_store_arrays_are_read_only(empty_store):
+    li.random_panel(3, 5)
+    panel = li.random_panel(3, 9)
+    for stored in (panel.a, panel.b, panel.C, *li._PANELS[3]):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+    # a state conjugated from the panel is the caller's own
+    u = states.random_unitaries(range(2), local=True)
+    states.conjugate(li.random_panel(3, 2), u).a[0] = 1.0
+
+
+def test_panel_store_stays_within_its_bound(empty_store, monkeypatch):
+    monkeypatch.setattr(li, "_PANEL_STATES", 20)
+    for start in range(40):
+        li.random_panel(start, 1 + start % 5)
+        assert len(li._PANELS) <= li._PANEL_STARTS
+        assert sum(len(p[0]) for p in li._PANELS.values()) <= 20
+    # the most recently used starts stay
+    assert list(li._PANELS) == list(range(40 - len(li._PANELS), 40))
+    # a panel above the state bound is kept alone, as one prefix source
+    assert same_bytes(li.random_panel(7, 21), fresh_draw(range(7, 28)))
+    assert list(li._PANELS) == [7]
+    assert same_bytes(li.random_panel(7, 12), fresh_draw(range(7, 19)))
+    assert empty_store[-1] == range(7, 28)
 
 
 def test_multidegree_relations():

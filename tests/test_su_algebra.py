@@ -326,6 +326,69 @@ def test_symmetrized_trace_validates_input():
                 route(arg, bad)
 
 
+@pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
+def test_one_integers_call_draws_the_loop_pairs_and_tuples(label):
+    # PCG64 serves bounded draws below 2^32 from one buffered 32-bit stream,
+    # so one (m, r) call gives what m calls of r give
+    k = len(build_basis(label))
+    for seed in range(300):
+        loop, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = [loop.integers(0, k, size=2) for _ in range(su_algebra.CLOSURE_PAIRS)]
+        assert np.array_equal(
+            stacked.integers(0, k, size=(su_algebra.CLOSURE_PAIRS, 2)), pairs)
+        for arity in range(2, 7):
+            tuples = [loop.integers(0, k, size=arity) for _ in range(10)]
+            assert np.array_equal(stacked.integers(0, k, size=(10, arity)), tuples)
+
+
+def polarize_one(idx, dim, value):
+    """Reference: the polarization identity for one index tuple."""
+    k = len(idx)
+    members = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1
+    x = members @ np.eye(dim)[list(idx)]
+    signs = (-1.0) ** (k - members.sum(axis=1))
+    return float(signs @ value(x)) / math.factorial(k)
+
+
+def symmetrized_trace_one(basis, idx):
+    t = basis.elements
+    return polarize_one(idx, len(basis), lambda x: np.trace(
+        np.linalg.matrix_power(np.tensordot(x, t, 1), len(idx)),
+        axis1=-2, axis2=-1).real)
+
+
+def symmetrized_trace_closed_one(sc, idx):
+    return polarize_one(idx, sc.dim, lambda x: su_algebra._power_trace_closed(
+        sc, x, len(idx)))
+
+
+@pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
+def test_stacked_symmetrized_traces_equal_one_tuple_values(label):
+    basis, sc = build_basis(label), structure_constants(label)
+    for seed in (0, 5, 20260):
+        rng = np.random.default_rng(seed)
+        for arity in range(2, 7):
+            idx = rng.integers(0, len(basis), size=(10, arity))
+            for route, arg, one in (
+                    (symmetrized_trace, basis, symmetrized_trace_one),
+                    (symmetrized_trace_closed, sc, symmetrized_trace_closed_one)):
+                stacked = route(arg, idx)
+                assert stacked.shape == (10,)
+                rows = [tuple(int(i) for i in row) for row in idx]
+                for values in ([route(arg, row) for row in rows],
+                               [one(arg, row) for row in rows]):
+                    assert stacked.tobytes() == np.array(values).tobytes()
+
+
+def test_symmetrized_trace_validates_stacks():
+    basis = build_basis("su3-gellmann")
+    with pytest.raises(ValueError, match="out of range.*\\(2, 8\\)"):
+        symmetrized_trace(basis, [[0, 1], [2, 8], [3, 3]])
+    with pytest.raises(ValueError, match="one tuple or an \\(m, k\\) stack"):
+        symmetrized_trace(basis, np.zeros((2, 2, 2), dtype=int))
+    assert symmetrized_trace(basis, np.zeros((0, 3), dtype=int)).shape == (0,)
+
+
 def test_json_export_shape_and_values():
     doc = to_json_dict("su3-gellmann")
     assert doc["label"] == "su3-gellmann" and doc["n"] == 3
