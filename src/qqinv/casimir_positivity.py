@@ -42,6 +42,11 @@ MAX_S = {k: math.comb(6, 6 - k) / 6 ** k for k in range(1, 7)}
 
 _EYE6 = np.eye(6)
 
+# (key, rho) of the last state _as_density_matrix converted: the key is its
+# batch shape and the bytes of its 35 coordinates, rho read-only.  It holds
+# one state's or one stack's matrix plus its key, and is swapped whole.
+_LAST_MATRIX: tuple = (None, None)
+
 
 @functools.cache
 def _normalizers(n: int) -> tuple[float, ...]:
@@ -106,9 +111,21 @@ def _as_density_matrix(state) -> np.ndarray:
     given directly must be 6x6.  Either is rejected, with from_matrix's
     wording, unless every entry is finite: this is checked before any
     deviation is formed, since a NaN deviation passes `dev > tol` and
-    inf - inf warns."""
+    inf - inf warns.
+
+    A state's matrix is read-only and kept in _LAST_MATRIX, so a report and
+    an oracle on one state build it once; the key holds the exact
+    coordinate bytes, so a state changed in place is converted (and checked)
+    again."""
+    global _LAST_MATRIX
     if isinstance(state, QubitQutritState):
-        rho = states.to_matrix(state)
+        x = states._coordinates(state)
+        key = (x.shape, x.tobytes())
+        last, rho = _LAST_MATRIX
+        if last != key:
+            rho = states._matrix_of_coordinates(x)
+            rho.flags.writeable = False
+            _LAST_MATRIX = (key, rho)
     else:
         rho = np.asarray(state, dtype=complex)
         if rho.shape != (6, 6):
@@ -139,54 +156,94 @@ def _checked_matrix(state) -> np.ndarray:
     return _hermitian_matrix(state)
 
 
-def _check_omega(om: np.ndarray, of_state: bool) -> None:
-    """Reject omega = n rho - I unless traceless and, for a matrix given
-    directly, Hermitian, both within TRACELESS_TOL; the omega of a state is
-    Hermitian by construction.  On rho these bounds are n times tighter than
-    states.TRACE_TOL and HERM_TOL, so a matrix that from_matrix accepts can
-    fail here."""
+def _traceless_error(tdev: float) -> ValueError:
+    return ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
+
+
+def _check_omega(om: np.ndarray) -> None:
+    """Reject the omega = n rho - I of a matrix given directly unless
+    traceless and Hermitian, both within TRACELESS_TOL.  On rho these bounds
+    are n times tighter than states.TRACE_TOL and HERM_TOL, so a matrix that
+    from_matrix accepts can fail here."""
     tdev = float(np.abs(om.trace(axis1=-2, axis2=-1)).max(initial=0.0))
     if not tdev <= TRACELESS_TOL:
-        raise ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
-    if of_state:
-        return
+        raise _traceless_error(tdev)
     hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not hdev <= TRACELESS_TOL:
         raise ValueError("omega = n rho - I is not Hermitian: "
                          f"max |omega - omega^+| = {hdev:.3e}")
 
 
-def _check_moments(t1, moments) -> None:
-    """Reject input unless t_1 = tr rho lies within states.TRACE_TOL of 1
-    and every moment is finite.  The trace check of omega misses huge
-    states, whose -I rounds away, and their powers overflow; omega and the
-    moments are formed with numpy's overflow warnings off so that these
-    checks report it.  One state gives Python floats, a stack arrays of the
-    batch shape.  With finite moments of omega, c_2^3 and c_3^2 stay below
-    t_6 / 6 by the power-mean inequality, so the Casimirs cannot overflow."""
+def _check_moments(t, t_om, of_state: bool) -> None:
+    """Reject input unless, for a state, |t_1 of omega| lies within
+    TRACELESS_TOL, t_1 = tr rho within states.TRACE_TOL of 1, and every
+    moment is finite.  A state's omega is Hermitian by construction, so its
+    diagonal is real and |t_1 of omega| is |tr omega|, the same sum; a
+    matrix given directly had _check_omega instead.  The trace check of
+    omega misses huge states, whose -I rounds away, and their powers
+    overflow; omega and the moments are formed with numpy's overflow
+    warnings off so that these checks report it.  One state gives Python
+    floats, a stack arrays of the batch shape.  With finite moments of
+    omega, c_2^3 and c_3^2 stay below t_6 / 6 by the power-mean inequality,
+    so the Casimirs cannot overflow."""
+    t1, tw = t[0], t_om[0]
     if isinstance(t1, float):
-        if abs(t1 - 1) <= states.TRACE_TOL and all(map(math.isfinite, moments)):
+        if ((not of_state or abs(tw) <= TRACELESS_TOL)
+                and abs(t1 - 1) <= states.TRACE_TOL
+                and all(map(math.isfinite, t + t_om))):
             return
-    elif (np.abs(t1 - 1) <= states.TRACE_TOL).all() and np.isfinite(moments).all():
+    elif ((not of_state or (np.abs(tw) <= TRACELESS_TOL).all())
+          and (np.abs(t1 - 1) <= states.TRACE_TOL).all()
+          and np.isfinite(t + t_om).all()):
         return
+    if of_state:
+        tdev = float(np.abs(tw).max(initial=0.0))
+        if not tdev <= TRACELESS_TOL:
+            raise _traceless_error(tdev)
     dev = np.abs(np.subtract(t1, 1)).max()
     if not dev <= states.TRACE_TOL:
         raise ValueError(f"rho does not have unit trace: |tr rho - 1| = {dev:.3e}")
     raise ValueError("the moments tr rho^k overflow")
 
 
-def moments(rho: np.ndarray) -> tuple[float, ...]:
-    """t_k = tr(rho^k) for k = 1..6 by repeated multiplication, all six traced
-    in one call; over a (..., n, n) stack each t_k is an array of the batch
-    shape, entry i bit for bit the moment of matrix i alone, so
-    positivity_report runs rho and omega = 6 rho - I as one stack."""
+def _moment_traces(rho: np.ndarray) -> np.ndarray:
+    """tr(rho^k) for k = 1..6, a (6,) + batch-shape array: five matmuls into
+    one buffer and one trace."""
     p = np.empty((6,) + rho.shape, dtype=complex)
     p[0] = rho
     for k in range(1, 6):
         np.matmul(p[k - 1], rho, out=p[k])
-    t = p.trace(axis1=-2, axis2=-1).real
+    return p.trace(axis1=-2, axis2=-1).real
+
+
+def moments(rho: np.ndarray) -> tuple[float, ...]:
+    """t_k = tr(rho^k) for k = 1..6 by repeated multiplication, all six traced
+    in one call; over a (..., n, n) stack each t_k is an array of the batch
+    shape, entry i bit for bit the moment of matrix i alone, so
+    _checked_moments runs rho and omega = 6 rho - I as one stack."""
+    t = _moment_traces(rho)
     # one matrix gives Python floats, so its verdicts stay plain bools
     return tuple(t.tolist()) if t.ndim == 1 else tuple(t)
+
+
+def _checked_moments(rho: np.ndarray, of_state: bool):
+    """(t, t_om): the moments of rho and of omega = 6 rho - I, taken as one
+    stack [rho, omega], with the checks that follow those of rho itself:
+    _check_omega before the moments for a matrix given directly, then
+    _check_moments.  positivity_report and casimirs_from_traces share this
+    sequence and its wording.  One state gives tuples of Python floats, a
+    stack tuples of arrays of the batch shape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = np.empty((2,) + rho.shape, dtype=complex)
+        pair[0] = rho
+        np.multiply(rho, 6, out=pair[1])
+        pair[1] -= _EYE6
+        if not of_state:
+            _check_omega(pair[1])
+        tt = _moment_traces(pair).swapaxes(0, 1)
+    t, t_om = map(tuple, tt.tolist() if rho.ndim == 2 else tt)
+    _check_moments(t, t_om, of_state)
+    return t, t_om
 
 
 def vee(u: np.ndarray, v: np.ndarray, sc: StructureConstants) -> np.ndarray:
@@ -216,13 +273,8 @@ def casimirs_from_traces(state) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
-    rho = _as_density_matrix(state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        om = 6 * rho - _EYE6
-        _check_omega(om, isinstance(state, QubitQutritState))
-        t_om = moments(om)
-        t1 = np.trace(rho, axis1=-2, axis2=-1).real
-    _check_moments(t1, t_om)
+    _, t_om = _checked_moments(_as_density_matrix(state),
+                               isinstance(state, QubitQutritState))
     return _casimirs_of_omega_moments(t_om)
 
 
@@ -336,20 +388,15 @@ def positivity_report(state) -> PositivityReport:
     gives arrays of the batch shape throughout, entry i bit for bit the
     report of state i.
 
-    rho and omega = 6 rho - I go through one call of moments as one stack:
-    t feeds S_k, the moments of omega the Casimir route.  A matrix given
-    directly is checked finite and Hermitian, then omega traceless and
-    Hermitian; a state's matrix is Hermitian by construction, so only the
-    finiteness and trace checks apply to it.  Either is rejected unless tr
-    rho is 1 and every moment finite (see _check_moments)."""
-    rho = _checked_matrix(state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair = np.array([rho, 6 * rho - _EYE6])
-        _check_omega(pair[1], isinstance(state, QubitQutritState))
-        tt = moments(pair)
-    # each t_k holds rho's and omega's; one state takes Python floats
-    t, t_om = zip(*(x.tolist() for x in tt)) if rho.ndim == 2 else zip(*tt)
-    _check_moments(t[0], t + t_om)
+    rho and omega = 6 rho - I go through one moment pass as one stack
+    (_checked_moments): t feeds S_k, the moments of omega the Casimir route.
+    A matrix given directly is checked finite and Hermitian, then omega
+    traceless and Hermitian; a state's matrix is Hermitian by construction,
+    so only the finiteness and trace checks apply to it, its tr omega read
+    from the moments.  Either is rejected unless tr rho is 1 and every
+    moment finite (see _check_moments)."""
+    t, t_om = _checked_moments(_checked_matrix(state),
+                               isinstance(state, QubitQutritState))
     S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
     exprs = casimir_inequality_exprs(_casimirs_of_omega_moments(t_om).normalized)

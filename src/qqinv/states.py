@@ -125,20 +125,35 @@ def bloch_kappa(n: int) -> float:
     return math.sqrt(n * (n - 1) / 2.0)
 
 
-def _letters(state: QubitQutritState) -> np.ndarray:
-    """alpha, beta and gamma side by side, a (..., 3, 6, 6) array with the
-    letter axis after the batch axes, by one gather (see _gather_table).
-    take keeps the batch axes outermost, so the result is C-contiguous
-    (x[..., index] would put them innermost)."""
-    x = np.concatenate((state.a, state.b,
-                        state.C.reshape(state.a.shape[:-1] + (24,))), axis=-1)
+def _coordinates(state: QubitQutritState) -> np.ndarray:
+    """The 35 coordinates x = (a, b, C row by row), a (..., 35) array."""
+    return np.concatenate((state.a, state.b,
+                           state.C.reshape(state.a.shape[:-1] + (24,))), axis=-1)
+
+
+def _letters(x: np.ndarray) -> np.ndarray:
+    """alpha, beta and gamma of the coordinates x side by side, a (..., 3, 6,
+    6) array with the letter axis after the batch axes, by one gather (see
+    _gather_table).  take keeps the batch axes outermost, so the result is
+    C-contiguous (x[..., index] would put them innermost)."""
     terms = x.take(_GATHER_INDEX, axis=-1) * _GATHER_COEF
     return np.add.reduce(terms, axis=-3, initial=0.0).view(complex)
 
 
+def _omega(x: np.ndarray) -> np.ndarray:
+    """6*rho - I = (alpha + beta) + gamma of the coordinates x."""
+    letters = _letters(x)
+    return (letters[..., 0, :, :] + letters[..., 1, :, :]) + letters[..., 2, :, :]
+
+
+def _matrix_of_coordinates(x: np.ndarray) -> np.ndarray:
+    """rho = (I6 + alpha + beta + gamma) / 6 of the coordinates x."""
+    return (_I6 + _omega(x)) / 6.0
+
+
 def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
     """(alpha, beta, gamma), each a C-contiguous (..., 6, 6) array."""
-    letters = _letters(state)
+    letters = _letters(_coordinates(state))
     return tuple(letters[..., k, :, :].copy() for k in range(3))
 
 
@@ -156,13 +171,12 @@ def gamma_matrix(state: QubitQutritState) -> np.ndarray:
 
 def omega_matrix(state: QubitQutritState) -> np.ndarray:
     """The traceless part 6*rho - I = (alpha + beta) + gamma."""
-    letters = _letters(state)
-    return (letters[..., 0, :, :] + letters[..., 1, :, :]) + letters[..., 2, :, :]
+    return _omega(_coordinates(state))
 
 
 def to_matrix(state: QubitQutritState) -> np.ndarray:
-    """rho = (I6 + alpha + beta + gamma) / 6."""
-    return (_I6 + omega_matrix(state)) / 6.0
+    """rho = (I6 + alpha + beta + gamma) / 6, a new writable array."""
+    return _matrix_of_coordinates(_coordinates(state))
 
 
 def from_matrix(rho: np.ndarray) -> QubitQutritState:

@@ -1,6 +1,7 @@
 """Casimir routes, characteristic coefficients and positivity verdicts."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -355,28 +356,44 @@ def test_report_exprs_are_the_trace_route_exprs():
 
 def test_report_of_a_state_skips_the_hermiticity_check(monkeypatch):
     # a state's matrix is exactly Hermitian (see test_states), so neither rho
-    # nor omega = 6 rho - I is checked; a matrix given directly still is
+    # nor omega = 6 rho - I is checked for it, and its traceless check is
+    # read from the moments; a matrix given directly still gets both omega
+    # checks before the moments
     s, stack = random_density(5), states.random_densities(range(6))
     want, want_stack = positivity_report(s), positivity_report(stack)
 
-    def fail(state):
-        raise AssertionError("_hermitian_matrix called for a state")
-    omega_checks = []
-    check_omega = cp._check_omega
+    def fail(*args):
+        raise AssertionError("Hermiticity check called for a state")
+    moment_checks = []
+    check_moments = cp._check_moments
     monkeypatch.setattr(cp, "_hermitian_matrix", fail)
-    monkeypatch.setattr(cp, "_check_omega", lambda om, of_state: (
-        omega_checks.append(of_state), check_omega(om, of_state)))
+    monkeypatch.setattr(cp, "_check_omega", fail)
+    monkeypatch.setattr(cp, "_check_moments", lambda t, t_om, of_state: (
+        moment_checks.append(of_state), check_moments(t, t_om, of_state)))
     assert positivity_report(s) == want
     got_stack = positivity_report(stack)
     for field in REPORT_FIELDS[:-1]:
         for x, y in zip(getattr(got_stack, field), getattr(want_stack, field)):
             assert np.array_equal(x, y)
-    assert omega_checks == [True, True]
+    assert moment_checks == [True, True]
+    # random_density(1) scaled by 1e7 is finite, but its tr omega rounds to
+    # 1.9e-9: the state's traceless check still rejects it, before tr rho
+    base = random_density(1)
+    off = QubitQutritState(base.a * 1e7, base.b * 1e7, base.C * 1e7)
+    for given in (off, QubitQutritState(*(np.stack([x, y]) for x, y in
+                                          zip((s.a, s.b, s.C), (off.a, off.b, off.C))))):
+        with pytest.raises(ValueError, match=r"^omega = n rho - I is not traceless: "
+                                             r"\|tr omega\| = 1.863e-09$"):
+            positivity_report(given)
+    assert moment_checks == [True, True, True, True]
     with pytest.raises(AssertionError, match="called for a state"):
         positivity_report(to_matrix(s))
+    omega_checks = []
     monkeypatch.setattr(cp, "_hermitian_matrix", cp._as_density_matrix)
+    monkeypatch.setattr(cp, "_check_omega", omega_checks.append)
     positivity_report(to_matrix(s))
-    assert omega_checks == [True, True, False]
+    assert len(omega_checks) == 1 and omega_checks[0].shape == (6, 6)
+    assert moment_checks[-1] is False
 
 
 def test_omega_checks_reject_what_from_matrix_accepts():
@@ -405,6 +422,74 @@ def test_oracle_of_a_state_skips_the_matrix_checks(monkeypatch):
     assert np.array_equal(eigenvalue_oracle(to_matrix(s)), eigenvalue_oracle(s))
     monkeypatch.setattr(cp, "_hermitian_matrix", None)
     assert np.array_equal(eigenvalue_oracle(s), np.linalg.eigvalsh(to_matrix(s)))
+
+
+def fresh(f, state, monkeypatch):
+    """f(state) with the matrix memo emptied first."""
+    monkeypatch.setattr(cp, "_LAST_MATRIX", (None, None))
+    return f(state)
+
+
+def test_report_and_oracle_of_a_state_build_its_matrix_once(monkeypatch):
+    monkeypatch.setattr(cp, "_LAST_MATRIX", (None, None))
+    builds = []
+    build = states._matrix_of_coordinates
+    monkeypatch.setattr(states, "_matrix_of_coordinates",
+                        lambda x: (builds.append(x.shape), build(x))[1])
+    s, stack = random_density(21), states.random_densities(range(21, 25))
+    for given in (s, stack, s):
+        positivity_report(given)
+        eigenvalue_oracle(given)
+        casimirs_from_traces(given)
+    assert builds == [(35,), (4, 35), (35,)]
+
+
+def test_a_state_changed_in_place_is_checked_again():
+    s = random_density(22)
+    positivity_report(s)
+    eigenvalue_oracle(s)
+    s.C[1, 4] = np.nan
+    for f in (positivity_report, eigenvalue_oracle, casimirs_from_traces):
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            f(s)
+
+
+def test_a_state_and_its_one_stack_get_results_of_their_own(monkeypatch):
+    # the same 35 coordinate bytes with and without a batch axis
+    s = random_density(23)
+    one = QubitQutritState(s.a[None], s.b[None], s.C[None])
+    for first, second in ((s, one), (one, s)):
+        for f in (positivity_report, eigenvalue_oracle, casimirs_from_traces):
+            f(first)
+            assert (pickle.dumps(f(second))
+                    == pickle.dumps(fresh(f, second, monkeypatch)))
+    assert type(positivity_report(s).t[0]) is float
+    assert positivity_report(one).t[0].shape == (1,)
+    assert eigenvalue_oracle(one).shape == (1, 6)
+    assert eigenvalue_oracle(s).shape == (6,)
+
+
+def test_a_written_matrix_does_not_reach_a_later_report():
+    s = random_density(24)
+    want = pickle.dumps(positivity_report(s))
+    m = to_matrix(s)
+    want_m = m.copy()
+    m[:] = np.eye(6)
+    assert pickle.dumps(positivity_report(s)) == want
+    assert np.array_equal(to_matrix(s), want_m)
+    # the matrix the checks of one state share cannot be written
+    with pytest.raises(ValueError, match="read-only"):
+        cp._as_density_matrix(s)[0, 0] = 1.0
+    assert pickle.dumps(positivity_report(s)) == want
+
+
+def test_interleaved_states_get_their_fresh_results(monkeypatch):
+    a, b = random_density(25, "rank-2"), states.random_nonpsd_unit_trace(25, -1e-3)
+    stack = states.random_densities(range(25, 30))
+    for f in (positivity_report, eigenvalue_oracle, casimirs_from_traces):
+        for given in (a, b, a, stack, a, a, stack, b):
+            got = f(given)
+            assert pickle.dumps(got) == pickle.dumps(fresh(f, given, monkeypatch))
 
 
 @pytest.mark.parametrize("size", [5, 6])
