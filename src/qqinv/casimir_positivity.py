@@ -23,6 +23,7 @@ in another form: E_k = 1 - Sbar_k for k = 2..4 and E_k = Sbar_k for k = 5, 6.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -106,7 +107,7 @@ class PositivityReport:
         }
 
 
-def _as_density_matrix(state) -> np.ndarray:
+def _as_density_matrix(state, quiet: bool = True) -> np.ndarray:
     """The matrix of a state (or the stack of a stacked state); a matrix
     given directly must be 6x6.  Either is rejected, with from_matrix's
     wording, unless every entry is finite: this is checked before any
@@ -116,14 +117,19 @@ def _as_density_matrix(state) -> np.ndarray:
     A state's matrix is read-only and kept in _LAST_MATRIX, so a report and
     an oracle on one state build it once; the key holds the exact
     coordinate bytes, so a state changed in place is converted (and checked)
-    again."""
+    again.  A non-finite or huge coordinate gives non-finite entries, so the
+    build runs with numpy's overflow and invalid warnings off: here when
+    quiet, else in the caller's errstate (_checked_moments), so that a
+    state's report enters one."""
     global _LAST_MATRIX
     if isinstance(state, QubitQutritState):
         x = states._coordinates(state)
         key = (x.shape, x.tobytes())
         last, rho = _LAST_MATRIX
         if last != key:
-            rho = states._matrix_of_coordinates(x)
+            with (np.errstate(over="ignore", invalid="ignore") if quiet
+                  else contextlib.nullcontext()):
+                rho = states._matrix_of_coordinates(x)
             rho.flags.writeable = False
             _LAST_MATRIX = (key, rho)
     else:
@@ -147,12 +153,12 @@ def _hermitian_matrix(state) -> np.ndarray:
     return rho
 
 
-def _checked_matrix(state) -> np.ndarray:
+def _checked_matrix(state, quiet: bool = True) -> np.ndarray:
     """The matrix of a state, or a matrix given directly, with the checks it
     needs: a state's matrix is Hermitian by construction (states.to_matrix)
     and is only checked finite."""
     if isinstance(state, QubitQutritState):
-        return _as_density_matrix(state)
+        return _as_density_matrix(state, quiet)
     return _hermitian_matrix(state)
 
 
@@ -226,14 +232,17 @@ def moments(rho: np.ndarray) -> tuple[float, ...]:
     return tuple(t.tolist()) if t.ndim == 1 else tuple(t)
 
 
-def _checked_moments(rho: np.ndarray, of_state: bool):
-    """(t, t_om): the moments of rho and of omega = 6 rho - I, taken as one
-    stack [rho, omega], with the checks that follow those of rho itself:
+def _checked_moments(state, convert):
+    """(t, t_om): the moments of rho = convert(state) and of omega = 6 rho -
+    I, taken as one stack [rho, omega], with the checks that follow those of
+    rho itself (rho is converted inside the same errstate):
     _check_omega before the moments for a matrix given directly, then
     _check_moments.  positivity_report and casimirs_from_traces share this
     sequence and its wording.  One state gives tuples of Python floats, a
     stack tuples of arrays of the batch shape."""
+    of_state = isinstance(state, QubitQutritState)
     with np.errstate(over="ignore", invalid="ignore"):
+        rho = convert(state, quiet=False)
         pair = np.empty((2,) + rho.shape, dtype=complex)
         pair[0] = rho
         np.multiply(rho, 6, out=pair[1])
@@ -273,8 +282,7 @@ def casimirs_from_traces(state) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
-    _, t_om = _checked_moments(_as_density_matrix(state),
-                               isinstance(state, QubitQutritState))
+    _, t_om = _checked_moments(state, _as_density_matrix)
     return _casimirs_of_omega_moments(t_om)
 
 
@@ -395,8 +403,7 @@ def positivity_report(state) -> PositivityReport:
     so only the finiteness and trace checks apply to it, its tr omega read
     from the moments.  Either is rejected unless tr rho is 1 and every
     moment finite (see _check_moments)."""
-    t, t_om = _checked_moments(_checked_matrix(state),
-                               isinstance(state, QubitQutritState))
+    t, t_om = _checked_moments(state, _checked_matrix)
     S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
     exprs = casimir_inequality_exprs(_casimirs_of_omega_moments(t_om).normalized)

@@ -128,6 +128,8 @@ def _cmd_invariants(args, out) -> int:
 def _cmd_molien(args, out) -> int:
     label = {"2x2": "su2xsu2", "2x3": "su2xsu3"}[args.group]
     ws = molien.adjoint_weight_system(label)
+    if args.degree < 0:
+        raise InputError("--degree must be >= 0")
     if args.degree > args.cap:
         # molien_series would refuse too, naming its degree_cap argument
         raise InputError(f"--degree {args.degree} exceeds the resource cap "
@@ -271,13 +273,15 @@ def _selftest_rows(seed: int, panel_size: int):
         s23 == molien.qubit_qutrit_rational().series(16), "exact")
     add("molien: reduced backend agrees (2x3, degree 8)",
         molien.molien_series(ws23, 8, backend="reduced") == reference[:9], "exact")
+    # Stanley: H(1/q) = (-1)^r q^(dim V) H(q), r the number of denominator factors
     forms = (molien.TWO_QUBIT_RATIONAL, molien.qubit_qutrit_rational())
+    expected = [((-1) ** sum(m for _, m in f.denominator), len(ws.weights))
+                for f, ws in zip(forms, (ws22, ws23))]
     add("molien: palindromy of both rational forms",
-        all(molien.palindromy_check(f.numerator, f.denominator,
-                                    f.palindromic_sign, f.palindromic_degree)
-            for f in forms),
-        "signs " + " and ".join(f"({'+' if f.palindromic_sign > 0 else '-'},"
-                                f"{f.palindromic_degree})" for f in forms))
+        all(molien.palindromy_check(f.numerator, f.denominator, *e)
+            for f, e in zip(forms, expected)),
+        "signs " + " and ".join(f"({'+' if sign > 0 else '-'},{dim})"
+                                for sign, dim in expected))
     return rows
 
 

@@ -26,7 +26,6 @@ from . import casimir_positivity, states, su_algebra
 from .states import QubitQutritState
 
 LETTERS = "abg"
-LETTER_NAMES = {"a": "alpha", "b": "beta", "g": "gamma"}
 
 DEFAULT_PANEL_SEED = 20260
 DEFAULT_PANEL_SIZE = 200
@@ -454,12 +453,6 @@ def correlation_quartic_ff(state: QubitQutritState) -> float | np.ndarray:
     return _su3_contractions(state)["ff"]
 
 
-def correlation_quartic_dd(state: QubitQutritState) -> float | np.ndarray:
-    """d_abc d_cpq G_ab G_pq = (1/2) tr(T(S)^2) (see _su3_contractions), tied
-    to correlation_quartic_ff by the exchange identity of _i004_identity."""
-    return _su3_contractions(state)["dd"]
-
-
 def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
     """Rank of the degree-4 evaluation matrix when the f-contracted
     correlation quartic is adjoined to the trace words and products.
@@ -485,10 +478,8 @@ def finite_difference_jacobian(words, point: np.ndarray) -> np.ndarray:
     mu = _letter_matrices(_params_to_state(point + step))
     md = _letter_matrices(_params_to_state(point - step))
     J = np.zeros((35, len(words)))
-    for j, w in enumerate(words):
-        letters = w.letters if isinstance(w, TraceWord) else w
-        J[:, j] = (_eval_on(mu, letters).real
-                   - _eval_on(md, letters).real) / (2 * JACOBIAN_STEP)
+    for j, w in enumerate(map(_letters, words)):
+        J[:, j] = (_eval_on(mu, w).real - _eval_on(md, w).real) / (2 * JACOBIAN_STEP)
     return J
 
 

@@ -62,7 +62,9 @@ system.
 
 The rational closed forms of both series are bundled for cross-validation:
 the two-qubit form exactly as printed, the qubit-qutrit numerator completed
-from its printed prefix by palindromy (N(q) = q^75 N(1/q)).
+from its printed prefix by palindromy (N(q) = q^75 N(1/q)).  The sign and
+degree of each form's functional equation M(1/q) = +-q^D M(q) are derived
+from its numerator and denominator (_functional_equation), not entered.
 """
 
 from __future__ import annotations
@@ -589,13 +591,16 @@ def rational_series(numerator, denominator_exponents, max_degree: int) -> list[i
     return series
 
 
-def palindromy_check(numerator, denominator_exponents, sign: int,
-                     top_degree: int) -> bool:
-    """Whether M(1/q) = sign * q^(-top_degree) * M(q) for the rational form.
+def _functional_equation(numerator, denominator_exponents):
+    """(sign, degree) with M(1/q) = sign * q^degree * M(q) for the rational
+    form M, or None when the numerator is not a (possibly sign-flipped)
+    palindrome.
 
-    Checked on coefficient bookkeeping alone: the numerator list must be a
-    (possibly sign-flipped) palindrome, every denominator factor contributes
-    (1 - q^-deg) = -q^-deg (1 - q^deg), and the net degree shift must match.
+    Coefficient bookkeeping alone: the numerator list gives its own sign and
+    its degree len - 1, every denominator factor contributes
+    (1 - q^-deg) = -q^-deg (1 - q^deg), so the sign picks up (-1)^r for the
+    r denominator factors and the degree is the denominator's degree minus
+    the numerator's.
     """
     num = [int(c) for c in numerator]
     if num == num[::-1]:
@@ -603,20 +608,22 @@ def palindromy_check(numerator, denominator_exponents, sign: int,
     elif num == [-c for c in num[::-1]]:
         num_sign = -1
     else:
-        return False
+        return None
+    r = sum(mult for _, mult in denominator_exponents)
     den_degree = sum(deg * mult for deg, mult in denominator_exponents)
-    den_sign = -1 if sum(mult for _, mult in denominator_exponents) % 2 else 1
-    actual_sign = num_sign * den_sign
-    actual_degree = den_degree - (len(num) - 1)
-    return actual_sign == sign and actual_degree == top_degree
+    return num_sign * (-1) ** r, den_degree - (len(num) - 1)
+
+
+def palindromy_check(numerator, denominator_exponents, sign: int,
+                     top_degree: int) -> bool:
+    """Whether M(1/q) = sign * q^top_degree * M(q) for the rational form."""
+    return _functional_equation(numerator, denominator_exponents) == (sign, top_degree)
 
 
 @dataclass(frozen=True)
 class RationalForm:
     numerator: tuple[int, ...]
     denominator: tuple[tuple[int, int], ...]
-    palindromic_sign: int
-    palindromic_degree: int
 
     def series(self, max_degree: int) -> list[int]:
         return rational_series(self.numerator, self.denominator, max_degree)
@@ -625,12 +632,11 @@ class RationalForm:
 TWO_QUBIT_RATIONAL = RationalForm(
     numerator=(1, 0, 0, 0, 1, 1, 3, 2, 2, 3, 1, 1, 0, 0, 0, 1),
     denominator=((2, 3), (3, 2), (4, 3), (6, 1)),
-    palindromic_sign=-1,
-    palindromic_degree=15,
 )
 
-#: Printed prefix of the qubit-qutrit numerator (degree -> coefficient); the
-#: elided middle is filled in by complete_numerator_by_palindromy.
+#: Printed prefix of the qubit-qutrit numerator (degree -> coefficient), its
+#: last term the top degree; the elided middle is filled in by
+#: complete_numerator_by_palindromy.
 QUBIT_QUTRIT_NUMERATOR_PREFIX = {
     0: 1, 4: 4, 5: 9, 6: 38, 7: 69, 8: 173, 9: 347, 10: 733, 11: 1403,
     12: 2796, 13: 5091, 14: 9286, 15: 16058, 16: 27208, 17: 44250,
@@ -674,10 +680,9 @@ def complete_numerator_by_palindromy(prefix: dict[int, int],
 @lru_cache(maxsize=1)
 def qubit_qutrit_rational() -> RationalForm:
     return RationalForm(
-        numerator=complete_numerator_by_palindromy(QUBIT_QUTRIT_NUMERATOR_PREFIX, 75),
+        numerator=complete_numerator_by_palindromy(
+            QUBIT_QUTRIT_NUMERATOR_PREFIX, max(QUBIT_QUTRIT_NUMERATOR_PREFIX)),
         denominator=QUBIT_QUTRIT_DENOMINATOR,
-        palindromic_sign=1,
-        palindromic_degree=35,
     )
 
 

@@ -27,20 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su_algebra import GELL_MANN, PAULI
+from .su_algebra import SU6_GENERATORS, SU6_NORMS
 
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 
-_I2 = np.eye(2, dtype=complex)
-_I3 = np.eye(3, dtype=complex)
 _I6 = np.eye(6, dtype=complex)
-
-# sigma_i x I3, I2 x lambda_a and sigma_i x lambda_a in the order of (a, b,
-# C row by row), for the one projection and the gather table
-_BASIS = np.array([np.kron(PAULI[i], _I3) for i in range(3)]
-                  + [np.kron(_I2, GELL_MANN[a]) for a in range(8)]
-                  + [np.kron(PAULI[i], GELL_MANN[a]) for i in range(3) for a in range(8)])
 
 
 def _gather_table() -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +52,7 @@ def _gather_table() -> tuple[np.ndarray, np.ndarray]:
     for byte with one einsum per letter); only the sign of a zero entry
     depends on the order, and _letters sums from +0 so that it is +0.
     """
-    flat = _BASIS.reshape(35, 36).view(float)
+    flat = SU6_GENERATORS.reshape(35, 36).view(float)
     index, coef = [], []
     for lo, hi in ((0, 3), (3, 11), (11, 35)):
         block = flat[lo:hi]
@@ -157,18 +149,6 @@ def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
     return tuple(letters[..., k, :, :].copy() for k in range(3))
 
 
-def alpha_matrix(state: QubitQutritState) -> np.ndarray:
-    return letter_matrices(state)[0]
-
-
-def beta_matrix(state: QubitQutritState) -> np.ndarray:
-    return letter_matrices(state)[1]
-
-
-def gamma_matrix(state: QubitQutritState) -> np.ndarray:
-    return letter_matrices(state)[2]
-
-
 def omega_matrix(state: QubitQutritState) -> np.ndarray:
     """The traceless part 6*rho - I = (alpha + beta) + gamma."""
     return _omega(_coordinates(state))
@@ -205,7 +185,7 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
     tdev = float(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if tdev > TRACE_TOL:
         raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
-    x = np.einsum("...uv,kvu->...k", rho, _BASIS).real
+    x = np.einsum("...uv,kvu->...k", rho, SU6_GENERATORS).real
     return QubitQutritState(x[..., :3], 1.5 * x[..., 3:11], 1.5 * x[..., 11:])
 
 
@@ -224,15 +204,10 @@ def reduced_qutrit(state: QubitQutritState) -> np.ndarray:
 def state_to_xi(state: QubitQutritState) -> np.ndarray:
     """Coordinates of omega in the orthonormal su(6) tensor basis.
 
-    omega = kappa * xi . tau with kappa = sqrt(15) and the tau enumeration of
-    the su6-tensor basis, so xi carries factors sqrt(3) (qubit sector) and
-    sqrt(2) (qutrit and correlation sectors).
+    omega = kappa * xi . tau with kappa = sqrt(15) and tau the su6-tensor
+    basis SU6_GENERATORS / SU6_NORMS, so xi = SU6_NORMS * (a, b, C) / kappa.
     """
-    kappa = bloch_kappa(6)
-    return np.concatenate([math.sqrt(3) * state.a / kappa,
-                           math.sqrt(2) * state.b / kappa,
-                           math.sqrt(2) * state.C.reshape(state.a.shape[:-1] + (24,))
-                           / kappa], axis=-1)
+    return SU6_NORMS * _coordinates(state) / bloch_kappa(6)
 
 
 # -- random ensembles ---------------------------------------------------------

@@ -63,6 +63,14 @@ def _gellmann() -> np.ndarray:
 
 GELL_MANN = _gellmann()
 
+#: The su6-tensor generators before normalization, and their norms: the basis
+#: is SU6_GENERATORS / SU6_NORMS (see the module docstring).
+SU6_GENERATORS = np.array(
+    [np.kron(PAULI[i], np.eye(3)) for i in range(3)]
+    + [np.kron(np.eye(2), GELL_MANN[a]) for a in range(8)]
+    + [np.kron(PAULI[i], GELL_MANN[a]) for i in range(3) for a in range(8)])
+SU6_NORMS = np.array([math.sqrt(3)] * 3 + [math.sqrt(2)] * 32)
+
 
 @dataclass(frozen=True)
 class SuBasis:
@@ -112,13 +120,7 @@ def build_basis(label: str) -> SuBasis:
     if label == "su3-gellmann":
         return SuBasis(label, 3, GELL_MANN.copy())
     if label == "su6-tensor":
-        i2 = np.eye(2, dtype=complex)
-        i3 = np.eye(3, dtype=complex)
-        elems = [np.kron(PAULI[i], i3) / math.sqrt(3) for i in range(3)]
-        elems += [np.kron(i2, GELL_MANN[a]) / math.sqrt(2) for a in range(8)]
-        for i in range(3):
-            elems += [np.kron(PAULI[i], GELL_MANN[a]) / math.sqrt(2) for a in range(8)]
-        return SuBasis(label, 6, np.array(elems))
+        return SuBasis(label, 6, SU6_GENERATORS / SU6_NORMS[:, None, None])
     raise ValueError(f"unknown basis label {label!r}; expected one of {BASIS_LABELS}")
 
 

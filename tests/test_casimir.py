@@ -275,19 +275,32 @@ def test_positivity_report_rejects_non_hermitian():
 def nan_inputs():
     nan_state = QubitQutritState.zero()
     nan_state.C[1, 4] = np.nan
+    inf_state = QubitQutritState.zero()
+    inf_state.a[2] = np.inf
+    neg_inf_state = QubitQutritState.zero()
+    neg_inf_state.b[0] = -np.inf
+    huge_state = QubitQutritState.zero()
+    huge_state.b[7] = 1.7e308  # finite, but its matrix overflows
     inf_diag = np.eye(6, dtype=complex) / 6
     inf_diag[2, 2] = np.inf
     return {"nan matrix": np.full((6, 6), np.nan), "inf diagonal": inf_diag,
-            "nan state": nan_state}
+            "nan state": nan_state, "inf state": inf_state,
+            "-inf state": neg_inf_state, "huge state": huge_state}
 
 
-@pytest.mark.parametrize("case", ["nan matrix", "inf diagonal", "nan state"])
+NON_FINITE_CASES = ["nan matrix", "inf diagonal", "nan state", "inf state",
+                    "-inf state", "huge state"]
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CASES)
 @pytest.mark.parametrize("check", [positivity_report, casimirs_from_traces])
-def test_non_finite_input_is_rejected(check, case):
+def test_non_finite_input_is_rejected(check, case, monkeypatch):
     # a NaN deviation compares False with `> tol`, so these once came back as
-    # positive_semidefinite=False, consistent=True
+    # positive_semidefinite=False, consistent=True; the infinite and huge
+    # states once warned (invalid value, overflow) while building the matrix,
+    # which the RuntimeWarning filter of the test run turns into a failure
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
-        check(nan_inputs()[case])
+        fresh(check, nan_inputs()[case], monkeypatch)
 
 
 def test_oracle_rejects_a_non_hermitian_matrix():
@@ -298,12 +311,12 @@ def test_oracle_rejects_a_non_hermitian_matrix():
         eigenvalue_oracle(bad)
 
 
-@pytest.mark.parametrize("case", ["nan matrix", "inf diagonal", "nan state"])
-def test_oracle_rejects_a_non_finite_matrix(case):
+@pytest.mark.parametrize("case", NON_FINITE_CASES)
+def test_oracle_rejects_a_non_finite_matrix(case, monkeypatch):
     # eigvalsh raised LinAlgError: Eigenvalues did not converge, for a state
     # too
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
-        eigenvalue_oracle(nan_inputs()[case])
+        fresh(eigenvalue_oracle, nan_inputs()[case], monkeypatch)
 
 
 REPORT_FIELDS = ("t", "S", "S_bar", "casimir_exprs", "verdict_S",

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qqinv import casimir_positivity, cli, local_invariants, states
+from qqinv import casimir_positivity, cli, local_invariants, molien, states
 from qqinv.states import QubitQutritState, save_state
 
 
@@ -72,6 +72,12 @@ def test_molien_cap_message_names_the_cli_option(capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "qqinv: --degree 40 exceeds the resource cap 20; pass --cap to override\n")
+
+
+def test_molien_negative_degree_names_the_cli_option(capsys):
+    code, _ = run_cli("molien", "--group", "2x2", "--degree", "-1")
+    assert code == 2
+    assert capsys.readouterr().err == "qqinv: --degree must be >= 0\n"
 
 
 def test_molien_cap_override():
@@ -341,6 +347,19 @@ def test_selftest_positivity_row_fails_on_one_flipped_oracle_verdict(monkeypatch
     assert [(r["name"], r["detail"]) for r in failed] == [
         ("positivity: S_k verdict == eigenvalue oracle == Casimir verdict",
          "6 states")]
+
+
+def test_selftest_palindromy_row_fails_on_a_non_palindromic_numerator(monkeypatch):
+    # the same series to degree 20, but no functional equation
+    form = molien.TWO_QUBIT_RATIONAL
+    broken = molien.RationalForm(form.numerator + (0,) * 6 + (1,), form.denominator)
+    assert molien._functional_equation(broken.numerator, broken.denominator) is None
+    monkeypatch.setattr(molien, "TWO_QUBIT_RATIONAL", broken)
+    code, js = run_cli("selftest", "--panel-size", "2", "--format", "json")
+    assert code == 1
+    failed = [(r["name"], r["detail"]) for r in json.loads(js) if not r["passed"]]
+    assert failed == [("molien: palindromy of both rational forms",
+                       "signs (-,15) and (+,35)")]
 
 
 def test_selftest_local_invariance_row_fails_under_global_unitaries(monkeypatch):

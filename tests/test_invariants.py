@@ -7,8 +7,7 @@ import pytest
 
 from qqinv import local_invariants as li
 from qqinv import states
-from qqinv.local_invariants import (canonical_form, correlation_quartic_dd,
-                                    correlation_quartic_ff,
+from qqinv.local_invariants import (canonical_form, correlation_quartic_ff,
                                     degree4_completion_rank, enumerate_words,
                                     eval_trace, eval_trace_complex,
                                     independence_evidence, invariance_test,
@@ -16,8 +15,7 @@ from qqinv.local_invariants import (canonical_form, correlation_quartic_dd,
                                     listed_invariants_through_degree4,
                                     panel_violations, rank_at_degree,
                                     trace_word, TraceWord)
-from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
-                          gamma_matrix, random_density)
+from qqinv.states import QubitQutritState, letter_matrices, random_density
 from qqinv.su_algebra import structure_constants
 
 DEGREE4_WORDS = ["aaaa", "aaab", "aaag", "aabb", "aabg", "aagg", "abbb",
@@ -153,8 +151,7 @@ def test_eval_flags_complex_traces():
 
 def left_to_right_trace(word, state):
     """Reference: the trace of the letter matrices multiplied left to right."""
-    mats = {"a": alpha_matrix(state), "b": beta_matrix(state),
-            "g": gamma_matrix(state)}
+    mats = dict(zip("abg", letter_matrices(state)))
     m = mats[word[0]]
     for ch in word[1:]:
         m = m @ mats[ch]
@@ -240,6 +237,15 @@ def test_jacobian_matches_per_point_loop():
             assert J[p, j] == col
 
 
+@pytest.mark.parametrize("word", ["ax", ""])
+@pytest.mark.parametrize("entry", [li.finite_difference_jacobian, jacobian_rank])
+def test_jacobian_rejects_bad_words(entry, word):
+    # each word is read as eval_trace reads it, so a letter outside "abg" and
+    # the empty word raise ValueError (once KeyError and RecursionError)
+    with pytest.raises(ValueError, match="nonempty over"):
+        entry(["aa", word], np.zeros(35))
+
+
 def test_kernel_degree4():
     result = kernel_at_degree(4)
     assert {w.letters for w in result.words} == KERNEL4
@@ -296,7 +302,7 @@ def test_i004_identity():
     rhs = 2 / 3 * ff - (np.trace(G) ** 2 - 2 * np.trace(G @ G)) / 3
     assert abs(lhs - rhs) < 1e-12
     s = QubitQutritState(np.zeros(3), np.zeros(8), C)
-    assert abs(correlation_quartic_dd(s) - lhs) < 1e-14
+    assert abs(li._su3_contractions(s)["dd"] - lhs) < 1e-14
     assert abs(correlation_quartic_ff(s) - ff) < 1e-14
 
 
@@ -331,7 +337,6 @@ def test_su3_trace_forms_match_dense_contractions(seed, size):
         assert np.all(np.abs(traces[key] - ref)
                       <= 1e-14 * np.maximum(1.0, np.abs(ref))), key
     assert np.array_equal(correlation_quartic_ff(panel), traces["ff"])
-    assert np.array_equal(correlation_quartic_dd(panel), traces["dd"])
 
 
 def test_panel_violations_cover_the_registry():

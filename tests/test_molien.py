@@ -1,5 +1,6 @@
 """Torus weight systems, exact series extraction and rational-form checks."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
-                          WeightSystem, _axis_reach, _box_plan, _box_radius,
-                          _build_product_boxes, _constant_terms, _kernel,
+                          RationalForm, WeightSystem, _axis_reach, _box_plan,
+                          _box_radius, _build_product_boxes, _constant_terms,
+                          _functional_equation, _kernel,
                           _kernel_cells, _kernel_sums, _moduli, _root_polynomial,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
@@ -586,7 +588,19 @@ def test_rational_series_validates_denominator():
         rational_series([1], [(2, 0)], 4)
 
 
+def test_rational_form_holds_only_numerator_and_denominator():
+    assert [f.name for f in dataclasses.fields(RationalForm)] == [
+        "numerator", "denominator"]
+
+
 def test_palindromy_two_qubit():
+    # Stanley: H(1/q) = (-1)^r q^(dim V) H(q), r the number of denominator
+    # factors
+    r = sum(mult for _, mult in TWO_QUBIT_RATIONAL.denominator)
+    dim = len(adjoint_weight_system("su2xsu2").weights)
+    assert _functional_equation(TWO_QUBIT_RATIONAL.numerator,
+                                TWO_QUBIT_RATIONAL.denominator) == ((-1) ** r, dim)
+    assert ((-1) ** r, dim) == (-1, 15)
     assert palindromy_check(TWO_QUBIT_RATIONAL.numerator,
                             TWO_QUBIT_RATIONAL.denominator, -1, 15)
     assert not palindromy_check(TWO_QUBIT_RATIONAL.numerator,
@@ -597,16 +611,30 @@ def test_palindromy_two_qubit():
 
 def test_palindromy_qubit_qutrit():
     form = qubit_qutrit_rational()
+    r = sum(mult for _, mult in form.denominator)
+    dim = len(adjoint_weight_system("su2xsu3").weights)
+    assert _functional_equation(form.numerator, form.denominator) == ((-1) ** r, dim)
+    assert ((-1) ** r, dim) == (1, 35)
     assert palindromy_check(form.numerator, QUBIT_QUTRIT_DENOMINATOR, 1, 35)
+    assert not palindromy_check(form.numerator, QUBIT_QUTRIT_DENOMINATOR, -1, 35)
+    # the top degree is the printed prefix's last term
+    assert len(form.numerator) == 76 and form.numerator[-1] == 1
 
 
 def test_palindromy_rejects_non_palindrome():
     assert not palindromy_check([1, 1, 0], [(1, 2)], 1, 0)
+    for numerator in ((1, 0, 2), (1, 2, 0, -1)):
+        assert _functional_equation(numerator, [(1, 2)]) is None
+        assert not any(palindromy_check(numerator, [(1, 2)], sign, degree)
+                       for sign in (1, -1) for degree in range(-3, 4))
 
 
 def test_palindromy_sign_flipped_numerator():
-    # odd antisymmetric numerator: N(1/q) = -q^-3 N(q)
+    # odd antisymmetric numerator: N(1/q) = -q^-3 N(q), and the denominator
+    # (1 - q) contributes -q, so M(1/q) = q^-2 M(q)
+    assert _functional_equation([1, 2, -2, -1], [(1, 1)]) == (1, -2)
     assert palindromy_check([1, 2, -2, -1], [(1, 1)], 1, -2)
+    assert not palindromy_check([1, 2, -2, -1], [(1, 1)], -1, -2)
 
 
 def test_numerator_completion_consistency():

@@ -6,8 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qqinv.states import (QubitQutritState, alpha_matrix, beta_matrix,
-                          conjugate, from_matrix, gamma_matrix,
+from qqinv.states import (QubitQutritState, conjugate, from_matrix,
                           letter_matrices, omega_matrix,
                           random_densities, random_density,
                           random_global_unitary, random_local_unitary,
@@ -115,16 +114,10 @@ def einsum_matrices(s):
     return alpha, beta, gamma, omega, (np.eye(6) + omega) / 6.0
 
 
-MATRIX_FUNCTIONS = (alpha_matrix, beta_matrix, gamma_matrix, omega_matrix, to_matrix)
-
-
 def gathered_matrices(s):
     """The same five matrices from the program, each checked C-contiguous."""
-    out = tuple(f(s) for f in MATRIX_FUNCTIONS)
+    out = letter_matrices(s) + (omega_matrix(s), to_matrix(s))
     assert all(m.flags.c_contiguous for m in out)
-    letters = letter_matrices(s)
-    assert all(m.flags.c_contiguous for m in letters)
-    assert all(same_bits(x, y) for x, y in zip(letters, out))
     return out
 
 
@@ -422,15 +415,15 @@ def test_stacked_draw_matches_single_draws(ensemble):
     seeds = range(500, 540)
     stack = random_densities(seeds, ensemble)
     assert stack.a.shape == (40, 3) and stack.C.shape == (40, 3, 8)
-    letters = (alpha_matrix, beta_matrix, gamma_matrix, to_matrix, state_to_xi)
-    stacked = [f(stack) for f in letters]
+    matrices = (*letter_matrices(stack), to_matrix(stack), state_to_xi(stack))
     for i, seed in enumerate(seeds):
         s = random_density(seed, ensemble)
         assert np.array_equal(stack.a[i], s.a)
         assert np.array_equal(stack.b[i], s.b)
         assert np.array_equal(stack.C[i], s.C)
-        for f, values in zip(letters, stacked):
-            assert np.array_equal(values[i], f(s))
+        single = (*letter_matrices(s), to_matrix(s), state_to_xi(s))
+        for values, one in zip(matrices, single):
+            assert np.array_equal(values[i], one)
 
 
 @pytest.mark.parametrize("level", [-10.0 ** -e for e in range(1, 10)])
