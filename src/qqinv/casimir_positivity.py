@@ -23,7 +23,6 @@ in another form: E_k = 1 - Sbar_k for k = 2..4 and E_k = Sbar_k for k = 5, 6.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -107,105 +106,55 @@ class PositivityReport:
         }
 
 
-def _as_density_matrix(state, quiet: bool = True) -> np.ndarray:
-    """The matrix of a state (or the stack of a stacked state); a matrix
-    given directly must be 6x6.  Either is rejected, with from_matrix's
-    wording, unless every entry is finite: this is checked before any
-    deviation is formed, since a NaN deviation passes `dev > tol` and
-    inf - inf warns.
+def _as_density_matrix(state) -> np.ndarray:
+    """The matrix of a state, or the stack of a stacked state, rejected with
+    from_matrix's wording unless every entry is finite: this is checked
+    before any deviation is formed, since a NaN deviation passes `dev > tol`
+    and inf - inf warns.  Any other input is refused: a density matrix
+    enters through states.from_matrix, which validates it.
 
-    A state's matrix is read-only and kept in _LAST_MATRIX, so a report and
-    an oracle on one state build it once; the key holds the exact
-    coordinate bytes, so a state changed in place is converted (and checked)
-    again.  A non-finite or huge coordinate gives non-finite entries, so the
-    build runs with numpy's overflow and invalid warnings off: here when
-    quiet, else in the caller's errstate (_checked_moments), so that a
-    state's report enters one."""
+    The matrix is read-only and kept in _LAST_MATRIX, so a report and an
+    oracle on one state build it once; the key holds the exact coordinate
+    bytes, so a state changed in place is converted (and checked) again."""
     global _LAST_MATRIX
-    if isinstance(state, QubitQutritState):
-        x = states._coordinates(state)
-        key = (x.shape, x.tobytes())
-        last, rho = _LAST_MATRIX
-        if last != key:
-            with (np.errstate(over="ignore", invalid="ignore") if quiet
-                  else contextlib.nullcontext()):
-                rho = states._matrix_of_coordinates(x)
-            rho.flags.writeable = False
-            _LAST_MATRIX = (key, rho)
-    else:
-        rho = np.asarray(state, dtype=complex)
-        if rho.shape != (6, 6):
-            raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
+    if not isinstance(state, QubitQutritState):
+        raise TypeError(f"expected a QubitQutritState, got {type(state).__name__}; "
+                        "convert a density matrix with states.from_matrix")
+    x = states._coordinates(state)
+    key = (x.shape, x.tobytes())
+    last, rho = _LAST_MATRIX
+    if last != key:
+        rho = states._matrix_of_coordinates(x)
+        rho.flags.writeable = False
+        _LAST_MATRIX = (key, rho)
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
     return rho
 
 
-def _hermitian_matrix(state) -> np.ndarray:
-    """_as_density_matrix(state), rejected unless finite and Hermitian
-    within states.HERM_TOL (a difference that overflows is rejected, not
-    warned about)."""
-    rho = _as_density_matrix(state)
-    with np.errstate(over="ignore"):
-        dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
-    if not dev <= states.HERM_TOL:
-        raise ValueError("input matrix is not Hermitian")
-    return rho
-
-
-def _checked_matrix(state, quiet: bool = True) -> np.ndarray:
-    """The matrix of a state, or a matrix given directly, with the checks it
-    needs: a state's matrix is Hermitian by construction (states.to_matrix)
-    and is only checked finite."""
-    if isinstance(state, QubitQutritState):
-        return _as_density_matrix(state, quiet)
-    return _hermitian_matrix(state)
-
-
-def _traceless_error(tdev: float) -> ValueError:
-    return ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
-
-
-def _check_omega(om: np.ndarray) -> None:
-    """Reject the omega = n rho - I of a matrix given directly unless
-    traceless and Hermitian, both within TRACELESS_TOL.  On rho these bounds
-    are n times tighter than states.TRACE_TOL and HERM_TOL, so a matrix that
-    from_matrix accepts can fail here."""
-    tdev = float(np.abs(om.trace(axis1=-2, axis2=-1)).max(initial=0.0))
-    if not tdev <= TRACELESS_TOL:
-        raise _traceless_error(tdev)
-    hdev = float(np.abs(om - om.conj().swapaxes(-1, -2)).max(initial=0.0))
-    if not hdev <= TRACELESS_TOL:
-        raise ValueError("omega = n rho - I is not Hermitian: "
-                         f"max |omega - omega^+| = {hdev:.3e}")
-
-
-def _check_moments(t, t_om, of_state: bool) -> None:
-    """Reject input unless, for a state, |t_1 of omega| lies within
-    TRACELESS_TOL, t_1 = tr rho within states.TRACE_TOL of 1, and every
-    moment is finite.  A state's omega is Hermitian by construction, so its
-    diagonal is real and |t_1 of omega| is |tr omega|, the same sum; a
-    matrix given directly had _check_omega instead.  The trace check of
-    omega misses huge states, whose -I rounds away, and their powers
-    overflow; omega and the moments are formed with numpy's overflow
-    warnings off so that these checks report it.  One state gives Python
-    floats, a stack arrays of the batch shape.  With finite moments of
-    omega, c_2^3 and c_3^2 stay below t_6 / 6 by the power-mean inequality,
-    so the Casimirs cannot overflow."""
+def _check_moments(t, t_om) -> None:
+    """Reject a state unless |t_1 of omega| lies within TRACELESS_TOL, t_1 =
+    tr rho within states.TRACE_TOL of 1, and every moment is finite.  A
+    state's omega is Hermitian by construction, so its diagonal is real and
+    |t_1 of omega| is |tr omega|, the same sum.  The trace check of omega
+    misses huge states, whose -I rounds away, and their powers overflow;
+    omega and the moments are formed with numpy's overflow warnings off so
+    that these checks report it.  One state gives Python floats, a stack
+    arrays of the batch shape.  With finite moments of omega, c_2^3 and
+    c_3^2 stay below t_6 / 6 by the power-mean inequality, so the Casimirs
+    cannot overflow."""
     t1, tw = t[0], t_om[0]
     if isinstance(t1, float):
-        if ((not of_state or abs(tw) <= TRACELESS_TOL)
-                and abs(t1 - 1) <= states.TRACE_TOL
+        if (abs(tw) <= TRACELESS_TOL and abs(t1 - 1) <= states.TRACE_TOL
                 and all(map(math.isfinite, t + t_om))):
             return
-    elif ((not of_state or (np.abs(tw) <= TRACELESS_TOL).all())
+    elif ((np.abs(tw) <= TRACELESS_TOL).all()
           and (np.abs(t1 - 1) <= states.TRACE_TOL).all()
           and np.isfinite(t + t_om).all()):
         return
-    if of_state:
-        tdev = float(np.abs(tw).max(initial=0.0))
-        if not tdev <= TRACELESS_TOL:
-            raise _traceless_error(tdev)
+    tdev = float(np.abs(tw).max(initial=0.0))
+    if not tdev <= TRACELESS_TOL:
+        raise ValueError(f"omega = n rho - I is not traceless: |tr omega| = {tdev:.3e}")
     dev = np.abs(np.subtract(t1, 1)).max()
     if not dev <= states.TRACE_TOL:
         raise ValueError(f"rho does not have unit trace: |tr rho - 1| = {dev:.3e}")
@@ -232,26 +181,21 @@ def moments(rho: np.ndarray) -> tuple[float, ...]:
     return tuple(t.tolist()) if t.ndim == 1 else tuple(t)
 
 
-def _checked_moments(state, convert):
-    """(t, t_om): the moments of rho = convert(state) and of omega = 6 rho -
-    I, taken as one stack [rho, omega], with the checks that follow those of
-    rho itself (rho is converted inside the same errstate):
-    _check_omega before the moments for a matrix given directly, then
-    _check_moments.  positivity_report and casimirs_from_traces share this
-    sequence and its wording.  One state gives tuples of Python floats, a
-    stack tuples of arrays of the batch shape."""
-    of_state = isinstance(state, QubitQutritState)
+def _checked_moments(state):
+    """(t, t_om): the moments of the state's rho and of omega = 6 rho - I,
+    taken as one stack [rho, omega], then checked by _check_moments.
+    positivity_report and casimirs_from_traces share this sequence and its
+    wording.  One state gives tuples of Python floats, a stack tuples of
+    arrays of the batch shape."""
+    rho = _as_density_matrix(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = convert(state, quiet=False)
         pair = np.empty((2,) + rho.shape, dtype=complex)
         pair[0] = rho
         np.multiply(rho, 6, out=pair[1])
         pair[1] -= _EYE6
-        if not of_state:
-            _check_omega(pair[1])
         tt = _moment_traces(pair).swapaxes(0, 1)
     t, t_om = map(tuple, tt.tolist() if rho.ndim == 2 else tt)
-    _check_moments(t, t_om, of_state)
+    _check_moments(t, t_om)
     return t, t_om
 
 
@@ -278,11 +222,11 @@ def _power(x, k: int):
     return x ** k
 
 
-def casimirs_from_traces(state) -> CasimirValues:
+def casimirs_from_traces(state: QubitQutritState) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
-    _, t_om = _checked_moments(state, _as_density_matrix)
+    _, t_om = _checked_moments(state)
     return _casimirs_of_omega_moments(t_om)
 
 
@@ -387,8 +331,8 @@ def casimir_inequality_exprs(normalized) -> tuple[float, ...]:
     return (e2, e3, e4, e5, e6)
 
 
-def positivity_report(state) -> PositivityReport:
-    """Full positivity verdict of a unit-trace Hermitian 6x6 matrix.
+def positivity_report(state: QubitQutritState) -> PositivityReport:
+    """Full positivity verdict of a state's unit-trace Hermitian 6x6 matrix.
 
     Both verdicts apply BOUNDARY_TOL on the normalized scale: verdict_S to
     S_k / max S_k and verdict_casimir to E_k, which is that same ratio (or
@@ -398,12 +342,11 @@ def positivity_report(state) -> PositivityReport:
 
     rho and omega = 6 rho - I go through one moment pass as one stack
     (_checked_moments): t feeds S_k, the moments of omega the Casimir route.
-    A matrix given directly is checked finite and Hermitian, then omega
-    traceless and Hermitian; a state's matrix is Hermitian by construction,
-    so only the finiteness and trace checks apply to it, its tr omega read
-    from the moments.  Either is rejected unless tr rho is 1 and every
-    moment finite (see _check_moments)."""
-    t, t_om = _checked_moments(state, _checked_matrix)
+    A state's matrix is Hermitian by construction, so only the finiteness
+    and trace checks apply to it, its tr omega read from the moments; it is
+    rejected unless tr rho is 1 and every moment finite (see
+    _check_moments).  A density matrix enters through states.from_matrix."""
+    t, t_om = _checked_moments(state)
     S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
     exprs = casimir_inequality_exprs(_casimirs_of_omega_moments(t_om).normalized)
@@ -415,10 +358,10 @@ def positivity_report(state) -> PositivityReport:
                             consistent)
 
 
-def eigenvalue_oracle(state) -> np.ndarray:
+def eigenvalue_oracle(state: QubitQutritState) -> np.ndarray:
     """Sorted eigenvalues; PSD there means min eigenvalue >= -ORACLE_EIG_TOL.
 
-    Input is rejected unless finite, and a matrix given directly unless
-    Hermitian, as in positivity_report (eigvalsh reads only its lower
-    triangle); a state is Hermitian by construction and skips that check."""
-    return np.linalg.eigvalsh(_checked_matrix(state))
+    A state is rejected unless its matrix is finite, as in
+    positivity_report; that matrix is Hermitian by construction, so
+    eigvalsh, which reads only its lower triangle, sees all of it."""
+    return np.linalg.eigvalsh(_as_density_matrix(state))

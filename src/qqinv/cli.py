@@ -99,8 +99,7 @@ def _cmd_invariants(args, out) -> int:
     state = _load_state(args.statefile)
     listed = [w for degree in range(1, args.max_degree + 1)
               for w in local_invariants.enumerate_words(degree)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = local_invariants.eval_trace_complex(listed, state)
+    values = local_invariants.eval_trace_complex(listed, state)
     words = []
     for w, val in zip(listed, values):
         if not np.isfinite(val):
@@ -130,6 +129,8 @@ def _cmd_molien(args, out) -> int:
     ws = molien.adjoint_weight_system(label)
     if args.degree < 0:
         raise InputError("--degree must be >= 0")
+    if args.cap < 0:
+        raise InputError("--cap must be >= 0")
     if args.degree > args.cap:
         # molien_series would refuse too, naming its degree_cap argument
         raise InputError(f"--degree {args.degree} exceeds the resource cap "

@@ -130,11 +130,13 @@ def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray | 
 
     Words of degree >= 5 whose class is not closed under reversal can have
     genuinely complex traces; real and imaginary parts are then separately
-    invariant polynomials."""
+    invariant polynomials.  A non-finite or huge coordinate gives non-finite
+    traces quietly, as letter_matrices gives non-finite letters."""
     mats = _letter_matrices(state)
-    if isinstance(word, (str, TraceWord)):
-        return _eval_on(mats, _letters(word))
-    return [_eval_on(mats, _letters(w)) for w in word]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(word, (str, TraceWord)):
+            return _eval_on(mats, _letters(word))
+        return [_eval_on(mats, _letters(w)) for w in word]
 
 
 def _letters(word) -> str:

@@ -596,13 +596,19 @@ def _functional_equation(numerator, denominator_exponents):
     form M, or None when the numerator is not a (possibly sign-flipped)
     palindrome.
 
-    Coefficient bookkeeping alone: the numerator list gives its own sign and
-    its degree len - 1, every denominator factor contributes
-    (1 - q^-deg) = -q^-deg (1 - q^deg), so the sign picks up (-1)^r for the
-    r denominator factors and the degree is the denominator's degree minus
-    the numerator's.
+    Coefficient bookkeeping alone: a numerator q^lo P(q) with P(0) != 0 and
+    P of degree hi - lo maps to q^-hi P(q) times the sign of P's palindrome,
+    every denominator factor contributes (1 - q^-deg) = -q^-deg (1 - q^deg),
+    so the sign picks up (-1)^r for the r denominator factors and the degree
+    is the denominator's degree minus lo + hi.  Zero padding at either end
+    of the list is no part of P; an all-zero numerator has no equation.
     """
     num = [int(c) for c in numerator]
+    support = [k for k, c in enumerate(num) if c]
+    if not support:
+        return None
+    lo, hi = support[0], support[-1]
+    num = num[lo:hi + 1]
     if num == num[::-1]:
         num_sign = 1
     elif num == [-c for c in num[::-1]]:
@@ -611,7 +617,7 @@ def _functional_equation(numerator, denominator_exponents):
         return None
     r = sum(mult for _, mult in denominator_exponents)
     den_degree = sum(deg * mult for deg, mult in denominator_exponents)
-    return num_sign * (-1) ** r, den_degree - (len(num) - 1)
+    return num_sign * (-1) ** r, den_degree - (lo + hi)
 
 
 def palindromy_check(numerator, denominator_exponents, sign: int,

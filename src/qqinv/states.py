@@ -138,20 +138,28 @@ def _omega(x: np.ndarray) -> np.ndarray:
     return (letters[..., 0, :, :] + letters[..., 1, :, :]) + letters[..., 2, :, :]
 
 
+# A non-finite or huge coordinate gives non-finite entries, quietly: the
+# gather multiplies an infinite coordinate by the zero coefficients of its
+# padding and overflows a huge one, and the complex division by 6 meets
+# inf * 0.  Each conversion below enters one errstate for this.
+
 def _matrix_of_coordinates(x: np.ndarray) -> np.ndarray:
     """rho = (I6 + alpha + beta + gamma) / 6 of the coordinates x."""
-    return (_I6 + _omega(x)) / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_I6 + _omega(x)) / 6.0
 
 
 def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
     """(alpha, beta, gamma), each a C-contiguous (..., 6, 6) array."""
-    letters = _letters(_coordinates(state))
+    with np.errstate(over="ignore", invalid="ignore"):
+        letters = _letters(_coordinates(state))
     return tuple(letters[..., k, :, :].copy() for k in range(3))
 
 
 def omega_matrix(state: QubitQutritState) -> np.ndarray:
     """The traceless part 6*rho - I = (alpha + beta) + gamma."""
-    return _omega(_coordinates(state))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _omega(_coordinates(state))
 
 
 def to_matrix(state: QubitQutritState) -> np.ndarray:
@@ -172,17 +180,20 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
 
     Rejects inputs that have non-finite entries, or are not Hermitian or not
     unit-trace within HERM_TOL and TRACE_TOL, reporting the measured deviation
-    (the largest over a stack).
+    (the largest over a stack).  This is the one place where a density
+    matrix is validated: the positivity checks take states only.  A
+    deviation that overflows is reported as inf, not warned about.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
-    herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
-    if herm > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |rho - rho^+| = {herm:.3e}")
-    tdev = float(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        herm = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
+        if herm > HERM_TOL:
+            raise ValueError(f"matrix is not Hermitian: max |rho - rho^+| = {herm:.3e}")
+        tdev = float(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if tdev > TRACE_TOL:
         raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
     x = np.einsum("...uv,kvu->...k", rho, SU6_GENERATORS).real

@@ -80,19 +80,66 @@ def test_casimirs_from_traces_eigenvalue_oracle():
         assert np.abs(np.array(cas.raw) - [c2, c3, c4, c5, c6]).max() < 1e-10
 
 
+def via_from_matrix(f, matrix):
+    """f of a matrix: f refuses the array itself with a TypeError naming
+    from_matrix (an error of any other kind fails the test, whatever the
+    caller expects), and takes it only through from_matrix, which validates
+    it."""
+    try:
+        f(matrix)
+    except Exception as exc:
+        assert type(exc) is TypeError and "states.from_matrix" in str(exc), exc
+    else:
+        raise AssertionError(f"{f.__name__} took a matrix")
+    return f(states.from_matrix(matrix))
+
+
 def test_casimirs_from_traces_rejects_wrong_trace():
-    with pytest.raises(ValueError, match=r"not traceless: \|tr omega\| = 3.000e\+01"):
-        casimirs_from_traces(np.eye(6, dtype=complex))
+    with pytest.raises(ValueError, match=r"^matrix trace deviates from 1 by 5.000e\+00$"):
+        via_from_matrix(casimirs_from_traces, np.eye(6, dtype=complex))
 
 
 def test_casimirs_from_traces_names_the_hermiticity_defect():
-    # traceless but not Hermitian: the message gives the Hermiticity
-    # deviation of omega = 6 rho - I, not the (zero) trace deviation
+    # unit trace but not Hermitian: the message gives the Hermiticity
+    # deviation, not the (zero) trace deviation
     bad = np.eye(6, dtype=complex) / 6
     bad[0, 1] = 1e-3
     with pytest.raises(ValueError,
-                       match=r"not Hermitian: max \|omega - omega\^\+\| = 6.000e-03"):
-        casimirs_from_traces(bad)
+                       match=r"^matrix is not Hermitian: max \|rho - rho\^\+\| = 1.000e-03$"):
+        via_from_matrix(casimirs_from_traces, bad)
+
+
+@pytest.mark.parametrize("f", [positivity_report, casimirs_from_traces,
+                               eigenvalue_oracle])
+def test_the_entry_points_take_states_only(f, monkeypatch):
+    # a density matrix is validated in one place, from_matrix; anything else
+    # is refused before the matrix memo is read or written
+    s = random_density(26)
+    memo = (None, None)
+    monkeypatch.setattr(cp, "_LAST_MATRIX", memo)
+    for given in (to_matrix(s), to_matrix(states.random_densities(range(3))),
+                  to_matrix(s).tolist(), None):
+        with pytest.raises(TypeError, match=r"^expected a QubitQutritState, got "
+                                            r"\w+; convert a density matrix "
+                                            r"with states\.from_matrix$"):
+            f(given)
+    assert cp._LAST_MATRIX is memo
+    f(states.from_matrix(to_matrix(s)))
+
+
+def test_what_from_matrix_accepts_gets_a_report():
+    # a matrix has one scale of checks, from_matrix's: these are within
+    # HERM_TOL and TRACE_TOL of a density matrix, and from_matrix drops the
+    # excess trace and the anti-Hermitian part
+    skew = np.eye(6, dtype=complex) / 6
+    skew[0, 1] = 4e-10
+    heavy = np.eye(6, dtype=complex) * (1 / 6 + 1e-10)
+    for rho in (skew, heavy):
+        s = states.from_matrix(rho)
+        report = positivity_report(s)
+        assert report.positive_semidefinite and report.consistent
+        assert casimirs_from_traces(s).raw[0] < 1e-17
+        assert np.abs(eigenvalue_oracle(s) - 1 / 6).max() < 1e-9
 
 
 def test_casimir_routes_on_a_stack_match_single_states():
@@ -133,7 +180,7 @@ def test_huge_states_are_rejected(case, message):
                                zip((other.a, other.b, other.C),
                                    (state.a, state.b, state.C))))
     for f in (positivity_report, casimirs_from_traces):
-        for given in (state, stack, to_matrix(state)):
+        for given in (state, stack):
             with pytest.raises(ValueError, match=message):
                 f(given)
 
@@ -147,15 +194,6 @@ def test_an_empty_stack_gets_an_empty_report():
     assert report.consistent.shape == (0,)
     assert report.positive_semidefinite.shape == (0,)
     assert eigenvalue_oracle(empty).shape == (0, 6)
-
-
-def test_a_non_hermitian_matrix_at_the_float_limit_is_rejected():
-    # rho - rho^+ overflowed with a RuntimeWarning before the check
-    bad = np.zeros((6, 6), dtype=complex)
-    bad[0, 0], bad[0, 1], bad[1, 0] = 1.0, 1e308, -1e308
-    for f in (positivity_report, eigenvalue_oracle):
-        with pytest.raises(ValueError, match="input matrix is not Hermitian"):
-            f(bad)
 
 
 def test_vee_route_rejects_wrong_length():
@@ -255,21 +293,22 @@ def test_positivity_report_nonpsd_fails_both_ways():
         assert report.consistent
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (8, 8), (6, 5), (2, 6, 6)])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (8, 8), (6, 5), (6, 6, 2)])
 def test_positivity_report_rejects_shapes_other_than_6x6(shape):
     # 3x3 and 4x4 would divide by zero in CasimirValues.normalized, and an
-    # 8x8 matrix would be judged against the n = 6 table of max S_k
+    # 8x8 matrix would be judged against the n = 6 table of max S_k; (6, 6,
+    # 2) is the re/im layout of a rho file
     rho = np.zeros(shape, dtype=complex)
     rho[..., 0, 0] = rho[..., 1, 1] = 0.5
     with pytest.raises(ValueError, match="expected a 6x6 matrix"):
-        positivity_report(rho)
+        via_from_matrix(positivity_report, rho)
 
 
 def test_positivity_report_rejects_non_hermitian():
     bad = np.eye(6, dtype=complex) / 6
     bad[0, 1] = 1j
     with pytest.raises(ValueError, match="Hermitian"):
-        positivity_report(bad)
+        via_from_matrix(positivity_report, bad)
 
 
 def nan_inputs():
@@ -292,6 +331,14 @@ NON_FINITE_CASES = ["nan matrix", "inf diagonal", "nan state", "inf state",
                     "-inf state", "huge state"]
 
 
+def checked(f, given, monkeypatch):
+    """f of a state on an emptied matrix memo, or of a matrix through
+    from_matrix."""
+    if isinstance(given, QubitQutritState):
+        return fresh(f, given, monkeypatch)
+    return via_from_matrix(f, given)
+
+
 @pytest.mark.parametrize("case", NON_FINITE_CASES)
 @pytest.mark.parametrize("check", [positivity_report, casimirs_from_traces])
 def test_non_finite_input_is_rejected(check, case, monkeypatch):
@@ -300,15 +347,15 @@ def test_non_finite_input_is_rejected(check, case, monkeypatch):
     # states once warned (invalid value, overflow) while building the matrix,
     # which the RuntimeWarning filter of the test run turns into a failure
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
-        fresh(check, nan_inputs()[case], monkeypatch)
+        checked(check, nan_inputs()[case], monkeypatch)
 
 
 def test_oracle_rejects_a_non_hermitian_matrix():
     # eigvalsh reads the lower triangle only and gave [0, 0, 0, 0, .5, .5]
     bad = np.diag([0.5, 0.5, 0, 0, 0, 0]).astype(complex)
     bad[0, 5] = 0.3
-    with pytest.raises(ValueError, match="input matrix is not Hermitian"):
-        eigenvalue_oracle(bad)
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        via_from_matrix(eigenvalue_oracle, bad)
 
 
 @pytest.mark.parametrize("case", NON_FINITE_CASES)
@@ -316,7 +363,7 @@ def test_oracle_rejects_a_non_finite_matrix(case, monkeypatch):
     # eigvalsh raised LinAlgError: Eigenvalues did not converge, for a state
     # too
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
-        fresh(eigenvalue_oracle, nan_inputs()[case], monkeypatch)
+        checked(eigenvalue_oracle, nan_inputs()[case], monkeypatch)
 
 
 REPORT_FIELDS = ("t", "S", "S_bar", "casimir_exprs", "verdict_S",
@@ -332,19 +379,6 @@ def report_states():
         out.append(random_density(seed, f"rank-{seed % 5 + 1}"))
         out.append(states.random_nonpsd_unit_trace(seed, -10.0 ** -(seed % 12 + 1)))
     return out
-
-
-def test_report_of_a_state_is_the_report_of_its_matrix():
-    # the state path skips the Hermiticity checks and nothing else: every
-    # field, type included, is the matrix path's
-    for s in report_states():
-        one, other = positivity_report(s), positivity_report(to_matrix(s))
-        for field in REPORT_FIELDS[:-1]:
-            got, want = getattr(one, field), getattr(other, field)
-            assert got == want, field
-            assert list(map(type, got)) == list(map(type, want)), field
-        assert one.consistent == other.consistent
-        assert type(one.consistent) is bool
 
 
 def test_report_moments_are_the_moments_of_the_matrix():
@@ -368,72 +402,39 @@ def test_report_exprs_are_the_trace_route_exprs():
 
 
 def test_report_of_a_state_skips_the_hermiticity_check(monkeypatch):
-    # a state's matrix is exactly Hermitian (see test_states), so neither rho
-    # nor omega = 6 rho - I is checked for it, and its traceless check is
-    # read from the moments; a matrix given directly still gets both omega
-    # checks before the moments
+    # a state's matrix is exactly Hermitian (see test_states), so no
+    # Hermiticity tolerance is read for it, and its traceless check is read
+    # from the moments
     s, stack = random_density(5), states.random_densities(range(6))
     want, want_stack = positivity_report(s), positivity_report(stack)
-
-    def fail(*args):
-        raise AssertionError("Hermiticity check called for a state")
+    base = random_density(1)
     moment_checks = []
     check_moments = cp._check_moments
-    monkeypatch.setattr(cp, "_hermitian_matrix", fail)
-    monkeypatch.setattr(cp, "_check_omega", fail)
-    monkeypatch.setattr(cp, "_check_moments", lambda t, t_om, of_state: (
-        moment_checks.append(of_state), check_moments(t, t_om, of_state)))
+    monkeypatch.setattr(states, "HERM_TOL", -1.0)
+    monkeypatch.setattr(cp, "_check_moments", lambda t, t_om: (
+        moment_checks.append(type(t[0])), check_moments(t, t_om)))
     assert positivity_report(s) == want
     got_stack = positivity_report(stack)
     for field in REPORT_FIELDS[:-1]:
         for x, y in zip(getattr(got_stack, field), getattr(want_stack, field)):
             assert np.array_equal(x, y)
-    assert moment_checks == [True, True]
+    assert moment_checks == [float, np.ndarray]
     # random_density(1) scaled by 1e7 is finite, but its tr omega rounds to
     # 1.9e-9: the state's traceless check still rejects it, before tr rho
-    base = random_density(1)
     off = QubitQutritState(base.a * 1e7, base.b * 1e7, base.C * 1e7)
     for given in (off, QubitQutritState(*(np.stack([x, y]) for x, y in
                                           zip((s.a, s.b, s.C), (off.a, off.b, off.C))))):
         with pytest.raises(ValueError, match=r"^omega = n rho - I is not traceless: "
                                              r"\|tr omega\| = 1.863e-09$"):
             positivity_report(given)
-    assert moment_checks == [True, True, True, True]
-    with pytest.raises(AssertionError, match="called for a state"):
-        positivity_report(to_matrix(s))
-    omega_checks = []
-    monkeypatch.setattr(cp, "_hermitian_matrix", cp._as_density_matrix)
-    monkeypatch.setattr(cp, "_check_omega", omega_checks.append)
-    positivity_report(to_matrix(s))
-    assert len(omega_checks) == 1 and omega_checks[0].shape == (6, 6)
-    assert moment_checks[-1] is False
-
-
-def test_omega_checks_reject_what_from_matrix_accepts():
-    # the omega checks apply TRACELESS_TOL to omega = 6 rho - I, so on rho
-    # they are 6 times tighter than states.HERM_TOL and TRACE_TOL; these
-    # matrices pass from_matrix and the rho check but not the omega checks
-    skew = np.eye(6, dtype=complex) / 6
-    skew[0, 1] = 4e-10
-    heavy = np.eye(6, dtype=complex) * (1 / 6 + 1e-10)
-    for rho in (skew, heavy):
-        states.from_matrix(rho)
-        cp._hermitian_matrix(rho)
-    for check in (positivity_report, casimirs_from_traces):
-        with pytest.raises(ValueError, match=r"^omega = n rho - I is not Hermitian: "
-                                             r"max \|omega - omega\^\+\| = 2.400e-09$"):
-            check(skew)
-        with pytest.raises(ValueError, match=r"^omega = n rho - I is not traceless: "
-                                             r"\|tr omega\| = 3.600e-09$"):
-            check(heavy)
+    assert moment_checks == [float, np.ndarray, float, np.ndarray]
 
 
 def test_oracle_of_a_state_skips_the_matrix_checks(monkeypatch):
     # a state is Hermitian by construction: the positivity path of a state
     # costs no Hermiticity check in the oracle
     s = random_density(3)
-    assert np.array_equal(eigenvalue_oracle(to_matrix(s)), eigenvalue_oracle(s))
-    monkeypatch.setattr(cp, "_hermitian_matrix", None)
+    monkeypatch.setattr(states, "HERM_TOL", -1.0)
     assert np.array_equal(eigenvalue_oracle(s), np.linalg.eigvalsh(to_matrix(s)))
 
 

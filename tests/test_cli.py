@@ -80,6 +80,12 @@ def test_molien_negative_degree_names_the_cli_option(capsys):
     assert capsys.readouterr().err == "qqinv: --degree must be >= 0\n"
 
 
+def test_molien_negative_cap_names_the_cli_option(capsys):
+    code, _ = run_cli("molien", "--group", "2x2", "--degree", "3", "--cap", "-1")
+    assert code == 2
+    assert capsys.readouterr().err == "qqinv: --cap must be >= 0\n"
+
+
 def test_molien_cap_override():
     code, out = run_cli("molien", "--group", "2x2", "--degree", "21",
                         "--cap", "25")

@@ -147,6 +147,20 @@ def test_eval_flags_complex_traces():
         eval_trace("agbgg", s)
 
 
+@pytest.mark.parametrize("field,index,value", [("a", 2, np.inf), ("C", (1, 4), np.nan),
+                                               ("b", 7, 1.7e308)])
+def test_non_finite_coordinates_give_non_finite_traces_quietly(field, index, value):
+    # eval_trace_complex warned "invalid value encountered in matmul" on an
+    # infinite coordinate, which this suite makes an error
+    s = QubitQutritState.zero()
+    getattr(s, field)[index] = value
+    words = ["aa", "bb", "gg", "abg"]
+    assert not np.isfinite(eval_trace_complex(words, s)).all()
+    stack = QubitQutritState(*(np.stack([np.zeros_like(x), x]) for x in (s.a, s.b, s.C)))
+    traces = np.array([eval_trace_complex(w, stack) for w in words])
+    assert np.isfinite(traces[:, 0]).all() and not np.isfinite(traces[:, 1]).all()
+
+
 # -- kernel ---------------------------------------------------------------------------
 
 def left_to_right_trace(word, state):

@@ -623,10 +623,24 @@ def test_palindromy_qubit_qutrit():
 
 def test_palindromy_rejects_non_palindrome():
     assert not palindromy_check([1, 1, 0], [(1, 2)], 1, 0)
+    assert _functional_equation((0, 0), [(1, 2)]) is None
+    assert _functional_equation((), [(1, 2)]) is None
     for numerator in ((1, 0, 2), (1, 2, 0, -1)):
         assert _functional_equation(numerator, [(1, 2)]) is None
         assert not any(palindromy_check(numerator, [(1, 2)], sign, degree)
                        for sign in (1, -1) for degree in range(-3, 4))
+
+
+def test_palindromy_ignores_zero_padding():
+    # q^lo P(q): the equation reads P, whatever zeros pad the list
+    assert _functional_equation([1, 1], [(1, 2)]) == (1, 1)
+    assert _functional_equation([1, 1, 0], [(1, 2)]) == (1, 1)
+    assert palindromy_check([1, 1, 0], [(1, 2)], 1, 1)
+    assert _functional_equation([0, 1, 1], [(1, 2)]) == (1, -1)
+    assert _functional_equation([0, 0, 1, 2, -2, -1, 0], [(1, 1)]) == (1, -6)
+    form = TWO_QUBIT_RATIONAL
+    assert (_functional_equation(form.numerator + (0, 0), form.denominator)
+            == _functional_equation(form.numerator, form.denominator))
 
 
 def test_palindromy_sign_flipped_numerator():

@@ -88,6 +88,50 @@ def test_from_matrix_rejects_bad_input():
         from_matrix(nan)
 
 
+def test_a_non_hermitian_matrix_at_the_float_limit_is_rejected():
+    # rho - rho^+ and tr rho overflowed with a RuntimeWarning before the
+    # checks; alone and in a stack, each is rejected with its deviation
+    skew = np.zeros((6, 6), dtype=complex)
+    skew[0, 0], skew[0, 1], skew[1, 0] = 1.0, 1e308, -1e308
+    heavy = np.diag([1e308, 1e308, 0, 0, 0, 0]).astype(complex)
+    fine = np.eye(6, dtype=complex) / 6
+    for rho, message in ((skew, r"is not Hermitian: max \|rho - rho\^\+\| = inf$"),
+                         (heavy, r"trace deviates from 1 by inf$")):
+        for given in (rho, np.stack([fine, rho])):
+            with pytest.raises(ValueError, match="^matrix " + message):
+                from_matrix(given)
+
+
+def non_finite_states():
+    """States with an infinite, a NaN and a huge coordinate, each alone and
+    in a stack behind a finite state."""
+    out = []
+    for field, index, value in (("a", 2, np.inf), ("C", (1, 4), np.nan),
+                                ("b", 0, -np.inf), ("b", 7, 1.7e308)):
+        s = QubitQutritState.zero()
+        getattr(s, field)[index] = value
+        out.append(s)
+        out.append(QubitQutritState(*(np.stack([np.zeros_like(x), x])
+                                      for x in (s.a, s.b, s.C))))
+    return out
+
+
+def test_non_finite_coordinates_give_non_finite_matrices_quietly():
+    # to_matrix and the partial traces warned "invalid value encountered in
+    # divide" on an infinite coordinate, and the letters on -inf in b or a
+    # huge coordinate (invalid value, overflow in multiply), which this suite
+    # makes an error; the partial traces are finite or not by where the
+    # entry sits
+    for s in non_finite_states():
+        reduced_qubit(s)
+        reduced_qutrit(s)
+        letter_matrices(s)
+        for m in (to_matrix(s), omega_matrix(s)):
+            finite = np.isfinite(m).all(axis=(-2, -1))
+            assert not finite.all()
+            assert finite.ndim == 0 or finite[..., 0].all()
+
+
 def same_bits(x, y):
     """Equal down to the last bit and the sign of every zero."""
     x, y = np.asarray(x), np.asarray(y)
