@@ -251,19 +251,21 @@ def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
     c6 = (n-1) |(xi v xi) v xi|^2    (left-associated reading)
 
     dual_route_report compares c6 too, and the selftest requires the routes
-    to agree to < 1e-9; the trace route stays primary downstream.
+    to agree to < 1e-9; the trace route stays primary downstream.  A
+    non-finite or huge xi gives non-finite Casimirs quietly.
     """
     xi = np.asarray(xi, float)
     if xi.shape[-1:] != (sc.dim,):
         raise ValueError(f"xi must have length {sc.dim}, got shape {xi.shape}")
     n = sc.n
-    xx = vee(xi, xi, sc)
-    c2 = (n - 1) * _dot(xi, xi)
-    c3 = (n - 1) * _dot(xx, xi)
-    c4 = (n - 1) * _dot(xx, xx)
-    c5 = (n - 1) * _dot(vee(xx, xx, sc), xi)
-    v3 = vee(xx, xi, sc)
-    c6 = (n - 1) * _dot(v3, v3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = vee(xi, xi, sc)
+        c2 = (n - 1) * _dot(xi, xi)
+        c3 = (n - 1) * _dot(xx, xi)
+        c4 = (n - 1) * _dot(xx, xx)
+        c5 = (n - 1) * _dot(vee(xx, xx, sc), xi)
+        v3 = vee(xx, xi, sc)
+        c6 = (n - 1) * _dot(v3, v3)
     return CasimirValues(n, (c2, c3, c4, c5, c6))
 
 

@@ -16,18 +16,15 @@ identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
 import numpy as np
 
-from . import casimir_positivity, local_invariants, molien, states, su_algebra
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-DEFAULT_SEED = local_invariants.DEFAULT_PANEL_SEED
 
 
 class InputError(Exception):
@@ -61,7 +58,9 @@ def _as_table(doc, prefix: str = "") -> str:
     return "\n".join(lines)
 
 
-def _load_state(path: str) -> states.QubitQutritState:
+def _load_state(path: str):
+    from . import states
+
     try:
         return states.load_state(path)
     except FileNotFoundError:
@@ -75,12 +74,16 @@ def _load_state(path: str) -> states.QubitQutritState:
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_basis(args, out) -> int:
+    from . import su_algebra
+
     label = {"su2": "su2-pauli", "su3": "su3-gellmann", "su6": "su6-tensor"}[args.algebra]
     print(_dump(su_algebra.to_json_dict(label), args.format), file=out)
     return EXIT_OK
 
 
 def _cmd_positivity(args, out) -> int:
+    from . import casimir_positivity
+
     state = _load_state(args.statefile)
     try:
         report = casimir_positivity.positivity_report(state)
@@ -96,6 +99,8 @@ def _cmd_positivity(args, out) -> int:
 
 
 def _cmd_invariants(args, out) -> int:
+    from . import local_invariants
+
     state = _load_state(args.statefile)
     listed = [w for degree in range(1, args.max_degree + 1)
               for w in local_invariants.enumerate_words(degree)]
@@ -125,6 +130,8 @@ def _cmd_invariants(args, out) -> int:
 
 
 def _cmd_molien(args, out) -> int:
+    from . import molien
+
     label = {"2x2": "su2xsu2", "2x3": "su2xsu3"}[args.group]
     ws = molien.adjoint_weight_system(label)
     if args.degree < 0:
@@ -160,6 +167,8 @@ def _cmd_molien(args, out) -> int:
 
 
 def _run_checks(seed: int, panel_size: int) -> dict[str, dict]:
+    from . import local_invariants
+
     checks = {}
     for name, worst in local_invariants.panel_violations(seed, panel_size).items():
         tol = local_invariants.PANEL_IDENTITIES[name][1]
@@ -173,6 +182,8 @@ def _run_checks(seed: int, panel_size: int) -> dict[str, dict]:
 
 def _selftest_rows(seed: int, panel_size: int):
     """(name, passed, detail) rows covering every check operation."""
+    from . import casimir_positivity, local_invariants, molien, states, su_algebra
+
     rows = []
 
     def add(name, passed, detail):
@@ -303,6 +314,26 @@ def _cmd_selftest(args, out) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """Parser of one subcommand.  Its defaults that live in the command's
+    own module, home = (module, {dest: constant}), are read when it parses,
+    which is also when it prints its help, so that building the parser of
+    every command imports none of their modules."""
+
+    def __init__(self, *args, home=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._home = home
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._home is not None:
+            module, constants = self._home
+            module = importlib.import_module(f".{module}", __package__)
+            self.set_defaults(**{dest: getattr(module, name)
+                                 for dest, name in constants.items()})
+            self._home = None
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qqinv",
@@ -312,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "table"), default=None,
                         help="output format (default json; molien defaults to "
                              "plain 'd c_d' lines, selftest to table)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
+    seed_home = ("local_invariants", {"seed": "DEFAULT_PANEL_SEED"})
 
     p = sub.add_parser("basis", parents=[common],
                        help="dump a basis with its d/f tensors")
@@ -326,17 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the eigenvalues of the state")
     p.set_defaults(func=_cmd_positivity)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[common], home=seed_home,
                        help="evaluate canonical trace words on a state file")
     p.add_argument("statefile")
     p.add_argument("--max-degree", type=int, default=4, metavar="D")
     p.add_argument("--checks", action="store_true",
                    help="append the identity-check reports")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--panel-size", type=int, default=50)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("molien", parents=[common],
+                       home=("molien", {"cap": "DEFAULT_DEGREE_CAP"}),
                        help="series of invariant counts, one 'd c_d' per line")
     p.add_argument("--group", choices=("2x2", "2x3"), required=True)
     p.add_argument("--degree", type=int, required=True, metavar="N")
@@ -346,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "the positive roots of (1 - x^-r)")
     p.add_argument("--compare-rational", action="store_true",
                    help="exit nonzero unless the series matches the rational form")
-    p.add_argument("--cap", type=int, default=molien.DEFAULT_DEGREE_CAP,
+    p.add_argument("--cap", type=int,
                    help="resource cap on the degree (default %(default)s)")
     p.set_defaults(func=_cmd_molien)
 
-    p = sub.add_parser("selftest", parents=[common],
+    p = sub.add_parser("selftest", parents=[common], home=seed_home,
                        help="run the full check battery")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--panel-size", type=int, default=60, metavar="M")
     p.set_defaults(func=_cmd_selftest)
     return parser
@@ -363,10 +397,11 @@ def run(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = "table" if args.command in ("molien", "selftest") else "json"
-    cap = local_invariants.MAX_WORD_DEGREE
-    if args.command == "invariants" and not 1 <= args.max_degree <= cap:
-        print(f"qqinv: --max-degree must be in 1..{cap}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.command == "invariants":
+        from .local_invariants import MAX_WORD_DEGREE as cap
+        if not 1 <= args.max_degree <= cap:
+            print(f"qqinv: --max-degree must be in 1..{cap}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     if args.command in ("invariants", "selftest") and args.panel_size < 1:
         print("qqinv: --panel-size must be >= 1", file=sys.stderr)
         return EXIT_INPUT_ERROR

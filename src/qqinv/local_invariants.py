@@ -147,7 +147,10 @@ def eval_trace(word, state: QubitQutritState) -> float | np.ndarray:
     """Real trace of the word's matrix product; a word whose trace picks up
     an imaginary part beyond IMAG_TOL (on any state of a stack) is flagged by
     raising, never truncated."""
-    val = eval_trace_complex(word, state)
+    return _real_trace(word, eval_trace_complex(word, state))
+
+
+def _real_trace(word, val) -> float | np.ndarray:
     worst = float(np.abs(val.imag).max())
     if worst > IMAG_TOL:
         w = word.letters if isinstance(word, TraceWord) else word
@@ -517,13 +520,21 @@ def listed_invariants_through_degree4() -> tuple[TraceWord, ...]:
 _CASIMIR_SELECTORS = ("C2", "C3", "C4", "C5", "C6")
 
 
-def _evaluate_selector(selector, state: QubitQutritState) -> float | np.ndarray:
-    if isinstance(selector, str) and selector in _CASIMIR_SELECTORS:
-        k = int(selector[1])
-        return casimir_positivity.casimirs_from_traces(state).normalized[k - 2]
-    if isinstance(selector, (str, TraceWord)):
-        return eval_trace(selector, state)
-    raise ValueError(f"unknown invariant selector {selector!r}")
+def _selector_values(selectors, state: QubitQutritState) -> list:
+    """Each selector's value on the state, a Casimir C_k as casimirs_from_traces
+    gives it and a trace word as eval_trace does: the words as one
+    eval_trace_complex over one set of letters, the Casimirs from one
+    casimirs_from_traces, so each value has the bits of its own call."""
+    casimir = [isinstance(x, str) and x in _CASIMIR_SELECTORS for x in selectors]
+    for x, is_casimir in zip(selectors, casimir):
+        if not is_casimir and not isinstance(x, (str, TraceWord)):
+            raise ValueError(f"unknown invariant selector {x!r}")
+    words = [x for x, is_casimir in zip(selectors, casimir) if not is_casimir]
+    traces = iter(eval_trace_complex(words, state) if words else ())
+    normalized = (casimir_positivity.casimirs_from_traces(state).normalized
+                  if any(casimir) else ())
+    return [normalized[int(x[1]) - 2] if is_casimir else _real_trace(x, next(traces))
+            for x, is_casimir in zip(selectors, casimir)]
 
 
 def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
@@ -531,9 +542,9 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
     """Max |value before - value after| over seeded random conjugations:
     trial i conjugates random_density(seed + 7000 + i) by the unitary of seed
     seed + 9000 + i, all trials as one stack.  selector is one selector or a
-    sequence of them; the trials are drawn and conjugated once, every
-    selector is evaluated on both stacks, and the maximum over all is
-    returned (exactly the maximum of the one-selector calls).
+    sequence of them; the trials are drawn and conjugated once, the
+    selectors are evaluated together on each stack, and the maximum over
+    all is returned (exactly the maximum of the one-selector calls).
 
     Trace words are conjugated by local unitaries k1 x k2, Casimir selectors
     by global SU(6) unitaries, so a sequence must be of one kind; pass
@@ -557,7 +568,6 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
     s = random_panel(seed + 7000, trials)
     u = states.random_unitaries(range(seed + 9000, seed + 9000 + trials),
                                 local=unitary == "local")
-    conjugated = states.conjugate(s, u)
-    return max(float(np.abs(_evaluate_selector(x, conjugated)
-                            - _evaluate_selector(x, s)).max())
-               for x in selectors)
+    after = _selector_values(selectors, states.conjugate(s, u))
+    before = _selector_values(selectors, s)
+    return max(float(np.abs(x - y).max()) for x, y in zip(after, before))

@@ -34,6 +34,9 @@ TRACE_TOL = 1e-9
 
 _I6 = np.eye(6, dtype=complex)
 
+#: from_matrix's weight of each trace: 1 for a, 3/2 for b and C
+_PROJECTION_WEIGHTS = np.repeat([1.0, 1.5], [3, 32])
+
 
 def _gather_table() -> tuple[np.ndarray, np.ndarray]:
     """Each letter as a gather from the 35 coordinates x = (a, b, C).
@@ -182,7 +185,9 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
     unit-trace within HERM_TOL and TRACE_TOL, reporting the measured deviation
     (the largest over a stack).  This is the one place where a density
     matrix is validated: the positivity checks take states only.  A
-    deviation that overflows is reported as inf, not warned about.
+    deviation that overflows is reported as inf, not warned about, and a
+    matrix whose coordinates overflow (entries near the float limit that
+    pass both checks) is rejected.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (6, 6):
@@ -197,7 +202,12 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
     if tdev > TRACE_TOL:
         raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
     x = np.einsum("...uv,kvu->...k", rho, SU6_GENERATORS).real
-    return QubitQutritState(x[..., :3], 1.5 * x[..., 3:11], 1.5 * x[..., 11:])
+    with np.errstate(over="ignore"):
+        weighted = x * _PROJECTION_WEIGHTS
+    if not np.isfinite(weighted).all():
+        raise ValueError("matrix coordinates overflow: the projection onto "
+                         "(a, b, C) is not finite")
+    return QubitQutritState(x[..., :3], weighted[..., 3:11], weighted[..., 11:])
 
 
 def reduced_qubit(state: QubitQutritState) -> np.ndarray:
@@ -217,8 +227,10 @@ def state_to_xi(state: QubitQutritState) -> np.ndarray:
 
     omega = kappa * xi . tau with kappa = sqrt(15) and tau the su6-tensor
     basis SU6_GENERATORS / SU6_NORMS, so xi = SU6_NORMS * (a, b, C) / kappa.
+    A huge coordinate overflows to inf quietly.
     """
-    return SU6_NORMS * _coordinates(state) / bloch_kappa(6)
+    with np.errstate(over="ignore"):
+        return SU6_NORMS * _coordinates(state) / bloch_kappa(6)
 
 
 # -- random ensembles ---------------------------------------------------------
@@ -334,9 +346,12 @@ def random_global_unitary(seed: int) -> np.ndarray:
 
 def conjugate(state: QubitQutritState, u: np.ndarray) -> QubitQutritState:
     """State of u rho u^+ in (a, b, C) coordinates; a stack of states takes a
-    matching (..., 6, 6) stack of unitaries."""
+    matching (..., 6, 6) stack of unitaries.  A state with a non-finite or
+    huge coordinate is rejected by from_matrix, without a warning."""
     rho = to_matrix(state)
-    return from_matrix(u @ rho @ u.conj().swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = u @ rho @ u.conj().swapaxes(-1, -2)
+    return from_matrix(rho)
 
 
 # -- state files ---------------------------------------------------------------

@@ -74,6 +74,20 @@ def test_molien_cap_message_names_the_cli_option(capsys):
         "qqinv: --degree 40 exceeds the resource cap 20; pass --cap to override\n")
 
 
+def test_option_defaults_are_read_from_their_modules(capsys):
+    # the parser imports no command's module when it is built; a command's
+    # parser reads its defaults when it parses or prints its help
+    parser = cli.build_parser()
+    args = parser.parse_args(["molien", "--group", "2x2", "--degree", "1"])
+    assert args.cap == molien.DEFAULT_DEGREE_CAP
+    for command in (["invariants", "state.json"], ["selftest"]):
+        assert parser.parse_args(command).seed == local_invariants.DEFAULT_PANEL_SEED
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["molien", "--help"])
+    assert (f"resource cap on the degree (default {molien.DEFAULT_DEGREE_CAP})"
+            in " ".join(capsys.readouterr().out.split()))
+
+
 def test_molien_negative_degree_names_the_cli_option(capsys):
     code, _ = run_cli("molien", "--group", "2x2", "--degree", "-1")
     assert code == 2
@@ -196,6 +210,21 @@ def test_positivity_of_a_huge_state_is_input_error(tmp_path, capsys, scale, mess
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith(f"qqinv: invalid state in {path}: {message}")
+
+
+def test_a_rho_file_whose_projection_overflows_is_input_error(tmp_path, capsys):
+    # from_matrix returned a[2] = inf; positivity then named non-finite
+    # matrix entries and invariants a non-finite trace, neither the cause
+    rho = np.diag([1e308, 0, 0, -1e308, 1, 0])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"rho": np.stack([rho, np.zeros((6, 6))],
+                                                axis=-1).tolist()}))
+    for command in ("positivity", "invariants"):
+        code, out = run_cli(command, str(path))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"qqinv: invalid state in {path}: matrix coordinates overflow: "
+            "the projection onto (a, b, C) is not finite\n")
 
 
 def test_positivity_rho_form(tmp_path):

@@ -603,6 +603,27 @@ def test_selector_sequence_is_the_max_of_single_calls():
         assert invariance_test(group, 10, 5, unitary=unitary) == max(singles)
 
 
+def test_selectors_are_evaluated_once_per_stack(monkeypatch):
+    # each selector took its own eval_trace_complex and casimirs_from_traces
+    # on both stacks: 30 trace evaluations for the 15 listed words, 10
+    # Casimir passes for C2..C6
+    counts = {"traces": 0, "casimirs": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(li, "eval_trace_complex",
+                        counted("traces", li.eval_trace_complex))
+    monkeypatch.setattr(li.casimir_positivity, "casimirs_from_traces",
+                        counted("casimirs", li.casimir_positivity.casimirs_from_traces))
+    invariance_test(listed_invariants_through_degree4(), 5)
+    invariance_test([f"C{k}" for k in range(2, 7)], 5)
+    assert counts == {"traces": 2, "casimirs": 2}
+
+
 def test_invariance_rejects_mixed_or_empty_selectors():
     with pytest.raises(ValueError, match="mix Casimir selectors and trace words"):
         invariance_test(["C2", trace_word("gg")], 5)

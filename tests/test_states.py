@@ -14,7 +14,8 @@ from qqinv.states import (QubitQutritState, conjugate, from_matrix,
                           random_su, random_unitaries,
                           reduced_qubit, reduced_qutrit, state_from_json_dict,
                           state_to_json_dict, state_to_xi, to_matrix)
-from qqinv.su_algebra import GELL_MANN, PAULI
+from qqinv.casimir_positivity import casimirs_from_vee
+from qqinv.su_algebra import GELL_MANN, PAULI, structure_constants
 
 # sigma_i x I3, I2 x lambda_a and sigma_i x lambda_a: the Kronecker bases of
 # the reference einsums below
@@ -102,6 +103,18 @@ def test_a_non_hermitian_matrix_at_the_float_limit_is_rejected():
                 from_matrix(given)
 
 
+def test_a_matrix_whose_projection_overflows_is_rejected():
+    # finite, Hermitian and unit-trace, but a[2] (and C[2, 2]) overflowed to
+    # inf in the projection and b[2] in its weight 3/2, and the state came
+    # back with infinite coordinates and no error
+    fine = np.eye(6, dtype=complex) / 6
+    for diag in ([1e308, 0, 0, -1e308, 1, 0], [0.7e308, -0.7e308, 1, 0, 0, 0]):
+        rho = np.diag(diag).astype(complex)
+        for given in (rho, np.stack([fine, rho])):
+            with pytest.raises(ValueError, match="^matrix coordinates overflow"):
+                from_matrix(given)
+
+
 def non_finite_states():
     """States with an infinite, a NaN and a huge coordinate, each alone and
     in a stack behind a finite state."""
@@ -119,17 +132,27 @@ def non_finite_states():
 def test_non_finite_coordinates_give_non_finite_matrices_quietly():
     # to_matrix and the partial traces warned "invalid value encountered in
     # divide" on an infinite coordinate, and the letters on -inf in b or a
-    # huge coordinate (invalid value, overflow in multiply), which this suite
-    # makes an error; the partial traces are finite or not by where the
-    # entry sits
+    # huge coordinate (invalid value, overflow in multiply), state_to_xi
+    # overflow in multiply, casimirs_from_vee and conjugate invalid value
+    # in matmul, which this suite makes an error; the partial traces are
+    # finite or not by where the entry sits
+    sc6 = structure_constants("su6-tensor")
     for s in non_finite_states():
         reduced_qubit(s)
         reduced_qutrit(s)
         letter_matrices(s)
+        xi = state_to_xi(s)
+        casimirs = np.array(casimirs_from_vee(xi, sc6).raw)
         for m in (to_matrix(s), omega_matrix(s)):
             finite = np.isfinite(m).all(axis=(-2, -1))
             assert not finite.all()
             assert finite.ndim == 0 or finite[..., 0].all()
+        for v in (xi, casimirs.T):
+            finite = np.isfinite(v).all(axis=-1)
+            assert not finite.all()
+            assert finite.ndim == 0 or finite[..., 0].all()
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            conjugate(s, np.broadcast_to(np.eye(6), s.a.shape[:-1] + (6, 6)))
 
 
 def same_bits(x, y):
