@@ -42,10 +42,10 @@ MAX_S = {k: math.comb(6, 6 - k) / 6 ** k for k in range(1, 7)}
 
 _EYE6 = np.eye(6)
 
-# (key, rho) of the last state _as_density_matrix converted: the key is its
-# batch shape and the bytes of its 35 coordinates, rho read-only.  It holds
-# one state's or one stack's matrix plus its key, and is swapped whole.
-_LAST_MATRIX: tuple = (None, None)
+# (key, (rho, t, t_om)) of the last state _checked_record passed: the key is
+# its batch shape and the bytes of its 35 coordinates, rho read-only.  It
+# holds one state's or one stack's record plus its key, and is swapped whole.
+_LAST_RECORD: tuple = (None, None)
 
 
 @functools.cache
@@ -106,32 +106,6 @@ class PositivityReport:
         }
 
 
-def _as_density_matrix(state) -> np.ndarray:
-    """The matrix of a state, or the stack of a stacked state, rejected with
-    from_matrix's wording unless every entry is finite: this is checked
-    before any deviation is formed, since a NaN deviation passes `dev > tol`
-    and inf - inf warns.  Any other input is refused: a density matrix
-    enters through states.from_matrix, which validates it.
-
-    The matrix is read-only and kept in _LAST_MATRIX, so a report and an
-    oracle on one state build it once; the key holds the exact coordinate
-    bytes, so a state changed in place is converted (and checked) again."""
-    global _LAST_MATRIX
-    if not isinstance(state, QubitQutritState):
-        raise TypeError(f"expected a QubitQutritState, got {type(state).__name__}; "
-                        "convert a density matrix with states.from_matrix")
-    x = states._coordinates(state)
-    key = (x.shape, x.tobytes())
-    last, rho = _LAST_MATRIX
-    if last != key:
-        rho = states._matrix_of_coordinates(x)
-        rho.flags.writeable = False
-        _LAST_MATRIX = (key, rho)
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has non-finite entries")
-    return rho
-
-
 def _check_moments(t, t_om) -> None:
     """Reject a state unless |t_1 of omega| lies within TRACELESS_TOL, t_1 =
     tr rho within states.TRACE_TOL of 1, and every moment is finite.  A
@@ -175,28 +149,50 @@ def moments(rho: np.ndarray) -> tuple[float, ...]:
     """t_k = tr(rho^k) for k = 1..6 by repeated multiplication, all six traced
     in one call; over a (..., n, n) stack each t_k is an array of the batch
     shape, entry i bit for bit the moment of matrix i alone, so
-    _checked_moments runs rho and omega = 6 rho - I as one stack."""
+    _checked_record runs rho and omega = 6 rho - I as one stack."""
     t = _moment_traces(rho)
     # one matrix gives Python floats, so its verdicts stay plain bools
     return tuple(t.tolist()) if t.ndim == 1 else tuple(t)
 
 
-def _checked_moments(state):
-    """(t, t_om): the moments of the state's rho and of omega = 6 rho - I,
-    taken as one stack [rho, omega], then checked by _check_moments.
-    positivity_report and casimirs_from_traces share this sequence and its
-    wording.  One state gives tuples of Python floats, a stack tuples of
-    arrays of the batch shape."""
-    rho = _as_density_matrix(state)
+def _checked_record(state):
+    """(rho, t, t_om): a state's matrix, or a stacked state's stack, and the
+    moments of rho and of omega = 6 rho - I, taken as one stack [rho,
+    omega]; one state gives tuples of Python floats, a stack tuples of
+    read-only arrays of the batch shape.  Any input but a state is refused:
+    a density matrix enters through states.from_matrix, which validates it.
+    rho is rejected with from_matrix's wording unless every entry is finite,
+    checked before any deviation is formed (a NaN deviation passes `dev >
+    tol`, and inf - inf warns); then _check_moments checks the moments.
+
+    The record is kept in _LAST_RECORD once every check has passed, so the
+    report, the trace route and the oracle on one state share its checks
+    and its one moment pass; the key holds the exact coordinate bytes, so a
+    state changed in place is converted and checked again."""
+    global _LAST_RECORD
+    if not isinstance(state, QubitQutritState):
+        raise TypeError(f"expected a QubitQutritState, got {type(state).__name__}; "
+                        "convert a density matrix with states.from_matrix")
+    x = states._coordinates(state)
+    key = (x.shape, x.tobytes())
+    last, record = _LAST_RECORD
+    if last == key:
+        return record
+    rho = states._matrix_of_coordinates(x)
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
+    rho.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
         pair = np.empty((2,) + rho.shape, dtype=complex)
         pair[0] = rho
         np.multiply(rho, 6, out=pair[1])
         pair[1] -= _EYE6
         tt = _moment_traces(pair).swapaxes(0, 1)
+    tt.flags.writeable = False
     t, t_om = map(tuple, tt.tolist() if rho.ndim == 2 else tt)
     _check_moments(t, t_om)
-    return t, t_om
+    _LAST_RECORD = (key, (rho, t, t_om))
+    return rho, t, t_om
 
 
 def vee(u: np.ndarray, v: np.ndarray, sc: StructureConstants) -> np.ndarray:
@@ -226,8 +222,7 @@ def casimirs_from_traces(state: QubitQutritState) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
-    _, t_om = _checked_moments(state)
-    return _casimirs_of_omega_moments(t_om)
+    return _casimirs_of_omega_moments(_checked_record(state)[2])
 
 
 def _casimirs_of_omega_moments(t) -> CasimirValues:
@@ -343,12 +338,12 @@ def positivity_report(state: QubitQutritState) -> PositivityReport:
     report of state i.
 
     rho and omega = 6 rho - I go through one moment pass as one stack
-    (_checked_moments): t feeds S_k, the moments of omega the Casimir route.
+    (_checked_record): t feeds S_k, the moments of omega the Casimir route.
     A state's matrix is Hermitian by construction, so only the finiteness
     and trace checks apply to it, its tr omega read from the moments; it is
     rejected unless tr rho is 1 and every moment finite (see
     _check_moments).  A density matrix enters through states.from_matrix."""
-    t, t_om = _checked_moments(state)
+    _, t, t_om = _checked_record(state)
     S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
     exprs = casimir_inequality_exprs(_casimirs_of_omega_moments(t_om).normalized)
@@ -363,7 +358,7 @@ def positivity_report(state: QubitQutritState) -> PositivityReport:
 def eigenvalue_oracle(state: QubitQutritState) -> np.ndarray:
     """Sorted eigenvalues; PSD there means min eigenvalue >= -ORACLE_EIG_TOL.
 
-    A state is rejected unless its matrix is finite, as in
-    positivity_report; that matrix is Hermitian by construction, so
+    A state is rejected as positivity_report rejects it, by the same checks
+    (see _checked_record); its matrix is Hermitian by construction, so
     eigvalsh, which reads only its lower triangle, sees all of it."""
-    return np.linalg.eigvalsh(_as_density_matrix(state))
+    return np.linalg.eigvalsh(_checked_record(state)[0])

@@ -221,19 +221,12 @@ def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
 
 
 @lru_cache(maxsize=None)
-def _seeded_words(degree: int, seed: int):
-    """The non-kernel words of the degree on the default seeded panel, and
-    the letters of those whose trace there has an imaginary part beyond
-    IMAG_TOL (see eval_trace_complex)."""
+def nonkernel_words(degree: int, seed: int = DEFAULT_PANEL_SEED) -> tuple[TraceWord, ...]:
+    """The words of the degree outside the kernel on the default seeded
+    panel, found once per degree and seed."""
     mats = _letter_matrices(random_panel(seed, DEFAULT_PANEL_SIZE))
     dead = set(_kernel_words(degree, mats))
-    live = tuple(w for w in enumerate_words(degree) if w not in dead)
-    return live, tuple(w.letters for w in live
-                       if np.abs(_eval_on(mats, w.letters).imag).max() > IMAG_TOL)
-
-
-def nonkernel_words(degree: int, seed: int = DEFAULT_PANEL_SEED) -> tuple[TraceWord, ...]:
-    return _seeded_words(degree, seed)[0]
+    return tuple(w for w in enumerate_words(degree) if w not in dead)
 
 
 # -- identity checks ------------------------------------------------------------
@@ -406,9 +399,8 @@ def rank_at_degree(degree: int, include_products: bool,
                    seed: int = DEFAULT_PANEL_SEED) -> int:
     """Numerical rank of the evaluation matrix of all degree-d candidate
     invariants on twice as many seeded random states as columns.  The
-    candidates are the real parts of the non-kernel words, the imaginary
-    parts of those whose traces are complex, and, when asked, the
-    lower-degree products.
+    candidates are the complex traces of the non-kernel words and, when
+    asked, the lower-degree products.
 
     Degree 1 gives 0: every degree-1 word is in the kernel, so there are no
     candidates.  Degrees 2 and 3 give 3 and 4, the full invariant counts.
@@ -418,8 +410,8 @@ def rank_at_degree(degree: int, include_products: bool,
     direction (correlation_quartic_ff) is not a trace word.  See
     degree4_completion_rank for the restored count.  Traces through degree 4
     are real; with products, degree 5 gives 23 (of 25) and degree 6 gives 70
-    (of 90), one imaginary direction per conjugate pair of complex words
-    (agbgg/aggbg at degree 5, five pairs at degree 6)."""
+    (of 90); each conjugate pair of complex words (agbgg/aggbg at degree 5,
+    five pairs at degree 6) spans its real and its imaginary part."""
     if degree > 6:
         raise ValueError(f"rank evaluation supports degree <= 6, got {degree}")
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
@@ -431,22 +423,21 @@ def rank_at_degree(degree: int, include_products: bool,
 
 
 def _evaluation_matrix(candidates, seed: int, extra=()) -> np.ndarray:
-    """Values of the products of the real traces of the words in candidates,
-    then of the imaginary trace of each one-word candidate whose trace is
-    complex (see _seeded_words), then of the state functions in extra
+    """Values of the candidates, then of the state functions in extra
     (columns), on twice as many seeded states as columns: row i is the state
-    random_density(seed + 1000 + i)."""
-    imaginary = [c[0] for c in candidates
-                 if len(c) == 1 and c[0] in _seeded_words(len(c[0]), seed)[1]]
-    panel = random_panel(seed + 1000,
-                         2 * (len(candidates) + len(imaginary) + len(extra)))
+    random_density(seed + 1000 + i).  A one-word candidate gives its complex
+    trace: over C, tr W and its conjugate tr rev(W) span what Re tr W and
+    Im tr W span.  A product gives the product of its factors' real parts:
+    every factor has degree <= 4, where traces are real, and a complex
+    product over the stack would round unlike the one-state product."""
+    panel = random_panel(seed + 1000, 2 * (len(candidates) + len(extra)))
     mats = _letter_matrices(panel)
     words = {w for cand in candidates for w in cand}
     values = {w: _eval_on(mats, w) for w in words}
-    columns = [np.prod([values[w].real for w in cand], axis=0)
+    columns = [values[cand[0]] if len(cand) == 1
+               else np.prod([values[w].real for w in cand], axis=0)
                for cand in candidates]
-    return np.column_stack(columns + [values[w].imag for w in imaginary]
-                           + [f(panel) for f in extra])
+    return np.column_stack(columns + [f(panel) for f in extra])
 
 
 def correlation_quartic_ff(state: QubitQutritState) -> float | np.ndarray:

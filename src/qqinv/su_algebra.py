@@ -372,17 +372,14 @@ def to_json_dict(label: str) -> dict:
     """
     basis = build_basis(label)
     sc = structure_constants(label)
-    k = sc.dim
+    i = np.arange(sc.dim)
+    ordered = (i[:, None, None] <= i[:, None]) & (i[:, None] <= i)
 
     def entries(tensor):
-        out = []
-        for a in range(k):
-            for b in range(a, k):
-                for c in range(b, k):
-                    v = float(tensor[a, b, c])
-                    if abs(v) > 1e-12:
-                        out.append([a + 1, b + 1, c + 1, v])
-        return out
+        # argwhere lists the kept (a, b, c) in C order, as nested loops would
+        keep = ordered & (np.abs(tensor) > 1e-12)
+        return [[a, b, c, v] for (a, b, c), v in
+                zip((np.argwhere(keep) + 1).tolist(), tensor[keep].tolist())]
 
     return {"label": basis.label, "n": basis.n,
             "d": entries(sc.d), "f": entries(sc.f)}

@@ -116,14 +116,14 @@ def test_the_entry_points_take_states_only(f, monkeypatch):
     # is refused before the matrix memo is read or written
     s = random_density(26)
     memo = (None, None)
-    monkeypatch.setattr(cp, "_LAST_MATRIX", memo)
+    monkeypatch.setattr(cp, "_LAST_RECORD", memo)
     for given in (to_matrix(s), to_matrix(states.random_densities(range(3))),
                   to_matrix(s).tolist(), None):
         with pytest.raises(TypeError, match=r"^expected a QubitQutritState, got "
                                             r"\w+; convert a density matrix "
                                             r"with states\.from_matrix$"):
             f(given)
-    assert cp._LAST_MATRIX is memo
+    assert cp._LAST_RECORD is memo
     f(states.from_matrix(to_matrix(s)))
 
 
@@ -179,8 +179,10 @@ def test_huge_states_are_rejected(case, message):
     stack = QubitQutritState(*(np.stack([x, y]) for x, y in
                                zip((other.a, other.b, other.C),
                                    (state.a, state.b, state.C))))
-    for f in (positivity_report, casimirs_from_traces):
-        for given in (state, stack):
+    # each entry point in turn on one input: a refused input leaves no
+    # record for the next one to read
+    for given in (state, stack):
+        for f in (positivity_report, casimirs_from_traces, eigenvalue_oracle):
             with pytest.raises(ValueError, match=message):
                 f(given)
 
@@ -440,12 +442,12 @@ def test_oracle_of_a_state_skips_the_matrix_checks(monkeypatch):
 
 def fresh(f, state, monkeypatch):
     """f(state) with the matrix memo emptied first."""
-    monkeypatch.setattr(cp, "_LAST_MATRIX", (None, None))
+    monkeypatch.setattr(cp, "_LAST_RECORD", (None, None))
     return f(state)
 
 
 def test_report_and_oracle_of_a_state_build_its_matrix_once(monkeypatch):
-    monkeypatch.setattr(cp, "_LAST_MATRIX", (None, None))
+    monkeypatch.setattr(cp, "_LAST_RECORD", (None, None))
     builds = []
     build = states._matrix_of_coordinates
     monkeypatch.setattr(states, "_matrix_of_coordinates",
@@ -456,6 +458,19 @@ def test_report_and_oracle_of_a_state_build_its_matrix_once(monkeypatch):
         eigenvalue_oracle(given)
         casimirs_from_traces(given)
     assert builds == [(35,), (4, 35), (35,)]
+
+
+def test_report_casimirs_and_oracle_of_a_state_take_its_moments_once(monkeypatch):
+    monkeypatch.setattr(cp, "_LAST_RECORD", (None, None))
+    passes = []
+    moment_traces = cp._moment_traces
+    monkeypatch.setattr(cp, "_moment_traces",
+                        lambda m: (passes.append(m.shape), moment_traces(m))[1])
+    for given in (random_density(20), states.random_densities(range(20, 23))):
+        positivity_report(given)
+        casimirs_from_traces(given)
+        eigenvalue_oracle(given)
+    assert passes == [(2, 6, 6), (2, 3, 6, 6)]
 
 
 def test_a_state_changed_in_place_is_checked_again():
@@ -493,8 +508,12 @@ def test_a_written_matrix_does_not_reach_a_later_report():
     assert np.array_equal(to_matrix(s), want_m)
     # the matrix the checks of one state share cannot be written
     with pytest.raises(ValueError, match="read-only"):
-        cp._as_density_matrix(s)[0, 0] = 1.0
+        cp._checked_record(s)[0][0, 0] = 1.0
     assert pickle.dumps(positivity_report(s)) == want
+    # nor can the moments of a stack, which the report hands out
+    stack = states.random_densities(range(24, 27))
+    with pytest.raises(ValueError, match="read-only"):
+        positivity_report(stack).t[0][0] = 2.0
 
 
 def test_interleaved_states_get_their_fresh_results(monkeypatch):

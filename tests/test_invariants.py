@@ -205,14 +205,15 @@ def test_kernel_words_match_per_state_loop(seed, size):
             kernel_words_reference(degree, seed, size)
 
 
-def evaluation_matrix_reference(candidates, seed, extra=(), imaginary=()):
-    """Reference: the rank evaluation matrix built one state per row."""
+def evaluation_matrix_reference(candidates, seed, extra=()):
+    """Reference: the rank evaluation matrix built one state per row, a
+    word's complex trace or a product of real traces per candidate."""
     rows = []
-    for i in range(2 * (len(candidates) + len(imaginary) + len(extra))):
+    for i in range(2 * (len(candidates) + len(extra))):
         s = random_density(seed + 1000 + i)
-        rows.append([np.prod([eval_trace_complex(w, s).real for w in cand])
+        rows.append([eval_trace_complex(cand[0], s) if len(cand) == 1
+                     else np.prod([eval_trace_complex(w, s).real for w in cand])
                      for cand in candidates]
-                    + [eval_trace_complex(w, s).imag for w in imaginary]
                     + [f(s) for f in extra])
     return np.array(rows)
 
@@ -226,15 +227,18 @@ def test_evaluation_matrix_matches_per_state_loop(seed):
                           evaluation_matrix_reference(candidates, seed, extra))
 
 
-def test_evaluation_matrix_imaginary_columns_match_per_state_loop():
+def test_evaluation_matrix_complex_columns_match_per_state_loop():
     seed = li.DEFAULT_PANEL_SEED
     candidates = [(w.letters,) for w in li.nonkernel_words(5, seed)]
-    imaginary = ("agbgg", "aggbg")
     matrix = li._evaluation_matrix(candidates, seed)
-    assert matrix.shape == (2 * (len(candidates) + 2), len(candidates) + 2)
-    assert np.array_equal(
-        matrix, evaluation_matrix_reference(candidates, seed, imaginary=imaginary))
-    assert np.abs(matrix[:, -2:]).min() > 0
+    assert matrix.shape == (2 * len(candidates), len(candidates))
+    assert matrix.tobytes() == evaluation_matrix_reference(candidates, seed).tobytes()
+    # the one conjugate pair of degree 5: complex traces, one column each,
+    # conjugate up to rounding
+    column = {cand[0]: j for j, cand in enumerate(candidates)}
+    agbgg, aggbg = matrix[:, column["agbgg"]], matrix[:, column["aggbg"]]
+    assert np.abs(aggbg - agbgg.conj()).max() < 1e-14
+    assert np.abs(agbgg.imag).min() > 0
 
 
 def test_jacobian_matches_per_point_loop():
@@ -507,9 +511,7 @@ def test_rank_degree4_word_span():
 
 def test_rank_degree5_and_6_count_imaginary_parts():
     # agbgg/aggbg at degree 5 and five such pairs at degree 6 have complex
-    # conjugate traces; each pair adds its imaginary part as one direction
-    assert li._seeded_words(5, li.DEFAULT_PANEL_SEED)[1] == ("agbgg", "aggbg")
-    assert len(li._seeded_words(6, li.DEFAULT_PANEL_SEED)[1]) == 10
+    # conjugate traces; each pair spans its real and its imaginary part
     assert rank_at_degree(5, include_products=True) == 23
     assert rank_at_degree(6, include_products=True) == 70
 

@@ -1,6 +1,7 @@
 """Bases, structure constants, identity families and symmetrized traces."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -400,6 +401,29 @@ def test_json_export_shape_and_values():
         assert 1 <= a <= b <= c <= 8
     # antisymmetric tensor has no repeated-index entries
     assert all(a < b < c for a, b, c in f)
+
+
+def json_entries_reference(tensor):
+    """Reference: the dump's entries by nested loops over a <= b <= c."""
+    k = tensor.shape[0]
+    out = []
+    for a in range(k):
+        for b in range(a, k):
+            for c in range(b, k):
+                v = float(tensor[a, b, c])
+                if abs(v) > 1e-12:
+                    out.append([a + 1, b + 1, c + 1, v])
+    return out
+
+
+@pytest.mark.parametrize("label", ["su2-pauli", "su3-gellmann", "su6-tensor"])
+def test_json_export_matches_nested_loops(label):
+    doc = to_json_dict(label)
+    sc = structure_constants(label)
+    for key, tensor in (("d", sc.d), ("f", sc.f)):
+        want = json_entries_reference(tensor)
+        assert json.dumps(doc[key]) == json.dumps(want)
+        assert all(type(x) is int for e in doc[key] for x in e[:3])
 
 
 def test_json_export_su6_counts():
