@@ -11,7 +11,8 @@ by SU(2) x SU(3).  This module enumerates canonical words, evaluates them,
 finds the words whose trace vanishes identically (the kernel), verifies the
 exchange identities between specific traces and traces of the su(3) blocks
 M_i = sum_a C_ia lambda_a, B = sum_a b_a lambda_a, measures ranks of
-invariant collections and gives finite-difference independence evidence.
+invariant collections and gives independence evidence from the rank of the
+words' exact Jacobian in the 35 coordinates.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ KERNEL_TOL = 1e-9
 CHECK_TOL = 1e-9
 IMAG_TOL = 1e-9
 RANK_EPS = 1e-12
-JACOBIAN_STEP = 1e-5
 JACOBIAN_PARAM_SCALE = 0.3
 #: highest word degree of enumerate_words, independence_evidence and the CLI
 MAX_WORD_DEGREE = 8
@@ -56,7 +56,10 @@ class TraceWord:
     letters: str
 
     def __post_init__(self):
-        _check_letters(self.letters)
+        canonical = canonical_form(self.letters)
+        if canonical != self.letters:
+            raise ValueError(f"word {self.letters!r} is not canonical; "
+                             f"its canonical form is {canonical!r}")
 
     @property
     def multidegree(self) -> tuple[int, int, int]:
@@ -462,25 +465,30 @@ def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
                                                extra=(correlation_quartic_ff,)))
 
 
-def _params_to_state(vec: np.ndarray) -> QubitQutritState:
-    """(..., 35) parameter vectors (a, b, C row by row) as a state."""
-    return QubitQutritState(vec[..., :3], vec[..., 3:11], vec[..., 11:])
-
-
-def finite_difference_jacobian(words, point: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with step JACOBIAN_STEP, shape
-    (35, len(words)); the 70 perturbed points are evaluated as two stacks."""
-    step = JACOBIAN_STEP * np.eye(35)
-    mu = _letter_matrices(_params_to_state(point + step))
-    md = _letter_matrices(_params_to_state(point - step))
-    J = np.zeros((35, len(words)))
-    for j, w in enumerate(map(_letters, words)):
-        J[:, j] = (_eval_on(mu, w).real - _eval_on(md, w).real) / (2 * JACOBIAN_STEP)
-    return J
+def trace_jacobian(words, point: np.ndarray) -> np.ndarray:
+    """Exact (35, len(words)) Jacobian of the words' real traces at point =
+    (a, b, C row by row).  Letter g is sum x_k G_k, G_k = SU6_GENERATORS[k], over
+    k in states.LETTER_SLICES[g], so d tr(L_1...L_d)/dx_k sums tr(G_k L_{i+1}...
+    L_d L_1...L_{i-1}) over the positions i of that letter (I6 if that is empty)."""
+    words = [_letters(w) for w in words]
+    x = np.asarray(point)
+    if x.shape != (35,) or x.dtype.kind not in "iuf":
+        raise ValueError(f"point must be a real vector of 35 coordinates, "
+                         f"got {x.dtype} array of shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("point has non-finite coordinates")
+    mats = _letter_matrices(QubitQutritState(*(x[s] for s in states.LETTER_SLICES)))
+    mats[""] = np.eye(6)
+    rot = np.zeros((len(LETTERS), len(words), 6, 6), dtype=complex)
+    for j, w in enumerate(words):
+        for i, letter in enumerate(w):
+            rot[LETTERS.index(letter), j] += _product(mats, w[i + 1:] + w[:i])
+    return np.concatenate([np.einsum("kuv,jvu->kj", su_algebra.SU6_GENERATORS[s], r).real
+                           for s, r in zip(states.LETTER_SLICES, rot)])
 
 
 def jacobian_rank(words, point: np.ndarray) -> int:
-    return _numerical_rank(finite_difference_jacobian(words, point))
+    return _numerical_rank(trace_jacobian(words, point))
 
 
 def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED) -> int:

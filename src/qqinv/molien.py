@@ -533,6 +533,16 @@ def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[
     return [least + (t - least) % product for t in total]
 
 
+def _check_max_degree(max_degree) -> int:
+    """max_degree as a Python int, or the error that a bad one raises."""
+    if isinstance(max_degree, bool) or not hasattr(type(max_degree), "__index__"):
+        raise TypeError(f"max_degree must be an integer, got {max_degree!r}")
+    max_degree = operator.index(max_degree)
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    return max_degree
+
+
 def molien_series(ws: WeightSystem, max_degree: int, *,
                   backend: str = "weyl",
                   degree_cap: int = DEFAULT_DEGREE_CAP) -> list[int]:
@@ -551,11 +561,7 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     fast; pass a larger degree_cap explicitly to override.  max_degree is
     an integer (a numpy integer will do), never a bool or a float.
     """
-    if isinstance(max_degree, bool) or not hasattr(type(max_degree), "__index__"):
-        raise TypeError(f"max_degree must be an integer, got {max_degree!r}")
-    max_degree = operator.index(max_degree)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    max_degree = _check_max_degree(max_degree)
     if max_degree > degree_cap:
         raise ValueError(
             f"max_degree {max_degree} exceeds the resource cap {degree_cap}; "
@@ -576,7 +582,9 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
 
 def rational_series(numerator, denominator_exponents, max_degree: int) -> list[int]:
     """Taylor coefficients 0..max_degree of N(q) / prod (1 - q^deg)^mult,
-    exact integer arithmetic."""
+    exact integer arithmetic; max_degree is checked as molien_series checks
+    it."""
+    max_degree = _check_max_degree(max_degree)
     for deg, mult in denominator_exponents:
         if deg < 1:
             raise ValueError(f"denominator degree must be >= 1, got {deg}")

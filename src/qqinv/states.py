@@ -36,6 +36,8 @@ _I6 = np.eye(6, dtype=complex)
 
 #: from_matrix's weight of each trace: 1 for a, 3/2 for b and C
 _PROJECTION_WEIGHTS = np.repeat([1.0, 1.5], [3, 32])
+#: letter g (alpha, beta, gamma) is sum x_k SU6_GENERATORS[k] over k in block g
+LETTER_SLICES = (slice(0, 3), slice(3, 11), slice(11, 35))
 
 
 def _gather_table() -> tuple[np.ndarray, np.ndarray]:
@@ -57,11 +59,11 @@ def _gather_table() -> tuple[np.ndarray, np.ndarray]:
     """
     flat = SU6_GENERATORS.reshape(35, 36).view(float)
     index, coef = [], []
-    for lo, hi in ((0, 3), (3, 11), (11, 35)):
-        block = flat[lo:hi]
+    for part in LETTER_SLICES:
+        block = flat[part]
         # the nonzero terms of each float first, in coordinate order
         rows = np.argsort(block == 0, axis=0, kind="stable")[:2]
-        index.append(lo + rows)
+        index.append(part.start + rows)
         coef.append(np.take_along_axis(block, rows, axis=0))
     return np.reshape(index, (3, 2, 6, 12)), np.reshape(coef, (3, 2, 6, 12))
 

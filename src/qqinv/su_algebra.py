@@ -27,6 +27,7 @@ verified by exhaustive contraction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -286,12 +287,19 @@ def closure_max_violation(basis: SuBasis, sc: StructureConstants,
 # -- symmetrized traces -------------------------------------------------------
 
 def _check_indices(indices, dim: int) -> np.ndarray:
-    """indices as an (m, k) int array: one tuple is the stack of m = 1."""
-    idx = np.array(indices, dtype=np.int64)
+    """indices as an (m, k) int array: one tuple is the stack of m = 1.
+    Each index must be an integer; a float or a bool is rejected, not cast
+    (numpy reads [True, 1] as the ints (1, 1))."""
+    items = np.asarray(indices, dtype=object)
+    for i in items.flat:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise TypeError(f"indices must be integers, got {i!r}")
+    idx = items.astype(np.int64)
     if idx.ndim not in (1, 2):
         raise ValueError(f"indices must be one tuple or an (m, k) stack, "
                          f"got shape {idx.shape}")
-    idx = idx.reshape(-1, idx.shape[-1])
+    if idx.ndim == 1:
+        idx = idx[None]
     if not 2 <= idx.shape[1] <= 6:
         raise ValueError(f"need 2..6 indices, got {idx.shape[1]}")
     bad = ((idx < 0) | (idx >= dim)).any(axis=1)

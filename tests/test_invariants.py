@@ -31,6 +31,11 @@ def rand_state(seed, scale=0.3):
                             rng.uniform(-scale, scale, (3, 8)))
 
 
+def state_at(x):
+    """The state of the 35 coordinates x = (a, b, C row by row)."""
+    return QubitQutritState(x[:3], x[3:11], x[11:])
+
+
 # -- enumeration and canonicalization ---------------------------------------------
 
 def test_enumerate_counts():
@@ -98,6 +103,17 @@ def test_canonical_form_is_the_class_minimum_through_degree8():
 def test_trace_word_rejects_bad_letters(letters):
     with pytest.raises(ValueError, match="nonempty over"):
         TraceWord(letters)
+
+
+def test_trace_word_requires_canonical_letters():
+    # "ba" and "ab" are one class: only the canonical form names it, so a
+    # TraceWord compares equal to the kernel's words exactly when it should
+    with pytest.raises(ValueError, match="canonical form is 'ab'"):
+        TraceWord("ba")
+    with pytest.raises(ValueError, match="canonical form is 'abgg'"):
+        TraceWord("gabg")
+    assert trace_word("ba") in kernel_at_degree(2).words
+    assert all(TraceWord(w.letters) == w for w in enumerate_words(5))
 
 
 def test_multidegree():
@@ -241,27 +257,69 @@ def test_evaluation_matrix_complex_columns_match_per_state_loop():
     assert np.abs(agbgg.imag).min() > 0
 
 
-def test_jacobian_matches_per_point_loop():
+def test_trace_jacobian_matches_central_differences():
+    # the reference is a central difference on eval_trace, one coordinate
+    # at a time; its truncation error at step 1e-5 is far below 1e-8
     words = listed_invariants_through_degree4()
     point = np.random.default_rng(5).uniform(-0.3, 0.3, 35)
-    J = li.finite_difference_jacobian(words, point)
-    for p in (0, 7, 20, 34):
+    J = li.trace_jacobian(words, point)
+    assert J.shape == (35, len(words)) and J.dtype == float
+    h = 1e-5
+    for k in (0, 7, 20, 34):
         up, dn = point.copy(), point.copy()
-        up[p] += li.JACOBIAN_STEP
-        dn[p] -= li.JACOBIAN_STEP
+        up[k] += h
+        dn[k] -= h
         for j, w in enumerate(words):
-            col = (eval_trace(w, li._params_to_state(up))
-                   - eval_trace(w, li._params_to_state(dn))) / (2 * li.JACOBIAN_STEP)
-            assert J[p, j] == col
+            col = (eval_trace(w, state_at(up)) - eval_trace(w, state_at(dn))) / (2 * h)
+            assert abs(J[k, j] - col) < 1e-8
+
+
+def test_trace_jacobian_of_the_squares_in_closed_form():
+    # tr(alpha^2) = 6|a|^2, tr(beta^2) = 4|b|^2, tr(gamma^2) = 4|C|^2, and
+    # each depends on its own block of coordinates only; the letters
+    # themselves are traceless, so the degree-1 words have zero gradient
+    point = np.random.default_rng(11).uniform(-0.3, 0.3, 35)
+    J = li.trace_jacobian(["a", "b", "g", "aa", "bb", "gg"], point)
+    expect = np.zeros((35, 6))
+    expect[:3, 3] = 12 * point[:3]
+    expect[3:11, 4] = 8 * point[3:11]
+    expect[11:, 5] = 8 * point[11:]
+    assert np.abs(J - expect).max() < 1e-14
+
+
+def test_trace_jacobian_null_space_is_clean_through_degree5():
+    # the words of degree <= 5 have rank 24 = 35 - 11; the exact Jacobian
+    # puts the 25th singular value at rounding level (about 3e-17 of the
+    # first), a step-1e-5 central difference puts it near 3e-12
+    words = [w for d in range(1, 6) for w in li.nonkernel_words(d)]
+    rng = np.random.default_rng(20260)
+    for _ in range(3):
+        sing = np.linalg.svd(li.trace_jacobian(words, rng.uniform(-0.3, 0.3, 35)),
+                             compute_uv=False)
+        assert sing[23] / sing[0] > 1e-5
+        assert sing[24] / sing[0] < 1e-14
 
 
 @pytest.mark.parametrize("word", ["ax", ""])
-@pytest.mark.parametrize("entry", [li.finite_difference_jacobian, jacobian_rank])
+@pytest.mark.parametrize("entry", [li.trace_jacobian, jacobian_rank])
 def test_jacobian_rejects_bad_words(entry, word):
     # each word is read as eval_trace reads it, so a letter outside "abg" and
     # the empty word raise ValueError (once KeyError and RecursionError)
     with pytest.raises(ValueError, match="nonempty over"):
         entry(["aa", word], np.zeros(35))
+
+
+@pytest.mark.parametrize("point,message", [
+    (np.zeros(36), "35 coordinates.*\\(36,\\)"),
+    (np.zeros((5, 7)), "35 coordinates.*\\(5, 7\\)"),
+    (np.zeros(35, dtype=complex), "35 coordinates.*complex"),
+    (np.full(35, np.nan), "point has non-finite"),
+    (np.r_[np.zeros(34), np.inf], "point has non-finite"),
+])
+@pytest.mark.parametrize("entry", [li.trace_jacobian, jacobian_rank])
+def test_jacobian_rejects_bad_points(entry, point, message):
+    with pytest.raises(ValueError, match=message):
+        entry(["aa", "gg"], point)
 
 
 def test_kernel_degree4():

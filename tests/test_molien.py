@@ -588,6 +588,22 @@ def test_rational_series_validates_denominator():
         rational_series([1], [(2, 0)], 4)
 
 
+def test_rational_series_validates_max_degree():
+    # a negative degree once sliced the numerator from its end:
+    # TWO_QUBIT_RATIONAL.series(-2) gave 15 coefficients, and
+    # rational_series([1], [(2, 1)], -1) gave []
+    for series in (TWO_QUBIT_RATIONAL.series,
+                   lambda d: rational_series([1], [(2, 1)], d)):
+        for bad in (-1, -2):
+            with pytest.raises(ValueError, match="max_degree must be >= 0"):
+                series(bad)
+        for bad in (3.0, True, False, "3"):
+            with pytest.raises(TypeError, match="max_degree must be an integer"):
+                series(bad)
+    assert TWO_QUBIT_RATIONAL.series(np.int64(3)) == [1, 0, 3, 2]
+    assert rational_series([1], [(2, 1)], 0) == [1]
+
+
 def test_rational_form_holds_only_numerator_and_denominator():
     assert [f.name for f in dataclasses.fields(RationalForm)] == [
         "numerator", "denominator"]

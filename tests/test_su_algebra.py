@@ -390,6 +390,24 @@ def test_symmetrized_trace_validates_stacks():
     assert symmetrized_trace(basis, np.zeros((0, 3), dtype=int)).shape == (0,)
 
 
+@pytest.mark.parametrize("route", ["symmetrized_trace", "symmetrized_trace_closed"])
+def test_symmetrized_trace_rejects_non_integer_and_empty_indices(route):
+    # numpy would cast [0.9, 0.2] to (0, 0) and read [True, 1] as (1, 1)
+    label = "su3-gellmann"
+    fn = getattr(su_algebra, route)
+    arg = (build_basis(label) if route == "symmetrized_trace"
+           else structure_constants(label))
+    for bad, shown in (([0.9, 0.2], "0.9"), ([True, 1], "True"),
+                       (np.array([1.0, 2.0]), "1.0"), ([[0, 1], [2, 2.5]], "2.5"),
+                       (np.array([True, False]), "True")):
+        with pytest.raises(TypeError, match=f"indices must be integers, got {shown}"):
+            fn(arg, bad)
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="need 2..6 indices, got 0"):
+            fn(arg, empty)
+    assert fn(arg, [np.int64(1), 1]) == fn(arg, (1, 1))
+
+
 def test_json_export_shape_and_values():
     doc = to_json_dict("su3-gellmann")
     assert doc["label"] == "su3-gellmann" and doc["n"] == 3
