@@ -173,7 +173,7 @@ def _checked_record(state):
     if not isinstance(state, QubitQutritState):
         raise TypeError(f"expected a QubitQutritState, got {type(state).__name__}; "
                         "convert a density matrix with states.from_matrix")
-    x = states._coordinates(state)
+    x = state.x
     key = (x.shape, x.tobytes())
     last, record = _LAST_RECORD
     if last == key:
@@ -199,8 +199,7 @@ def vee(u: np.ndarray, v: np.ndarray, sc: StructureConstants) -> np.ndarray:
     """(u v v)_a = kappa d_abc u_b v_c with kappa = sqrt(n(n-1)/2), over the
     last axis of (stacks of) vectors.  u_b d_bac = u_b d_abc (d is totally
     symmetric) is one matrix product with d flattened to (dim, dim^2)."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
+    u, v = states._real_field("u", u), states._real_field("v", v)
     k = sc.dim
     if u.shape[-1:] != (k,) or v.shape[-1:] != (k,):
         raise ValueError(
@@ -249,7 +248,7 @@ def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
     to agree to < 1e-9; the trace route stays primary downstream.  A
     non-finite or huge xi gives non-finite Casimirs quietly.
     """
-    xi = np.asarray(xi, float)
+    xi = states._real_field("xi", xi)
     if xi.shape[-1:] != (sc.dim,):
         raise ValueError(f"xi must have length {sc.dim}, got shape {xi.shape}")
     n = sc.n

@@ -162,41 +162,37 @@ def _real_trace(word, val) -> float | np.ndarray:
     return val.real
 
 
-# The panel store: per start seed, the a, b and C arrays (read-only) of the
-# stack random_density(start + i), i < the largest size requested so far.  A
-# state is 35 floats, 280 bytes.  At most _PANEL_STARTS start seeds and
-# _PANEL_STATES states (1.1 MB) are kept, the least recently used start
+# The panel store: per start seed, the read-only (n, 35) coordinate array of
+# the stack random_density(start + i), i < n, the largest size requested so
+# far.  A state is 35 floats, 280 bytes.  At most _PANEL_STARTS start seeds
+# and _PANEL_STATES states (1.1 MB) are kept, the least recently used start
 # dropped first; only a single panel larger than that is kept on its own.
 # One selftest at its defaults keeps three starts and 265 states (74 KB).
-_PANELS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_PANELS: dict[int, np.ndarray] = {}
 _PANEL_STARTS = 8
 _PANEL_STATES = 4096
-_NO_PANEL = (np.empty((0, 3)), np.empty((0, 8)), np.empty((0, 3, 8)))
 
 
 def random_panel(seed: int = DEFAULT_PANEL_SEED,
                  size: int = DEFAULT_PANEL_SIZE) -> QubitQutritState:
     """Seeded Ginibre state panel used by all identity checks: the stack of
     random_density(seed + i) for i < size.  Each state is drawn once per
-    process: the panel's arrays are read-only views of a prefix of the
-    stored stack starting at seed, which a larger request extends by the
-    states it lacks."""
+    process: the panel's coordinates are a read-only view of a prefix of
+    the stored stack starting at seed, which a larger request extends by
+    the states it lacks."""
     if size < 1:
         raise ValueError(f"panel size must be >= 1, got {size}")
-    held = _PANELS.pop(seed, _NO_PANEL)
-    have = len(held[0])
-    if size > have:
-        more = states.random_densities(range(seed + have, seed + size))
-        held = tuple(np.concatenate(pair)
-                     for pair in zip(held, (more.a, more.b, more.C)))
-        for x in held:
-            x.flags.writeable = False
+    held = _PANELS.pop(seed, np.empty((0, 35)))
+    if size > len(held):
+        more = states.random_densities(range(seed + len(held), seed + size))
+        held = np.concatenate((held, more.x))
+        held.flags.writeable = False
     _PANELS[seed] = held
     while len(_PANELS) > 1 and (
             len(_PANELS) > _PANEL_STARTS
-            or sum(len(p[0]) for p in _PANELS.values()) > _PANEL_STATES):
+            or sum(map(len, _PANELS.values())) > _PANEL_STATES):
         del _PANELS[next(iter(_PANELS))]
-    return QubitQutritState(*(x[:size] for x in held))
+    return QubitQutritState._of(held[:size])
 
 
 @dataclass(frozen=True)
@@ -477,7 +473,7 @@ def trace_jacobian(words, point: np.ndarray) -> np.ndarray:
                          f"got {x.dtype} array of shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
-    mats = _letter_matrices(QubitQutritState(*(x[s] for s in states.LETTER_SLICES)))
+    mats = _letter_matrices(QubitQutritState._of(np.asarray(x, float)))
     mats[""] = np.eye(6)
     rot = np.zeros((len(LETTERS), len(words), 6, 6), dtype=complex)
     for j, w in enumerate(words):

@@ -533,14 +533,20 @@ def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[
     return [least + (t - least) % product for t in total]
 
 
-def _check_max_degree(max_degree) -> int:
-    """max_degree as a Python int, or the error that a bad one raises."""
-    if isinstance(max_degree, bool) or not hasattr(type(max_degree), "__index__"):
-        raise TypeError(f"max_degree must be an integer, got {max_degree!r}")
-    max_degree = operator.index(max_degree)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    return max_degree
+def _integer(value, name: str) -> int:
+    """value as a Python int (a numpy integer will do); a bool, a float or
+    None raises a TypeError naming it."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_degree(value, name: str = "max_degree") -> int:
+    """A degree bound as a Python int, or the error that a bad one raises."""
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return value
 
 
 def molien_series(ws: WeightSystem, max_degree: int, *,
@@ -558,10 +564,12 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     _constant_terms), so the counts are exact at every degree.
 
     Requests beyond degree_cap are rejected so that runaway degrees fail
-    fast; pass a larger degree_cap explicitly to override.  max_degree is
-    an integer (a numpy integer will do), never a bool or a float.
+    fast; pass a larger degree_cap explicitly to override.  max_degree and
+    degree_cap are integers (a numpy integer will do), never a bool or a
+    float.
     """
-    max_degree = _check_max_degree(max_degree)
+    max_degree = _check_degree(max_degree)
+    degree_cap = _check_degree(degree_cap, "degree_cap")
     if max_degree > degree_cap:
         raise ValueError(
             f"max_degree {max_degree} exceeds the resource cap {degree_cap}; "
@@ -583,8 +591,11 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
 def rational_series(numerator, denominator_exponents, max_degree: int) -> list[int]:
     """Taylor coefficients 0..max_degree of N(q) / prod (1 - q^deg)^mult,
     exact integer arithmetic; max_degree is checked as molien_series checks
-    it."""
-    max_degree = _check_max_degree(max_degree)
+    it, and each denominator degree and multiplicity is an integer >= 1."""
+    max_degree = _check_degree(max_degree)
+    denominator_exponents = [(_integer(deg, "denominator degree"),
+                              _integer(mult, "denominator multiplicity"))
+                             for deg, mult in denominator_exponents]
     for deg, mult in denominator_exponents:
         if deg < 1:
             raise ValueError(f"denominator degree must be >= 1, got {deg}")

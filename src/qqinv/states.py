@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,52 +79,52 @@ def _real_field(name: str, value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-@dataclass
 class QubitQutritState:
-    """Bloch-type coordinates (a, b, C) of a 6x6 unit-trace Hermitian matrix,
-    or of a stack of them: the leading axes of a are the batch shape, which
-    b and C share (N states have a (N, 3), b (N, 8), C (N, 3, 8)).  The
-    letter matrices, the matrix conversions, state_to_xi and conjugate map a
-    stack to a stack, as do the trace words and Casimir routes downstream;
-    a single state is the case without batch axes."""
+    """Bloch-type coordinates of a 6x6 unit-trace Hermitian matrix, or of a
+    stack of them, as one float array x = (a, b, C row by row) of shape
+    (..., 35) whose leading axes are the batch shape; a (..., 3), b (..., 8)
+    and C (..., 3, 8) are views of x.  The conversions, letters, state_to_xi
+    and conjugate map a stack to a stack; one state has no batch axes."""
 
-    a: np.ndarray  # (..., 3)
-    b: np.ndarray  # (..., 8)
-    C: np.ndarray  # (..., 3, 8)
-
-    def __post_init__(self):
+    def __init__(self, a, b, C):
         """a must end in 3, b in 8 and C in (3, 8), or in the flat (24,) of C
         row by row, all over the batch shape of a, and be real; any other
         shape is rejected, not reshaped (C.T would scramble the
-        correlations)."""
-        self.a = _real_field("a", self.a)
-        self.b = _real_field("b", self.b)
-        self.C = _real_field("C", self.C)
-        if self.a.shape[-1:] != (3,):
-            raise ValueError(f"field 'a' has shape {self.a.shape}, expected (..., 3)")
-        batch = self.a.shape[:-1]
-        if self.b.shape != batch + (8,):
+        correlations).  The state holds a copy of the three fields."""
+        a, b, C = _real_field("a", a), _real_field("b", b), _real_field("C", C)
+        if a.shape[-1:] != (3,):
+            raise ValueError(f"field 'a' has shape {a.shape}, expected (..., 3)")
+        batch = a.shape[:-1]
+        if b.shape != batch + (8,):
             raise ValueError(
-                f"field 'b' has shape {self.b.shape}, expected {batch + (8,)}")
-        if self.C.shape == batch + (24,):
-            self.C = self.C.reshape(batch + (3, 8))
-        elif self.C.shape != batch + (3, 8):
-            raise ValueError(f"field 'C' has shape {self.C.shape}, expected "
+                f"field 'b' has shape {b.shape}, expected {batch + (8,)}")
+        if C.shape not in (batch + (3, 8), batch + (24,)):
+            raise ValueError(f"field 'C' has shape {C.shape}, expected "
                              f"{batch + (3, 8)} or {batch + (24,)}")
+        self.x = np.concatenate((a, b, C.reshape(batch + (24,))), axis=-1)
+
+    @classmethod
+    def _of(cls, x: np.ndarray) -> "QubitQutritState":
+        """The state of valid coordinates x, held as they are, not copied."""
+        state = cls.__new__(cls)
+        state.x = x
+        return state
+
+    a = property(lambda self: self.x[..., LETTER_SLICES[0]])
+    b = property(lambda self: self.x[..., LETTER_SLICES[1]])
+    C = property(lambda self: self.x[..., LETTER_SLICES[2]].reshape(
+        self.x.shape[:-1] + (3, 8)))
+
+    def __repr__(self) -> str:
+        return f"QubitQutritState(a={self.a!r}, b={self.b!r}, C={self.C!r})"
 
     @classmethod
     def zero(cls) -> "QubitQutritState":
-        return cls(np.zeros(3), np.zeros(8), np.zeros((3, 8)))
+        return cls._of(np.zeros(35))
 
 
 def bloch_kappa(n: int) -> float:
     return math.sqrt(n * (n - 1) / 2.0)
-
-
-def _coordinates(state: QubitQutritState) -> np.ndarray:
-    """The 35 coordinates x = (a, b, C row by row), a (..., 35) array."""
-    return np.concatenate((state.a, state.b,
-                           state.C.reshape(state.a.shape[:-1] + (24,))), axis=-1)
 
 
 def _letters(x: np.ndarray) -> np.ndarray:
@@ -157,19 +156,19 @@ def _matrix_of_coordinates(x: np.ndarray) -> np.ndarray:
 def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
     """(alpha, beta, gamma), each a C-contiguous (..., 6, 6) array."""
     with np.errstate(over="ignore", invalid="ignore"):
-        letters = _letters(_coordinates(state))
+        letters = _letters(state.x)
     return tuple(letters[..., k, :, :].copy() for k in range(3))
 
 
 def omega_matrix(state: QubitQutritState) -> np.ndarray:
     """The traceless part 6*rho - I = (alpha + beta) + gamma."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _omega(_coordinates(state))
+        return _omega(state.x)
 
 
 def to_matrix(state: QubitQutritState) -> np.ndarray:
     """rho = (I6 + alpha + beta + gamma) / 6, a new writable array."""
-    return _matrix_of_coordinates(_coordinates(state))
+    return _matrix_of_coordinates(state.x)
 
 
 def from_matrix(rho: np.ndarray) -> QubitQutritState:
@@ -209,18 +208,18 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
     if not np.isfinite(weighted).all():
         raise ValueError("matrix coordinates overflow: the projection onto "
                          "(a, b, C) is not finite")
-    return QubitQutritState(x[..., :3], weighted[..., 3:11], weighted[..., 11:])
+    return QubitQutritState._of(weighted)
 
 
 def reduced_qubit(state: QubitQutritState) -> np.ndarray:
     """Partial trace over the qutrit; equals (I2 + a.sigma)/2."""
-    rho = to_matrix(state).reshape(state.a.shape[:-1] + (2, 3, 2, 3))
+    rho = to_matrix(state).reshape(state.x.shape[:-1] + (2, 3, 2, 3))
     return np.einsum("...iaja->...ij", rho)
 
 
 def reduced_qutrit(state: QubitQutritState) -> np.ndarray:
     """Partial trace over the qubit; equals (I3 + b.lambda)/3."""
-    rho = to_matrix(state).reshape(state.a.shape[:-1] + (2, 3, 2, 3))
+    rho = to_matrix(state).reshape(state.x.shape[:-1] + (2, 3, 2, 3))
     return np.einsum("...iaib->...ab", rho)
 
 
@@ -232,7 +231,7 @@ def state_to_xi(state: QubitQutritState) -> np.ndarray:
     A huge coordinate overflows to inf quietly.
     """
     with np.errstate(over="ignore"):
-        return SU6_NORMS * _coordinates(state) / bloch_kappa(6)
+        return SU6_NORMS * state.x / bloch_kappa(6)
 
 
 # -- random ensembles ---------------------------------------------------------
@@ -251,7 +250,8 @@ def random_densities(seeds, ensemble: str = "ginibre-full-rank") -> QubitQutritS
     """Stack of random density matrices, one per seed, with a leading batch
     axis; state i is random_density(seeds[i], ensemble) bit for bit.
 
-    ensemble is "ginibre-full-rank", "pure", or "rank-k" with k in 1..6.
+    ensemble is "ginibre-full-rank", "pure", or "rank-k" with k one of the
+    digits 1..6.
     Each matrix is A A^+ / tr(A A^+) for a 6 x r complex standard-Gaussian A
     drawn from its own generator default_rng(seed), hence positive
     semi-definite by construction and reproducible per seed.
@@ -261,10 +261,10 @@ def random_densities(seeds, ensemble: str = "ginibre-full-rank") -> QubitQutritS
     elif ensemble == "pure":
         r = 1
     elif ensemble.startswith("rank-"):
-        try:
-            r = int(ensemble[5:])
-        except ValueError:
-            raise ValueError(f"malformed ensemble {ensemble!r}") from None
+        k = ensemble[5:]
+        if not (k.isascii() and k.isdigit()) or k != str(int(k)):
+            raise ValueError(f"malformed ensemble {ensemble!r}")
+        r = int(k)
         if not 1 <= r <= 6:
             raise ValueError(f"rank must be in 1..6, got {r}")
     else:
@@ -277,8 +277,7 @@ def random_densities(seeds, ensemble: str = "ginibre-full-rank") -> QubitQutritS
 
 def random_density(seed: int, ensemble: str = "ginibre-full-rank") -> QubitQutritState:
     """Seeded random density matrix: the one-state case of random_densities."""
-    s = random_densities([seed], ensemble)
-    return QubitQutritState(s.a[0], s.b[0], s.C[0])
+    return QubitQutritState._of(random_densities([seed], ensemble).x[0])
 
 
 def random_nonpsd_unit_traces(seeds, min_negative_eigenvalue: float) -> QubitQutritState:
@@ -303,8 +302,8 @@ def random_nonpsd_unit_traces(seeds, min_negative_eigenvalue: float) -> QubitQut
 def random_nonpsd_unit_trace(seed: int, min_negative_eigenvalue: float) -> QubitQutritState:
     """Seeded non-PSD unit-trace matrix: the one-state case of
     random_nonpsd_unit_traces."""
-    s = random_nonpsd_unit_traces([seed], min_negative_eigenvalue)
-    return QubitQutritState(s.a[0], s.b[0], s.C[0])
+    return QubitQutritState._of(
+        random_nonpsd_unit_traces([seed], min_negative_eigenvalue).x[0])
 
 
 def _haar(z: np.ndarray) -> np.ndarray:

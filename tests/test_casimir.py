@@ -43,6 +43,17 @@ def test_vee_dimension_mismatch():
         vee(np.zeros(3), np.zeros(3), SC3)
 
 
+def test_vee_routes_reject_complex_vectors():
+    # numpy would drop the imaginary part with a ComplexWarning
+    xi = states.state_to_xi(random_density(4)) * 1j
+    with pytest.raises(ValueError, match="'xi' has dtype complex128"):
+        casimirs_from_vee(xi, SC6)
+    with pytest.raises(ValueError, match="'u' has dtype complex128"):
+        vee(xi, xi.real, SC6)
+    with pytest.raises(ValueError, match="'v' has dtype complex128"):
+        vee(xi.real, xi, SC6)
+
+
 def test_casimirs_maximally_mixed():
     cas = casimirs_from_traces(QubitQutritState.zero())
     assert np.abs(cas.raw).max() == 0.0

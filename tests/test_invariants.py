@@ -300,6 +300,13 @@ def test_trace_jacobian_null_space_is_clean_through_degree5():
         assert sing[24] / sing[0] < 1e-14
 
 
+def test_trace_jacobian_at_an_integer_point():
+    point = np.arange(35) % 3 - 1
+    words = ["aa", "gg", "abg", "agbg"]
+    assert np.array_equal(li.trace_jacobian(words, point),
+                          li.trace_jacobian(words, point.astype(float)))
+
+
 @pytest.mark.parametrize("word", ["ax", ""])
 @pytest.mark.parametrize("entry", [li.trace_jacobian, jacobian_rank])
 def test_jacobian_rejects_bad_words(entry, word):
@@ -484,7 +491,8 @@ def test_panel_store_prefixes_and_extensions_are_fresh_draws(empty_store, sizes)
 def test_panel_store_arrays_are_read_only(empty_store):
     li.random_panel(3, 5)
     panel = li.random_panel(3, 9)
-    for stored in (panel.a, panel.b, panel.C, *li._PANELS[3]):
+    assert li._PANELS[3].shape == (9, 35)
+    for stored in (panel.x, panel.a, panel.b, panel.C, li._PANELS[3]):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 1.0
     # a state conjugated from the panel is the caller's own
@@ -497,7 +505,7 @@ def test_panel_store_stays_within_its_bound(empty_store, monkeypatch):
     for start in range(40):
         li.random_panel(start, 1 + start % 5)
         assert len(li._PANELS) <= li._PANEL_STARTS
-        assert sum(len(p[0]) for p in li._PANELS.values()) <= 20
+        assert sum(len(p) for p in li._PANELS.values()) <= 20
     # the most recently used starts stay
     assert list(li._PANELS) == list(range(40 - len(li._PANELS), 40))
     # a panel above the state bound is kept alone, as one prefix source

@@ -373,6 +373,18 @@ def test_max_degree_must_be_an_integer(warm):
     assert molien_series(ws, np.int64(4)) == molien_series(ws, 4)
 
 
+def test_degree_cap_is_checked_as_max_degree():
+    # True once acted as cap 1, 2.5 was accepted and None raised a bare
+    # comparison error
+    ws = adjoint_weight_system("su2xsu2")
+    for bad in (None, True, False, 2.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="degree_cap must be an integer"):
+            molien_series(ws, 1, degree_cap=bad)
+    with pytest.raises(ValueError, match="degree_cap must be >= 0"):
+        molien_series(ws, 0, degree_cap=-1)
+    assert molien_series(ws, 4, degree_cap=np.int64(4)) == molien_series(ws, 4)
+
+
 def test_empty_weight_system():
     ws = WeightSystem(1, (), (), 1)
     assert molien_series(ws, 0) == [1]
@@ -602,6 +614,18 @@ def test_rational_series_validates_max_degree():
                 series(bad)
     assert TWO_QUBIT_RATIONAL.series(np.int64(3)) == [1, 0, 3, 2]
     assert rational_series([1], [(2, 1)], 0) == [1]
+
+
+def test_rational_series_validates_denominator_exponents():
+    # (True, 1) was read as 1/(1 - q); (2, 1.5) raised range's message
+    for bad, name in (((True, 1), "degree"), ((2.0, 1), "degree"),
+                      ((2, False), "multiplicity"), ((2, 1.5), "multiplicity")):
+        with pytest.raises(TypeError, match=f"denominator {name} must be an integer"):
+            rational_series([1], [bad], 4)
+    for bad, name in (((0, 1), "degree"), ((2, 0), "multiplicity")):
+        with pytest.raises(ValueError, match=f"denominator {name} must be >= 1"):
+            rational_series([1], [bad], 4)
+    assert rational_series([1], [(np.int64(2), np.int64(1))], 4) == [1, 0, 1, 0, 1]
 
 
 def test_rational_form_holds_only_numerator_and_denominator():

@@ -14,6 +14,7 @@ from qqinv.states import (QubitQutritState, conjugate, from_matrix,
                           random_su, random_unitaries,
                           reduced_qubit, reduced_qutrit, state_from_json_dict,
                           state_to_json_dict, state_to_xi, to_matrix)
+from qqinv import local_invariants
 from qqinv.casimir_positivity import casimirs_from_vee
 from qqinv.su_algebra import GELL_MANN, PAULI, structure_constants
 
@@ -385,6 +386,67 @@ def test_state_rejects_misshapen_fields(a, b, C, field, shape):
         QubitQutritState(np.zeros(a), np.zeros(b), np.zeros(C))
 
 
+def coordinate_producers():
+    """A state from each way the library makes one, by name."""
+    rng = np.random.default_rng(28)
+    a, b, C = (rng.uniform(-0.2, 0.2, shape) for shape in (3, 8, (3, 8)))
+    stack = random_densities(range(4))
+    u = random_unitaries(range(4), local=False)
+    doc = json.loads(json.dumps(state_to_json_dict(random_density(5))))
+    made = {"constructor": QubitQutritState(a, b, C),
+            "constructor-flat-C": QubitQutritState(a, b, C.reshape(24)),
+            "constructor-stack": QubitQutritState(np.stack([a, a]), np.stack([b, b]),
+                                                  np.stack([C, C])),
+            "from_matrix": from_matrix(to_matrix(random_density(1))),
+            "from_matrix-stack": from_matrix(to_matrix(stack)),
+            "random_density": random_density(2, "rank-2"),
+            "random_densities": stack,
+            "random_nonpsd_unit_trace": random_nonpsd_unit_trace(3, -0.1),
+            "random_nonpsd_unit_traces": random_nonpsd_unit_traces(range(3), -0.1),
+            "random_panel": local_invariants.random_panel(11, 5),
+            "conjugate": conjugate(stack, u),
+            "zero": QubitQutritState.zero(),
+            "state_from_json_dict": state_from_json_dict(doc)}
+    return [pytest.param(state, id=name) for name, state in made.items()]
+
+
+@pytest.mark.parametrize("state", coordinate_producers())
+def test_every_producer_holds_one_coordinate_array(state):
+    x = state.x
+    batch = x.shape[:-1]
+    assert x.shape[-1] == 35 and x.dtype == np.float64 and x.flags.c_contiguous
+    assert (state.a.shape, state.b.shape, state.C.shape) == (
+        batch + (3,), batch + (8,), batch + (3, 8))
+    for field in (state.a, state.b, state.C):
+        assert np.shares_memory(x, field)
+    reference = np.concatenate((state.a, state.b, state.C.reshape(batch + (24,))), axis=-1)
+    assert reference.tobytes() == x.tobytes()
+
+
+def test_state_fields_are_views_of_its_coordinates():
+    s = random_density(6)
+    s.C[1, 4] = 0.5
+    s.b[2] = -0.25
+    s.a[0] = 0.125
+    assert (s.x[11 + 8 + 4], s.x[5], s.x[0]) == (0.5, -0.25, 0.125)
+    with pytest.raises(AttributeError):
+        s.a = np.zeros(3)
+
+
+def test_state_copies_its_fields():
+    a, b, C = np.zeros(3), np.zeros(8), np.zeros((3, 8))
+    for c in (C, C.reshape(24)):
+        s = QubitQutritState(a, b, c)
+        a[0], b[0], c.flat[0] = 1.0, 1.0, 1.0
+        assert not s.x.any()
+        a[0], b[0], c.flat[0] = 0.0, 0.0, 0.0
+
+
+def test_state_repr_names_its_fields():
+    assert repr(QubitQutritState.zero()) == (
+        f"QubitQutritState(a={np.zeros(3)!r}, b={np.zeros(8)!r}, C={np.zeros((3, 8))!r})")
+
+
 def test_reduced_states():
     assert np.allclose(reduced_qubit(QubitQutritState.zero()), np.eye(2) / 2)
     assert np.allclose(reduced_qutrit(QubitQutritState.zero()), np.eye(3) / 3)
@@ -460,6 +522,10 @@ def test_random_density_rejects_bad_ensemble():
         random_density(1, "rank-0")
     with pytest.raises(ValueError, match="unknown ensemble"):
         random_density(1, "thermal")
+    # only the digits 1..6 name a rank; int() would read these as 3
+    for name in ("rank-03", "rank- 3", "rank-+3", "rank-3 "):
+        with pytest.raises(ValueError, match=re.escape(f"malformed ensemble '{name}'")):
+            random_densities([1], name)
 
 
 def test_random_nonpsd():
