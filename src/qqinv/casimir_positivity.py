@@ -135,9 +135,11 @@ def _check_moments(t, t_om) -> None:
     raise ValueError("the moments tr rho^k overflow")
 
 
-def _moment_traces(rho: np.ndarray) -> np.ndarray:
-    """tr(rho^k) for k = 1..6, a (6,) + batch-shape array: five matmuls into
-    one buffer and one trace."""
+def moments(rho: np.ndarray) -> np.ndarray:
+    """t_k = tr(rho^k) for k = 1..6, a (6,) + batch-shape float array: five
+    matmuls into one buffer and one trace.  Over a (..., n, n) stack entry
+    [k - 1][i] is bit for bit the moment of matrix i alone, so
+    _checked_record runs rho and omega = 6 rho - I as one stack."""
     p = np.empty((6,) + rho.shape, dtype=complex)
     p[0] = rho
     for k in range(1, 6):
@@ -145,30 +147,21 @@ def _moment_traces(rho: np.ndarray) -> np.ndarray:
     return p.trace(axis1=-2, axis2=-1).real
 
 
-def moments(rho: np.ndarray) -> tuple[float, ...]:
-    """t_k = tr(rho^k) for k = 1..6 by repeated multiplication, all six traced
-    in one call; over a (..., n, n) stack each t_k is an array of the batch
-    shape, entry i bit for bit the moment of matrix i alone, so
-    _checked_record runs rho and omega = 6 rho - I as one stack."""
-    t = _moment_traces(rho)
-    # one matrix gives Python floats, so its verdicts stay plain bools
-    return tuple(t.tolist()) if t.ndim == 1 else tuple(t)
-
-
 def _checked_record(state):
-    """(rho, t, t_om): a state's matrix, or a stacked state's stack, and the
-    moments of rho and of omega = 6 rho - I, taken as one stack [rho,
-    omega]; one state gives tuples of Python floats, a stack tuples of
-    read-only arrays of the batch shape.  Any input but a state is refused:
-    a density matrix enters through states.from_matrix, which validates it.
-    rho is rejected with from_matrix's wording unless every entry is finite,
-    checked before any deviation is formed (a NaN deviation passes `dev >
-    tol`, and inf - inf warns); then _check_moments checks the moments.
+    """(rho, t, t_om): states.to_matrix of the state and the moments of rho
+    and of omega = 6 rho - I, one moments call on the stack [rho, omega];
+    one state gives tuples of Python floats (so its verdicts stay plain
+    bools), a stack tuples of read-only arrays of the batch shape.  Any
+    input but a state is refused: a density matrix enters through
+    states.from_matrix, which validates it.  rho is rejected with
+    from_matrix's wording unless every entry is finite, checked before any
+    deviation is formed (a NaN deviation passes `dev > tol`, and inf - inf
+    warns); then _check_moments checks the moments.
 
     The record is kept in _LAST_RECORD once every check has passed, so the
-    report, the trace route and the oracle on one state share its checks
-    and its one moment pass; the key holds the exact coordinate bytes, so a
-    state changed in place is converted and checked again."""
+    report, the trace route and the oracle on one state share its checks,
+    its matrix and its moments; the key holds the exact coordinate bytes, so
+    a state changed in place is converted and checked again."""
     global _LAST_RECORD
     if not isinstance(state, QubitQutritState):
         raise TypeError(f"expected a QubitQutritState, got {type(state).__name__}; "
@@ -178,7 +171,7 @@ def _checked_record(state):
     last, record = _LAST_RECORD
     if last == key:
         return record
-    rho = states._matrix_of_coordinates(x)
+    rho = states.to_matrix(state)
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
     rho.flags.writeable = False
@@ -187,7 +180,7 @@ def _checked_record(state):
         pair[0] = rho
         np.multiply(rho, 6, out=pair[1])
         pair[1] -= _EYE6
-        tt = _moment_traces(pair).swapaxes(0, 1)
+        tt = moments(pair).swapaxes(0, 1)
     tt.flags.writeable = False
     t, t_om = map(tuple, tt.tolist() if rho.ndim == 2 else tt)
     _check_moments(t, t_om)
@@ -221,14 +214,8 @@ def casimirs_from_traces(state: QubitQutritState) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
-    return _casimirs_of_omega_moments(_checked_record(state)[2])
-
-
-def _casimirs_of_omega_moments(t) -> CasimirValues:
-    """The Casimirs of omega = 6 rho - I from its moments t_1..t_6, each a
-    float or an array of the batch shape."""
     n = 6
-    t2, t3, t4, t5, t6 = (x / n for x in t[1:])
+    t2, t3, t4, t5, t6 = (x / n for x in _checked_record(state)[2][1:])
     c2 = t2
     c3 = t3
     c4 = t4 - _power(c2, 2)
@@ -277,10 +264,11 @@ def char_poly_coeffs(t) -> tuple[float, ...]:
 
         k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i.
 
-    A tuple is taken as moments returns it, n Python floats or n arrays of
-    a common batch shape, and enters the recurrence as it is.  Any other
-    sequence or array holds moment vectors: one vector gives n floats, an
-    (M, n) array n arrays of length M.
+    A tuple is taken as a report's t holds it, n Python floats or n arrays
+    of a common batch shape, and enters the recurrence as it is.  Any other
+    sequence or array holds moment vectors along its last axis: one vector
+    gives n floats, an (M, n) array n arrays of length M (so a stack's
+    moments array enters as tuple(moments(rho))).
     """
     if not isinstance(t, tuple):
         t = np.asarray(t, dtype=float)
@@ -336,16 +324,17 @@ def positivity_report(state: QubitQutritState) -> PositivityReport:
     gives arrays of the batch shape throughout, entry i bit for bit the
     report of state i.
 
-    rho and omega = 6 rho - I go through one moment pass as one stack
-    (_checked_record): t feeds S_k, the moments of omega the Casimir route.
-    A state's matrix is Hermitian by construction, so only the finiteness
-    and trace checks apply to it, its tr omega read from the moments; it is
-    rejected unless tr rho is 1 and every moment finite (see
-    _check_moments).  A density matrix enters through states.from_matrix."""
-    _, t, t_om = _checked_record(state)
+    t, the moments of rho, feeds S_k; the Casimirs come from
+    casimirs_from_traces, which reads the moments of omega from the same
+    checked record (_checked_record).  A state's matrix is Hermitian by
+    construction, so only the finiteness and trace checks apply to it, its
+    tr omega read from the moments; it is rejected unless tr rho is 1 and
+    every moment finite (see _check_moments).  A density matrix enters
+    through states.from_matrix."""
+    t = _checked_record(state)[1]
     S = char_poly_coeffs(t)
     S_bar = tuple(S[k - 1] / MAX_S[k] for k in range(2, 7))
-    exprs = casimir_inequality_exprs(_casimirs_of_omega_moments(t_om).normalized)
+    exprs = casimir_inequality_exprs(casimirs_from_traces(state).normalized)
     verdict_S = tuple(s >= -BOUNDARY_TOL for s in (S[0] / MAX_S[1],) + S_bar)
     verdict_casimir = tuple((e >= -BOUNDARY_TOL) & (e <= 1.0 + BOUNDARY_TOL)
                             for e in exprs)

@@ -18,6 +18,7 @@ words' exact Jacobian in the 35 coordinates.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,9 +90,21 @@ def trace_word(word: str) -> TraceWord:
     return TraceWord(canonical_form(word))
 
 
-@lru_cache(maxsize=None)
+def _integer(value, name: str) -> int:
+    """value as a Python int (a numpy integer will do); a bool, a float or
+    None raises a TypeError naming it, as molien's degree checks do."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+# The cached functions below are typed caches: True == 1 would otherwise be
+# served the entry of 1 without reaching the integer check.
+
+@lru_cache(maxsize=None, typed=True)
 def enumerate_words(degree: int) -> tuple[TraceWord, ...]:
     """All canonical words of the given length (1..MAX_WORD_DEGREE), sorted."""
+    degree = _integer(degree, "degree")
     if not 1 <= degree <= MAX_WORD_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_WORD_DEGREE}, got {degree}")
     reps = {canonical_form("".join(t))
@@ -180,6 +193,7 @@ def random_panel(seed: int = DEFAULT_PANEL_SEED,
     process: the panel's coordinates are a read-only view of a prefix of
     the stored stack starting at seed, which a larger request extends by
     the states it lacks."""
+    size = _integer(size, "size")
     if size < 1:
         raise ValueError(f"panel size must be >= 1, got {size}")
     held = _PANELS.pop(seed, np.empty((0, 35)))
@@ -212,6 +226,8 @@ def _kernel_words(degree, mats):
 def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
                      panel_size: int = DEFAULT_PANEL_SIZE) -> KernelResult:
     """Canonical words whose trace vanishes on the whole seeded panel."""
+    degree = _integer(degree, "degree")
+    panel_size = _integer(panel_size, "panel_size")
     if degree > 6:
         raise ValueError(f"kernel enumeration supports degree <= 6, got {degree}")
     mats = _letter_matrices(random_panel(seed, panel_size))
@@ -219,10 +235,11 @@ def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
                         panel_size, KERNEL_TOL)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def nonkernel_words(degree: int, seed: int = DEFAULT_PANEL_SEED) -> tuple[TraceWord, ...]:
     """The words of the degree outside the kernel on the default seeded
     panel, found once per degree and seed."""
+    degree = _integer(degree, "degree")
     mats = _letter_matrices(random_panel(seed, DEFAULT_PANEL_SIZE))
     dead = set(_kernel_words(degree, mats))
     return tuple(w for w in enumerate_words(degree) if w not in dead)
@@ -362,7 +379,7 @@ def panel_violations(seed: int = DEFAULT_PANEL_SEED,
     """Max residual per key of each identity in PANEL_IDENTITIES over one
     seeded panel, as {name: {key: max}}; the panel is drawn and its letter
     matrices and word products are formed once, as stacks."""
-    panel = random_panel(seed, panel_size)
+    panel = random_panel(seed, _integer(panel_size, "panel_size"))
     mats = _letter_matrices(panel)
     return {name: {key: float(np.max(r))
                    for key, r in residuals(panel, mats).items()}
@@ -411,6 +428,7 @@ def rank_at_degree(degree: int, include_products: bool,
     are real; with products, degree 5 gives 23 (of 25) and degree 6 gives 70
     (of 90); each conjugate pair of complex words (agbgg/aggbg at degree 5,
     five pairs at degree 6) spans its real and its imaginary part."""
+    degree = _integer(degree, "degree")
     if degree > 6:
         raise ValueError(f"rank evaluation supports degree <= 6, got {degree}")
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
@@ -493,6 +511,7 @@ def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED) -> in
 
     The returned rank can never exceed 24, the dimension of the quotient of
     the su(6) adjoint orbit space by the local action (35 - 11)."""
+    degree_cap = _integer(degree_cap, "degree_cap")
     if not 1 <= degree_cap <= MAX_WORD_DEGREE:
         raise ValueError(f"degree_cap must be in 1..{MAX_WORD_DEGREE}, got {degree_cap}")
     words = [w for d in range(1, degree_cap + 1) for w in nonkernel_words(d, seed)]
@@ -549,6 +568,7 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
                  else list(selector))
     if not selectors:
         raise ValueError("no invariant selector given")
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if unitary is None:

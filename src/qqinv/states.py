@@ -71,10 +71,12 @@ _GATHER_INDEX, _GATHER_COEF = _gather_table()
 
 
 def _real_field(name: str, value) -> np.ndarray:
-    """A coordinate field as a float array; complex input is rejected, not
-    converted (the conversion would drop the imaginary part)."""
+    """A coordinate field as a float array; only integer and float input is
+    converted.  Complex input is rejected (the conversion would drop the
+    imaginary part), and so are booleans and objects (it would read them as
+    numbers)."""
     value = np.asarray(value)
-    if value.dtype.kind == "c":
+    if value.dtype.kind not in "iuf":
         raise ValueError(f"field {name!r} has dtype {value.dtype}, expected real coordinates")
     return np.asarray(value, dtype=float)
 
@@ -136,22 +138,12 @@ def _letters(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=-3, initial=0.0).view(complex)
 
 
-def _omega(x: np.ndarray) -> np.ndarray:
-    """6*rho - I = (alpha + beta) + gamma of the coordinates x."""
-    letters = _letters(x)
-    return (letters[..., 0, :, :] + letters[..., 1, :, :]) + letters[..., 2, :, :]
-
-
 # A non-finite or huge coordinate gives non-finite entries, quietly: the
 # gather multiplies an infinite coordinate by the zero coefficients of its
 # padding and overflows a huge one, and the complex division by 6 meets
-# inf * 0.  Each conversion below enters one errstate for this.
-
-def _matrix_of_coordinates(x: np.ndarray) -> np.ndarray:
-    """rho = (I6 + alpha + beta + gamma) / 6 of the coordinates x."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (_I6 + _omega(x)) / 6.0
-
+# inf * 0.  letter_matrices and to_matrix, the two conversions every other
+# matrix of a state is formed from (the trace words, the partial traces,
+# conjugate and the positivity checks), each enter one errstate for this.
 
 def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
     """(alpha, beta, gamma), each a C-contiguous (..., 6, 6) array."""
@@ -160,15 +152,12 @@ def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
     return tuple(letters[..., k, :, :].copy() for k in range(3))
 
 
-def omega_matrix(state: QubitQutritState) -> np.ndarray:
-    """The traceless part 6*rho - I = (alpha + beta) + gamma."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _omega(state.x)
-
-
 def to_matrix(state: QubitQutritState) -> np.ndarray:
-    """rho = (I6 + alpha + beta + gamma) / 6, a new writable array."""
-    return _matrix_of_coordinates(state.x)
+    """rho = (I6 + ((alpha + beta) + gamma)) / 6, a new writable array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        letters = _letters(state.x)
+        return (_I6 + ((letters[..., 0, :, :] + letters[..., 1, :, :])
+                       + letters[..., 2, :, :])) / 6.0
 
 
 def from_matrix(rho: np.ndarray) -> QubitQutritState:

@@ -54,6 +54,19 @@ def test_vee_routes_reject_complex_vectors():
         vee(xi.real, xi, SC6)
 
 
+def test_vee_routes_reject_boolean_vectors():
+    # casimirs_from_vee(np.ones(35, bool), sc6) read the bools as ones and
+    # returned c2 = 175.0
+    ones = np.ones(35, bool)
+    with pytest.raises(ValueError, match="^field 'xi' has dtype bool, expected real"):
+        casimirs_from_vee(ones, SC6)
+    with pytest.raises(ValueError, match="^field 'u' has dtype bool"):
+        vee(ones, np.ones(35), SC6)
+    with pytest.raises(ValueError, match="^field 'v' has dtype bool"):
+        vee(np.ones(35), ones, SC6)
+    assert casimirs_from_vee(np.ones(35, int), SC6) == casimirs_from_vee(np.ones(35), SC6)
+
+
 def test_casimirs_maximally_mixed():
     cas = casimirs_from_traces(QubitQutritState.zero())
     assert np.abs(cas.raw).max() == 0.0
@@ -283,6 +296,23 @@ def test_positivity_report_takes_S_from_char_poly_coeffs(monkeypatch):
     assert len(calls) == 2
 
 
+def test_positivity_report_takes_its_casimirs_from_casimirs_from_traces(monkeypatch):
+    # the report's Casimirs are whatever the module's trace route returns
+    calls = []
+
+    def route(state):
+        calls.append((state, casimirs_from_traces(state)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cp, "casimirs_from_traces", route)
+    for state in (random_density(3), states.random_densities(range(4))):
+        report = positivity_report(state)
+        assert calls[-1][0] is state
+        want = casimir_inequality_exprs(calls[-1][1].normalized)
+        assert np.array(report.casimir_exprs).tobytes() == np.array(want).tobytes()
+    assert len(calls) == 2
+
+
 def test_positivity_report_maximally_mixed():
     report = positivity_report(QubitQutritState.zero())
     assert report.positive_semidefinite and report.consistent
@@ -394,14 +424,29 @@ def report_states():
     return out
 
 
+def sequential_moments(rho):
+    """tr(rho^k) for k = 1..6 from one @ product after another, each traced
+    on its own: the reference for moments."""
+    out, power = [], rho
+    for _ in range(6):
+        out.append(np.trace(power, axis1=-2, axis2=-1).real)
+        power = power @ rho
+    return np.array(out)
+
+
 def test_report_moments_are_the_moments_of_the_matrix():
     for s in report_states():
         t = positivity_report(s).t
-        assert t == moments(to_matrix(s))
+        want = sequential_moments(to_matrix(s))
         assert all(type(x) is float for x in t)
+        assert np.array(t).tobytes() == want.tobytes()
+        assert moments(to_matrix(s)).tobytes() == want.tobytes()
     stack = states.random_nonpsd_unit_traces(range(40), -1e-4)
-    for got, want in zip(positivity_report(stack).t, moments(to_matrix(stack))):
-        assert np.array_equal(got, want)
+    want = sequential_moments(to_matrix(stack))
+    got = moments(to_matrix(stack))
+    assert got.shape == (6, 40) and got.dtype == float
+    assert got.tobytes() == want.tobytes()
+    assert np.array(positivity_report(stack).t).tobytes() == want.tobytes()
 
 
 def test_report_exprs_are_the_trace_route_exprs():
@@ -460,9 +505,9 @@ def fresh(f, state, monkeypatch):
 def test_report_and_oracle_of_a_state_build_its_matrix_once(monkeypatch):
     monkeypatch.setattr(cp, "_LAST_RECORD", (None, None))
     builds = []
-    build = states._matrix_of_coordinates
-    monkeypatch.setattr(states, "_matrix_of_coordinates",
-                        lambda x: (builds.append(x.shape), build(x))[1])
+    build = states.to_matrix
+    monkeypatch.setattr(states, "to_matrix",
+                        lambda s: (builds.append(s.x.shape), build(s))[1])
     s, stack = random_density(21), states.random_densities(range(21, 25))
     for given in (s, stack, s):
         positivity_report(given)
@@ -474,9 +519,8 @@ def test_report_and_oracle_of_a_state_build_its_matrix_once(monkeypatch):
 def test_report_casimirs_and_oracle_of_a_state_take_its_moments_once(monkeypatch):
     monkeypatch.setattr(cp, "_LAST_RECORD", (None, None))
     passes = []
-    moment_traces = cp._moment_traces
-    monkeypatch.setattr(cp, "_moment_traces",
-                        lambda m: (passes.append(m.shape), moment_traces(m))[1])
+    monkeypatch.setattr(cp, "moments",
+                        lambda m: (passes.append(m.shape), moments(m))[1])
     for given in (random_density(20), states.random_densities(range(20, 23))):
         positivity_report(given)
         casimirs_from_traces(given)

@@ -1,6 +1,7 @@
 """Trace-word enumeration, kernel, exchange identities, ranks, independence."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,37 @@ def test_enumerate_rejects_out_of_range():
         enumerate_words(0)
     with pytest.raises(ValueError, match="1..8"):
         enumerate_words(9)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, None], ids=["True", "2.5", "None"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: li.random_panel(3, v), "size"),
+    (lambda v: enumerate_words(degree=v), "degree"),
+    (lambda v: li.nonkernel_words(v, li.DEFAULT_PANEL_SEED), "degree"),
+    (lambda v: kernel_at_degree(v), "degree"),
+    (lambda v: kernel_at_degree(2, panel_size=v), "panel_size"),
+    (lambda v: panel_violations(panel_size=v), "panel_size"),
+    (lambda v: rank_at_degree(v, False), "degree"),
+    (lambda v: independence_evidence(v), "degree_cap"),
+    (lambda v: invariance_test("aa", v), "trials"),
+], ids=["random_panel", "enumerate_words", "nonkernel_words", "kernel_at_degree",
+        "kernel_panel_size", "panel_violations", "rank_at_degree",
+        "independence_evidence", "invariance_test"])
+def test_integer_arguments_reject_bools_floats_and_none(call, name, value):
+    # True was read as 1 (a one-state panel, the degree-1 words, one trial)
+    # and 2.5 failed inside range; the cached entries of 1, made by calls of
+    # the same form (whose cache keys True would equal), must not serve True
+    enumerate_words(degree=1), li.nonkernel_words(1, li.DEFAULT_PANEL_SEED)
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, "
+                                        rf"got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_integer_arguments_take_numpy_integers():
+    assert enumerate_words(np.int64(3)) == enumerate_words(3)
+    assert li.nonkernel_words(np.int32(2)) == li.nonkernel_words(2)
+    assert np.array_equal(li.random_panel(3, np.int64(4)).x, li.random_panel(3, 4).x)
+    assert kernel_at_degree(np.int8(4)).words == kernel_at_degree(4).words
 
 
 def test_canonical_form_moves():

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from qqinv.states import (QubitQutritState, conjugate, from_matrix,
-                          letter_matrices, omega_matrix,
-                          random_densities, random_density,
+                          letter_matrices, random_densities, random_density,
                           random_global_unitary, random_local_unitary,
                           random_nonpsd_unit_trace, random_nonpsd_unit_traces,
                           random_su, random_unitaries,
@@ -144,7 +143,7 @@ def test_non_finite_coordinates_give_non_finite_matrices_quietly():
         letter_matrices(s)
         xi = state_to_xi(s)
         casimirs = np.array(casimirs_from_vee(xi, sc6).raw)
-        for m in (to_matrix(s), omega_matrix(s)):
+        for m in (to_matrix(s), letter_omega(s)):
             finite = np.isfinite(m).all(axis=(-2, -1))
             assert not finite.all()
             assert finite.ndim == 0 or finite[..., 0].all()
@@ -172,19 +171,24 @@ def per_group_projection(rho):
     return a, b, C
 
 
+def letter_omega(s):
+    """omega = 6 rho - I = (alpha + beta) + gamma from the program's letters."""
+    alpha, beta, gamma = letter_matrices(s)
+    return (alpha + beta) + gamma
+
+
 def einsum_matrices(s):
-    """alpha, beta, gamma, omega and rho of a state with one einsum per
-    letter against the Kronecker bases: the reference for the gather table."""
+    """alpha, beta, gamma and rho of a state with one einsum per letter
+    against the Kronecker bases: the reference for the gather table."""
     alpha = np.einsum("...i,iuv->...uv", s.a, SIG_I3)
     beta = np.einsum("...a,auv->...uv", s.b, I2_LAM)
     gamma = np.einsum("...ia,iauv->...uv", s.C, SIG_LAM)
-    omega = alpha + beta + gamma
-    return alpha, beta, gamma, omega, (np.eye(6) + omega) / 6.0
+    return alpha, beta, gamma, (np.eye(6) + (alpha + beta + gamma)) / 6.0
 
 
 def gathered_matrices(s):
-    """The same five matrices from the program, each checked C-contiguous."""
-    out = letter_matrices(s) + (omega_matrix(s), to_matrix(s))
+    """The same four matrices from the program, each checked C-contiguous."""
+    out = letter_matrices(s) + (to_matrix(s),)
     assert all(m.flags.c_contiguous for m in out)
     return out
 
@@ -341,6 +345,24 @@ def test_state_rejects_complex_coordinates(field):
         QubitQutritState(**fields)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "C"])
+@pytest.mark.parametrize("value", [True, None, "0"], ids=["bool", "object", "str"])
+def test_state_rejects_coordinates_that_are_not_numbers(field, value):
+    # bools were read as 0 and 1: a = [True, False, False] gave a = [1, 0, 0]
+    fields = {"a": np.zeros(3), "b": np.zeros(8), "C": np.zeros((3, 8))}
+    fields[field] = np.full(fields[field].shape, value)
+    dtype = re.escape(str(fields[field].dtype))
+    with pytest.raises(ValueError,
+                       match=rf"^field '{field}' has dtype {dtype}, expected real"):
+        QubitQutritState(**fields)
+
+
+def test_state_takes_integer_coordinates():
+    s = QubitQutritState(np.array([1, 0, 0], np.int8), np.zeros(8, np.uint16),
+                         np.zeros((3, 8), int))
+    assert s.x.dtype == float and s.a.tolist() == [1.0, 0.0, 0.0]
+
+
 def test_empty_batches_give_empty_results():
     empty = from_matrix(np.zeros((0, 6, 6)))
     assert (empty.a.shape, empty.b.shape, empty.C.shape) == ((0, 3), (0, 8), (0, 3, 8))
@@ -484,7 +506,7 @@ def test_reduced_states_match_bloch_form():
 def test_omega_traceless_and_norm():
     for seed in range(25):
         s = random_state(seed)
-        om = omega_matrix(s)
+        om = letter_omega(s)
         assert abs(np.trace(om)) < 1e-12
         expect = 6 * s.a @ s.a + 4 * s.b @ s.b + 4 * (s.C ** 2).sum()
         assert abs(np.trace(om @ om).real - expect) < 1e-10
@@ -635,7 +657,7 @@ def test_state_to_xi_norm():
     # omega = kappa xi . tau implies tr(omega^2) = 2 kappa^2 |xi|^2
     for seed in range(10):
         s = random_state(seed)
-        om = omega_matrix(s)
+        om = letter_omega(s)
         xi = state_to_xi(s)
         assert abs(np.trace(om @ om).real - 30.0 * xi @ xi) < 1e-10
 
