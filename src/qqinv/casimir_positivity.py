@@ -264,15 +264,10 @@ def char_poly_coeffs(t) -> tuple[float, ...]:
 
         k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i.
 
-    A tuple is taken as a report's t holds it, n Python floats or n arrays
-    of a common batch shape, and enters the recurrence as it is.  Any other
-    sequence or array holds moment vectors along its last axis: one vector
-    gives n floats, an (M, n) array n arrays of length M (so a stack's
-    moments array enters as tuple(moments(rho))).
+    t holds the moments along its first axis, as moments returns them: n
+    floats (a report's t, or a list) give n floats, an (n,) + batch array n
+    arrays of the batch shape; M moment vectors enter as an (n, M) array.
     """
-    if not isinstance(t, tuple):
-        t = np.asarray(t, dtype=float)
-        t = t.tolist() if t.ndim == 1 else tuple(np.moveaxis(t, -1, 0))
     S = [1.0]
     for k in range(1, len(t) + 1):
         acc = 0.0
@@ -287,10 +282,10 @@ def char_poly_coeffs(t) -> tuple[float, ...]:
 
 def char_poly_coeffs_determinant(t) -> tuple[float, ...]:
     """Independent determinant route: S_k = (1/k!) det of the k x k matrix
-    with t_{i-j+1} below the diagonal and i on the superdiagonal; an (M, n)
-    array of moment vectors gives n arrays of length M, one (M, k, k)
-    determinant stack per k."""
-    t = np.asarray(t, dtype=float)
+    with t_{i-j+1} below the diagonal and i on the superdiagonal; t holds the
+    moments first, as for char_poly_coeffs, and an (n,) + batch array gives
+    one batch-shape stack of determinants per k."""
+    t = np.moveaxis(np.asarray(t, dtype=float), 0, -1)
     out = []
     for k in range(1, t.shape[-1] + 1):
         m = np.zeros(t.shape[:-1] + (k, k))

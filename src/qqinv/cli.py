@@ -220,7 +220,7 @@ def _selftest_rows(seed: int, panel_size: int):
     add("casimir: c6 left-associated reading discrepancy",
         worst[4] < 1e-9, f"reported {worst[4]:.2e}")
 
-    t = np.random.default_rng(seed + 1).uniform(-1, 1, (100, 6))
+    t = np.random.default_rng(seed + 1).uniform(-1, 1, (100, 6)).T
     newton = casimir_positivity.char_poly_coeffs(t)
     det = casimir_positivity.char_poly_coeffs_determinant(t)
     worst_nd = max(float(np.max(np.abs(x - y))) for x, y in zip(newton, det))

@@ -98,6 +98,16 @@ def _integer(value, name: str) -> int:
     return operator.index(value)
 
 
+def _seed(seed) -> int:
+    """A panel seed as a Python int >= 0, checked on entry: seed + 7000
+    would read a bool as an integer, and numpy rejects a negative seed only
+    when it draws, without naming it."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 # The cached functions below are typed caches: True == 1 would otherwise be
 # served the entry of 1 without reaching the integer check.
 
@@ -138,6 +148,13 @@ def _eval_on(mats: dict[str, np.ndarray], word: str) -> complex | np.ndarray:
     return _tr(_product(mats, word))
 
 
+def _one_or_many(words) -> tuple[list, bool]:
+    """(the words as a list, whether one word was given): a str or a
+    TraceWord is one word, anything else a sequence of words."""
+    one = isinstance(words, (str, TraceWord))
+    return ([words] if one else list(words)), one
+
+
 def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray | list:
     """Trace of the word's matrix product, imaginary part and all (an array
     of traces for a stacked state).  word is one word or a sequence of them;
@@ -148,31 +165,29 @@ def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray | 
     genuinely complex traces; real and imaginary parts are then separately
     invariant polynomials.  A non-finite or huge coordinate gives non-finite
     traces quietly, as letter_matrices gives non-finite letters."""
+    words, one = _one_or_many(word)
     mats = _letter_matrices(state)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(word, (str, TraceWord)):
-            return _eval_on(mats, _letters(word))
-        return [_eval_on(mats, _letters(w)) for w in word]
+        values = [_eval_on(mats, _letters(w)) for w in words]
+    return values[0] if one else values
 
 
 def _letters(word) -> str:
     return word.letters if isinstance(word, TraceWord) else canonical_form(word)
 
 
-def eval_trace(word, state: QubitQutritState) -> float | np.ndarray:
-    """Real trace of the word's matrix product; a word whose trace picks up
-    an imaginary part beyond IMAG_TOL (on any state of a stack) is flagged by
-    raising, never truncated."""
-    return _real_trace(word, eval_trace_complex(word, state))
-
-
-def _real_trace(word, val) -> float | np.ndarray:
-    worst = float(np.abs(val.imag).max())
-    if worst > IMAG_TOL:
-        w = word.letters if isinstance(word, TraceWord) else word
-        raise ValueError(
-            f"trace of word {w!r} has an imaginary part of {worst:.3e}")
-    return val.real
+def eval_trace(word, state: QubitQutritState) -> float | np.ndarray | list:
+    """Real trace of the word's matrix product, or a list of them for a
+    sequence of words; a word whose trace picks up an imaginary part beyond
+    IMAG_TOL (on any state of a stack) is flagged by raising, never truncated."""
+    words, one = _one_or_many(word)
+    values = eval_trace_complex(words, state)
+    for w, val in zip(words, values):
+        worst = float(np.abs(val.imag).max())
+        if worst > IMAG_TOL:
+            raise ValueError(
+                f"trace of word {str(w)!r} has an imaginary part of {worst:.3e}")
+    return values[0].real if one else [val.real for val in values]
 
 
 # The panel store: per start seed, the read-only (n, 35) coordinate array of
@@ -193,7 +208,7 @@ def random_panel(seed: int = DEFAULT_PANEL_SEED,
     process: the panel's coordinates are a read-only view of a prefix of
     the stored stack starting at seed, which a larger request extends by
     the states it lacks."""
-    size = _integer(size, "size")
+    seed, size = _seed(seed), _integer(size, "size")
     if size < 1:
         raise ValueError(f"panel size must be >= 1, got {size}")
     held = _PANELS.pop(seed, np.empty((0, 35)))
@@ -226,7 +241,7 @@ def _kernel_words(degree, mats):
 def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
                      panel_size: int = DEFAULT_PANEL_SIZE) -> KernelResult:
     """Canonical words whose trace vanishes on the whole seeded panel."""
-    degree = _integer(degree, "degree")
+    seed, degree = _seed(seed), _integer(degree, "degree")
     panel_size = _integer(panel_size, "panel_size")
     if degree > 6:
         raise ValueError(f"kernel enumeration supports degree <= 6, got {degree}")
@@ -239,7 +254,7 @@ def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
 def nonkernel_words(degree: int, seed: int = DEFAULT_PANEL_SEED) -> tuple[TraceWord, ...]:
     """The words of the degree outside the kernel on the default seeded
     panel, found once per degree and seed."""
-    degree = _integer(degree, "degree")
+    seed, degree = _seed(seed), _integer(degree, "degree")
     mats = _letter_matrices(random_panel(seed, DEFAULT_PANEL_SIZE))
     dead = set(_kernel_words(degree, mats))
     return tuple(w for w in enumerate_words(degree) if w not in dead)
@@ -379,7 +394,7 @@ def panel_violations(seed: int = DEFAULT_PANEL_SEED,
     """Max residual per key of each identity in PANEL_IDENTITIES over one
     seeded panel, as {name: {key: max}}; the panel is drawn and its letter
     matrices and word products are formed once, as stacks."""
-    panel = random_panel(seed, _integer(panel_size, "panel_size"))
+    panel = random_panel(_seed(seed), _integer(panel_size, "panel_size"))
     mats = _letter_matrices(panel)
     return {name: {key: float(np.max(r))
                    for key, r in residuals(panel, mats).items()}
@@ -428,7 +443,7 @@ def rank_at_degree(degree: int, include_products: bool,
     are real; with products, degree 5 gives 23 (of 25) and degree 6 gives 70
     (of 90); each conjugate pair of complex words (agbgg/aggbg at degree 5,
     five pairs at degree 6) spans its real and its imaginary part."""
-    degree = _integer(degree, "degree")
+    seed, degree = _seed(seed), _integer(degree, "degree")
     if degree > 6:
         raise ValueError(f"rank evaluation supports degree <= 6, got {degree}")
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
@@ -473,6 +488,7 @@ def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
     Trace words plus products span a 14-dimensional subspace of the
     15-dimensional degree-4 invariant space; adjoining the quartic restores
     the full count, so this returns 15."""
+    seed = _seed(seed)
     candidates = [(w.letters,) for w in nonkernel_words(4, seed)]
     candidates += _product_candidates(4, seed)
     return _numerical_rank(_evaluation_matrix(candidates, seed,
@@ -480,11 +496,11 @@ def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
 
 
 def trace_jacobian(words, point: np.ndarray) -> np.ndarray:
-    """Exact (35, len(words)) Jacobian of the words' real traces at point =
-    (a, b, C row by row).  Letter g is sum x_k G_k, G_k = SU6_GENERATORS[k], over
-    k in states.LETTER_SLICES[g], so d tr(L_1...L_d)/dx_k sums tr(G_k L_{i+1}...
+    """Exact (35, n) Jacobian of the real traces of one word (n = 1) or n words at
+    point = (a, b, C row by row).  Letter g is sum x_k G_k, G_k = SU6_GENERATORS[k],
+    over k in states.LETTER_SLICES[g], so d tr(L_1...L_d)/dx_k sums tr(G_k L_{i+1}...
     L_d L_1...L_{i-1}) over the positions i of that letter (I6 if that is empty)."""
-    words = [_letters(w) for w in words]
+    words = [_letters(w) for w in _one_or_many(words)[0]]
     x = np.asarray(point)
     if x.shape != (35,) or x.dtype.kind not in "iuf":
         raise ValueError(f"point must be a real vector of 35 coordinates, "
@@ -511,7 +527,7 @@ def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED) -> in
 
     The returned rank can never exceed 24, the dimension of the quotient of
     the su(6) adjoint orbit space by the local action (35 - 11)."""
-    degree_cap = _integer(degree_cap, "degree_cap")
+    seed, degree_cap = _seed(seed), _integer(degree_cap, "degree_cap")
     if not 1 <= degree_cap <= MAX_WORD_DEGREE:
         raise ValueError(f"degree_cap must be in 1..{MAX_WORD_DEGREE}, got {degree_cap}")
     words = [w for d in range(1, degree_cap + 1) for w in nonkernel_words(d, seed)]
@@ -537,17 +553,17 @@ _CASIMIR_SELECTORS = ("C2", "C3", "C4", "C5", "C6")
 def _selector_values(selectors, state: QubitQutritState) -> list:
     """Each selector's value on the state, a Casimir C_k as casimirs_from_traces
     gives it and a trace word as eval_trace does: the words as one
-    eval_trace_complex over one set of letters, the Casimirs from one
+    eval_trace over one set of letters, the Casimirs from one
     casimirs_from_traces, so each value has the bits of its own call."""
     casimir = [isinstance(x, str) and x in _CASIMIR_SELECTORS for x in selectors]
     for x, is_casimir in zip(selectors, casimir):
         if not is_casimir and not isinstance(x, (str, TraceWord)):
             raise ValueError(f"unknown invariant selector {x!r}")
     words = [x for x, is_casimir in zip(selectors, casimir) if not is_casimir]
-    traces = iter(eval_trace_complex(words, state) if words else ())
+    traces = iter(eval_trace(words, state) if words else ())
     normalized = (casimir_positivity.casimirs_from_traces(state).normalized
                   if any(casimir) else ())
-    return [normalized[int(x[1]) - 2] if is_casimir else _real_trace(x, next(traces))
+    return [normalized[int(x[1]) - 2] if is_casimir else next(traces)
             for x, is_casimir in zip(selectors, casimir)]
 
 
@@ -564,8 +580,7 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
     by global SU(6) unitaries, so a sequence must be of one kind; pass
     unitary="local"/"global" to override (e.g. a trace word under a global
     unitary is the negative control)."""
-    selectors = ([selector] if isinstance(selector, (str, TraceWord))
-                 else list(selector))
+    seed, selectors = _seed(seed), _one_or_many(selector)[0]
     if not selectors:
         raise ValueError("no invariant selector given")
     trials = _integer(trials, "trials")

@@ -591,7 +591,8 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
 def rational_series(numerator, denominator_exponents, max_degree: int) -> list[int]:
     """Taylor coefficients 0..max_degree of N(q) / prod (1 - q^deg)^mult,
     exact integer arithmetic; max_degree is checked as molien_series checks
-    it, and each denominator degree and multiplicity is an integer >= 1."""
+    it, every numerator coefficient is an integer, and each denominator
+    degree and multiplicity is an integer >= 1."""
     max_degree = _check_degree(max_degree)
     denominator_exponents = [(_integer(deg, "denominator degree"),
                               _integer(mult, "denominator multiplicity"))
@@ -601,7 +602,8 @@ def rational_series(numerator, denominator_exponents, max_degree: int) -> list[i
             raise ValueError(f"denominator degree must be >= 1, got {deg}")
         if mult < 1:
             raise ValueError(f"denominator multiplicity must be >= 1, got {mult}")
-    series = [int(c) for c in numerator[:max_degree + 1]]
+    series = [_integer(c, "numerator coefficient") for c in numerator]
+    series = series[:max_degree + 1]
     series += [0] * (max_degree + 1 - len(series))
     for deg, mult in denominator_exponents:
         for _ in range(mult):
@@ -622,7 +624,7 @@ def _functional_equation(numerator, denominator_exponents):
     is the denominator's degree minus lo + hi.  Zero padding at either end
     of the list is no part of P; an all-zero numerator has no equation.
     """
-    num = [int(c) for c in numerator]
+    num = [_integer(c, "numerator coefficient") for c in numerator]
     support = [k for k, c in enumerate(num) if c]
     if not support:
         return None
@@ -681,14 +683,18 @@ def complete_numerator_by_palindromy(prefix: dict[int, int],
 
     Any coefficient stated on both sides of the mirror must agree; an
     inconsistent prefix is reported by raising, never patched over, and so
-    is a degree outside 0..top_degree.
+    is a degree outside 0..top_degree.  top_degree, every stated degree and
+    every coefficient must be an integer (a TypeError names the one that is
+    not).
     """
+    top_degree = _integer(top_degree, "top_degree")
     coeffs = [None] * (top_degree + 1)
     for k, v in prefix.items():
+        k = _integer(k, "numerator degree")
         if not 0 <= k <= top_degree:
             raise ValueError(
                 f"numerator degree {k} is outside 0..{top_degree}")
-        coeffs[k] = int(v)
+        coeffs[k] = _integer(v, "numerator coefficient")
     for k in range(top_degree + 1):
         mirror = top_degree - k
         if coeffs[k] is not None and coeffs[mirror] is not None:

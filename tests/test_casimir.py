@@ -278,12 +278,35 @@ def test_newton_equals_determinant_route():
 
 
 def test_both_routes_on_moment_stacks_match_single_vectors():
-    t = np.random.default_rng(18).uniform(-1, 1, (40, 6))
+    # moments first, as moments returns them: column i is moment vector i
+    t = np.random.default_rng(18).uniform(-1, 1, (40, 6)).T
     newton, det = char_poly_coeffs(t), char_poly_coeffs_determinant(t)
     assert all(c.shape == (40,) for c in newton + det)
     for i in range(40):
-        assert tuple(c[i] for c in newton) == char_poly_coeffs(t[i])
-        assert tuple(c[i] for c in det) == char_poly_coeffs_determinant(t[i])
+        assert tuple(c[i] for c in newton) == char_poly_coeffs(t[:, i])
+        assert tuple(c[i] for c in det) == char_poly_coeffs_determinant(t[:, i])
+
+
+def test_both_routes_take_the_moments_of_a_stack_as_moments_returns_them():
+    t = moments(to_matrix(states.random_densities(range(4))))
+    newton, det = char_poly_coeffs(t), char_poly_coeffs_determinant(t)
+    assert len(newton) == len(det) == 6
+    assert all(c.shape == (4,) for c in newton + det)
+    for i in range(4):
+        report = positivity_report(random_density(i))
+        assert tuple(c[i] for c in newton) == report.S
+        assert tuple(c[i] for c in det) == char_poly_coeffs_determinant(report.t)
+        assert max(abs(c[i] - s) for c, s in zip(det, report.S)) < 1e-12
+
+
+@pytest.mark.parametrize("route", [char_poly_coeffs, char_poly_coeffs_determinant])
+def test_both_routes_on_a_two_axis_batch(route):
+    t = np.random.default_rng(19).uniform(-1, 1, (6, 2, 3))
+    S = route(t)
+    assert len(S) == 6 and all(c.shape == (2, 3) for c in S)
+    for i in range(2):
+        for j in range(3):
+            assert tuple(c[i, j] for c in S) == route(t[:, i, j])
 
 
 def test_positivity_report_takes_S_from_char_poly_coeffs(monkeypatch):

@@ -60,6 +60,19 @@ def test_enumerate_rejects_out_of_range():
         enumerate_words(9)
 
 
+#: every public function that takes a seed, called with the seed it is given
+SEED_CALLS = {
+    "random_panel_seed": lambda v: li.random_panel(v, 3),
+    "kernel_at_degree_seed": lambda v: kernel_at_degree(4, v),
+    "nonkernel_words_seed": lambda v: li.nonkernel_words(2, v),
+    "panel_violations_seed": lambda v: panel_violations(v, 3),
+    "rank_at_degree_seed": lambda v: rank_at_degree(2, False, v),
+    "degree4_completion_rank_seed": lambda v: degree4_completion_rank(v),
+    "independence_evidence_seed": lambda v: independence_evidence(2, v),
+    "invariance_test_seed": lambda v: invariance_test("aa", 3, v),
+}
+
+
 @pytest.mark.parametrize("value", [True, 2.5, None], ids=["True", "2.5", "None"])
 @pytest.mark.parametrize("call, name", [
     (lambda v: li.random_panel(3, v), "size"),
@@ -71,14 +84,16 @@ def test_enumerate_rejects_out_of_range():
     (lambda v: rank_at_degree(v, False), "degree"),
     (lambda v: independence_evidence(v), "degree_cap"),
     (lambda v: invariance_test("aa", v), "trials"),
-], ids=["random_panel", "enumerate_words", "nonkernel_words", "kernel_at_degree",
-        "kernel_panel_size", "panel_violations", "rank_at_degree",
-        "independence_evidence", "invariance_test"])
+] + [(call, "seed") for call in SEED_CALLS.values()],
+    ids=["random_panel", "enumerate_words", "nonkernel_words", "kernel_at_degree",
+         "kernel_panel_size", "panel_violations", "rank_at_degree",
+         "independence_evidence", "invariance_test", *SEED_CALLS])
 def test_integer_arguments_reject_bools_floats_and_none(call, name, value):
     # True was read as 1 (a one-state panel, the degree-1 words, one trial)
     # and 2.5 failed inside range; the cached entries of 1, made by calls of
     # the same form (whose cache keys True would equal), must not serve True
     enumerate_words(degree=1), li.nonkernel_words(1, li.DEFAULT_PANEL_SEED)
+    li.nonkernel_words(2, 1)
     with pytest.raises(TypeError, match=rf"^{name} must be an integer, "
                                         rf"got {re.escape(repr(value))}$"):
         call(value)
@@ -89,6 +104,14 @@ def test_integer_arguments_take_numpy_integers():
     assert li.nonkernel_words(np.int32(2)) == li.nonkernel_words(2)
     assert np.array_equal(li.random_panel(3, np.int64(4)).x, li.random_panel(3, 4).x)
     assert kernel_at_degree(np.int8(4)).words == kernel_at_degree(4).words
+    assert np.array_equal(li.random_panel(np.int64(3), 4).x, li.random_panel(3, 4).x)
+    assert invariance_test("aa", 2, np.int64(5)) == invariance_test("aa", 2, 5)
+
+
+@pytest.mark.parametrize("call", SEED_CALLS.values(), ids=SEED_CALLS.keys())
+def test_seed_arguments_reject_negatives(call):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        call(-1)
 
 
 def test_canonical_form_moves():
@@ -193,6 +216,28 @@ def test_eval_flags_complex_traces():
     assert abs(val.imag) > 1e-6  # genuinely complex at degree 5
     with pytest.raises(ValueError, match="imaginary"):
         eval_trace("agbgg", s)
+
+
+@pytest.mark.parametrize("state", [rand_state(2), states.random_densities(range(5))],
+                         ids=["one", "stack"])
+def test_eval_trace_takes_a_list_of_words(state):
+    words = ["aa", trace_word("bb"), "gggg"]
+    values = eval_trace(words, state)
+    assert isinstance(values, list) and len(values) == 3
+    for w, v in zip(words, values):
+        assert np.array_equal(v, eval_trace(w, state))
+    assert np.array_equal(values[0], eval_trace_complex(words, state)[0].real)
+    assert eval_trace([], state) == []
+
+
+@pytest.mark.parametrize("word", ["agbgg", trace_word("agbgg")], ids=["str", "TraceWord"])
+def test_complex_word_in_a_list_raises_as_it_does_alone(word):
+    s = rand_state(1)
+    with pytest.raises(ValueError) as alone:
+        eval_trace(word, s)
+    assert str(alone.value).startswith("trace of word 'agbgg' has an imaginary part")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+        eval_trace(["aa", word, "bb"], s)
 
 
 @pytest.mark.parametrize("field,index,value", [("a", 2, np.inf), ("C", (1, 4), np.nan),
@@ -337,6 +382,17 @@ def test_trace_jacobian_at_an_integer_point():
     words = ["aa", "gg", "abg", "agbg"]
     assert np.array_equal(li.trace_jacobian(words, point),
                           li.trace_jacobian(words, point.astype(float)))
+
+
+def test_trace_jacobian_takes_one_word_as_a_list_of_one():
+    p = np.random.default_rng(4).uniform(-0.3, 0.3, 35)
+    one = li.trace_jacobian("ggg", p)
+    assert one.shape == (35, 1)
+    assert np.array_equal(one, li.trace_jacobian(["ggg"], p))
+    assert np.array_equal(li.trace_jacobian(trace_word("aa"), p),
+                          li.trace_jacobian(["aa"], p))
+    assert jacobian_rank("ggg", p) == jacobian_rank(["ggg"], p) == 1
+    assert jacobian_rank(trace_word("agag"), p) == 1
 
 
 @pytest.mark.parametrize("word", ["ax", ""])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -704,6 +705,31 @@ def test_numerator_completion_consistency():
 def test_numerator_completion_rejects_degrees_outside_range(prefix, degree):
     with pytest.raises(ValueError, match=rf"degree {degree} is outside 0\.\.4"):
         complete_numerator_by_palindromy(prefix, 4)
+
+
+@pytest.mark.parametrize("bad", [1.5, True], ids=["1.5", "True"])
+def test_numerator_coefficients_must_be_integers(bad):
+    def raises(name, call):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, "
+                                            f"got {re.escape(repr(bad))}$"):
+            call()
+
+    raises("numerator coefficient", lambda: rational_series([1, bad], [(1, 1)], 3))
+    # every coefficient is read, also one beyond max_degree
+    raises("numerator coefficient", lambda: rational_series([1, 0, 0, bad], [(1, 1)], 1))
+    raises("numerator coefficient", lambda: palindromy_check([bad, bad], [(1, 1)], -1, 0))
+    raises("numerator coefficient", lambda: _functional_equation([1, bad, 1], [(1, 1)]))
+    raises("numerator coefficient",
+           lambda: complete_numerator_by_palindromy({0: bad, 3: 1}, 3))
+    raises("numerator degree", lambda: complete_numerator_by_palindromy({0: 1, bad: 1}, 3))
+    raises("top_degree", lambda: complete_numerator_by_palindromy({0: 1}, bad))
+
+
+def test_numerator_coefficients_take_numpy_integers():
+    assert rational_series(np.array([1, 2]), [(1, 1)], 3) == [1, 3, 3, 3]
+    assert palindromy_check(np.array([1, 1], dtype=np.int32), [(1, 1)], -1, 0)
+    assert complete_numerator_by_palindromy(
+        {np.int64(0): np.int64(2)}, np.int8(2)) == (2, 0, 2)
 
 
 def test_numerator_completion_rejects_inconsistent_prefix():
