@@ -48,9 +48,13 @@ All of this but the box itself depends only on (weights, N, reach): the
 application order, the geometry, the origin seeds and the offset of every
 run are planned once per such key and kept in a bounded cache (_box_plan),
 and both backends, having the same reach, share one plan, which also keeps
-each kernel's cell offsets.  A pass allocates its own box, seeds the origin,
-builds its (dst, src) views from the offsets and adds them; the cache never
-holds a box or a view, so no box outlives its pass.
+each kernel's cell offsets.  A pass zeroes its box, seeds the origin,
+builds its (dst, src) views from the offsets and adds them; the plan cache
+never holds a box or a view.  The boxes of molien_series live in one
+anonymous memory mapping per thread, outside the malloc heap, kept up to
+_SCRATCH_BOX_MAX_BYTES for the thread's next request (_scratch_box), so a
+process's resident memory does not depend on where in that heap its boxes
+happened to land.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -70,13 +74,17 @@ from its numerator and denominator (_functional_equation), not entered.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_DEGREE_CAP = 20
+#: the largest box, in bytes, that a thread keeps for its next request
+_SCRATCH_BOX_MAX_BYTES = 1 << 24
 
 GROUP_LABELS = ("su2xsu2", "su2xsu3")
 
@@ -426,13 +434,41 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
     plan = _box_plan(tuple(map(tuple, weights)), operator.index(rank),
                      operator.index(max_degree),
                      tuple(map(operator.index, reach)))
-    return _fill_box(plan, modulus).reshape(plan.shape), plan.center
-
-
-def _fill_box(plan: BoxPlan, modulus: int) -> np.ndarray:
-    """The flat box of _build_product_boxes modulo 2^64 or an odd modulus
-    below 2^62."""
     box = np.zeros(plan.cells, dtype=np.uint64)
+    return _fill_box(plan, modulus, box).reshape(plan.shape), plan.center
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch_box(cells: int) -> np.ndarray:
+    """A zeroed flat uint64 box of `cells` cells, for a caller that is done
+    with it before it asks for the next one.
+
+    The box is the front of an anonymous memory mapping of the calling
+    thread; a mapping of at most _SCRATCH_BOX_MAX_BYTES is kept for the
+    thread's next request, and a box that outgrows it gets a new one.
+    Boxes from malloc left a heap whose size varied with the timing of the
+    requests: once glibc frees a large block it raises its mmap threshold
+    to that size (up to 32 MB), so smaller boxes come from the heap, which
+    keeps up to twice the threshold free before it is trimmed."""
+    kept = getattr(_SCRATCH, "box", None)
+    if kept is not None and kept.size >= cells:
+        box = kept[:cells]
+        box.fill(0)
+        return box
+    # private anonymous memory (a Windows mapping takes no flags)
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    mapping = mmap.mmap(-1, cells * np.dtype(np.uint64).itemsize, **flags)
+    box = np.frombuffer(mapping, dtype=np.uint64)
+    if box.nbytes <= _SCRATCH_BOX_MAX_BYTES:
+        _SCRATCH.box = box
+    return box
+
+
+def _fill_box(plan: BoxPlan, modulus: int, box: np.ndarray) -> np.ndarray:
+    """The flat box of _build_product_boxes modulo 2^64 or an odd modulus
+    below 2^62, built in `box`, a zeroed flat uint64 array of plan.cells."""
     box[plan.origin::plan.plane] = [s % modulus for s in plan.seeds]
     # the (dst, src) views of every run, built once per class; ahead[i] is
     # box[i + back], so a run adds its source box[f0:f1] to ahead[f0:f1]
@@ -502,6 +538,14 @@ def _kernel_sums(rows: np.ndarray, coefs: np.ndarray, span: int) -> list[int]:
     return [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())]
 
 
+def _box_rows(plan: BoxPlan, modulus: int, offsets: np.ndarray) -> np.ndarray:
+    """The cells at `offsets` within a degree, for every degree, of the box
+    modulo `modulus`, copied out of a box built in the thread's
+    _scratch_box."""
+    box = _fill_box(plan, modulus, _scratch_box(plan.cells))
+    return box.reshape(plan.shape[0], -1).take(offsets, axis=1)
+
+
 def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[int]:
     """CT per q-degree of kernel * series: the box entries at the origin
     minus the kernel exponents, gathered for every degree at once and
@@ -514,16 +558,16 @@ def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[
     the exact box.  Otherwise each pass of _moduli gives the constant terms
     modulo its modulus, the Chinese remainder theorem combines them modulo
     the product of the moduli, and since that product exceeds the width of
-    the range, the range fixes them.  Each pass's box is freed before the
-    next is built."""
+    the range, the range fixes them.  Each pass's rows are copied out of
+    its box before the next pass builds one (_box_rows)."""
     offsets, kept, negative, weight = _kernel_cells(plan, exps, coefs)
     degrees = plan.shape[0]
     if plan.bound < 2 ** 64:
-        rows = _fill_box(plan, 2 ** 64).reshape(degrees, -1).take(offsets, axis=1)
+        rows = _box_rows(plan, 2 ** 64, offsets)
         return _kernel_sums(rows, kept, weight * plan.bound)
     total, product = [0] * degrees, 1
     for modulus in _moduli(weight * plan.bound):
-        rows = _fill_box(plan, modulus).reshape(degrees, -1).take(offsets, axis=1)
+        rows = _box_rows(plan, modulus, offsets)
         sums = _kernel_sums(rows, kept, weight * (modulus - 1))
         inverse = pow(product, -1, modulus)
         total = [t + product * ((s - t) * inverse % modulus)

@@ -4,16 +4,19 @@ import dataclasses
 import itertools
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
+                          _SCRATCH_BOX_MAX_BYTES,
                           RationalForm, WeightSystem, _axis_reach, _box_plan,
                           _box_radius, _build_product_boxes, _constant_terms,
                           _functional_equation, _kernel,
                           _kernel_cells, _kernel_sums, _moduli, _root_polynomial,
+                          _scratch_box,
                           adjoint_weight_system,
                           complete_numerator_by_palindromy, molien_series,
                           palindromy_check, qubit_qutrit_rational,
@@ -350,6 +353,33 @@ def test_mutating_a_box_leaves_the_next_request_unchanged():
     again, _ = _build_product_boxes(ws.weights, ws.rank, 20, reach)
     assert np.array_equal(again, expect)
     assert molien_series(ws, 20) == TWO_QUBIT_RATIONAL.series(20)
+
+
+def test_a_dirty_scratch_box_leaves_the_next_request_unchanged():
+    ws, reach = kernel_reach("su2xsu3")
+    for N in (20, 34):  # one 2^64 pass; residue passes
+        _scratch_box(_box_plan(ws.weights, ws.rank, N, reach).cells)[:] = 7
+        assert molien_series(ws, N, degree_cap=N) == rational_form_for("su2xsu3").series(N)
+
+
+def test_scratch_box_is_zeroed_and_kept_up_to_its_bound():
+    first = _scratch_box(1000)
+    first[:] = 7
+    again = _scratch_box(600)
+    assert np.shares_memory(first, again)
+    assert again.dtype == np.uint64 and again.shape == (600,) and not again.any()
+    beyond = _scratch_box(_SCRATCH_BOX_MAX_BYTES // 8 + 1)
+    assert not np.shares_memory(beyond, _scratch_box(1000))
+
+
+def test_threads_build_their_boxes_apart():
+    ws = adjoint_weight_system("su2xsu3")
+    degrees = [16, 22, 18, 24] * 2
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda N: molien_series(ws, N, degree_cap=N), degrees))
+        other = pool.submit(_scratch_box, 1000).result()
+    assert got == [rational_form_for("su2xsu3").series(N) for N in degrees]
+    assert not np.shares_memory(other, _scratch_box(1000))
 
 
 def test_plan_cache_is_bounded():
