@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
+from . import _args, states
 from .su_algebra import StructureConstants, _dot
 from .states import QubitQutritState
 
@@ -192,7 +192,7 @@ def vee(u: np.ndarray, v: np.ndarray, sc: StructureConstants) -> np.ndarray:
     """(u v v)_a = kappa d_abc u_b v_c with kappa = sqrt(n(n-1)/2), over the
     last axis of (stacks of) vectors.  u_b d_bac = u_b d_abc (d is totally
     symmetric) is one matrix product with d flattened to (dim, dim^2)."""
-    u, v = states._real_field("u", u), states._real_field("v", v)
+    u, v = _args.real_array(u, "u"), _args.real_array(v, "v")
     k = sc.dim
     if u.shape[-1:] != (k,) or v.shape[-1:] != (k,):
         raise ValueError(
@@ -235,7 +235,7 @@ def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
     to agree to < 1e-9; the trace route stays primary downstream.  A
     non-finite or huge xi gives non-finite Casimirs quietly.
     """
-    xi = states._real_field("xi", xi)
+    xi = _args.real_array(xi, "xi")
     if xi.shape[-1:] != (sc.dim,):
         raise ValueError(f"xi must have length {sc.dim}, got shape {xi.shape}")
     n = sc.n

@@ -22,6 +22,8 @@ import sys
 
 import numpy as np
 
+from . import _args
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -134,10 +136,6 @@ def _cmd_molien(args, out) -> int:
 
     label = {"2x2": "su2xsu2", "2x3": "su2xsu3"}[args.group]
     ws = molien.adjoint_weight_system(label)
-    if args.degree < 0:
-        raise InputError("--degree must be >= 0")
-    if args.cap < 0:
-        raise InputError("--cap must be >= 0")
     if args.degree > args.cap:
         # molien_series would refuse too, naming its degree_cap argument
         raise InputError(f"--degree {args.degree} exceeds the resource cap "
@@ -392,21 +390,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer_options(command: str) -> list[tuple[str, int, int | None]]:
+    """(option, lo, hi) of each integer option the command checks before it
+    runs, hi None for no upper bound."""
+    panel = [("--panel-size", 1, None), ("--seed", 0, None)]
+    if command == "molien":
+        return [("--degree", 0, None), ("--cap", 0, None)]
+    if command == "invariants":
+        from .local_invariants import MAX_WORD_DEGREE
+        return [("--max-degree", 1, MAX_WORD_DEGREE)] + panel
+    return panel if command == "selftest" else []
+
+
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = "table" if args.command in ("molien", "selftest") else "json"
-    if args.command == "invariants":
-        from .local_invariants import MAX_WORD_DEGREE as cap
-        if not 1 <= args.max_degree <= cap:
-            print(f"qqinv: --max-degree must be in 1..{cap}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    if args.command in ("invariants", "selftest") and args.panel_size < 1:
-        print("qqinv: --panel-size must be >= 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if args.command in ("invariants", "selftest") and args.seed < 0:
-        print("qqinv: --seed must be >= 0", file=sys.stderr)
+    try:
+        for option, lo, hi in _integer_options(args.command):
+            _args.integer(getattr(args, option[2:].replace("-", "_")), option, lo, hi)
+    except ValueError as exc:
+        print(f"qqinv: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args, out)

@@ -18,13 +18,12 @@ words' exact Jacobian in the 35 coordinates.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import casimir_positivity, states, su_algebra
+from . import _args, casimir_positivity, states, su_algebra
 from .states import QubitQutritState
 
 LETTERS = "abg"
@@ -90,33 +89,13 @@ def trace_word(word: str) -> TraceWord:
     return TraceWord(canonical_form(word))
 
 
-def _integer(value, name: str) -> int:
-    """value as a Python int (a numpy integer will do); a bool, a float or
-    None raises a TypeError naming it, as molien's degree checks do."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _seed(seed) -> int:
-    """A panel seed as a Python int >= 0, checked on entry: seed + 7000
-    would read a bool as an integer, and numpy rejects a negative seed only
-    when it draws, without naming it."""
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 # The cached functions below are typed caches: True == 1 would otherwise be
 # served the entry of 1 without reaching the integer check.
 
 @lru_cache(maxsize=None, typed=True)
 def enumerate_words(degree: int) -> tuple[TraceWord, ...]:
     """All canonical words of the given length (1..MAX_WORD_DEGREE), sorted."""
-    degree = _integer(degree, "degree")
-    if not 1 <= degree <= MAX_WORD_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_WORD_DEGREE}, got {degree}")
+    degree = _args.integer(degree, "degree", 1, MAX_WORD_DEGREE)
     reps = {canonical_form("".join(t))
             for t in itertools.product(LETTERS, repeat=degree)}
     return tuple(TraceWord(w) for w in sorted(reps))
@@ -208,9 +187,7 @@ def random_panel(seed: int = DEFAULT_PANEL_SEED,
     process: the panel's coordinates are a read-only view of a prefix of
     the stored stack starting at seed, which a larger request extends by
     the states it lacks."""
-    seed, size = _seed(seed), _integer(size, "size")
-    if size < 1:
-        raise ValueError(f"panel size must be >= 1, got {size}")
+    seed, size = _args.seed(seed), _args.integer(size, "size", 1)
     held = _PANELS.pop(seed, np.empty((0, 35)))
     if size > len(held):
         more = states.random_densities(range(seed + len(held), seed + size))
@@ -240,11 +217,10 @@ def _kernel_words(degree, mats):
 
 def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
                      panel_size: int = DEFAULT_PANEL_SIZE) -> KernelResult:
-    """Canonical words whose trace vanishes on the whole seeded panel."""
-    seed, degree = _seed(seed), _integer(degree, "degree")
-    panel_size = _integer(panel_size, "panel_size")
-    if degree > 6:
-        raise ValueError(f"kernel enumeration supports degree <= 6, got {degree}")
+    """Canonical words of the degree (1..6) whose trace vanishes on the
+    whole seeded panel."""
+    seed, degree = _args.seed(seed), _args.integer(degree, "degree", 1, 6)
+    panel_size = _args.integer(panel_size, "panel_size", 1)
     mats = _letter_matrices(random_panel(seed, panel_size))
     return KernelResult(degree, _kernel_words(degree, mats), seed,
                         panel_size, KERNEL_TOL)
@@ -254,7 +230,7 @@ def kernel_at_degree(degree: int, seed: int = DEFAULT_PANEL_SEED,
 def nonkernel_words(degree: int, seed: int = DEFAULT_PANEL_SEED) -> tuple[TraceWord, ...]:
     """The words of the degree outside the kernel on the default seeded
     panel, found once per degree and seed."""
-    seed, degree = _seed(seed), _integer(degree, "degree")
+    seed, degree = _args.seed(seed), _args.integer(degree, "degree")
     mats = _letter_matrices(random_panel(seed, DEFAULT_PANEL_SIZE))
     dead = set(_kernel_words(degree, mats))
     return tuple(w for w in enumerate_words(degree) if w not in dead)
@@ -394,7 +370,7 @@ def panel_violations(seed: int = DEFAULT_PANEL_SEED,
     """Max residual per key of each identity in PANEL_IDENTITIES over one
     seeded panel, as {name: {key: max}}; the panel is drawn and its letter
     matrices and word products are formed once, as stacks."""
-    panel = random_panel(_seed(seed), _integer(panel_size, "panel_size"))
+    panel = random_panel(_args.seed(seed), _args.integer(panel_size, "panel_size", 1))
     mats = _letter_matrices(panel)
     return {name: {key: float(np.max(r))
                    for key, r in residuals(panel, mats).items()}
@@ -429,7 +405,7 @@ def _numerical_rank(matrix: np.ndarray) -> int:
 def rank_at_degree(degree: int, include_products: bool,
                    seed: int = DEFAULT_PANEL_SEED) -> int:
     """Numerical rank of the evaluation matrix of all degree-d candidate
-    invariants on twice as many seeded random states as columns.  The
+    invariants, d in 1..6, on twice as many seeded random states as columns.  The
     candidates are the complex traces of the non-kernel words and, when
     asked, the lower-degree products.
 
@@ -443,9 +419,7 @@ def rank_at_degree(degree: int, include_products: bool,
     are real; with products, degree 5 gives 23 (of 25) and degree 6 gives 70
     (of 90); each conjugate pair of complex words (agbgg/aggbg at degree 5,
     five pairs at degree 6) spans its real and its imaginary part."""
-    seed, degree = _seed(seed), _integer(degree, "degree")
-    if degree > 6:
-        raise ValueError(f"rank evaluation supports degree <= 6, got {degree}")
+    seed, degree = _args.seed(seed), _args.integer(degree, "degree", 1, 6)
     candidates: list[tuple[str, ...]] = [(w.letters,) for w in nonkernel_words(degree, seed)]
     if include_products:
         candidates += _product_candidates(degree, seed)
@@ -488,7 +462,7 @@ def degree4_completion_rank(seed: int = DEFAULT_PANEL_SEED) -> int:
     Trace words plus products span a 14-dimensional subspace of the
     15-dimensional degree-4 invariant space; adjoining the quartic restores
     the full count, so this returns 15."""
-    seed = _seed(seed)
+    seed = _args.seed(seed)
     candidates = [(w.letters,) for w in nonkernel_words(4, seed)]
     candidates += _product_candidates(4, seed)
     return _numerical_rank(_evaluation_matrix(candidates, seed,
@@ -527,9 +501,8 @@ def independence_evidence(degree_cap: int, seed: int = DEFAULT_PANEL_SEED) -> in
 
     The returned rank can never exceed 24, the dimension of the quotient of
     the su(6) adjoint orbit space by the local action (35 - 11)."""
-    seed, degree_cap = _seed(seed), _integer(degree_cap, "degree_cap")
-    if not 1 <= degree_cap <= MAX_WORD_DEGREE:
-        raise ValueError(f"degree_cap must be in 1..{MAX_WORD_DEGREE}, got {degree_cap}")
+    seed = _args.seed(seed)
+    degree_cap = _args.integer(degree_cap, "degree_cap", 1, MAX_WORD_DEGREE)
     words = [w for d in range(1, degree_cap + 1) for w in nonkernel_words(d, seed)]
     rng = np.random.default_rng(seed)
     best = 0
@@ -580,12 +553,10 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
     by global SU(6) unitaries, so a sequence must be of one kind; pass
     unitary="local"/"global" to override (e.g. a trace word under a global
     unitary is the negative control)."""
-    seed, selectors = _seed(seed), _one_or_many(selector)[0]
+    seed, selectors = _args.seed(seed), _one_or_many(selector)[0]
     if not selectors:
         raise ValueError("no invariant selector given")
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _args.integer(trials, "trials", 1)
     if unitary is None:
         kinds = {isinstance(x, str) and x in _CASIMIR_SELECTORS for x in selectors}
         if len(kinds) > 1:

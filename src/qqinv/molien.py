@@ -82,6 +82,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _args
+
 DEFAULT_DEGREE_CAP = 20
 #: the largest box, in bytes, that a thread keeps for its next request
 _SCRATCH_BOX_MAX_BYTES = 1 << 24
@@ -577,22 +579,6 @@ def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[
     return [least + (t - least) % product for t in total]
 
 
-def _integer(value, name: str) -> int:
-    """value as a Python int (a numpy integer will do); a bool, a float or
-    None raises a TypeError naming it."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _check_degree(value, name: str = "max_degree") -> int:
-    """A degree bound as a Python int, or the error that a bad one raises."""
-    value = _integer(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return value
-
-
 def molien_series(ws: WeightSystem, max_degree: int, *,
                   backend: str = "weyl",
                   degree_cap: int = DEFAULT_DEGREE_CAP) -> list[int]:
@@ -608,12 +594,10 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     _constant_terms), so the counts are exact at every degree.
 
     Requests beyond degree_cap are rejected so that runaway degrees fail
-    fast; pass a larger degree_cap explicitly to override.  max_degree and
-    degree_cap are integers (a numpy integer will do), never a bool or a
-    float.
+    fast; pass a larger degree_cap explicitly to override.
     """
-    max_degree = _check_degree(max_degree)
-    degree_cap = _check_degree(degree_cap, "degree_cap")
+    max_degree = _args.integer(max_degree, "max_degree", 0)
+    degree_cap = _args.integer(degree_cap, "degree_cap", 0)
     if max_degree > degree_cap:
         raise ValueError(
             f"max_degree {max_degree} exceeds the resource cap {degree_cap}; "
@@ -634,19 +618,10 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
 
 def rational_series(numerator, denominator_exponents, max_degree: int) -> list[int]:
     """Taylor coefficients 0..max_degree of N(q) / prod (1 - q^deg)^mult,
-    exact integer arithmetic; max_degree is checked as molien_series checks
-    it, every numerator coefficient is an integer, and each denominator
-    degree and multiplicity is an integer >= 1."""
-    max_degree = _check_degree(max_degree)
-    denominator_exponents = [(_integer(deg, "denominator degree"),
-                              _integer(mult, "denominator multiplicity"))
-                             for deg, mult in denominator_exponents]
-    for deg, mult in denominator_exponents:
-        if deg < 1:
-            raise ValueError(f"denominator degree must be >= 1, got {deg}")
-        if mult < 1:
-            raise ValueError(f"denominator multiplicity must be >= 1, got {mult}")
-    series = [_integer(c, "numerator coefficient") for c in numerator]
+    exact integer arithmetic."""
+    max_degree = _args.integer(max_degree, "max_degree", 0)
+    denominator_exponents = _args.degree_pairs(denominator_exponents, "denominator")
+    series = [_args.integer(c, "numerator coefficient") for c in numerator]
     series = series[:max_degree + 1]
     series += [0] * (max_degree + 1 - len(series))
     for deg, mult in denominator_exponents:
@@ -668,7 +643,8 @@ def _functional_equation(numerator, denominator_exponents):
     is the denominator's degree minus lo + hi.  Zero padding at either end
     of the list is no part of P; an all-zero numerator has no equation.
     """
-    num = [_integer(c, "numerator coefficient") for c in numerator]
+    num = [_args.integer(c, "numerator coefficient") for c in numerator]
+    denominator_exponents = _args.degree_pairs(denominator_exponents, "denominator")
     support = [k for k, c in enumerate(num) if c]
     if not support:
         return None
@@ -688,7 +664,8 @@ def _functional_equation(numerator, denominator_exponents):
 def palindromy_check(numerator, denominator_exponents, sign: int,
                      top_degree: int) -> bool:
     """Whether M(1/q) = sign * q^top_degree * M(q) for the rational form."""
-    return _functional_equation(numerator, denominator_exponents) == (sign, top_degree)
+    expected = _args.integer(sign, "sign"), _args.integer(top_degree, "top_degree")
+    return _functional_equation(numerator, denominator_exponents) == expected
 
 
 @dataclass(frozen=True)
@@ -727,18 +704,16 @@ def complete_numerator_by_palindromy(prefix: dict[int, int],
 
     Any coefficient stated on both sides of the mirror must agree; an
     inconsistent prefix is reported by raising, never patched over, and so
-    is a degree outside 0..top_degree.  top_degree, every stated degree and
-    every coefficient must be an integer (a TypeError names the one that is
-    not).
+    is a degree outside 0..top_degree.
     """
-    top_degree = _integer(top_degree, "top_degree")
+    top_degree = _args.integer(top_degree, "top_degree", 0)
     coeffs = [None] * (top_degree + 1)
     for k, v in prefix.items():
-        k = _integer(k, "numerator degree")
+        k = _args.integer(k, "numerator degree")
         if not 0 <= k <= top_degree:
             raise ValueError(
                 f"numerator degree {k} is outside 0..{top_degree}")
-        coeffs[k] = _integer(v, "numerator coefficient")
+        coeffs[k] = _args.integer(v, "numerator coefficient")
     for k in range(top_degree + 1):
         mirror = top_degree - k
         if coeffs[k] is not None and coeffs[mirror] is not None:

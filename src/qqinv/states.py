@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from . import _args
 from .su_algebra import SU6_GENERATORS, SU6_NORMS
 
 HERM_TOL = 1e-9
@@ -70,17 +71,6 @@ def _gather_table() -> tuple[np.ndarray, np.ndarray]:
 _GATHER_INDEX, _GATHER_COEF = _gather_table()
 
 
-def _real_field(name: str, value) -> np.ndarray:
-    """A coordinate field as a float array; only integer and float input is
-    converted.  Complex input is rejected (the conversion would drop the
-    imaginary part), and so are booleans and objects (it would read them as
-    numbers)."""
-    value = np.asarray(value)
-    if value.dtype.kind not in "iuf":
-        raise ValueError(f"field {name!r} has dtype {value.dtype}, expected real coordinates")
-    return np.asarray(value, dtype=float)
-
-
 class QubitQutritState:
     """Bloch-type coordinates of a 6x6 unit-trace Hermitian matrix, or of a
     stack of them, as one float array x = (a, b, C row by row) of shape
@@ -93,7 +83,8 @@ class QubitQutritState:
         row by row, all over the batch shape of a, and be real; any other
         shape is rejected, not reshaped (C.T would scramble the
         correlations).  The state holds a copy of the three fields."""
-        a, b, C = _real_field("a", a), _real_field("b", b), _real_field("C", C)
+        a, b, C = (_args.real_array(a, "a"), _args.real_array(b, "b"),
+                   _args.real_array(C, "C"))
         if a.shape[-1:] != (3,):
             raise ValueError(f"field 'a' has shape {a.shape}, expected (..., 3)")
         batch = a.shape[:-1]
@@ -225,6 +216,11 @@ def state_to_xi(state: QubitQutritState) -> np.ndarray:
 
 # -- random ensembles ---------------------------------------------------------
 
+def _generators(seeds) -> list[np.random.Generator]:
+    """default_rng(seed) for each seed, each read as a seed first."""
+    return [np.random.default_rng(_args.seed(seed)) for seed in seeds]
+
+
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -253,12 +249,10 @@ def random_densities(seeds, ensemble: str = "ginibre-full-rank") -> QubitQutritS
         k = ensemble[5:]
         if not (k.isascii() and k.isdigit()) or k != str(int(k)):
             raise ValueError(f"malformed ensemble {ensemble!r}")
-        r = int(k)
-        if not 1 <= r <= 6:
-            raise ValueError(f"rank must be in 1..6, got {r}")
+        r = _args.integer(int(k), "rank", 1, 6)
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    A = _ginibres(map(np.random.default_rng, seeds), 6, r)
+    A = _ginibres(_generators(seeds), 6, r)
     rho = A @ A.conj().swapaxes(-1, -2)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
     return from_matrix(rho)
@@ -277,7 +271,7 @@ def random_nonpsd_unit_traces(seeds, min_negative_eigenvalue: float) -> QubitQut
     m = float(min_negative_eigenvalue)
     if not -1.0 <= m < 0.0:
         raise ValueError(f"min_negative_eigenvalue must lie in [-1, 0), got {m}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = _generators(seeds)
     h = _ginibres(rngs, 6, 6)
     h = (h + h.conj().swapaxes(-1, -2)) / 2
     _, vecs = np.linalg.eigh(h)
@@ -315,7 +309,7 @@ def random_su(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_unitaries(seeds, local: bool) -> np.ndarray:
     """(N, 6, 6) stack with u[i] = random_local_unitary(seeds[i]) when local,
     else random_global_unitary(seeds[i]); one generator per seed, bit for bit."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = _generators(seeds)
     if not local:
         return _haar(_ginibres(rngs, 6, 6) / math.sqrt(2))
     # each generator draws its SU(2) factor before its SU(3) factor
@@ -351,18 +345,6 @@ def state_to_json_dict(state: QubitQutritState) -> dict:
                     "C": state.C.tolist()}}
 
 
-def _float_array(value, key: str) -> np.ndarray:
-    """A JSON field as a float array; strings, objects, booleans and ragged
-    nesting are rejected, not converted."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValueError(f"field {key!r} is not a numeric array")
-    return arr.astype(float)
-
-
 def state_from_json_dict(doc: dict) -> QubitQutritState:
     """Parse either the {"abc": ...} or the {"rho": ...} file form.
 
@@ -379,7 +361,7 @@ def state_from_json_dict(doc: dict) -> QubitQutritState:
         for key, shape in (("a", (3,)), ("b", (8,)), ("C", (3, 8))):
             if key not in abc:
                 raise ValueError(f"missing field {key!r} in abc state")
-            fields[key] = _float_array(abc[key], key)
+            fields[key] = _args.real_array(abc[key], key)
             if fields[key].shape != shape:
                 raise ValueError(
                     f"field {key!r} has shape {fields[key].shape}, expected {shape}")
@@ -387,7 +369,7 @@ def state_from_json_dict(doc: dict) -> QubitQutritState:
                 raise ValueError(f"field {key!r} has non-finite entries")
         return QubitQutritState(fields["a"], fields["b"], fields["C"])
     if "rho" in doc:
-        raw = _float_array(doc["rho"], "rho")
+        raw = _args.real_array(doc["rho"], "rho")
         if raw.shape != (6, 6, 2):
             raise ValueError(
                 f"field 'rho' has shape {raw.shape}, expected (6, 6, 2) re/im pairs")

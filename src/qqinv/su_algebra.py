@@ -27,11 +27,12 @@ verified by exhaustive contraction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from . import _args
 
 HERMITICITY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-9
@@ -274,7 +275,7 @@ def closure_max_violation(basis: SuBasis, sc: StructureConstants,
                           seed: int) -> float:
     """Max violation of t_A t_B = (2/n) delta_AB I + (d_ABC + i f_ABC) t_C
     over CLOSURE_PAIRS seeded random index pairs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_args.seed(seed))
     t = basis.elements
     k, n = len(basis), basis.n
     a, b = rng.integers(0, k, size=(CLOSURE_PAIRS, 2)).T
@@ -288,12 +289,11 @@ def closure_max_violation(basis: SuBasis, sc: StructureConstants,
 
 def _check_indices(indices, dim: int) -> np.ndarray:
     """indices as an (m, k) int array: one tuple is the stack of m = 1.
-    Each index must be an integer; a float or a bool is rejected, not cast
-    (numpy reads [True, 1] as the ints (1, 1))."""
+    Each index is read as an integer, not cast (numpy reads [True, 1] as the
+    ints (1, 1) and [0.9, 0.2] as (0, 0))."""
     items = np.asarray(indices, dtype=object)
     for i in items.flat:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise TypeError(f"indices must be integers, got {i!r}")
+        _args.integer(i, "index")
     idx = items.astype(np.int64)
     if idx.ndim not in (1, 2):
         raise ValueError(f"indices must be one tuple or an (m, k) stack, "

@@ -43,30 +43,6 @@ def test_vee_dimension_mismatch():
         vee(np.zeros(3), np.zeros(3), SC3)
 
 
-def test_vee_routes_reject_complex_vectors():
-    # numpy would drop the imaginary part with a ComplexWarning
-    xi = states.state_to_xi(random_density(4)) * 1j
-    with pytest.raises(ValueError, match="'xi' has dtype complex128"):
-        casimirs_from_vee(xi, SC6)
-    with pytest.raises(ValueError, match="'u' has dtype complex128"):
-        vee(xi, xi.real, SC6)
-    with pytest.raises(ValueError, match="'v' has dtype complex128"):
-        vee(xi.real, xi, SC6)
-
-
-def test_vee_routes_reject_boolean_vectors():
-    # casimirs_from_vee(np.ones(35, bool), sc6) read the bools as ones and
-    # returned c2 = 175.0
-    ones = np.ones(35, bool)
-    with pytest.raises(ValueError, match="^field 'xi' has dtype bool, expected real"):
-        casimirs_from_vee(ones, SC6)
-    with pytest.raises(ValueError, match="^field 'u' has dtype bool"):
-        vee(ones, np.ones(35), SC6)
-    with pytest.raises(ValueError, match="^field 'v' has dtype bool"):
-        vee(np.ones(35), ones, SC6)
-    assert casimirs_from_vee(np.ones(35, int), SC6) == casimirs_from_vee(np.ones(35), SC6)
-
-
 def test_casimirs_maximally_mixed():
     cas = casimirs_from_traces(QubitQutritState.zero())
     assert np.abs(cas.raw).max() == 0.0

@@ -91,13 +91,13 @@ def test_option_defaults_are_read_from_their_modules(capsys):
 def test_molien_negative_degree_names_the_cli_option(capsys):
     code, _ = run_cli("molien", "--group", "2x2", "--degree", "-1")
     assert code == 2
-    assert capsys.readouterr().err == "qqinv: --degree must be >= 0\n"
+    assert capsys.readouterr().err == "qqinv: --degree must be >= 0, got -1\n"
 
 
 def test_molien_negative_cap_names_the_cli_option(capsys):
     code, _ = run_cli("molien", "--group", "2x2", "--degree", "3", "--cap", "-1")
     assert code == 2
-    assert capsys.readouterr().err == "qqinv: --cap must be >= 0\n"
+    assert capsys.readouterr().err == "qqinv: --cap must be >= 0, got -1\n"
 
 
 def test_molien_cap_override():
@@ -284,7 +284,7 @@ def test_negative_seed_is_input_error(mixed_file, seed, capsys):
     assert code == 2 and out == ""
     code, out = run_cli("selftest", "--seed", seed)
     assert code == 2 and out == ""
-    assert capsys.readouterr().err.count("qqinv: --seed must be >= 0") == 2
+    assert capsys.readouterr().err.count(f"qqinv: --seed must be >= 0, got {seed}\n") == 2
 
 
 def test_invariants_flags_complex_words(tmp_path):

@@ -429,7 +429,7 @@ def test_kernel_degree2_and_1():
 
 
 def test_kernel_rejects_high_degree():
-    with pytest.raises(ValueError, match="degree <= 6"):
+    with pytest.raises(ValueError, match="^degree must be in 1..6, got 7$"):
         kernel_at_degree(7)
 
 
@@ -544,7 +544,7 @@ def test_panel_violations_form_su3_contractions_once(monkeypatch, seed, size):
 
 def test_random_panel_rejects_empty():
     for size in (0, -3):
-        with pytest.raises(ValueError, match="panel size"):
+        with pytest.raises(ValueError, match=rf"^size must be >= 1, got {size}$"):
             li.random_panel(5, size)
 
 
@@ -694,7 +694,7 @@ def test_correlation_quartic_outside_word_span():
 
 
 def test_rank_rejects_high_degree():
-    with pytest.raises(ValueError, match="degree <= 6"):
+    with pytest.raises(ValueError, match="^degree must be in 1..6, got 7$"):
         rank_at_degree(7, include_products=False)
 
 
@@ -788,7 +788,7 @@ def test_invariance_rejects_mixed_or_empty_selectors():
 
 
 def test_invariance_rejects_bad_trials():
-    with pytest.raises(ValueError, match="trials"):
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
         invariance_test("aa", 0)
 
 

@@ -1,5 +1,7 @@
-"""The package's public namespace, and the modules each entry point loads."""
+"""The package's public namespace, the modules each entry point loads, and
+the one home of the argument contract."""
 
+import ast
 import json
 import os
 import subprocess
@@ -61,17 +63,36 @@ def test_star_import_binds_every_exported_name():
 def test_importing_the_package_loads_no_submodule():
     assert loaded_modules("import qqinv\nshow()\n"
                           "from qqinv import molien_series\nshow()\n") == [
-        ["qqinv"], ["qqinv", "qqinv.molien"]]
+        ["qqinv"], ["qqinv", "qqinv._args", "qqinv.molien"]]
 
 
 def test_molien_command_loads_only_the_molien_module():
     assert cli_modules("molien", "--group", "2x3", "--degree", "4") == {
-        "qqinv", "qqinv.cli", "qqinv.molien"}
+        "qqinv", "qqinv._args", "qqinv.cli", "qqinv.molien"}
 
 
 def test_positivity_command_does_not_load_the_trace_words(tmp_path):
     path = tmp_path / "state.json"
     save_state(QubitQutritState.zero(), str(path))
     assert cli_modules("positivity", str(path)) == {
-        "qqinv", "qqinv.cli", "qqinv.states", "qqinv.casimir_positivity",
-        "qqinv.su_algebra"}
+        "qqinv", "qqinv._args", "qqinv.cli", "qqinv.states",
+        "qqinv.casimir_positivity", "qqinv.su_algebra"}
+
+
+def test_only_the_argument_module_reads_integers():
+    # the integer rule lives in qqinv._args; a second copy of it would drift
+    offenders = []
+    for path in sorted(Path(qqinv.__file__).parent.glob("*.py")):
+        if path.name == "_args.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(n, ast.Constant) and "must be an integer" in str(n.value)
+                    for n in ast.walk(node)):
+                offenders.append(f"{path.name}:{node.lineno} raises the message")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for n in ast.walk(node.args[1]))):
+                offenders.append(f"{path.name}:{node.lineno} tests for bool")
+    assert offenders == []

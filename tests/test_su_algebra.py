@@ -400,7 +400,7 @@ def test_symmetrized_trace_rejects_non_integer_and_empty_indices(route):
     for bad, shown in (([0.9, 0.2], "0.9"), ([True, 1], "True"),
                        (np.array([1.0, 2.0]), "1.0"), ([[0, 1], [2, 2.5]], "2.5"),
                        (np.array([True, False]), "True")):
-        with pytest.raises(TypeError, match=f"indices must be integers, got {shown}"):
+        with pytest.raises(TypeError, match=f"^index must be an integer, got {shown}$"):
             fn(arg, bad)
     for empty in ([], ()):
         with pytest.raises(ValueError, match="need 2..6 indices, got 0"):
