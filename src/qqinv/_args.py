@@ -8,6 +8,7 @@ a ValueError for one out of range or malformed.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -25,6 +26,15 @@ def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> i
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def real(value, name: str) -> float:
+    """A real scalar as a Python float.  Python and numpy integers and
+    floats will do (any numbers.Real); a bool, a str, None or a complex
+    number raises a TypeError, never a cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def seed(value, name: str = "seed") -> int:

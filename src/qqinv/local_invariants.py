@@ -475,13 +475,12 @@ def trace_jacobian(words, point: np.ndarray) -> np.ndarray:
     over k in states.LETTER_SLICES[g], so d tr(L_1...L_d)/dx_k sums tr(G_k L_{i+1}...
     L_d L_1...L_{i-1}) over the positions i of that letter (I6 if that is empty)."""
     words = [_letters(w) for w in _one_or_many(words)[0]]
-    x = np.asarray(point)
-    if x.shape != (35,) or x.dtype.kind not in "iuf":
-        raise ValueError(f"point must be a real vector of 35 coordinates, "
-                         f"got {x.dtype} array of shape {x.shape}")
+    x = _args.real_array(point, "point")
+    if x.shape != (35,):
+        raise ValueError(f"point must be a vector of 35 coordinates, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
-    mats = _letter_matrices(QubitQutritState._of(np.asarray(x, float)))
+    mats = _letter_matrices(QubitQutritState._of(x))
     mats[""] = np.eye(6)
     rot = np.zeros((len(LETTERS), len(words), 6, 6), dtype=complex)
     for j, w in enumerate(words):

@@ -14,24 +14,28 @@ All arithmetic is exact and no floating point enters this module.  The
 truncated product is built in a dense box of Laurent coefficients per
 q-degree, pruned to the cells that can still reach the kernel's exponents.
 The factors are applied in a fixed order (zero weights, then weights at rest
-on axis 0, then weights moving axis 0 and another axis, then weights on
-axis 0 alone), and factor k updates degree d of N on its own window
-|p_a| <= min(d P_ka, (N - d) S_ka + reach_a): P_ka is the largest |w_a| of
-the factors applied so far (k included), which bounds the support of the
-partial product, S_ka the largest |w_a| of the factors still to come
-(k included), which bounds how far a cell can still move, and reach_a the
-largest kernel exponent on axis a.  The box has the radius of the widest
-window, about half the full radius N wmax_a, and is stored flat: degree
-after degree, and within a degree the torus axes in order, the last
-innermost.  Each update is then one contiguous add from the first cell of
-its window to the last.  Such a run also covers the cells outside the window
-between its rows and planes, and a read there may cross a row or plane end;
-gutters of max |w_a| cells at both ends of the two inner axes (of the middle
-one only when the first has more than one plane) keep every cell of the box
-proper reading its true predecessor, and the gutter cells that the kernel
-can still reach hold exactly 0 (see _build_product_boxes for the proof that
-every read cell is exact).  The zero weights never leave the origin, which
-starts from C(d + z - 1, d) in closed form.
+on axis 0, then weights moving axis 0 and another axis, then weights on axis
+0 alone), and factor k updates degree d of N on its own window |p_a| <=
+min(d P_ka, (N - d) S_ka + reach_a): P_ka is the largest |w_a| of the
+factors applied so far (k included), which bounds the support of the partial
+product, S_ka the largest |w_a| of the factors still to come (k included),
+which bounds how far a cell can still move, and reach_a the largest kernel
+exponent on axis a.  The box is stored flat: degree after degree, and within
+a degree the torus axes in order, the last innermost.  The slab axis, the
+first that a weight moves, reaches at degree d only its widest window there,
+min(d wmax_a, (N - d) wmax_a + reach_a), so each degree is a slab of its own
+number of planes; every other axis has the radius of its widest window at
+any degree, about half the full radius N wmax_a, so every plane has one
+size.  Each update is then one contiguous add from the first cell of its
+window to the last, reading the slab of the degree before.  Such a run also
+covers the cells outside the window between its rows and planes, and a read
+there may cross a row or plane end; gutters of max |w_a| cells at both ends
+of the axes after the slab axis (of the middle one only when the slab axis
+is the first and has more than one plane) keep every cell of the box proper
+reading its true predecessor, and the gutter cells that the kernel can still
+reach hold exactly 0 (see _build_product_boxes for the proof that every read
+cell is exact).  The zero weights never leave the origin, which starts from
+C(d + z - 1, d) in closed form.
 
 Every box entry counts weight multisets, so it is bounded by C(m + d - 1, d)
 for m weights at degree d.  The box is uint64.  While the bound is below
@@ -48,13 +52,13 @@ All of this but the box itself depends only on (weights, N, reach): the
 application order, the geometry, the origin seeds and the offset of every
 run are planned once per such key and kept in a bounded cache (_box_plan),
 and both backends, having the same reach, share one plan, which also keeps
-each kernel's cell offsets.  A pass zeroes its box, seeds the origin,
-builds its (dst, src) views from the offsets and adds them; the plan cache
-never holds a box or a view.  The boxes of molien_series live in one
-anonymous memory mapping per thread, outside the malloc heap, kept up to
-_SCRATCH_BOX_MAX_BYTES for the thread's next request (_scratch_box), so a
-process's resident memory does not depend on where in that heap its boxes
-happened to land.
+each kernel's cell offsets at every degree.  A pass zeroes its box, seeds
+the origins, builds its (dst, src) views from the offsets and adds them;
+the plan cache never holds a box or a view.  The boxes of molien_series
+live in one anonymous memory mapping per thread, outside the malloc heap,
+kept up to _SCRATCH_BOX_MAX_BYTES (SU(2)xSU(3) through degree 41) for the
+thread's next request (_scratch_box), so a process's resident memory does
+not depend on where in that heap its boxes happened to land.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -249,24 +253,30 @@ class BoxPlan:
     """Everything about one product box that (weights, degree, reach) fix;
     see _box_plan."""
 
-    #: the box as returned, (N + 1, torus axes, size-1 padding)
+    #: the dense view of the box, (N + 1, torus axes, size-1 padding)
     shape: tuple[int, ...]
     #: index of the origin in `shape`, without the degree
     center: tuple[int, ...]
-    #: cells per degree; the box is stored flat, one degree after the other
-    plane: int
-    #: flat offset of the origin within a degree
-    origin: int
     #: flat offset of one step along each torus axis of `shape`
     steps: tuple[int, ...]
+    #: the torus axis whose extent is set per degree: the first one that a
+    #: weight moves (the last if none does); the axes before it have one cell
+    axis: int
+    #: per degree, how far its slab reaches on `axis` either side of the origin
+    extents: tuple[int, ...]
+    #: cells per position on `axis`, the same at every degree
+    plane: int
+    #: flat offset of each degree's slab, one degree after the other, and
+    #: last the end of the box
+    slabs: tuple[int, ...]
+    #: flat offset of each degree's origin
+    origins: np.ndarray
     #: C(m + N - 1, N), the largest possible box entry
     bound: int
     #: the origin per degree after the zero weights, C(d + z - 1, d)
     seeds: tuple[int, ...]
-    #: per window class, how far back in the flat box its reads lie
-    backs: tuple[int, ...]
     #: per window class, one column per live degree: the flat [start, stop)
-    #: of the cells its run reads
+    #: of the cells its run reads, and the flat start of the cells it adds to
     runs: tuple[np.ndarray, ...]
     #: the window class of each nonzero weight, in application order
     which: tuple[int, ...]
@@ -275,7 +285,7 @@ class BoxPlan:
 
     @property
     def cells(self) -> int:
-        return self.shape[0] * self.plane
+        return self.slabs[-1]
 
     @property
     def nbytes(self) -> int:
@@ -283,12 +293,13 @@ class BoxPlan:
         return self.cells * np.dtype(np.uint64).itemsize
 
 
-# A plan holds one run of 8 bytes (int32) per window class and degree, a few
-# KB of array headers and seeds, and the cell offsets of each kernel used
-# with it: with both built-in kernels, 19 KB for SU(2)xSU(3) at degree 76
-# (20 classes), 10 KB at degree 31 and 8 KB for SU(2)xSU(2) at degree 60.
-# 128 plans therefore hold at most about 2.5 MB up to degree 76, however
-# many distinct requests arrive.
+# A plan holds one run of 12 bytes (int32) per window class and degree, a few
+# KB of array headers, seeds and slab offsets, and for each kernel used with
+# it a table of 4 bytes per term and degree.  With both built-in kernels, as
+# tracemalloc counts it, that is 63 KB for SU(2)xSU(3) at degree 76 (20
+# classes, 57 + 12 terms), 29 KB at degree 31 and 19 KB for SU(2)xSU(2) at
+# degree 60.  128 plans therefore hold at most about 8 MB up to degree 76,
+# however many distinct requests arrive.
 @lru_cache(maxsize=128)
 def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPlan:
     """What _build_product_boxes derives from its arguments alone.  It
@@ -300,19 +311,28 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
     if rank > 3:
         raise ValueError(f"torus rank {rank} not supported (max 3)")
     lead = (0,) * (3 - rank)
+    reach = lead + reach
     order = sorted(weights, key=_application_order)
     w = np.array([lead + x for x in order], dtype=np.int64).reshape(-1, 3)
     absw = np.abs(w)
     wmax = absw.max(axis=0, initial=0).tolist()
-    radius = [_box_radius(m, r, max_degree) for m, r in zip(wmax, lead + reach)]
-    # the gutters of axes 1 and 2; see _build_product_boxes
-    half = np.add(radius, [0, wmax[1] if radius[0] else 0, wmax[2]])
+    radius = [_box_radius(m, r, max_degree) for m, r in zip(wmax, reach)]
+    axis = next((a for a in range(3) if wmax[a]), 2)
+    # the gutters of the axes after `axis`; see _build_product_boxes
+    half = np.add(radius, [0, wmax[1] if radius[0] else 0, wmax[2] if axis < 2 else 0])
     size = 2 * half + 1
     steps = np.array([size[1] * size[2], size[2], 1])
-    plane = int(size.prod())
+    plane = int(steps[axis])
+    degree = np.arange(max_degree + 1)
+    extents = np.minimum(degree * wmax[axis],
+                         (max_degree - degree) * wmax[axis] + reach[axis])
+    slabs = np.concatenate([[0], np.cumsum((2 * extents + 1) * plane)])
+    # slab d is the dense degree d without its first c - r_d planes
+    origins = slabs[:-1] + (extents - half[axis]) * plane + half @ steps
     zeros = sum(1 for x in order if not any(x))
     # the windows of every distinct (w, P_k, S_k) at every degree at once,
-    # as inclusive index bounds per axis, shape (factors, degrees 1..N, axes)
+    # as inclusive bounds per axis around the origin, shape
+    # (factors, degrees 1..N, axes)
     prefix = np.maximum.accumulate(absw)
     suffix = np.maximum.accumulate(absw[::-1])[::-1]
     index = {}
@@ -320,29 +340,34 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
                   map(tuple, np.hstack([w, prefix, suffix])[zeros:].tolist()))
     factors = np.array(list(index), dtype=np.int64).reshape(-1, 9)
     shift, p, s = factors[:, None, :3], factors[:, None, 3:6], factors[:, None, 6:]
-    degree = np.arange(max_degree + 1)[:, None]
-    radii = np.minimum(degree * p, (max_degree - degree) * s + (lead + reach))
-    first = np.maximum(-radii[:, 1:], shift - radii[:, :-1]) + half
-    last = np.minimum(radii[:, 1:], shift + radii[:, :-1]) + half
+    radii = np.minimum(degree[:, None] * p, (max_degree - degree[:, None]) * s + reach)
+    first = np.maximum(-radii[:, 1:], shift - radii[:, :-1])
+    last = np.minimum(radii[:, 1:], shift + radii[:, :-1])
     # a shift wider than both windows leaves first > last on some axis,
     # where the flat run would be empty or wrapped, so it must be skipped
     live = (first <= last).all(axis=2)
-    # each run is the flat range from the first window cell to the last; it
-    # reads the cells `back` before it, one degree and w back
-    backs = plane + factors[:, :3] @ steps
-    dst = np.arange(1, max_degree + 1) * plane - backs[:, None]
-    table = np.stack([first @ steps + dst, last @ steps + dst + 1]).astype(
-        np.int32 if (max_degree + 1) * plane < 2 ** 31 else np.int64)
+    # each run is the flat range from the first window cell to the last of
+    # degree d; it reads the cells o_d - o_(d-1) + fl(w) before it
+    src = origins[:-1] - (factors[:, :3] @ steps)[:, None]
+    table = np.stack([first @ steps + src, last @ steps + src + 1,
+                      first @ steps + origins[1:]]).astype(_offset_type(slabs[-1]))
     runs = tuple(table[:, k, live[k]] for k in range(len(factors)))
-    for array in runs:
+    for array in runs + (origins,):
         array.flags.writeable = False
     return BoxPlan(
         shape=(max_degree + 1,) + tuple(size.tolist()[3 - rank:]) + (1,) * (3 - rank),
-        center=tuple(half.tolist()[3 - rank:]) + lead, plane=plane,
-        origin=int(half @ steps), steps=tuple(steps.tolist()[3 - rank:]),
-        bound=_coefficient_bound(len(w), max_degree),
+        center=tuple(half.tolist()[3 - rank:]) + lead,
+        steps=tuple(steps.tolist()[3 - rank:]), axis=axis - (3 - rank),
+        extents=tuple(extents.tolist()), plane=plane, slabs=tuple(slabs.tolist()),
+        origins=origins, bound=_coefficient_bound(len(w), max_degree),
         seeds=(1,) + tuple(math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)),
-        backs=tuple(backs.tolist()), runs=runs, which=which)
+        runs=runs, which=which)
+
+
+def _offset_type(cells: int) -> type:
+    """The integer type of the flat offsets of a box of `cells` cells and
+    the cell after it."""
+    return np.int32 if cells < 2 ** 31 else np.int64
 
 
 def _build_product_boxes(weights, rank: int, max_degree: int, reach,
@@ -359,33 +384,45 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
     beyond d P_ka), and S_ka = max_{j >= k} |w_ja|, k included, bounds how
     far factors k..m can still move a cell.
 
-    Layout.  The torus axes are padded to three at the front.  The radius
-    c_a = max_d min(d wmax_a, (N - d) wmax_a + reach_a) covers every window,
-    and axes 1 and 2 have gutters of g_a cells beyond c_a at both ends, so
-    that axis a has h_a = c_a + g_a cells on either side of the origin and
-    S_a = 2 h_a + 1 in all.  The box is stored flat, degree after degree with
-    axis 2 innermost: cell p (origin 0) of degree d sits at d V + fl(p), V
-    the cells per degree and fl(p) = (p_0 S_1 + p_1) S_2 + p_2.  Factor k
-    updates degree d with one add over the flat range from the first to the
-    last cell of its window, which also covers the cells between window rows
-    outside the window; the read of a cell lies V + fl(w) before it.
-    g_2 = wmax_2, and g_1 = wmax_1 when axis 0 has more than one plane; with
-    one plane a run keeps to the window's rows of axis 1, which needs no
-    gutter.  A gutter cell is one with |p_1| > c_1 or |p_2| > c_2.
+    Layout.  The torus axes are padded to three at the front.  Axis A is
+    the first that a weight moves (the last if none does); the axes before
+    it have one cell.  At degree d, A reaches r_d = min(d wmax_A,
+    (N - d) wmax_A + reach_A) either side of the origin.  Each axis a after
+    A has the radius c_a = max_d min(d wmax_a, (N - d) wmax_a + reach_a)
+    and a gutter of g_a cells beyond it at both ends, so that it has
+    h_a = c_a + g_a cells either side of the origin and S_a = 2 h_a + 1 in
+    all.  The box is stored flat, degree after degree, axis 2 innermost:
+    degree d is a slab of 2 r_d + 1 planes of V = prod_{a > A} S_a cells,
+    its origin o_d the middle cell, and cell p of degree d sits at
+    o_d + fl(p), fl(p) = (p_0 S_1 + p_1) S_2 + p_2 (the step of A is V).
+    Every window of factor k at degree d lies within r_d on A, since
+    P_kA, S_kA <= wmax_A, and within c_a on the other axes.  Factor k
+    updates degree d with one add over the flat range from the first to
+    the last cell of its window, which also covers the cells between
+    window rows outside the window; the read of a cell lies
+    o_d - o_(d-1) + fl(w) before it.  g_2 = wmax_2 when A < 2, and
+    g_1 = wmax_1 when A = 0 and c_0 > 0; with one plane on axis 0 a run
+    keeps to the window's rows of axis 1, which then needs no gutter, and
+    A needs none by (i).  A gutter cell is one with |p_a| > c_a on an axis
+    a after A.
 
-    (i) Reads.  The read of a cell p stays in degree d - 1, and it is p - w
-    unless p is a gutter cell.  If |p_a| <= c_a then |p_a - w_a| <= h_a, so
-    a read carries from axis 2 into axis 1, or from axis 1 into axis 0, only
-    from a gutter cell, and by one step at most.  A carry into axis 0 keeps
-    the read within |p_0| <= c_0: the first plane of a run starts at a
-    window cell and cannot borrow, the last ends at one and cannot carry,
-    and the planes between are strictly inside the window, whose reads
-    p_0 - w_0 lie within c_0.  Without a carry the read is p - w, in the box
-    on axis 0 because the window is.
+    (i) Reads.  The window of factor k at degree d is cut to the cells p
+    whose p - w lies in its window at degree d - 1, within r_(d-1) on A and
+    within c_a on the other axes.  The read of a cell p is p - w at degree
+    d - 1 unless p is a gutter cell.  If |p_a| <= c_a then
+    |p_a - w_a| <= h_a, so a read carries from axis 2 into axis 1, or from
+    axis 1 into axis 0, only from a gutter cell, and by one step at most.
+    A carry into A keeps the read within |p_A| <= r_(d-1): the first plane
+    of a run starts at a window cell and cannot borrow, the last ends at
+    one and cannot carry, and the planes between are strictly inside the
+    window, whose reads p_A - w_A lie within r_(d-1).  So a carry across a
+    plane end stays inside the source slab, and every read of a run lies in
+    slab d - 1.
 
-    (ii) Support.  A read moves an entry by V + fl(w) and the seeds sit at
-    the origin, so a cell p of degree d holds a nonzero entry only if
-    fl(p) = fl(u) for a sum u of d weights, |u_a| <= d wmax_a.
+    (ii) Support.  A read moves an entry from o_(d-1) + x to o_d + x +
+    fl(w) and the seeds sit at the origins, so a cell p of degree d holds a
+    nonzero entry only if fl(p) = fl(u) for a sum u of d weights,
+    |u_a| <= d wmax_a.
 
     (iii) Exactness.  Let K_k(d) be the cone |p_a| <= (N - d) S_ka + reach_a
     of cells that factors k..m can still carry to the kernel.  The zero
@@ -394,8 +431,9 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
     form.  From there, by induction over k and d, once factor k has run
     through degree d every cell of K_k(d) in the box holds the coefficient
     of the product of w_1..w_k; a cell of K_k(d) beyond the box has
-    coefficient 0, as c_a >= min(d wmax_a, (N - d) wmax_a + reach_a) puts it
-    beyond the support d wmax_a.
+    coefficient 0, as degree d reaches r_d = min(d wmax_A, (N - d) wmax_A +
+    reach_A) on A and c_a >= min(d wmax_a, (N - d) wmax_a + reach_a) on the
+    other axes, which puts it beyond the support d wmax_a on some axis a.
       A gutter cell p in K_k(d), with |p_a| > c_a, has
       c_a < (N - d) wmax_a + reach_a, so d wmax_a <= c_a by the definition
       of c_a, and its coefficient is 0.  So is its entry.  Let u be as in
@@ -422,22 +460,29 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
     by wraparound, or an odd modulus below 2^62, subtracted once after an
     add whenever the sum reaches it.  No entry exceeds C(m + N - 1, N), so
     the 2^64 pass is the exact box while that bound is below 2^64.  The
-    box is returned as an (N + 1, X, Y, Z) view with the torus axes first
-    and size-1 padding last, together with the index of the origin.
+    box is returned as a dense (N + 1, X, Y, Z) array with the torus axes
+    first and size-1 padding last, each slab placed in it and the cells
+    beyond r_d on A zero, together with the index of the origin.
 
-    Plan.  The shape, gutters, seeds, window classes and run offsets come
+    Plan.  The slabs, gutters, seeds, window classes and run offsets come
     from _box_plan, computed once per (weights, N, reach) and cached.  Each
-    pass allocates a fresh box from the plan, seeds the origin, builds the
-    (dst, src) views of every run of each class once and adds them class by
-    class in the application order.  These are the windows, runs, order and
-    adds of the proof above, computed by the same formulas, so the proof
-    holds as it stands; the cache only decides when they are computed.
+    pass fills a zeroed flat box, seeds the origins, builds the (dst, src)
+    views of every run of each class once and adds them class by class in
+    the application order.  These are the windows, runs, order and adds of
+    the proof above, computed by the same formulas, so the proof holds as
+    it stands; the cache only decides when they are computed.
     """
     plan = _box_plan(tuple(map(tuple, weights)), operator.index(rank),
                      operator.index(max_degree),
                      tuple(map(operator.index, reach)))
-    box = np.zeros(plan.cells, dtype=np.uint64)
-    return _fill_box(plan, modulus, box).reshape(plan.shape), plan.center
+    box = _fill_box(plan, modulus, np.zeros(plan.cells, dtype=np.uint64))
+    dense = np.zeros(plan.shape, dtype=np.uint64)
+    planes = dense.reshape(len(plan.extents), -1, plan.plane)
+    c = planes.shape[1] // 2
+    for d, r in enumerate(plan.extents):
+        planes[d, c - r:c + r + 1] = box[plan.slabs[d]:plan.slabs[d + 1]].reshape(
+            -1, plan.plane)
+    return dense, plan.center
 
 
 _SCRATCH = threading.local()
@@ -470,14 +515,12 @@ def _scratch_box(cells: int) -> np.ndarray:
 
 def _fill_box(plan: BoxPlan, modulus: int, box: np.ndarray) -> np.ndarray:
     """The flat box of _build_product_boxes modulo 2^64 or an odd modulus
-    below 2^62, built in `box`, a zeroed flat uint64 array of plan.cells."""
-    box[plan.origin::plan.plane] = [s % modulus for s in plan.seeds]
-    # the (dst, src) views of every run, built once per class; ahead[i] is
-    # box[i + back], so a run adds its source box[f0:f1] to ahead[f0:f1]
-    views = []
-    for back, table in zip(plan.backs, plan.runs):
-        ahead = box[back:]
-        views.append([(ahead[f0:f1], box[f0:f1]) for f0, f1 in zip(*table.tolist())])
+    below 2^62, built in `box`, a zeroed flat uint64 array of at least
+    plan.cells cells; no cell beyond them is written."""
+    box[plan.origins] = [s % modulus for s in plan.seeds]
+    # the (dst, src) views of every run, built once per class
+    views = [[(box[to:to + f1 - f0], box[f0:f1]) for f0, f1, to in zip(*table.tolist())]
+             for table in plan.runs]
     if modulus == 2 ** 64:
         for k in plan.which:
             for dst, src in views[k]:
@@ -486,8 +529,8 @@ def _fill_box(plan: BoxPlan, modulus: int, box: np.ndarray) -> np.ndarray:
     # both terms are below the modulus, so the sum is below 2^63 and one
     # conditional subtract reduces it: dst - modulus wraps past dst when
     # dst < modulus, and the minimum keeps the reduced value; no run is
-    # longer than a degree
-    spare = np.empty(plan.plane, dtype=np.uint64)
+    # longer than its slab
+    spare = np.empty((2 * max(plan.extents) + 1) * plan.plane, dtype=np.uint64)
     for k in plan.which:
         for dst, src in views[k]:
             dst += src
@@ -498,19 +541,24 @@ def _fill_box(plan: BoxPlan, modulus: int, box: np.ndarray) -> np.ndarray:
 
 
 def _kernel_cells(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> tuple:
-    """The kernel terms whose cells lie in the box, as (flat offset of each
-    within a degree; their coefficients; the sum of their negative
-    coefficients; the sum of their absolute values).  A term outside the
-    box reads an exact zero.  Kept in the plan per kernel, so that each
-    request makes one gather."""
+    """The kernel terms whose cells lie in the box at some degree, as (an
+    (N + 1, terms) table of their flat offsets, one row per degree; their
+    coefficients; the sum of their negative coefficients; the sum of their
+    absolute values).  A term beyond a degree's extent, whose coefficient
+    there is 0 (see _build_product_boxes), reads offset plan.cells, the
+    cell after the box, which no pass writes: a box of one-cell planes can
+    hold no zero cell of its own.  Kept in the plan per kernel, so that
+    each request makes one gather."""
     key = (exps.tobytes(), coefs.tobytes())
     cells = plan.kernels.get(key)
     if cells is None:
         inside = (np.abs(exps) <= plan.center[:exps.shape[1]]).all(axis=1)
-        offsets = plan.origin - exps[inside] @ plan.steps
-        kept = coefs[inside]
-        offsets.flags.writeable = kept.flags.writeable = False
-        cells = plan.kernels[key] = (offsets, kept, int(kept[kept < 0].sum()),
+        exps, kept = exps[inside], coefs[inside]
+        within = np.abs(exps[:, plan.axis]) <= np.array(plan.extents)[:, None]
+        table = np.where(within, plan.origins[:, None] - exps @ plan.steps,
+                         plan.cells).astype(_offset_type(plan.cells))
+        table.flags.writeable = kept.flags.writeable = False
+        cells = plan.kernels[key] = (table, kept, int(kept[kept < 0].sum()),
                                      int(np.abs(kept).sum()))
     return cells
 
@@ -540,12 +588,11 @@ def _kernel_sums(rows: np.ndarray, coefs: np.ndarray, span: int) -> list[int]:
     return [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())]
 
 
-def _box_rows(plan: BoxPlan, modulus: int, offsets: np.ndarray) -> np.ndarray:
-    """The cells at `offsets` within a degree, for every degree, of the box
-    modulo `modulus`, copied out of a box built in the thread's
-    _scratch_box."""
-    box = _fill_box(plan, modulus, _scratch_box(plan.cells))
-    return box.reshape(plan.shape[0], -1).take(offsets, axis=1)
+def _box_rows(plan: BoxPlan, modulus: int, table: np.ndarray) -> np.ndarray:
+    """The cells of an offset table of _kernel_cells, one row per degree,
+    of the box modulo `modulus`, copied out of a box built in the thread's
+    _scratch_box with one zero cell after it."""
+    return _fill_box(plan, modulus, _scratch_box(plan.cells + 1)).take(table)
 
 
 def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[int]:
@@ -562,14 +609,14 @@ def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[
     the product of the moduli, and since that product exceeds the width of
     the range, the range fixes them.  Each pass's rows are copied out of
     its box before the next pass builds one (_box_rows)."""
-    offsets, kept, negative, weight = _kernel_cells(plan, exps, coefs)
+    table, kept, negative, weight = _kernel_cells(plan, exps, coefs)
     degrees = plan.shape[0]
     if plan.bound < 2 ** 64:
-        rows = _box_rows(plan, 2 ** 64, offsets)
+        rows = _box_rows(plan, 2 ** 64, table)
         return _kernel_sums(rows, kept, weight * plan.bound)
     total, product = [0] * degrees, 1
     for modulus in _moduli(weight * plan.bound):
-        rows = _box_rows(plan, modulus, offsets)
+        rows = _box_rows(plan, modulus, table)
         sums = _kernel_sums(rows, kept, weight * (modulus - 1))
         inverse = pow(product, -1, modulus)
         total = [t + product * ((s - t) * inverse % modulus)

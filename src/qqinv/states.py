@@ -268,7 +268,7 @@ def random_nonpsd_unit_traces(seeds, min_negative_eigenvalue: float) -> QubitQut
     smallest eigenvalue at the requested negative level, built by spectral
     surgery on a random Hermitian matrix drawn from default_rng(seed); state
     i is random_nonpsd_unit_trace(seeds[i], ...) bit for bit."""
-    m = float(min_negative_eigenvalue)
+    m = _args.real(min_negative_eigenvalue, "min_negative_eigenvalue")
     if not -1.0 <= m < 0.0:
         raise ValueError(f"min_negative_eigenvalue must lie in [-1, 0), got {m}")
     rngs = _generators(seeds)

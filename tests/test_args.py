@@ -129,6 +129,17 @@ CONTRACT = [
         [True, False, False], ValueError, "field 'a' has dtype bool, expected real coordinates"),
     row("state-file-rho-object", lambda v: states.state_from_json_dict({"rho": v}),
         {"x": 1}, ValueError, "field 'rho' has dtype object, expected real coordinates"),
+    row("trace_jacobian-bool", lambda v: li.trace_jacobian(["aa", "gg"], v),
+        np.zeros(35, bool), ValueError, "field 'point' has dtype bool, expected real coordinates"),
+    # real scalars
+    *(row(f"{name}-level-{value!r}", call, value, TypeError,
+          f"min_negative_eigenvalue must be a real number, got {value!r}")
+      for name, call in {
+          "random_nonpsd_unit_trace": lambda v: states.random_nonpsd_unit_trace(1, v),
+          "random_nonpsd_unit_traces": lambda v: states.random_nonpsd_unit_traces([1], v),
+      }.items() for value in ("-0.1", True, None)),
+    row("real-complex", lambda v: _args.real(v, "t"), -0.1 + 0j,
+        TypeError, "t must be a real number, got (-0.1+0j)"),
 ]
 
 
@@ -154,6 +165,12 @@ ACCEPTED = {
     "casimirs_from_vee-integer-vector": (
         lambda: cp.casimirs_from_vee(np.ones(35, int), SC6).raw,
         lambda: cp.casimirs_from_vee(np.ones(35), SC6).raw),
+    "random_nonpsd_unit_trace-numpy-level": (
+        lambda: states.random_nonpsd_unit_trace(1, np.float32(-0.25)).x,
+        lambda: states.random_nonpsd_unit_trace(1, -0.25).x),
+    "random_nonpsd_unit_trace-integer-level": (
+        lambda: states.random_nonpsd_unit_trace(1, -1).x,
+        lambda: states.random_nonpsd_unit_trace(1, -1.0).x),
     "state-nested-lists": (
         lambda: states.QubitQutritState([1, 0, 0], [0] * 8, [[0] * 8] * 3).x,
         lambda: np.r_[1.0, np.zeros(34)]),

@@ -13,7 +13,8 @@ import pytest
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           _SCRATCH_BOX_MAX_BYTES,
                           RationalForm, WeightSystem, _axis_reach, _box_plan,
-                          _box_radius, _build_product_boxes, _constant_terms,
+                          _application_order, _box_radius, _build_product_boxes,
+                          _constant_terms,
                           _functional_equation, _kernel,
                           _kernel_cells, _kernel_sums, _moduli, _root_polynomial,
                           _scratch_box,
@@ -212,6 +213,11 @@ def test_pruned_box_shape_2x3():
     boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
     assert boxes.shape == (31, 31, 35, 35)
     assert center == (15, 17, 17)
+    # stored, degree d reaches min(d, 31 - d) on axis x: 511 planes of
+    # 35 x 35 cells in all, not 31 x 31
+    plan = _box_plan(ws.weights, ws.rank, 30, reach)
+    assert plan.extents == tuple(min(d, 31 - d) for d in range(31))
+    assert plan.cells == sum(2 * r + 1 for r in plan.extents) * 35 * 35 == 625_975
 
 
 #: SU(2) on spin 1, in the torus coordinate of the adjoint weights
@@ -310,17 +316,60 @@ def test_box_radius_is_the_widest_window():
         assert _box_radius(wmax, reach, N) == widest, (wmax, reach, N)
 
 
+def application_maxima(weights, axis):
+    """(P_k, S_k) on one axis for each nonzero weight k, in application
+    order."""
+    order = [w for w in sorted(weights, key=_application_order) if any(w)]
+    moves = [abs(w[axis]) for w in order]
+    return [(max(moves[:k + 1]), max(moves[k:])) for k in range(len(moves))]
+
+
+@pytest.mark.parametrize("spec,axis,degrees", [
+    ("su2xsu2", 0, [0, 1, 2, 7, 20, 33, 60]),
+    ("su2xsu3", 0, [0, 1, 2, 7, 20, 30, 34]),
+])
+def test_slab_extent_is_the_widest_window_of_its_degree(spec, axis, degrees):
+    ws, reach = kernel_reach(spec)
+    maxima = application_maxima(ws.weights, axis)
+    for N in degrees:
+        plan = _box_plan(ws.weights, ws.rank, N, reach)
+        assert plan.axis == axis
+        widest = [max(min(d * P, (N - d) * S + reach[axis]) for P, S in maxima)
+                  for d in range(N + 1)]
+        assert list(plan.extents) == widest, N
+        assert plan.slabs == tuple(itertools.accumulate(
+            [(2 * r + 1) * plan.plane for r in widest], initial=0))
+        # the first and last cells that the runs of degree d write reach
+        # exactly r_d on the slab axis
+        ends = np.concatenate([np.r_[t[2], t[2] + t[1] - t[0] - 1] for t in plan.runs])
+        degree = np.searchsorted(plan.slabs, ends, side="right") - 1
+        position = (ends - np.array(plan.slabs)[degree]) // plan.plane
+        reached = np.zeros(N + 1, dtype=int)
+        np.maximum.at(reached, degree, np.abs(position - np.array(widest)[degree]))
+        assert reached.tolist() == widest, N
+
+
 def test_plan_reports_box_geometry():
+    # the dense view keeps the widest window's radius at every degree; the
+    # box stores degree d with min(d, 31 - d) planes either side of the
+    # origin on axis x, each of 35 x 35 cells
     ws, reach = kernel_reach("su2xsu3")
     boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
     plan = _box_plan(ws.weights, ws.rank, 30, reach)
     assert plan.shape == boxes.shape == (31, 31, 35, 35)
-    assert plan.center == center
+    assert plan.center == center == (15, 17, 17)
     assert boxes.dtype == np.uint64
-    assert plan.cells == boxes.size
-    assert plan.nbytes == boxes.nbytes
+    assert plan.plane == 35 * 35
+    assert plan.cells == 625_975 == sum(2 * min(d, 31 - d) + 1 for d in range(31)) * 35 * 35
+    assert plan.nbytes == 8 * plan.cells
     assert plan.bound == math.comb(64, 30) < 2 ** 64
     assert _box_plan(ws.weights, ws.rank, 34, reach).bound == math.comb(68, 34) >= 2 ** 64
+    # SU(2)xSU(2) sets the extent of axis z, its first, per degree, on rows
+    # of 63 cells of axis w
+    ws, reach = kernel_reach("su2xsu2")
+    plan = _box_plan(ws.weights, ws.rank, 60, reach)
+    assert plan.shape == (61, 61, 63, 1) and plan.plane == 63
+    assert plan.cells == 121_023 == sum(2 * min(d, 61 - d) + 1 for d in range(61)) * 63
 
 
 def test_weyl_and_reduced_share_one_plan():
@@ -337,8 +386,8 @@ def test_plan_arrays_are_read_only():
     ws, reach = kernel_reach("su2xsu3")
     molien_series(ws, 12)
     plan = _box_plan(ws.weights, ws.rank, 12, reach)
-    offsets, kept, _, _ = next(iter(plan.kernels.values()))
-    for array in plan.runs + (offsets, kept):
+    table, kept, _, _ = next(iter(plan.kernels.values()))
+    for array in plan.runs + (plan.origins, table, kept):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     with pytest.raises(AttributeError):
@@ -358,8 +407,11 @@ def test_mutating_a_box_leaves_the_next_request_unchanged():
 def test_a_dirty_scratch_box_leaves_the_next_request_unchanged():
     ws, reach = kernel_reach("su2xsu3")
     for N in (20, 34):  # one 2^64 pass; residue passes
-        _scratch_box(_box_plan(ws.weights, ws.rank, N, reach).cells)[:] = 7
+        # the box and the zero cell after it
+        dirty = _scratch_box(_box_plan(ws.weights, ws.rank, N, reach).cells + 1)
+        dirty[:] = 7
         assert molien_series(ws, N, degree_cap=N) == rational_form_for("su2xsu3").series(N)
+        assert np.shares_memory(dirty, _scratch_box(1))
 
 
 def test_scratch_box_is_zeroed_and_kept_up_to_its_bound():
