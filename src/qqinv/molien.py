@@ -35,7 +35,13 @@ is the first and has more than one plane) keep every cell of the box proper
 reading its true predecessor, and the gutter cells that the kernel can still
 reach hold exactly 0 (see _build_product_boxes for the proof that every read
 cell is exact).  The zero weights never leave the origin, which starts from
-C(d + z - 1, d) in closed form.
+C(d + z - 1, d) in closed form.  The trailing factors, the last ones of the
+order that move the slab axis alone ((+-1, 0, 0) for SU(2)xSU(3), (+-1, 0)
+for SU(2)xSU(2)), carry no cell off that axis, so for them only the cells
+within the kernel's reach off it count: the box's columns.  Once the other
+factors have run, one strided slice copies the columns of every plane out
+of the box into a column array, degree after degree, and the trailing
+factors run there with the same contiguous adds.
 
 Every box entry counts weight multisets, so it is bounded by C(m + d - 1, d)
 for m weights at degree d.  The box is uint64.  While the bound is below
@@ -43,10 +49,10 @@ for m weights at degree d.  The box is uint64.  While the bound is below
 beyond that the same adds run once with 2^64 wraparound and once per odd
 modulus below 2^62, reducing after each add, until the moduli cover every
 value the constant terms can take, and the Chinese remainder theorem joins
-the passes' constant terms.  The box cells at the kernel's exponents are
-gathered in one take and summed against the kernel's coefficients, in one
-int64 product while sum |coefficient| * C(m + N - 1, N) < 2^63 and by
-32-bit halves otherwise.
+the passes' constant terms.  The cells at the kernel's exponents are
+gathered from the column array in one take and summed against the kernel's
+coefficients, in one int64 product while sum |coefficient| *
+C(m + N - 1, N) < 2^63 and by 32-bit halves otherwise.
 
 All of this but the box itself depends only on (weights, N, reach): the
 application order, the geometry, the origin seeds and the offset of every
@@ -54,11 +60,12 @@ run are planned once per such key and kept in a bounded cache (_box_plan),
 and both backends, having the same reach, share one plan, which also keeps
 each kernel's cell offsets at every degree.  A pass zeroes its box, seeds
 the origins, builds its (dst, src) views from the offsets and adds them;
-the plan cache never holds a box or a view.  The boxes of molien_series
-live in one anonymous memory mapping per thread, outside the malloc heap,
-kept up to _SCRATCH_BOX_MAX_BYTES (SU(2)xSU(3) through degree 41) for the
-thread's next request (_scratch_box), so a process's resident memory does
-not depend on where in that heap its boxes happened to land.
+the plan cache never holds a box or a view.  The boxes of molien_series,
+each with its column array after it, live in one anonymous memory mapping
+per thread, outside the malloc heap, kept up to _SCRATCH_BOX_MAX_BYTES
+(SU(2)xSU(3) through degree 41) for the thread's next request
+(_scratch_box), so a process's resident memory does not depend on where in
+that heap its boxes happened to land.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -82,7 +89,7 @@ import mmap
 import operator
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -257,8 +264,6 @@ class BoxPlan:
     shape: tuple[int, ...]
     #: index of the origin in `shape`, without the degree
     center: tuple[int, ...]
-    #: flat offset of one step along each torus axis of `shape`
-    steps: tuple[int, ...]
     #: the torus axis whose extent is set per degree: the first one that a
     #: weight moves (the last if none does); the axes before it have one cell
     axis: int
@@ -278,9 +283,16 @@ class BoxPlan:
     #: per window class, one column per live degree: the flat [start, stop)
     #: of the cells its run reads, and the flat start of the cells it adds to
     runs: tuple[np.ndarray, ...]
-    #: the window class of each nonzero weight, in application order
+    #: the window class of each leading weight, in application order
     which: tuple[int, ...]
-    #: the cells of each kernel in the box, filled in by _kernel_cells
+    #: the runs of the trailing weights' classes, on the column array
+    tail: tuple[np.ndarray, ...]
+    #: the window class of each trailing weight, in application order
+    tail_which: tuple[int, ...]
+    #: how far the column array reaches either side of the origin on each
+    #: torus axis: the kernel's reach within the box, and all of `axis`
+    column: tuple[int, ...]
+    #: the cells of each kernel in the column array, filled in by _kernel_cells
     kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -292,14 +304,31 @@ class BoxPlan:
         """Bytes of one box, as its `nbytes`."""
         return self.cells * np.dtype(np.uint64).itemsize
 
+    @cached_property
+    def column_cells(self) -> int:
+        """Cells of the column array: the box's planes, each cut to the
+        cells within `column` of the origin."""
+        return self.cells // self.plane * math.prod(
+            2 * c + 1 for c in self.column[self.axis + 1:])
+
+    @cached_property
+    def column_index(self) -> tuple:
+        """The shape of the flat box as (planes, axes after `axis`), and the
+        index of the columns in that view."""
+        after = range(self.axis + 1, len(self.column))
+        return ((-1,) + tuple(self.shape[a + 1] for a in after),
+                (slice(None),) + tuple(slice(self.center[a] - self.column[a],
+                                             self.center[a] + self.column[a] + 1)
+                                       for a in after))
+
 
 # A plan holds one run of 12 bytes (int32) per window class and degree, a few
-# KB of array headers, seeds and slab offsets, and for each kernel used with
-# it a table of 4 bytes per term and degree.  With both built-in kernels, as
-# tracemalloc counts it, that is 63 KB for SU(2)xSU(3) at degree 76 (20
-# classes, 57 + 12 terms), 29 KB at degree 31 and 19 KB for SU(2)xSU(2) at
-# degree 60.  128 plans therefore hold at most about 8 MB up to degree 76,
-# however many distinct requests arrive.
+# KB of array headers, seeds, slab offsets and column geometry, and for each
+# kernel used with it a table of 4 bytes per term and degree.  With both
+# built-in kernels, as tracemalloc counts it, that is 65 KB for SU(2)xSU(3)
+# at degree 76 (20 classes, 57 + 12 terms), 31 KB at degree 31 and 20 KB
+# for SU(2)xSU(2) at degree 60.  128 plans therefore hold at most about
+# 8 MB up to degree 76, however many distinct requests arrive.
 @lru_cache(maxsize=128)
 def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPlan:
     """What _build_product_boxes derives from its arguments alone.  It
@@ -330,17 +359,43 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
     # slab d is the dense degree d without its first c - r_d planes
     origins = slabs[:-1] + (extents - half[axis]) * plane + half @ steps
     zeros = sum(1 for x in order if not any(x))
-    # the windows of every distinct (w, P_k, S_k) at every degree at once,
-    # as inclusive bounds per axis around the origin, shape
-    # (factors, degrees 1..N, axes)
+    # the trailing weights move `axis` alone, so off it their windows lie
+    # within the kernel's reach: they run on the column array
+    column = np.minimum(reach, half)
+    column[axis] = half[axis]
+    moved = np.delete(w, axis, axis=1).any(axis=1)
+    split = max(zeros, int(np.flatnonzero(moved).max(initial=-1)) + 1)
     prefix = np.maximum.accumulate(absw)
     suffix = np.maximum.accumulate(absw[::-1])[::-1]
+    keys = list(map(tuple, np.hstack([w, prefix, suffix]).tolist()))
+    runs, which = _window_runs(keys[zeros:split], steps, origins, slabs[-1],
+                               reach, max_degree)
+    tail, tail_which = _window_runs(keys[split:], *_column_layout(
+        column, axis, extents, slabs, plane), reach, max_degree)
+    for array in runs + tail + (origins,):
+        array.flags.writeable = False
+    return BoxPlan(
+        shape=(max_degree + 1,) + tuple(size.tolist()[3 - rank:]) + (1,) * (3 - rank),
+        center=tuple(half.tolist()[3 - rank:]) + lead, axis=axis - (3 - rank),
+        extents=tuple(extents.tolist()), plane=plane, slabs=tuple(slabs.tolist()),
+        origins=origins, bound=_coefficient_bound(len(w), max_degree),
+        seeds=(1,) + tuple(math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)),
+        runs=runs, which=which, tail=tail, tail_which=tail_which,
+        column=tuple(column.tolist()[3 - rank:]))
+
+
+def _window_runs(keys, steps, origins, cells: int, reach, max_degree: int) -> tuple:
+    """The runs of each distinct key (w, P_k, S_k) of a stretch of factors,
+    on a flat array of the given axis steps, origin per degree and cells,
+    and the class of each key."""
     index = {}
-    which = tuple(index.setdefault(key, len(index)) for key in
-                  map(tuple, np.hstack([w, prefix, suffix])[zeros:].tolist()))
+    which = tuple(index.setdefault(key, len(index)) for key in keys)
+    # the windows of every class at every degree at once, as inclusive
+    # bounds per axis around the origin, shape (classes, degrees 1..N, axes)
     factors = np.array(list(index), dtype=np.int64).reshape(-1, 9)
     shift, p, s = factors[:, None, :3], factors[:, None, 3:6], factors[:, None, 6:]
-    radii = np.minimum(degree[:, None] * p, (max_degree - degree[:, None]) * s + reach)
+    degree = np.arange(max_degree + 1)[:, None]
+    radii = np.minimum(degree * p, (max_degree - degree) * s + reach)
     first = np.maximum(-radii[:, 1:], shift - radii[:, :-1])
     last = np.minimum(radii[:, 1:], shift + radii[:, :-1])
     # a shift wider than both windows leaves first > last on some axis,
@@ -350,18 +405,20 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
     # degree d; it reads the cells o_d - o_(d-1) + fl(w) before it
     src = origins[:-1] - (factors[:, :3] @ steps)[:, None]
     table = np.stack([first @ steps + src, last @ steps + src + 1,
-                      first @ steps + origins[1:]]).astype(_offset_type(slabs[-1]))
-    runs = tuple(table[:, k, live[k]] for k in range(len(factors)))
-    for array in runs + (origins,):
-        array.flags.writeable = False
-    return BoxPlan(
-        shape=(max_degree + 1,) + tuple(size.tolist()[3 - rank:]) + (1,) * (3 - rank),
-        center=tuple(half.tolist()[3 - rank:]) + lead,
-        steps=tuple(steps.tolist()[3 - rank:]), axis=axis - (3 - rank),
-        extents=tuple(extents.tolist()), plane=plane, slabs=tuple(slabs.tolist()),
-        origins=origins, bound=_coefficient_bound(len(w), max_degree),
-        seeds=(1,) + tuple(math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)),
-        runs=runs, which=which)
+                      first @ steps + origins[1:]]).astype(_offset_type(cells))
+    return tuple(table[:, k, live[k]] for k in range(len(factors))), which
+
+
+def _column_layout(column, axis: int, extents, slabs, plane: int) -> tuple:
+    """(flat step of each torus axis, flat origin of each degree, cells) of
+    the column array of a box of slab offsets `slabs` and `plane` cells per
+    plane: its planes in the box's order, each of the cells within `column`
+    of the origin off `axis`."""
+    size = [2 * c + 1 for c in column]
+    steps = np.array([math.prod(size[a + 1:]) for a in range(len(size))])
+    planes = np.asarray(slabs) // plane
+    origins = (planes[:-1] + extents - column[axis]) * steps[axis] + np.dot(column, steps)
+    return steps, origins, int(planes[-1]) * int(steps[axis])
 
 
 def _offset_type(cells: int) -> type:
@@ -451,31 +508,52 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
       outside the window.  Then p is beyond d P_k, or p - w is beyond
       (d - 1) P_k (p - w beyond the cone would put p beyond K_k(d)), and
       factor k adds nothing to p.
-    K_m(d) holds every cell within reach, so every cell that
-    _constant_terms reads is exact.  Any order is exact; the order only sets
-    the cost.
+    K_m(d) holds every cell within reach, so every cell within reach in the
+    box is exact.  Any order is exact; the order only sets the cost.
+
+    (iv) Columns.  Let factors t..m be the longest run of nonzero weights at
+    the end of the order that move A alone.  Off A, S_ka = 0 for k >= t, so
+    K_k(d) lies within reach_a of the origin on every axis a after A, and
+    the window of factor k there within min(d P_ka, reach_a) <= c_a.
+    Factors before t run on the box as above, after which every cell of
+    K_t(d) in the box is exact by (iii).  The column array holds the cells
+    of the box with |p_a| <= min(reach_a, h_a) on every axis a after A, all
+    planes of every slab, stored flat in the box's order; factors t..m run
+    on it, one add per degree from the first cell of the window to the
+    last.  Their reads move a cell by w_A on A alone, so a run reads p - w
+    at degree d - 1 for every cell p it covers, within r_(d-1) on A as in
+    (i), without gutters.  The induction of (iii) then holds on the column
+    array as it stands, and K_k(d), which lies within reach off A, lies in
+    it wherever it lies in the box.  So the column array is exact within
+    reach, _constant_terms reads it there, and written back into the
+    box's columns it leaves the dense box exact within reach.
 
     Residues.  The box is uint64.  Every pass makes the same adds, so a
     pass computes the exact integer box reduced modulo its modulus: 2^64
     by wraparound, or an odd modulus below 2^62, subtracted once after an
     add whenever the sum reaches it.  No entry exceeds C(m + N - 1, N), so
     the 2^64 pass is the exact box while that bound is below 2^64.  The
-    box is returned as a dense (N + 1, X, Y, Z) array with the torus axes
-    first and size-1 padding last, each slab placed in it and the cells
-    beyond r_d on A zero, together with the index of the origin.
+    box, its columns written back, is returned as a dense (N + 1, X, Y, Z)
+    array with the torus axes first and size-1 padding last, each slab
+    placed in it and the cells beyond r_d on A zero, together with the
+    index of the origin.
 
     Plan.  The slabs, gutters, seeds, window classes and run offsets come
     from _box_plan, computed once per (weights, N, reach) and cached.  Each
     pass fills a zeroed flat box, seeds the origins, builds the (dst, src)
     views of every run of each class once and adds them class by class in
-    the application order.  These are the windows, runs, order and adds of
-    the proof above, computed by the same formulas, so the proof holds as
-    it stands; the cache only decides when they are computed.
+    the application order, the trailing classes on the column array.
+    These are the windows, runs, order and adds of the proof above,
+    computed by the same formulas, so the proof holds as it stands; the
+    cache only decides when they are computed.
     """
     plan = _box_plan(tuple(map(tuple, weights)), operator.index(rank),
                      operator.index(max_degree),
                      tuple(map(operator.index, reach)))
-    box = _fill_box(plan, modulus, np.zeros(plan.cells, dtype=np.uint64))
+    box = np.zeros(plan.cells + plan.column_cells + 1, dtype=np.uint64)
+    columns = _fill_box(plan, modulus, box)
+    view = _column_view(plan, box)
+    view[...] = columns[:-1].reshape(view.shape)
     dense = np.zeros(plan.shape, dtype=np.uint64)
     planes = dense.reshape(len(plan.extents), -1, plan.plane)
     c = planes.shape[1] // 2
@@ -514,49 +592,72 @@ def _scratch_box(cells: int) -> np.ndarray:
 
 
 def _fill_box(plan: BoxPlan, modulus: int, box: np.ndarray) -> np.ndarray:
-    """The flat box of _build_product_boxes modulo 2^64 or an odd modulus
-    below 2^62, built in `box`, a zeroed flat uint64 array of at least
-    plan.cells cells; no cell beyond them is written."""
+    """The column array of _build_product_boxes modulo 2^64 or an odd
+    modulus below 2^62, built in `box`, a zeroed flat uint64 array of at
+    least plan.cells + plan.column_cells + 1 cells: the leading factors fill
+    the box at its front, whose columns are then copied to the cells after
+    it, where the trailing factors run.  Returns the column array and the
+    one zero cell after it; no cell beyond them is written."""
     box[plan.origins] = [s % modulus for s in plan.seeds]
+    _add_runs(box, plan.runs, plan.which, modulus)
+    view = _column_view(plan, box)
+    columns = box[plan.cells:plan.cells + view.size + 1]
+    columns[:-1].reshape(view.shape)[...] = view
+    _add_runs(columns, plan.tail, plan.tail_which, modulus)
+    return columns
+
+
+def _column_view(plan: BoxPlan, box: np.ndarray) -> np.ndarray:
+    """The columns of a flat box as one strided view: every slab is whole
+    planes, so one slice of the box seen as (planes, axes after plan.axis)
+    holds every degree's columns, degree after degree."""
+    shape, index = plan.column_index
+    return box[:plan.cells].reshape(shape)[index]
+
+
+def _add_runs(array: np.ndarray, runs: tuple, which: tuple, modulus: int) -> None:
+    """Add the runs of each class of `which`, in its order, within a flat
+    array, modulo 2^64 or an odd modulus below 2^62."""
     # the (dst, src) views of every run, built once per class
-    views = [[(box[to:to + f1 - f0], box[f0:f1]) for f0, f1, to in zip(*table.tolist())]
-             for table in plan.runs]
+    views = [[(array[to:to + f1 - f0], array[f0:f1]) for f0, f1, to in zip(*table.tolist())]
+             for table in runs]
     if modulus == 2 ** 64:
-        for k in plan.which:
+        for k in which:
             for dst, src in views[k]:
                 dst += src
-        return box
+        return
     # both terms are below the modulus, so the sum is below 2^63 and one
     # conditional subtract reduces it: dst - modulus wraps past dst when
-    # dst < modulus, and the minimum keeps the reduced value; no run is
-    # longer than its slab
-    spare = np.empty((2 * max(plan.extents) + 1) * plan.plane, dtype=np.uint64)
-    for k in plan.which:
+    # dst < modulus, and the minimum keeps the reduced value
+    spare = np.empty(max((dst.size for pairs in views for dst, _ in pairs), default=0),
+                     dtype=np.uint64)
+    for k in which:
         for dst, src in views[k]:
             dst += src
             low = spare[:dst.size]
             np.subtract(dst, modulus, out=low)
             np.minimum(dst, low, out=dst)
-    return box
 
 
 def _kernel_cells(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> tuple:
-    """The kernel terms whose cells lie in the box at some degree, as (an
-    (N + 1, terms) table of their flat offsets, one row per degree; their
-    coefficients; the sum of their negative coefficients; the sum of their
-    absolute values).  A term beyond a degree's extent, whose coefficient
-    there is 0 (see _build_product_boxes), reads offset plan.cells, the
-    cell after the box, which no pass writes: a box of one-cell planes can
-    hold no zero cell of its own.  Kept in the plan per kernel, so that
-    each request makes one gather."""
+    """The kernel terms whose cells lie in the column array at some degree,
+    as (an (N + 1, terms) table of their offsets there, one row per degree;
+    their coefficients; the sum of their negative coefficients; the sum of
+    their absolute values).  A term beyond a degree's extent, whose
+    coefficient there is 0 (see _build_product_boxes), reads the zero cell
+    after the column array, which no pass writes: an array of one-cell
+    planes can hold no zero cell of its own.  Kept in the plan per kernel,
+    so that each request makes one gather."""
     key = (exps.tobytes(), coefs.tobytes())
     cells = plan.kernels.get(key)
     if cells is None:
-        inside = (np.abs(exps) <= plan.center[:exps.shape[1]]).all(axis=1)
+        inside = (np.abs(exps) <= plan.column).all(axis=1)
         exps, kept = exps[inside], coefs[inside]
+        steps, origins, end = _column_layout(plan.column, plan.axis, plan.extents,
+                                             plan.slabs, plan.plane)
         within = np.abs(exps[:, plan.axis]) <= np.array(plan.extents)[:, None]
-        table = np.where(within, plan.origins[:, None] - exps @ plan.steps,
-                         plan.cells).astype(_offset_type(plan.cells))
+        table = np.where(within, origins[:, None] - exps @ steps,
+                         end).astype(_offset_type(end))
         table.flags.writeable = kept.flags.writeable = False
         cells = plan.kernels[key] = (table, kept, int(kept[kept < 0].sum()),
                                      int(np.abs(kept).sum()))
@@ -590,9 +691,10 @@ def _kernel_sums(rows: np.ndarray, coefs: np.ndarray, span: int) -> list[int]:
 
 def _box_rows(plan: BoxPlan, modulus: int, table: np.ndarray) -> np.ndarray:
     """The cells of an offset table of _kernel_cells, one row per degree,
-    of the box modulo `modulus`, copied out of a box built in the thread's
-    _scratch_box with one zero cell after it."""
-    return _fill_box(plan, modulus, _scratch_box(plan.cells + 1)).take(table)
+    of the box modulo `modulus`, copied out of the column array that
+    _fill_box builds in the thread's _scratch_box."""
+    return _fill_box(plan, modulus,
+                     _scratch_box(plan.cells + plan.column_cells + 1)).take(table)
 
 
 def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[int]:

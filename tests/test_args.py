@@ -49,6 +49,45 @@ SEEDED = {
     "closure_max_violation": lambda v: su_algebra.closure_max_violation(SU3, SC3, v),
 }
 
+def _molien_series_warm(max_degree):
+    """molien_series with the plans of degrees 3 and 1 cached: 3.0 hashes
+    like 3, so a cached plan must not let it through."""
+    molien.molien_series(WS22, 3)
+    molien.molien_series(WS22, 1)
+    return molien.molien_series(WS22, max_degree)
+
+
+#: molien_series on a cold and on a warm plan cache
+MOLIEN_SERIES = {
+    "cold": lambda v: (molien._box_plan.cache_clear(), molien.molien_series(WS22, v)),
+    "warm": _molien_series_warm,
+}
+
+#: the two routes to rational_series's max_degree
+RATIONAL_SERIES = {
+    "rational_series": lambda v: molien.rational_series([1], [(2, 1)], v),
+    "RationalForm.series": lambda v: TWO_QUBIT.series(v),
+}
+
+#: every reader of numerator coefficients, degrees and top degrees
+NUMERATORS = {
+    "rational_series": ("numerator coefficient",
+                        lambda v: molien.rational_series([1, v], [(1, 1)], 3)),
+    # every coefficient is read, also one beyond max_degree
+    "rational_series-beyond": ("numerator coefficient",
+                               lambda v: molien.rational_series([1, 0, 0, v], [(1, 1)], 1)),
+    "palindromy_check": ("numerator coefficient",
+                         lambda v: molien.palindromy_check([v, v], [(1, 1)], -1, 0)),
+    "functional_equation": ("numerator coefficient",
+                            lambda v: molien._functional_equation([1, v, 1], [(1, 1)])),
+    "complete_numerator": ("numerator coefficient",
+                           lambda v: molien.complete_numerator_by_palindromy({0: v, 3: 1}, 3)),
+    "complete_numerator-degree": (
+        "numerator degree", lambda v: molien.complete_numerator_by_palindromy({0: 1, v: 1}, 3)),
+    "complete_numerator-top_degree": (
+        "top_degree", lambda v: molien.complete_numerator_by_palindromy({0: 1}, v)),
+}
+
 BAD_SEEDS = ((True, TypeError, "seed must be an integer, got True"),
              (None, TypeError, "seed must be an integer, got None"),
              (2.5, TypeError, "seed must be an integer, got 2.5"),
@@ -72,6 +111,28 @@ CONTRACT = [
     # degrees, sizes and counts
     row("molien_series-max_degree", lambda v: molien.molien_series(WS22, v), -1,
         ValueError, "max_degree must be >= 0, got -1"),
+    *(row(f"molien_series-max_degree-{cache}-{value!r}", call, value, TypeError,
+          f"max_degree must be an integer, got {value!r}")
+      for cache, call in MOLIEN_SERIES.items() for value in (3.0, 1.0, True, False, "3")),
+    # True once acted as cap 1, 2.5 was accepted and None raised a bare
+    # comparison error
+    *(row(f"molien_series-degree_cap-{value!r}",
+          lambda v: molien.molien_series(WS22, 1, degree_cap=v), value, TypeError,
+          f"degree_cap must be an integer, got {value!r}")
+      for value in (None, True, False, 2.5, 3.0, "3")),
+    row("molien_series-degree_cap-negative",
+        lambda v: molien.molien_series(WS22, 0, degree_cap=v), -1,
+        ValueError, "degree_cap must be >= 0, got -1"),
+    # a negative degree once sliced the numerator from its end:
+    # TWO_QUBIT_RATIONAL.series(-2) gave 15 coefficients, and
+    # rational_series([1], [(2, 1)], -1) gave []
+    *(row(f"{name}-max_degree-{value!r}", call, value, exc, message)
+      for name, call in RATIONAL_SERIES.items()
+      for value, exc, message in (
+          (-1, ValueError, "max_degree must be >= 0, got -1"),
+          (-2, ValueError, "max_degree must be >= 0, got -2"),
+          *((bad, TypeError, f"max_degree must be an integer, got {bad!r}")
+            for bad in (3.0, True, False, "3")))),
     row("kernel_at_degree-panel_size", lambda v: li.kernel_at_degree(2, panel_size=v), 0,
         ValueError, "panel_size must be >= 1, got 0"),
     row("panel_violations-panel_size", lambda v: li.panel_violations(panel_size=v), 0,
@@ -79,7 +140,17 @@ CONTRACT = [
     row("complete_numerator-top_degree",
         lambda v: molien.complete_numerator_by_palindromy({}, v), -5,
         ValueError, "top_degree must be >= 0, got -5"),
-    # denominator exponents, the sign and the degree of a functional equation
+    # denominator exponents, the sign and the degree of a functional equation;
+    # (True, 1) was read as 1/(1 - q) and (2, 1.5) raised range's message
+    *(row(f"rational_series-denominator-{value!r}",
+          lambda v: molien.rational_series([1], [v], 4), value, exc, message)
+      for value, exc, message in (
+          ((True, 1), TypeError, "denominator degree must be an integer, got True"),
+          ((2.0, 1), TypeError, "denominator degree must be an integer, got 2.0"),
+          ((2, False), TypeError, "denominator multiplicity must be an integer, got False"),
+          ((2, 1.5), TypeError, "denominator multiplicity must be an integer, got 1.5"),
+          ((0, 1), ValueError, "denominator degree must be >= 1, got 0"),
+          ((2, 0), ValueError, "denominator multiplicity must be >= 1, got 0"))),
     row("functional_equation-degree",
         lambda v: molien._functional_equation([1, 1], [(v, 1)]), 1.5,
         TypeError, "denominator degree must be an integer, got 1.5"),
@@ -100,6 +171,10 @@ CONTRACT = [
         lambda v: molien.palindromy_check(TWO_QUBIT.numerator, TWO_QUBIT.denominator,
                                           -1, v), 15.0,
         TypeError, "top_degree must be an integer, got 15.0"),
+    # numerator coefficients and degrees
+    *(row(f"{name}-{value!r}", call, value, TypeError,
+          f"{what} must be an integer, got {value!r}")
+      for name, (what, call) in NUMERATORS.items() for value in (1.5, True)),
     # real coordinate arrays
     row("casimirs_from_vee-complex", lambda v: cp.casimirs_from_vee(v, SC6), XI * 1j,
         ValueError, "field 'xi' has dtype complex128, expected real coordinates"),
@@ -157,6 +232,18 @@ ACCEPTED = {
     "closure_max_violation-numpy-seed": (
         lambda: su_algebra.closure_max_violation(SU3, SC3, np.int64(5)),
         lambda: su_algebra.closure_max_violation(SU3, SC3, 5)),
+    "molien_series-numpy-max_degree": (lambda: molien.molien_series(WS22, np.int64(4)),
+                                       lambda: molien.molien_series(WS22, 4)),
+    "molien_series-numpy-degree_cap": (
+        lambda: molien.molien_series(WS22, 4, degree_cap=np.int64(4)),
+        lambda: molien.molien_series(WS22, 4)),
+    "RationalForm.series-numpy-max_degree": (lambda: TWO_QUBIT.series(np.int64(3)),
+                                             lambda: [1, 0, 3, 2]),
+    "rational_series-max_degree-0": (lambda: molien.rational_series([1], [(2, 1)], 0),
+                                     lambda: [1]),
+    "rational_series-numpy-denominator": (
+        lambda: molien.rational_series([1], [(np.int64(2), np.int64(1))], 4),
+        lambda: [1, 0, 1, 0, 1]),
     "palindromy_check-numpy-integers": (
         lambda: molien.palindromy_check(TWO_QUBIT.numerator,
                                         np.array(TWO_QUBIT.denominator),

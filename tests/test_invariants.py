@@ -405,11 +405,12 @@ def test_jacobian_rejects_bad_words(entry, word):
 
 
 @pytest.mark.parametrize("point,message", [
-    (np.zeros(36), "35 coordinates.*\\(36,\\)"),
-    (np.zeros((5, 7)), "35 coordinates.*\\(5, 7\\)"),
-    (np.zeros(35, dtype=complex), "field 'point' has dtype complex128"),
-    (np.full(35, np.nan), "point has non-finite"),
-    (np.r_[np.zeros(34), np.inf], "point has non-finite"),
+    pytest.param(np.zeros(36), "35 coordinates.*\\(36,\\)", id="length-36"),
+    pytest.param(np.zeros((5, 7)), "35 coordinates.*\\(5, 7\\)", id="shape-5x7"),
+    pytest.param(np.zeros(35, dtype=complex), "field 'point' has dtype complex128",
+                 id="complex"),
+    pytest.param(np.full(35, np.nan), "point has non-finite", id="nan"),
+    pytest.param(np.r_[np.zeros(34), np.inf], "point has non-finite", id="inf"),
 ])
 @pytest.mark.parametrize("entry", [li.trace_jacobian, jacobian_rank])
 def test_jacobian_rejects_bad_points(entry, point, message):

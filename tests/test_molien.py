@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -256,20 +255,67 @@ WRAP_WEIGHTS = ((0, 0, 0), (0, 2, -1), (0, -2, 1), (0, 1, 2), (0, -1, -2),
                 (-2, 1, -1), (2, 0, 0), (-2, 0, 0))
 
 
+#: rank 3 with axis 0 at rest: weights moving the slab axis y alone come
+#: before (0, 1, 1) in the order, so none trails, and the kernel's reach on
+#: x goes beyond the box's one cell there
+NO_TRAILING_WEIGHTS = ((0, 0, 0), (0, 1, 0), (0, -1, 0), (0, 1, 1), (0, -1, -1),
+                       (0, 0, 1), (0, 0, -1))
+
+
+def within_reach(cells, reach, center=None):
+    """The coefficients of one degree within reach of the origin, as an
+    array of 2 reach + 1 cells per axis: from a dict of exponents, or from
+    a dense box degree with its center (a cell beyond the box reads 0)."""
+    window = np.zeros([2 * r + 1 for r in reach], dtype=np.uint64)
+    if center is None:
+        for p, c in cells.items():
+            if all(abs(x) <= r for x, r in zip(p, reach)):
+                window[tuple(x + r for x, r in zip(p, reach))] = c
+        return window
+    cut = [min(r, c) for r, c in zip(reach, center)]
+    window[tuple(slice(r - k, r + k + 1) for r, k in zip(reach, cut))] = cells[
+        tuple(slice(c - k, c + k + 1) for c, k in zip(center, cut))
+        + (0,) * (cells.ndim - len(reach))]
+    return window
+
+
 def test_per_factor_windows_exact_within_reach():
-    # a cell within reach but outside the box reads as 0, as in
-    # _extract_constant_terms
-    for weights, reach in ((MIXED_WEIGHTS, (1, 2)), (WRAP_WEIGHTS, (1, 2, 2))):
+    # both kinds of pass, whose results agree here, as every entry stays
+    # below the odd modulus
+    systems = ((MIXED_WEIGHTS, (1, 2)), (WRAP_WEIGHTS, (1, 2, 2)),
+               (NO_TRAILING_WEIGHTS, (1, 1, 1)),
+               (SPIN1_PLUS_SPIN2.weights, (2,)),  # rank 1: every weight trails
+               (((0, 0),) * 3, (1, 1)))
+    for weights, reach in systems:
         rank = len(reach)
-        expect = dict_product_series(weights, 12)  # degree d is the same at any N >= d
-        for N in range(13):
-            boxes, center = _build_product_boxes(weights, rank, N, reach)
+        # degree d is the same at any N >= d
+        expect = [within_reach(poly, reach) for poly in dict_product_series(weights, 12)]
+        for modulus, N in itertools.product((2 ** 64, _moduli(2 ** 64)[1]), range(13)):
+            boxes, center = _build_product_boxes(weights, rank, N, reach, modulus)
             for d in range(N + 1):
-                for p in itertools.product(*(range(-r, r + 1) for r in reach)):
-                    cell = (d,) + tuple(c + x for c, x in zip(center, p + (0,) * (3 - rank)))
-                    inside = all(abs(x) <= c for x, c in zip(p, center))
-                    got = int(boxes[cell]) if inside else 0
-                    assert got == expect[d].get(p, 0), (weights, N, d, p)
+                got = within_reach(boxes[d], reach, center[:rank])
+                assert np.array_equal(got, expect[d]), (weights, modulus, N, d)
+
+
+@pytest.mark.parametrize("spec,moving,column", [
+    ("su2xsu3", [(1, 0, 0), (-1, 0, 0)], (15, 2, 2)),
+    ("su2xsu2", [(1, 0), (-1, 0)], (15, 1)),
+])
+def test_weights_moving_the_slab_axis_alone_trail(spec, moving, column):
+    # the six (+-1, 0, 0) resp. four (+-1, 0) weights run on the column
+    # array, every other nonzero weight on the box
+    ws, reach = kernel_reach(spec)
+    plan = _box_plan(ws.weights, ws.rank, 30, reach)
+    order = [w for w in sorted(ws.weights, key=_application_order) if any(w)]
+    trailing = order[len(plan.which):]
+    assert sorted(set(trailing)) == sorted(moving)
+    assert len(trailing) == len(plan.tail_which) == ws.weights.count(moving[0]) * 2
+    assert not set(moving) & set(order[:len(plan.which)])
+    assert len(plan.runs) == len(set(plan.which)) and len(plan.tail) == len(set(plan.tail_which))
+    # the columns: the kernel's reach off the slab axis, all of it on it
+    assert plan.column == column
+    assert plan.column_cells == plan.cells // plan.plane * math.prod(
+        2 * c + 1 for c in column[1:])
 
 
 def test_box_independent_of_weight_order():
@@ -387,7 +433,7 @@ def test_plan_arrays_are_read_only():
     molien_series(ws, 12)
     plan = _box_plan(ws.weights, ws.rank, 12, reach)
     table, kept, _, _ = next(iter(plan.kernels.values()))
-    for array in plan.runs + (plan.origins, table, kept):
+    for array in plan.runs + plan.tail + (plan.origins, table, kept):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     with pytest.raises(AttributeError):
@@ -407,8 +453,9 @@ def test_mutating_a_box_leaves_the_next_request_unchanged():
 def test_a_dirty_scratch_box_leaves_the_next_request_unchanged():
     ws, reach = kernel_reach("su2xsu3")
     for N in (20, 34):  # one 2^64 pass; residue passes
-        # the box and the zero cell after it
-        dirty = _scratch_box(_box_plan(ws.weights, ws.rank, N, reach).cells + 1)
+        # the box, the column array and the zero cell after it
+        plan = _box_plan(ws.weights, ws.rank, N, reach)
+        dirty = _scratch_box(plan.cells + plan.column_cells + 1)
         dirty[:] = 7
         assert molien_series(ws, N, degree_cap=N) == rational_form_for("su2xsu3").series(N)
         assert np.shares_memory(dirty, _scratch_box(1))
@@ -441,31 +488,6 @@ def test_plan_cache_is_bounded():
         _build_product_boxes(SPIN1.weights, 1, N, (1,))
         assert _box_plan.cache_info().currsize <= bound
     assert _box_plan.cache_info().currsize == bound
-
-
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_max_degree_must_be_an_integer(warm):
-    # 3.0 hashes like 3: with the plan for 3 cached it must still fail
-    ws = adjoint_weight_system("su2xsu2")
-    if warm:
-        molien_series(ws, 3)
-        molien_series(ws, 1)
-    for bad in (3.0, 1.0, True, False, "3"):
-        with pytest.raises(TypeError, match="max_degree"):
-            molien_series(ws, bad)
-    assert molien_series(ws, np.int64(4)) == molien_series(ws, 4)
-
-
-def test_degree_cap_is_checked_as_max_degree():
-    # True once acted as cap 1, 2.5 was accepted and None raised a bare
-    # comparison error
-    ws = adjoint_weight_system("su2xsu2")
-    for bad in (None, True, False, 2.5, 3.0, "3"):
-        with pytest.raises(TypeError, match="degree_cap must be an integer"):
-            molien_series(ws, 1, degree_cap=bad)
-    with pytest.raises(ValueError, match="^degree_cap must be >= 0, got -1$"):
-        molien_series(ws, 0, degree_cap=-1)
-    assert molien_series(ws, 4, degree_cap=np.int64(4)) == molien_series(ws, 4)
 
 
 def test_empty_weight_system():
@@ -676,41 +698,6 @@ def test_series_matches_rational_at_every_degree(spec, top, backend):
                 == rational[:N + 1]), N
 
 
-def test_rational_series_validates_denominator():
-    with pytest.raises(ValueError, match="degree"):
-        rational_series([1], [(0, 1)], 4)
-    with pytest.raises(ValueError, match="multiplicity"):
-        rational_series([1], [(2, 0)], 4)
-
-
-def test_rational_series_validates_max_degree():
-    # a negative degree once sliced the numerator from its end:
-    # TWO_QUBIT_RATIONAL.series(-2) gave 15 coefficients, and
-    # rational_series([1], [(2, 1)], -1) gave []
-    for series in (TWO_QUBIT_RATIONAL.series,
-                   lambda d: rational_series([1], [(2, 1)], d)):
-        for bad in (-1, -2):
-            with pytest.raises(ValueError, match=f"^max_degree must be >= 0, got {bad}$"):
-                series(bad)
-        for bad in (3.0, True, False, "3"):
-            with pytest.raises(TypeError, match="max_degree must be an integer"):
-                series(bad)
-    assert TWO_QUBIT_RATIONAL.series(np.int64(3)) == [1, 0, 3, 2]
-    assert rational_series([1], [(2, 1)], 0) == [1]
-
-
-def test_rational_series_validates_denominator_exponents():
-    # (True, 1) was read as 1/(1 - q); (2, 1.5) raised range's message
-    for bad, name in (((True, 1), "degree"), ((2.0, 1), "degree"),
-                      ((2, False), "multiplicity"), ((2, 1.5), "multiplicity")):
-        with pytest.raises(TypeError, match=f"denominator {name} must be an integer"):
-            rational_series([1], [bad], 4)
-    for bad, name in (((0, 1), "degree"), ((2, 0), "multiplicity")):
-        with pytest.raises(ValueError, match=f"denominator {name} must be >= 1"):
-            rational_series([1], [bad], 4)
-    assert rational_series([1], [(np.int64(2), np.int64(1))], 4) == [1, 0, 1, 0, 1]
-
-
 def test_rational_form_holds_only_numerator_and_denominator():
     assert [f.name for f in dataclasses.fields(RationalForm)] == [
         "numerator", "denominator"]
@@ -787,24 +774,6 @@ def test_numerator_completion_consistency():
 def test_numerator_completion_rejects_degrees_outside_range(prefix, degree):
     with pytest.raises(ValueError, match=rf"degree {degree} is outside 0\.\.4"):
         complete_numerator_by_palindromy(prefix, 4)
-
-
-@pytest.mark.parametrize("bad", [1.5, True], ids=["1.5", "True"])
-def test_numerator_coefficients_must_be_integers(bad):
-    def raises(name, call):
-        with pytest.raises(TypeError, match=f"^{name} must be an integer, "
-                                            f"got {re.escape(repr(bad))}$"):
-            call()
-
-    raises("numerator coefficient", lambda: rational_series([1, bad], [(1, 1)], 3))
-    # every coefficient is read, also one beyond max_degree
-    raises("numerator coefficient", lambda: rational_series([1, 0, 0, bad], [(1, 1)], 1))
-    raises("numerator coefficient", lambda: palindromy_check([bad, bad], [(1, 1)], -1, 0))
-    raises("numerator coefficient", lambda: _functional_equation([1, bad, 1], [(1, 1)]))
-    raises("numerator coefficient",
-           lambda: complete_numerator_by_palindromy({0: bad, 3: 1}, 3))
-    raises("numerator degree", lambda: complete_numerator_by_palindromy({0: 1, bad: 1}, 3))
-    raises("top_degree", lambda: complete_numerator_by_palindromy({0: 1}, bad))
 
 
 def test_numerator_coefficients_take_numpy_integers():
