@@ -3,7 +3,10 @@ argument.
 
 Each reader returns the argument in the form the code computes with, or
 raises an error that names it: a TypeError for a value of the wrong kind,
-a ValueError for one out of range or malformed.
+a ValueError for one out of range or malformed.  The defaults and bounds
+that the command line shares with the library live here too, so that its
+parser imports no command's module; local_invariants and molien re-export
+them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,13 @@ import numbers
 import operator
 
 import numpy as np
+
+#: seed of the identity panels of local_invariants, qqinv invariants and selftest
+DEFAULT_PANEL_SEED = 20260
+#: highest word degree of enumerate_words, independence_evidence and the CLI
+MAX_WORD_DEGREE = 8
+#: molien_series's and qqinv molien's resource cap on the degree
+DEFAULT_DEGREE_CAP = 20
 
 
 def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:

@@ -40,7 +40,7 @@ ORACLE_EIG_TOL = 1e-8
 
 MAX_S = {k: math.comb(6, 6 - k) / 6 ** k for k in range(1, 7)}
 
-_EYE6 = np.eye(6)
+_EYE6 = np.eye(6, dtype=complex)
 
 # (key, (rho, t, t_om)) of the last state _checked_record passed: the key is
 # its batch shape and the bytes of its 35 coordinates, rho read-only.  It
@@ -153,10 +153,11 @@ def _checked_record(state):
     one state gives tuples of Python floats (so its verdicts stay plain
     bools), a stack tuples of read-only arrays of the batch shape.  Any
     input but a state is refused: a density matrix enters through
-    states.from_matrix, which validates it.  rho is rejected with
-    from_matrix's wording unless every entry is finite, checked before any
-    deviation is formed (a NaN deviation passes `dev > tol`, and inf - inf
-    warns); then _check_moments checks the moments.
+    states.from_matrix, which validates it.  The moments are formed with
+    numpy's warnings off and checked by _check_moments; a non-finite entry
+    of rho makes t_2, a sum of rho_ij rho_ji over every entry, non-finite,
+    so it fails that check, and only then is rho tested and rejected with
+    from_matrix's wording.
 
     The record is kept in _LAST_RECORD once every check has passed, so the
     report, the trace route and the oracle on one state share its checks,
@@ -172,8 +173,6 @@ def _checked_record(state):
     if last == key:
         return record
     rho = states.to_matrix(state)
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has non-finite entries")
     rho.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
         pair = np.empty((2,) + rho.shape, dtype=complex)
@@ -183,7 +182,12 @@ def _checked_record(state):
         tt = moments(pair).swapaxes(0, 1)
     tt.flags.writeable = False
     t, t_om = map(tuple, tt.tolist() if rho.ndim == 2 else tt)
-    _check_moments(t, t_om)
+    try:
+        _check_moments(t, t_om)
+    except ValueError:
+        if np.isfinite(rho).all():
+            raise
+        raise ValueError("matrix has non-finite entries") from None
     _LAST_RECORD = (key, (rho, t, t_om))
     return rho, t, t_om
 

@@ -16,7 +16,6 @@ identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 
@@ -312,26 +311,6 @@ def _cmd_selftest(args, out) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-class _CommandParser(argparse.ArgumentParser):
-    """Parser of one subcommand.  Its defaults that live in the command's
-    own module, home = (module, {dest: constant}), are read when it parses,
-    which is also when it prints its help, so that building the parser of
-    every command imports none of their modules."""
-
-    def __init__(self, *args, home=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._home = home
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._home is not None:
-            module, constants = self._home
-            module = importlib.import_module(f".{module}", __package__)
-            self.set_defaults(**{dest: getattr(module, name)
-                                 for dest, name in constants.items()})
-            self._home = None
-        return super().parse_known_args(args, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qqinv",
@@ -341,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "table"), default=None,
                         help="output format (default json; molien defaults to "
                              "plain 'd c_d' lines, selftest to table)")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
-    seed_home = ("local_invariants", {"seed": "DEFAULT_PANEL_SEED"})
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", parents=[common],
                        help="dump a basis with its d/f tensors")
@@ -357,18 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the eigenvalues of the state")
     p.set_defaults(func=_cmd_positivity)
 
-    p = sub.add_parser("invariants", parents=[common], home=seed_home,
+    p = sub.add_parser("invariants", parents=[common],
                        help="evaluate canonical trace words on a state file")
     p.add_argument("statefile")
     p.add_argument("--max-degree", type=int, default=4, metavar="D")
     p.add_argument("--checks", action="store_true",
                    help="append the identity-check reports")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=_args.DEFAULT_PANEL_SEED)
     p.add_argument("--panel-size", type=int, default=50)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("molien", parents=[common],
-                       home=("molien", {"cap": "DEFAULT_DEGREE_CAP"}),
                        help="series of invariant counts, one 'd c_d' per line")
     p.add_argument("--group", choices=("2x2", "2x3"), required=True)
     p.add_argument("--degree", type=int, required=True, metavar="N")
@@ -378,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "the positive roots of (1 - x^-r)")
     p.add_argument("--compare-rational", action="store_true",
                    help="exit nonzero unless the series matches the rational form")
-    p.add_argument("--cap", type=int,
+    p.add_argument("--cap", type=int, default=_args.DEFAULT_DEGREE_CAP,
                    help="resource cap on the degree (default %(default)s)")
     p.set_defaults(func=_cmd_molien)
 
-    p = sub.add_parser("selftest", parents=[common], home=seed_home,
+    p = sub.add_parser("selftest", parents=[common],
                        help="run the full check battery")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=_args.DEFAULT_PANEL_SEED)
     p.add_argument("--panel-size", type=int, default=60, metavar="M")
     p.set_defaults(func=_cmd_selftest)
     return parser
@@ -397,8 +373,7 @@ def _integer_options(command: str) -> list[tuple[str, int, int | None]]:
     if command == "molien":
         return [("--degree", 0, None), ("--cap", 0, None)]
     if command == "invariants":
-        from .local_invariants import MAX_WORD_DEGREE
-        return [("--max-degree", 1, MAX_WORD_DEGREE)] + panel
+        return [("--max-degree", 1, _args.MAX_WORD_DEGREE)] + panel
     return panel if command == "selftest" else []
 
 

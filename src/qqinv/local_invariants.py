@@ -24,19 +24,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import _args, casimir_positivity, states, su_algebra
+from ._args import DEFAULT_PANEL_SEED, MAX_WORD_DEGREE
 from .states import QubitQutritState
 
 LETTERS = "abg"
 
-DEFAULT_PANEL_SEED = 20260
 DEFAULT_PANEL_SIZE = 200
 KERNEL_TOL = 1e-9
 CHECK_TOL = 1e-9
 IMAG_TOL = 1e-9
 RANK_EPS = 1e-12
 JACOBIAN_PARAM_SCALE = 0.3
-#: highest word degree of enumerate_words, independence_evidence and the CLI
-MAX_WORD_DEGREE = 8
 
 #: linearly independent invariants that are not products of lower ones
 LISTED_DEGREE2 = ("aa", "bb", "gg")

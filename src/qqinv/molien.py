@@ -94,8 +94,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _args
+from ._args import DEFAULT_DEGREE_CAP
 
-DEFAULT_DEGREE_CAP = 20
 #: the largest box, in bytes, that a thread keeps for its next request
 _SCRATCH_BOX_MAX_BYTES = 1 << 24
 

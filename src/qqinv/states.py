@@ -131,10 +131,11 @@ def _letters(x: np.ndarray) -> np.ndarray:
 
 # A non-finite or huge coordinate gives non-finite entries, quietly: the
 # gather multiplies an infinite coordinate by the zero coefficients of its
-# padding and overflows a huge one, and the complex division by 6 meets
-# inf * 0.  letter_matrices and to_matrix, the two conversions every other
-# matrix of a state is formed from (the trace words, the partial traces,
-# conjugate and the positivity checks), each enter one errstate for this.
+# padding and overflows a huge one, and to_matrix's sum of the letters and
+# complex division by 6 meet inf - inf and inf * 0.  letter_matrices and
+# to_matrix, the two conversions every other matrix of a state is formed
+# from (the trace words, the partial traces, conjugate and the positivity
+# checks), each enter one errstate for this.
 
 def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
     """(alpha, beta, gamma), each a C-contiguous (..., 6, 6) array."""
@@ -144,11 +145,15 @@ def letter_matrices(state: QubitQutritState) -> tuple[np.ndarray, ...]:
 
 
 def to_matrix(state: QubitQutritState) -> np.ndarray:
-    """rho = (I6 + ((alpha + beta) + gamma)) / 6, a new writable array."""
+    """rho = (I6 + ((alpha + beta) + gamma)) / 6, a new writable array.  The
+    letters are summed in order over their axis, then I6 is added and the
+    sum divided by 6 in place: the formula's operations in its order, bit
+    for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        letters = _letters(state.x)
-        return (_I6 + ((letters[..., 0, :, :] + letters[..., 1, :, :])
-                       + letters[..., 2, :, :])) / 6.0
+        rho = np.add.reduce(_letters(state.x), axis=-3)
+        rho += _I6
+        rho /= 6.0
+    return rho
 
 
 def from_matrix(rho: np.ndarray) -> QubitQutritState:
@@ -165,10 +170,11 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
     Rejects inputs that have non-finite entries, or are not Hermitian or not
     unit-trace within HERM_TOL and TRACE_TOL, reporting the measured deviation
     (the largest over a stack).  This is the one place where a density
-    matrix is validated: the positivity checks take states only.  A
-    deviation that overflows is reported as inf, not warned about, and a
-    matrix whose coordinates overflow (entries near the float limit that
-    pass both checks) is rejected.
+    matrix is validated: the positivity checks take states only.  The
+    finiteness check comes first; the deviations and the projection then
+    run under one errstate, so a deviation that overflows is reported as
+    inf, not warned about, and a matrix whose coordinates overflow (entries
+    near the float limit that pass both checks) is rejected after it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (6, 6):
@@ -180,11 +186,10 @@ def from_matrix(rho: np.ndarray) -> QubitQutritState:
         if herm > HERM_TOL:
             raise ValueError(f"matrix is not Hermitian: max |rho - rho^+| = {herm:.3e}")
         tdev = float(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
-    if tdev > TRACE_TOL:
-        raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
-    x = np.einsum("...uv,kvu->...k", rho, SU6_GENERATORS).real
-    with np.errstate(over="ignore"):
-        weighted = x * _PROJECTION_WEIGHTS
+        if tdev > TRACE_TOL:
+            raise ValueError(f"matrix trace deviates from 1 by {tdev:.3e}")
+        weighted = (np.einsum("...uv,kvu->...k", rho, SU6_GENERATORS).real
+                    * _PROJECTION_WEIGHTS)
     if not np.isfinite(weighted).all():
         raise ValueError("matrix coordinates overflow: the projection onto "
                          "(a, b, C) is not finite")

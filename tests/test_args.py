@@ -32,6 +32,16 @@ def _abc(**fields):
     return {"abc": {"a": [0] * 3, "b": [0] * 8, "C": [[0] * 8] * 3, **fields}}
 
 
+#: the field shapes of one state
+STATE_SHAPES = {"a": (3,), "b": (8,), "C": (3, 8)}
+
+
+def _state(field):
+    """QubitQutritState of zero fields with the given field replaced."""
+    zeros = {key: np.zeros(shape) for key, shape in STATE_SHAPES.items()}
+    return lambda v: states.QubitQutritState(**{**zeros, field: v})
+
+
 def row(case, call, value, exc, message):
     return pytest.param(call, value, exc, message, id=case)
 
@@ -192,6 +202,17 @@ CONTRACT = [
         [[0.0] * 35, [0.0] * 34], ValueError, f"field 'xi' {RAGGED}"),
     row("vee-u-ragged", lambda v: cp.vee(v, XI, SC6), [[0.0] * 35, [0.0]],
         ValueError, f"field 'u' {RAGGED}"),
+    # numpy would drop the imaginary part with a ComplexWarning, and bools
+    # were read as 0 and 1: a = [True, False, False] gave a = [1, 0, 0]
+    *(row(f"state-{field}-{case}", _state(field), value, ValueError,
+          f"field '{field}' has dtype {dtype}, expected real coordinates")
+      for field, shape in STATE_SHAPES.items()
+      for case, value, dtype in (
+          ("complex", np.zeros(shape) + 1j, "complex128"),
+          ("complex-real-valued", np.zeros(shape, complex), "complex128"),
+          ("bool", np.full(shape, True), "bool"),
+          ("object", np.full(shape, None), "object"),
+          ("str", np.full(shape, "0"), "<U1"))),
     row("state-a-ragged", lambda v: states.QubitQutritState(v, np.zeros(8), np.zeros(24)),
         [0, 0, [0]], ValueError, f"field 'a' {RAGGED}"),
     row("state-C-ragged", lambda v: states.QubitQutritState(np.zeros(3), np.zeros(8), v),

@@ -60,19 +60,15 @@ def expand_rational_fraction_oracle(numerator, denominator_exponents, max_degree
 def dict_product_series(weights, N):
     """Independent expansion of prod over weights w of 1/(1 - q x^w) through
     q^N as one {exponent: coefficient} dict per q-degree, every coefficient
-    kept."""
-    poly = {(0,) * (len(weights[0]) + 1): 1}  # (q-degree, *exponent) -> coefficient
+    kept.  One factor at a time, degree by degree: multiplying by
+    1/(1 - q x^w) is new[d] = old[d] + x^w new[d - 1]."""
+    poly = [{(0,) * len(weights[0]): 1}] + [{} for _ in range(N)]
     for w in weights:
-        nxt = {}
-        for (d, *exp), c in poly.items():
-            for k in range(N + 1 - d):
-                key = (d + k,) + tuple(e + k * x for e, x in zip(exp, w))
-                nxt[key] = nxt.get(key, 0) + c
-        poly = nxt
-    out = [{} for _ in range(N + 1)]
-    for (d, *exp), c in poly.items():
-        out[d][tuple(exp)] = c
-    return out
+        for below, cells in zip(poly, poly[1:]):
+            for exp, c in below.items():
+                key = tuple(e + x for e, x in zip(exp, w))
+                cells[key] = cells.get(key, 0) + c
+    return poly
 
 
 # -- weight systems ---------------------------------------------------------------

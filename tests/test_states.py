@@ -265,6 +265,37 @@ def test_to_matrix_is_exactly_hermitian_with_signed_zeros():
     assert np.array_equal(rho, rho.conj().T)
 
 
+def formula_matrix(s):
+    """(I6 + ((alpha + beta) + gamma)) / 6 from letter_matrices, as to_matrix
+    documents it; a non-finite or huge letter warns, as to_matrix does not."""
+    alpha, beta, gamma = letter_matrices(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.eye(6, dtype=complex) + ((alpha + beta) + gamma)) / 6
+
+
+def formula_states():
+    """One state and a stack, signed zeros, +-inf and NaN coordinates and
+    coordinates near 1e300 and near the float limit, alone and stacked."""
+    one, stack = random_density(30), random_densities(range(30, 42))
+    bad = random_densities(range(42, 48))
+    for i, (field, index, value) in enumerate((("a", (1,), np.inf), ("b", (4,), -np.inf),
+                                               ("C", (2, 5), np.nan), ("b", (7,), np.nan))):
+        getattr(bad, field)[(i, *index)] = value
+    out = [one, stack, signed_zero_stack(18, (3, 5)),
+           QubitQutritState(-np.zeros(3), -np.zeros(8), -np.zeros((3, 8))),
+           bad, *unstack(bad)]
+    for factor in (1e300, -3e300, 1.7e308):
+        out += [scaled(one, factor), scaled(stack, factor)]
+    return out
+
+
+def test_to_matrix_is_its_documented_formula_byte_for_byte():
+    for s in formula_states():
+        rho, want = to_matrix(s), formula_matrix(s)
+        assert rho.shape == want.shape == s.a.shape[:-1] + (6, 6)
+        assert rho.tobytes() == want.tobytes()
+
+
 def scaled(s, factor):
     return QubitQutritState(factor * s.a, factor * s.b, factor * s.C)
 
@@ -330,31 +361,6 @@ def test_stacked_matrices_are_the_single_state_matrices(case):
             one = gathered_matrices(QubitQutritState(s.a[i], s.b[i], s.C[i]))
             for x, y in zip(got, one):
                 assert same_bits(x[i], y)
-
-
-@pytest.mark.parametrize("field", ["a", "b", "C"])
-def test_state_rejects_complex_coordinates(field):
-    # numpy would drop the imaginary part with a ComplexWarning
-    fields = {"a": np.zeros(3), "b": np.zeros(8), "C": np.zeros((3, 8))}
-    fields[field] = fields[field] + 1j
-    with pytest.raises(ValueError,
-                       match=rf"field '{field}' has dtype complex128, expected real"):
-        QubitQutritState(**fields)
-    fields[field] = fields[field].real.astype(complex)
-    with pytest.raises(ValueError, match=rf"field '{field}' has dtype complex128"):
-        QubitQutritState(**fields)
-
-
-@pytest.mark.parametrize("field", ["a", "b", "C"])
-@pytest.mark.parametrize("value", [True, None, "0"], ids=["bool", "object", "str"])
-def test_state_rejects_coordinates_that_are_not_numbers(field, value):
-    # bools were read as 0 and 1: a = [True, False, False] gave a = [1, 0, 0]
-    fields = {"a": np.zeros(3), "b": np.zeros(8), "C": np.zeros((3, 8))}
-    fields[field] = np.full(fields[field].shape, value)
-    dtype = re.escape(str(fields[field].dtype))
-    with pytest.raises(ValueError,
-                       match=rf"^field '{field}' has dtype {dtype}, expected real"):
-        QubitQutritState(**fields)
 
 
 def test_state_takes_integer_coordinates():
