@@ -14,8 +14,9 @@ All arithmetic is exact and no floating point enters this module.  The
 truncated product is built in a dense box of Laurent coefficients per
 q-degree, pruned to the cells that can still reach the kernel's exponents.
 The factors are applied in a fixed order (zero weights, then weights at rest
-on axis 0, then weights moving axis 0 and another axis, then weights on axis
-0 alone), and factor k updates degree d of N on its own window |p_a| <=
+on the slab axis, then weights moving it with an axis after it, axis by
+axis, then weights on the slab axis alone), and factor k updates degree d
+of N on its own window |p_a| <=
 min(d P_ka, (N - d) S_ka + reach_a): P_ka is the largest |w_a| of the
 factors applied so far (k included), which bounds the support of the partial
 product, S_ka the largest |w_a| of the factors still to come (k included),
@@ -35,13 +36,16 @@ is the first and has more than one plane) keep every cell of the box proper
 reading its true predecessor, and the gutter cells that the kernel can still
 reach hold exactly 0 (see _build_product_boxes for the proof that every read
 cell is exact).  The zero weights never leave the origin, which starts from
-C(d + z - 1, d) in closed form.  The trailing factors, the last ones of the
-order that move the slab axis alone ((+-1, 0, 0) for SU(2)xSU(3), (+-1, 0)
-for SU(2)xSU(2)), carry no cell off that axis, so for them only the cells
-within the kernel's reach off it count: the box's columns.  Once the other
-factors have run, one strided slice copies the columns of every plane out
-of the box into a column array, degree after degree, and the trailing
-factors run there with the same contiguous adds.
+C(d + z - 1, d) in closed form.  Once no factor still to come moves an
+axis after the slab axis, nor one between the two, only the cells within
+the kernel's reach on that axis count.  There the order is cut into
+phases: the first runs on the box, and each
+later one copies the cells within reach of the array before it out with
+one strided slice, degree after degree, and runs there with the same
+contiguous adds.  For SU(2)xSU(3) the weights at rest on x or moving y run
+on the box, those moving x and z on a band of the cells within reach on y,
+and (+-1, 0, 0) on 5 x 5 columns; for SU(2)xSU(2), (+-1, 0) runs on
+columns of 3 cells.
 
 Every box entry counts weight multisets, so it is bounded by C(m + d - 1, d)
 for m weights at degree d.  The box is uint64.  While the bound is below
@@ -50,7 +54,7 @@ beyond that the same adds run once with 2^64 wraparound and once per odd
 modulus below 2^62, reducing after each add, until the moduli cover every
 value the constant terms can take, and the Chinese remainder theorem joins
 the passes' constant terms.  The cells at the kernel's exponents are
-gathered from the column array in one take and summed against the kernel's
+gathered from the last phase in one take and summed against the kernel's
 coefficients, in one int64 product while sum |coefficient| *
 C(m + N - 1, N) < 2^63 and by 32-bit halves otherwise.
 
@@ -61,7 +65,7 @@ and both backends, having the same reach, share one plan, which also keeps
 each kernel's cell offsets at every degree.  A pass zeroes its box, seeds
 the origins, builds its (dst, src) views from the offsets and adds them;
 the plan cache never holds a box or a view.  The boxes of molien_series,
-each with its column array after it, live in one anonymous memory mapping
+each with its later phases, live in one anonymous memory mapping
 per thread, outside the malloc heap, kept up to _SCRATCH_BOX_MAX_BYTES
 (SU(2)xSU(3) through degree 41) for the thread's next request
 (_scratch_box), so a process's resident memory does not depend on where in
@@ -246,13 +250,39 @@ def _box_radius(wmax: int, reach: int, max_degree: int) -> int:
 
 def _application_order(w) -> tuple:
     """Sort key of the order in which the factors are applied: the zero
-    weight, then weights with w_0 = 0, then weights moving axis 0 and another
-    axis, then weights moving axis 0 alone; ties by the weight itself."""
-    if not any(w):
-        return (0, w)
-    if w[0] == 0:
-        return (1, w)
-    return (2 if any(w[1:]) else 3, w)
+    weight, then the weights by the first axis they move, last axis first,
+    and among those by the next axis they move, first axis first; ties by
+    the weight itself.  So the weights at rest on the slab axis come before
+    those moving it, and of these the weights moving an axis after it run
+    before those that do not, axis by axis, the slab axis alone last."""
+    moved = [a for a, x in enumerate(w) if x] + [len(w)] * 2
+    return (-moved[0], moved[1], w)
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One stretch of the application order and the flat array it runs on:
+    every plane of the box, each cut to the cells within `cut` of the
+    origin."""
+
+    #: how far the array reaches either side of the origin on each torus axis
+    cut: tuple[int, ...]
+    #: flat offset of the array in the scratch box
+    offset: int
+    #: the array as (planes, axes after the slab axis)
+    shape: tuple[int, ...]
+    #: the index of the array's cells in the previous phase's array seen as
+    #: its `shape`; None for the box, the first phase
+    index: tuple | None
+    #: per window class, one column per live degree: the flat [start, stop)
+    #: of the cells its run reads, and the flat start of the cells it adds to
+    runs: tuple[np.ndarray, ...]
+    #: the window class of each factor of the stretch, in application order
+    which: tuple[int, ...]
+
+    @property
+    def cells(self) -> int:
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -280,19 +310,11 @@ class BoxPlan:
     bound: int
     #: the origin per degree after the zero weights, C(d + z - 1, d)
     seeds: tuple[int, ...]
-    #: per window class, one column per live degree: the flat [start, stop)
-    #: of the cells its run reads, and the flat start of the cells it adds to
-    runs: tuple[np.ndarray, ...]
-    #: the window class of each leading weight, in application order
-    which: tuple[int, ...]
-    #: the runs of the trailing weights' classes, on the column array
-    tail: tuple[np.ndarray, ...]
-    #: the window class of each trailing weight, in application order
-    tail_which: tuple[int, ...]
-    #: how far the column array reaches either side of the origin on each
-    #: torus axis: the kernel's reach within the box, and all of `axis`
-    column: tuple[int, ...]
-    #: the cells of each kernel in the column array, filled in by _kernel_cells
+    #: the stretches of the nonzero weights in application order, the
+    #: first on the box, each later one on the cells of the one before within
+    #: the kernel's reach on the axes after `axis` that no later weight moves
+    phases: tuple[Phase, ...]
+    #: the cells of each kernel in the last phase, filled in by _kernel_cells
     kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -305,28 +327,18 @@ class BoxPlan:
         return self.cells * np.dtype(np.uint64).itemsize
 
     @cached_property
-    def column_cells(self) -> int:
-        """Cells of the column array: the box's planes, each cut to the
-        cells within `column` of the origin."""
-        return self.cells // self.plane * math.prod(
-            2 * c + 1 for c in self.column[self.axis + 1:])
-
-    @cached_property
-    def column_index(self) -> tuple:
-        """The shape of the flat box as (planes, axes after `axis`), and the
-        index of the columns in that view."""
-        after = range(self.axis + 1, len(self.column))
-        return ((-1,) + tuple(self.shape[a + 1] for a in after),
-                (slice(None),) + tuple(slice(self.center[a] - self.column[a],
-                                             self.center[a] + self.column[a] + 1)
-                                       for a in after))
+    def scratch_cells(self) -> int:
+        """Cells of the scratch box of a pass: the box, the arrays of the
+        odd phases after it (the even ones overwrite its front), and one
+        zero cell."""
+        return self.cells + max((p.cells for p in self.phases[1::2]), default=0) + 1
 
 
 # A plan holds one run of 12 bytes (int32) per window class and degree, a few
-# KB of array headers, seeds, slab offsets and column geometry, and for each
+# KB of array headers, seeds, slab offsets and phase geometry, and for each
 # kernel used with it a table of 4 bytes per term and degree.  With both
-# built-in kernels, as tracemalloc counts it, that is 65 KB for SU(2)xSU(3)
-# at degree 76 (20 classes, 57 + 12 terms), 31 KB at degree 31 and 20 KB
+# built-in kernels, as tracemalloc counts it, that is 61 KB for SU(2)xSU(3)
+# at degree 76 (20 classes, 57 + 12 terms), 33 KB at degree 31 and 20 KB
 # for SU(2)xSU(2) at degree 60.  128 plans therefore hold at most about
 # 8 MB up to degree 76, however many distinct requests arrive.
 @lru_cache(maxsize=128)
@@ -349,39 +361,45 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
     axis = next((a for a in range(3) if wmax[a]), 2)
     # the gutters of the axes after `axis`; see _build_product_boxes
     half = np.add(radius, [0, wmax[1] if radius[0] else 0, wmax[2] if axis < 2 else 0])
-    size = 2 * half + 1
-    steps = np.array([size[1] * size[2], size[2], 1])
-    plane = int(steps[axis])
+    plane = int(np.prod(2 * half[axis + 1:] + 1))
     degree = np.arange(max_degree + 1)
     extents = np.minimum(degree * wmax[axis],
                          (max_degree - degree) * wmax[axis] + reach[axis])
     slabs = np.concatenate([[0], np.cumsum((2 * extents + 1) * plane)])
-    # slab d is the dense degree d without its first c - r_d planes
-    origins = slabs[:-1] + (extents - half[axis]) * plane + half @ steps
     zeros = sum(1 for x in order if not any(x))
-    # the trailing weights move `axis` alone, so off it their windows lie
-    # within the kernel's reach: they run on the column array
-    column = np.minimum(reach, half)
-    column[axis] = half[axis]
-    moved = np.delete(w, axis, axis=1).any(axis=1)
-    split = max(zeros, int(np.flatnonzero(moved).max(initial=-1)) + 1)
     prefix = np.maximum.accumulate(absw)
     suffix = np.maximum.accumulate(absw[::-1])[::-1]
     keys = list(map(tuple, np.hstack([w, prefix, suffix]).tolist()))
-    runs, which = _window_runs(keys[zeros:split], steps, origins, slabs[-1],
-                               reach, max_degree)
-    tail, tail_which = _window_runs(keys[split:], *_column_layout(
-        column, axis, extents, slabs, plane), reach, max_degree)
-    for array in runs + tail + (origins,):
-        array.flags.writeable = False
+    # from factor k on, the axes after `axis` up to the last one that
+    # factors k..m move keep the box's cells, and the axes beyond it need
+    # only those within the kernel's reach (see _build_product_boxes); the
+    # order is cut into phases where that cut changes
+    kept = np.logical_or.accumulate(suffix[:, axis + 1:] > 0, axis=1)
+    cuts = np.where(kept, half[axis + 1:], np.minimum(reach, half)[axis + 1:]).tolist()
+    starts = [zeros] + [k for k in range(zeros + 1, len(w)) if cuts[k] != cuts[k - 1]]
+    phases, outer = [], half[axis + 1:].tolist()
+    for i, (start, stop) in enumerate(zip(starts, starts[1:] + [len(w)])):
+        inner = cuts[start] if i else outer
+        cut = half[:axis + 1].tolist() + inner
+        steps, origins, cells = _layout(cut, axis, extents, slabs, plane)
+        runs, which = _window_runs(keys[start:stop], steps, origins, cells, reach,
+                                   max_degree)
+        for array in runs:
+            array.flags.writeable = False
+        phases.append(Phase(
+            cut=tuple(cut[3 - rank:]), offset=int(slabs[-1]) if i % 2 else 0,
+            shape=(int(slabs[-1]) // plane,) + tuple(2 * c + 1 for c in inner),
+            index=_cut_index(outer, inner) if i else None, runs=runs, which=which))
+        outer = inner
+    origins = _layout(half, axis, extents, slabs, plane)[1]
+    origins.flags.writeable = False
     return BoxPlan(
-        shape=(max_degree + 1,) + tuple(size.tolist()[3 - rank:]) + (1,) * (3 - rank),
+        shape=(max_degree + 1,) + tuple((2 * half + 1).tolist()[3 - rank:]) + (1,) * (3 - rank),
         center=tuple(half.tolist()[3 - rank:]) + lead, axis=axis - (3 - rank),
         extents=tuple(extents.tolist()), plane=plane, slabs=tuple(slabs.tolist()),
         origins=origins, bound=_coefficient_bound(len(w), max_degree),
         seeds=(1,) + tuple(math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)),
-        runs=runs, which=which, tail=tail, tail_which=tail_which,
-        column=tuple(column.tolist()[3 - rank:]))
+        phases=tuple(phases))
 
 
 def _window_runs(keys, steps, origins, cells: int, reach, max_degree: int) -> tuple:
@@ -409,16 +427,24 @@ def _window_runs(keys, steps, origins, cells: int, reach, max_degree: int) -> tu
     return tuple(table[:, k, live[k]] for k in range(len(factors))), which
 
 
-def _column_layout(column, axis: int, extents, slabs, plane: int) -> tuple:
+def _layout(cut, axis: int, extents, slabs, plane: int) -> tuple:
     """(flat step of each torus axis, flat origin of each degree, cells) of
-    the column array of a box of slab offsets `slabs` and `plane` cells per
-    plane: its planes in the box's order, each of the cells within `column`
-    of the origin off `axis`."""
-    size = [2 * c + 1 for c in column]
+    the array of a box of slab offsets `slabs` and `plane` cells per plane
+    that holds its planes in the box's order, each of the cells within
+    `cut` of the origin off `axis`; with the box's own half sizes as `cut`,
+    the box itself."""
+    size = [2 * c + 1 for c in cut]
     steps = np.array([math.prod(size[a + 1:]) for a in range(len(size))])
     planes = np.asarray(slabs) // plane
-    origins = (planes[:-1] + extents - column[axis]) * steps[axis] + np.dot(column, steps)
+    origins = (planes[:-1] + extents - cut[axis]) * steps[axis] + np.dot(cut, steps)
     return steps, origins, int(planes[-1]) * int(steps[axis])
+
+
+def _cut_index(outer, inner) -> tuple:
+    """The index of the cells within `inner` of the origin, per axis after
+    the slab axis, in an array of planes of the cells within `outer`, seen
+    as (planes, axes after the slab axis)."""
+    return (slice(None),) + tuple(slice(o - i, o + i + 1) for o, i in zip(outer, inner))
 
 
 def _offset_type(cells: int) -> type:
@@ -511,38 +537,39 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
     K_m(d) holds every cell within reach, so every cell within reach in the
     box is exact.  Any order is exact; the order only sets the cost.
 
-    (iv) Columns.  Let factors t..m be the longest run of nonzero weights at
-    the end of the order that move A alone.  Off A, S_ka = 0 for k >= t, so
-    K_k(d) lies within reach_a of the origin on every axis a after A, and
-    the window of factor k there within min(d P_ka, reach_a) <= c_a.
-    Factors before t run on the box as above, after which every cell of
-    K_t(d) in the box is exact by (iii).  The column array holds the cells
-    of the box with |p_a| <= min(reach_a, h_a) on every axis a after A, all
-    planes of every slab, stored flat in the box's order; factors t..m run
-    on it, one add per degree from the first cell of the window to the
-    last.  Their reads move a cell by w_A on A alone, so a run reads p - w
-    at degree d - 1 for every cell p it covers, within r_(d-1) on A as in
-    (i), without gutters.  The induction of (iii) then holds on the column
-    array as it stands, and K_k(d), which lies within reach off A, lies in
-    it wherever it lies in the box.  So the column array is exact within
-    reach, _constant_terms reads it there, and written back into the
-    box's columns it leaves the dense box exact within reach.
+    (iv) Phases.  Let R_k be the longest run of axes after A, from the
+    first on, that no factor k..m moves: S_ka = 0 on R_k, so K_k(d) lies
+    within reach_a there, and the window of factor k within
+    min(d P_ka, reach_a) <= c_a.  The order is cut into phases where the
+    cut min(reach_a, h_a) on R_k changes.  The phase from factor t runs on
+    an array of the cells of the box with |p_a| <= min(reach_a, h_a) on
+    R_t, all cells on the other axes, all planes of every slab, stored flat
+    in the box's order; the first array is the box.  When the phase before
+    has run, every cell of K_t(d) in the box lies in its array and is exact
+    by (iii), and one strided slice copies the new array out of it.  On R
+    no read moves a cell, and the axes after R keep the box's sizes and
+    gutters, so (i) holds on every array as it stands; modulo the product V
+    of their sizes, the offset of a cell from its origin is fl(p) mod V in
+    the box and in every array, copies keep p and a read adds fl(w), so
+    (ii) holds modulo V, which is all the gutter case of (iii) uses.  The
+    induction of (iii) then holds on every array, and K_k(d), which lies
+    within reach on R_k, lies in it wherever it lies in the box.  So the
+    last array is exact within reach, and _constant_terms reads it there.
 
     Residues.  The box is uint64.  Every pass makes the same adds, so a
     pass computes the exact integer box reduced modulo its modulus: 2^64
     by wraparound, or an odd modulus below 2^62, subtracted once after an
     add whenever the sum reaches it.  No entry exceeds C(m + N - 1, N), so
     the 2^64 pass is the exact box while that bound is below 2^64.  The
-    box, its columns written back, is returned as a dense (N + 1, X, Y, Z)
-    array with the torus axes first and size-1 padding last, each slab
-    placed in it and the cells beyond r_d on A zero, together with the
-    index of the origin.
+    last array is returned placed in a zeroed dense (N + 1, X, Y, Z) array
+    with the torus axes first and size-1 padding last, which is then exact
+    within reach, together with the index of the origin.
 
     Plan.  The slabs, gutters, seeds, window classes and run offsets come
     from _box_plan, computed once per (weights, N, reach) and cached.  Each
     pass fills a zeroed flat box, seeds the origins, builds the (dst, src)
     views of every run of each class once and adds them class by class in
-    the application order, the trailing classes on the column array.
+    the application order, each phase on its array.
     These are the windows, runs, order and adds of the proof above,
     computed by the same formulas, so the proof holds as it stands; the
     cache only decides when they are computed.
@@ -550,16 +577,16 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
     plan = _box_plan(tuple(map(tuple, weights)), operator.index(rank),
                      operator.index(max_degree),
                      tuple(map(operator.index, reach)))
-    box = np.zeros(plan.cells + plan.column_cells + 1, dtype=np.uint64)
-    columns = _fill_box(plan, modulus, box)
-    view = _column_view(plan, box)
-    view[...] = columns[:-1].reshape(view.shape)
+    box, last = plan.phases[0], plan.phases[-1]
+    planes = _fill_box(plan, modulus, np.zeros(plan.scratch_cells, dtype=np.uint64))
     dense = np.zeros(plan.shape, dtype=np.uint64)
-    planes = dense.reshape(len(plan.extents), -1, plan.plane)
-    c = planes.shape[1] // 2
+    # the dense box as (degrees, planes, axes after the slab axis)
+    view = dense.reshape((len(plan.extents), -1) + box.shape[1:])
+    index = _cut_index(box.cut[plan.axis + 1:], last.cut[plan.axis + 1:])
+    c = view.shape[1] // 2
     for d, r in enumerate(plan.extents):
-        planes[d, c - r:c + r + 1] = box[plan.slabs[d]:plan.slabs[d + 1]].reshape(
-            -1, plan.plane)
+        first = plan.slabs[d] // plan.plane
+        view[d, c - r:c + r + 1][index] = planes[first:first + 2 * r + 1]
     return dense, plan.center
 
 
@@ -591,28 +618,23 @@ def _scratch_box(cells: int) -> np.ndarray:
     return box
 
 
-def _fill_box(plan: BoxPlan, modulus: int, box: np.ndarray) -> np.ndarray:
-    """The column array of _build_product_boxes modulo 2^64 or an odd
-    modulus below 2^62, built in `box`, a zeroed flat uint64 array of at
-    least plan.cells + plan.column_cells + 1 cells: the leading factors fill
-    the box at its front, whose columns are then copied to the cells after
-    it, where the trailing factors run.  Returns the column array and the
-    one zero cell after it; no cell beyond them is written."""
-    box[plan.origins] = [s % modulus for s in plan.seeds]
-    _add_runs(box, plan.runs, plan.which, modulus)
-    view = _column_view(plan, box)
-    columns = box[plan.cells:plan.cells + view.size + 1]
-    columns[:-1].reshape(view.shape)[...] = view
-    _add_runs(columns, plan.tail, plan.tail_which, modulus)
-    return columns
-
-
-def _column_view(plan: BoxPlan, box: np.ndarray) -> np.ndarray:
-    """The columns of a flat box as one strided view: every slab is whole
-    planes, so one slice of the box seen as (planes, axes after plan.axis)
-    holds every degree's columns, degree after degree."""
-    shape, index = plan.column_index
-    return box[:plan.cells].reshape(shape)[index]
+def _fill_box(plan: BoxPlan, modulus: int, scratch: np.ndarray) -> np.ndarray:
+    """The last phase's array of _build_product_boxes modulo 2^64 or an odd
+    modulus below 2^62, built in `scratch`, a zeroed flat uint64 array of at
+    least plan.scratch_cells cells: the first phase fills the box at its
+    front, and each later one copies its cells out of the array of the phase
+    before with one strided slice, after the box or into its front, and runs
+    there.  Returns the last array as (planes, axes after the slab axis);
+    the last cell of plan.scratch_cells is never written."""
+    scratch[plan.origins] = [s % modulus for s in plan.seeds]
+    planes = None
+    for phase in plan.phases:
+        array = scratch[phase.offset:phase.offset + phase.cells]
+        if planes is not None:
+            array.reshape(phase.shape)[...] = planes[phase.index]
+        _add_runs(array, phase.runs, phase.which, modulus)
+        planes = array.reshape(phase.shape)
+    return planes
 
 
 def _add_runs(array: np.ndarray, runs: tuple, which: tuple, modulus: int) -> None:
@@ -640,24 +662,26 @@ def _add_runs(array: np.ndarray, runs: tuple, which: tuple, modulus: int) -> Non
 
 
 def _kernel_cells(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> tuple:
-    """The kernel terms whose cells lie in the column array at some degree,
-    as (an (N + 1, terms) table of their offsets there, one row per degree;
-    their coefficients; the sum of their negative coefficients; the sum of
-    their absolute values).  A term beyond a degree's extent, whose
-    coefficient there is 0 (see _build_product_boxes), reads the zero cell
-    after the column array, which no pass writes: an array of one-cell
-    planes can hold no zero cell of its own.  Kept in the plan per kernel,
-    so that each request makes one gather."""
+    """The kernel terms whose cells lie in the last phase's array at some
+    degree, as (an (N + 1, terms) table of their offsets in the scratch box,
+    one row per degree; their coefficients; the sum of their negative
+    coefficients; the sum of their absolute values).  A term beyond a
+    degree's extent, whose coefficient there is 0 (see
+    _build_product_boxes), reads the scratch box's last cell, which no pass
+    writes: an array of one-cell planes can hold no zero cell of its own.
+    Kept in the plan per kernel, so that each request makes one gather."""
     key = (exps.tobytes(), coefs.tobytes())
     cells = plan.kernels.get(key)
     if cells is None:
-        inside = (np.abs(exps) <= plan.column).all(axis=1)
+        last = plan.phases[-1]
+        inside = (np.abs(exps) <= last.cut).all(axis=1)
         exps, kept = exps[inside], coefs[inside]
-        steps, origins, end = _column_layout(plan.column, plan.axis, plan.extents,
-                                             plan.slabs, plan.plane)
+        steps, origins, _ = _layout(last.cut, plan.axis, plan.extents, plan.slabs,
+                                    plan.plane)
         within = np.abs(exps[:, plan.axis]) <= np.array(plan.extents)[:, None]
-        table = np.where(within, origins[:, None] - exps @ steps,
-                         end).astype(_offset_type(end))
+        zero = plan.scratch_cells - 1
+        table = np.where(within, last.offset + origins[:, None] - exps @ steps,
+                         zero).astype(_offset_type(zero))
         table.flags.writeable = kept.flags.writeable = False
         cells = plan.kernels[key] = (table, kept, int(kept[kept < 0].sum()),
                                      int(np.abs(kept).sum()))
@@ -691,10 +715,11 @@ def _kernel_sums(rows: np.ndarray, coefs: np.ndarray, span: int) -> list[int]:
 
 def _box_rows(plan: BoxPlan, modulus: int, table: np.ndarray) -> np.ndarray:
     """The cells of an offset table of _kernel_cells, one row per degree,
-    of the box modulo `modulus`, copied out of the column array that
-    _fill_box builds in the thread's _scratch_box."""
-    return _fill_box(plan, modulus,
-                     _scratch_box(plan.cells + plan.column_cells + 1)).take(table)
+    of the box modulo `modulus`, copied out of the thread's _scratch_box,
+    in which _fill_box builds its phases."""
+    scratch = _scratch_box(plan.scratch_cells)
+    _fill_box(plan, modulus, scratch)
+    return scratch.take(table)
 
 
 def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[int]:

@@ -133,6 +133,14 @@ CONTRACT = [
     row("molien_series-degree_cap-negative",
         lambda v: molien.molien_series(WS22, 0, degree_cap=v), -1,
         ValueError, "degree_cap must be >= 0, got -1"),
+    row("molien_series-max_degree-over-cap", lambda v: molien.molien_series(WS22, v), 21,
+        ValueError, "max_degree 21 exceeds the resource cap 20; "
+                    "pass degree_cap explicitly to override"),
+    # names of a group and of a backend
+    row("adjoint_weight_system-spec", molien.adjoint_weight_system, "su3xsu3",
+        ValueError, "unknown group spec 'su3xsu3'; expected one of ('su2xsu2', 'su2xsu3')"),
+    row("molien_series-backend", lambda v: molien.molien_series(WS22, 4, backend=v),
+        "contour", ValueError, "unknown backend 'contour'"),
     # a negative degree once sliced the numerator from its end:
     # TWO_QUBIT_RATIONAL.series(-2) gave 15 coefficients, and
     # rational_series([1], [(2, 1)], -1) gave []

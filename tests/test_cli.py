@@ -75,8 +75,8 @@ def test_molien_cap_message_names_the_cli_option(capsys):
 
 
 def test_option_defaults_are_read_from_their_modules(capsys):
-    # the parser imports no command's module when it is built; a command's
-    # parser reads its defaults when it parses or prints its help
+    # the parser sets its defaults from qqinv._args, and they are the values
+    # that molien and local_invariants export, parsed and in the help text
     parser = cli.build_parser()
     args = parser.parse_args(["molien", "--group", "2x2", "--degree", "1"])
     assert args.cap == molien.DEFAULT_DEGREE_CAP
