@@ -11,65 +11,13 @@ becomes a constant-term extraction against the Weyl density:
                          * [q^d] prod_{weights w} 1/(1 - q x^w) ]
 
 All arithmetic is exact and no floating point enters this module.  The
-truncated product is built in a dense box of Laurent coefficients per
-q-degree, pruned to the cells that can still reach the kernel's exponents.
-The factors are applied in a fixed order (zero weights, then weights at rest
-on the slab axis, then weights moving it with an axis after it, axis by
-axis, then weights on the slab axis alone), and factor k updates degree d
-of N on its own window |p_a| <=
-min(d P_ka, (N - d) S_ka + reach_a): P_ka is the largest |w_a| of the
-factors applied so far (k included), which bounds the support of the partial
-product, S_ka the largest |w_a| of the factors still to come (k included),
-which bounds how far a cell can still move, and reach_a the largest kernel
-exponent on axis a.  The box is stored flat: degree after degree, and within
-a degree the torus axes in order, the last innermost.  The slab axis, the
-first that a weight moves, reaches at degree d only its widest window there,
-min(d wmax_a, (N - d) wmax_a + reach_a), so each degree is a slab of its own
-number of planes; every other axis has the radius of its widest window at
-any degree, about half the full radius N wmax_a, so every plane has one
-size.  Each update is then one contiguous add from the first cell of its
-window to the last, reading the slab of the degree before.  Such a run also
-covers the cells outside the window between its rows and planes, and a read
-there may cross a row or plane end; gutters of max |w_a| cells at both ends
-of the axes after the slab axis (of the middle one only when the slab axis
-is the first and has more than one plane) keep every cell of the box proper
-reading its true predecessor, and the gutter cells that the kernel can still
-reach hold exactly 0 (see _build_product_boxes for the proof that every read
-cell is exact).  The zero weights never leave the origin, which starts from
-C(d + z - 1, d) in closed form.  Once no factor still to come moves an
-axis after the slab axis, nor one between the two, only the cells within
-the kernel's reach on that axis count.  There the order is cut into
-phases: the first runs on the box, and each
-later one copies the cells within reach of the array before it out with
-one strided slice, degree after degree, and runs there with the same
-contiguous adds.  For SU(2)xSU(3) the weights at rest on x or moving y run
-on the box, those moving x and z on a band of the cells within reach on y,
-and (+-1, 0, 0) on 5 x 5 columns; for SU(2)xSU(2), (+-1, 0) runs on
-columns of 3 cells.
-
-Every box entry counts weight multisets, so it is bounded by C(m + d - 1, d)
-for m weights at degree d.  The box is uint64.  While the bound is below
-2^64 one pass gives the exact box (for SU(2)xSU(3) through degree 33);
-beyond that the same adds run once with 2^64 wraparound and once per odd
-modulus below 2^62, reducing after each add, until the moduli cover every
-value the constant terms can take, and the Chinese remainder theorem joins
-the passes' constant terms.  The cells at the kernel's exponents are
-gathered from the last phase in one take and summed against the kernel's
-coefficients, in one int64 product while sum |coefficient| *
-C(m + N - 1, N) < 2^63 and by 32-bit halves otherwise.
-
-All of this but the box itself depends only on (weights, N, reach): the
-application order, the geometry, the origin seeds and the offset of every
-run are planned once per such key and kept in a bounded cache (_box_plan),
-and both backends, having the same reach, share one plan, which also keeps
-each kernel's cell offsets at every degree.  A pass zeroes its box, seeds
-the origins, builds its (dst, src) views from the offsets and adds them;
-the plan cache never holds a box or a view.  The boxes of molien_series,
-each with its later phases, live in one anonymous memory mapping
-per thread, outside the malloc heap, kept up to _SCRATCH_BOX_MAX_BYTES
-(SU(2)xSU(3) through degree 41) for the thread's next request
-(_scratch_box), so a process's resident memory does not depend on where in
-that heap its boxes happened to land.
+truncated product is built in a flat uint64 box pruned to the cells that
+can still reach the kernel's exponents: once while its entries stay below
+2^64, and otherwise once modulo 2^64 and once per odd modulus below 2^62,
+whose constant terms the Chinese remainder theorem joins (_constant_terms).
+_fill_box states the box's geometry and proves every cell the kernel reads
+exact; _box_plan plans the box once per (weights, N, reach), and
+_scratch_box keeps the memory it is built in.
 
 Weight systems for the conjugation action on traceless Hermitian matrices
 are built in for SU(2)xSU(2) (15 weights, torus coordinates z, w) and
@@ -90,7 +38,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import operator
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -117,9 +64,9 @@ class WeightSystem:
     label: str = ""
 
     def validate(self) -> None:
-        for w in self.weights + self.roots:
-            if len(w) != self.rank:
-                raise ValueError(f"vector {w} does not have rank {self.rank}")
+        for what, vectors in (("weight", self.weights), ("root", self.roots)):
+            for v in vectors:
+                _integer_vector(v, self.rank, what)
         for axis in range(self.rank):
             if sum(w[axis] for w in self.weights) != 0:
                 raise ValueError(f"weight coordinates do not sum to 0 on axis {axis}")
@@ -202,6 +149,7 @@ def _kernel(roots: tuple, rank: int, backend: str, weyl_order: int) -> tuple:
     reduced:  prod over the roots r > 0, whose first nonzero coordinate is
               positive, of (1 - x^-r), divisor 1
     """
+    roots = tuple(_integer_vector(r, rank, "root") for r in roots)
     if backend == "weyl":
         factors, divisor = roots, weyl_order
     elif backend == "reduced":
@@ -231,21 +179,25 @@ def _coefficient_bound(n_weights: int, max_degree: int) -> int:
     return math.comb(n_weights + max_degree - 1, max_degree)
 
 
+def _integer_vector(v, rank: int, what: str) -> tuple[int, ...]:
+    """v as Python ints if it has `rank` coordinates, each equal to an
+    integer (3.0 and numpy integers are), or ValueError naming it."""
+    try:
+        # through the real part, so that 3 + 0j, which a cache takes for 3,
+        # is read as 3 too
+        out = tuple(int(getattr(x, "real", x)) for x in v)
+        exact = len(out) == rank and all(x == y for x, y in zip(v, out))
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{what} {v} is not an integer vector of rank {rank}")
+    return out
+
+
 def _axis_reach(vectors, rank: int) -> tuple[int, ...]:
     """Largest |v_a| over the vectors, per torus axis."""
     return tuple(max((abs(v[axis]) for v in vectors), default=0)
                  for axis in range(rank))
-
-
-def _box_radius(wmax: int, reach: int, max_degree: int) -> int:
-    """max over d = 0..N of min(d wmax, (N - d) wmax + reach): the first
-    term grows with d and the second falls, so the maximum sits at the last
-    d where the first is the smaller, t = (N wmax + reach) // (2 wmax), or
-    at t + 1, and at most at d = N."""
-    if wmax == 0:
-        return 0
-    t = (max_degree * wmax + reach) // (2 * wmax)
-    return min(max_degree * wmax, max(t * wmax, (max_degree - t - 1) * wmax + reach))
 
 
 def _application_order(w) -> tuple:
@@ -290,10 +242,6 @@ class BoxPlan:
     """Everything about one product box that (weights, degree, reach) fix;
     see _box_plan."""
 
-    #: the dense view of the box, (N + 1, torus axes, size-1 padding)
-    shape: tuple[int, ...]
-    #: index of the origin in `shape`, without the degree
-    center: tuple[int, ...]
     #: the torus axis whose extent is set per degree: the first one that a
     #: weight moves (the last if none does); the axes before it have one cell
     axis: int
@@ -343,28 +291,30 @@ class BoxPlan:
 # 8 MB up to degree 76, however many distinct requests arrive.
 @lru_cache(maxsize=128)
 def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPlan:
-    """What _build_product_boxes derives from its arguments alone.  It
-    holds offsets, never a box or a view of one, in read-only arrays, since
-    every request shares it.  rank, max_degree and reach arrive as Python
-    ints; the weights are keyed as given, and a weight equal to an integer
-    one (3.0, a numpy integer) plans the same box, as every weight becomes
-    int64 here, so the cache state never changes a result."""
+    """What _fill_box derives from its arguments alone.  It holds
+    offsets, never a box or a view of one, in read-only arrays, since every
+    request shares it.  rank, max_degree and reach arrive as Python ints;
+    the weights are keyed as given and checked here: a weight equal to an
+    integer one (3.0, a numpy integer) plans the same box, and any other
+    raises, so the cache state never changes a result."""
     if rank > 3:
         raise ValueError(f"torus rank {rank} not supported (max 3)")
     lead = (0,) * (3 - rank)
     reach = lead + reach
-    order = sorted(weights, key=_application_order)
+    order = sorted((_integer_vector(x, rank, "weight") for x in weights),
+                   key=_application_order)
     w = np.array([lead + x for x in order], dtype=np.int64).reshape(-1, 3)
     absw = np.abs(w)
-    wmax = absw.max(axis=0, initial=0).tolist()
-    radius = [_box_radius(m, r, max_degree) for m, r in zip(wmax, reach)]
+    wmax = absw.max(axis=0, initial=0)
     axis = next((a for a in range(3) if wmax[a]), 2)
-    # the gutters of the axes after `axis`; see _build_product_boxes
-    half = np.add(radius, [0, wmax[1] if radius[0] else 0, wmax[2] if axis < 2 else 0])
+    # the widest window of each degree on each axis, and the gutters of the
+    # axes after `axis`; see _fill_box
+    degree = np.arange(max_degree + 1)[:, None]
+    widest = np.minimum(degree * wmax, (max_degree - degree) * wmax + reach)
+    radius = widest.max(axis=0)
+    half = radius + [0, wmax[1] if radius[0] else 0, wmax[2] if axis < 2 else 0]
     plane = int(np.prod(2 * half[axis + 1:] + 1))
-    degree = np.arange(max_degree + 1)
-    extents = np.minimum(degree * wmax[axis],
-                         (max_degree - degree) * wmax[axis] + reach[axis])
+    extents = widest[:, axis]
     slabs = np.concatenate([[0], np.cumsum((2 * extents + 1) * plane)])
     zeros = sum(1 for x in order if not any(x))
     prefix = np.maximum.accumulate(absw)
@@ -372,8 +322,8 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
     keys = list(map(tuple, np.hstack([w, prefix, suffix]).tolist()))
     # from factor k on, the axes after `axis` up to the last one that
     # factors k..m move keep the box's cells, and the axes beyond it need
-    # only those within the kernel's reach (see _build_product_boxes); the
-    # order is cut into phases where that cut changes
+    # only those within the kernel's reach (see _fill_box); the order is
+    # cut into phases where that cut changes
     kept = np.logical_or.accumulate(suffix[:, axis + 1:] > 0, axis=1)
     cuts = np.where(kept, half[axis + 1:], np.minimum(reach, half)[axis + 1:]).tolist()
     starts = [zeros] + [k for k in range(zeros + 1, len(w)) if cuts[k] != cuts[k - 1]]
@@ -386,18 +336,19 @@ def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPl
                                    max_degree)
         for array in runs:
             array.flags.writeable = False
+        # the cells within `inner` of the origin in the previous phase's array
+        index = (slice(None),) + tuple(slice(o - c, o + c + 1) for o, c in zip(outer, inner))
         phases.append(Phase(
             cut=tuple(cut[3 - rank:]), offset=int(slabs[-1]) if i % 2 else 0,
             shape=(int(slabs[-1]) // plane,) + tuple(2 * c + 1 for c in inner),
-            index=_cut_index(outer, inner) if i else None, runs=runs, which=which))
+            index=index if i else None, runs=runs, which=which))
         outer = inner
     origins = _layout(half, axis, extents, slabs, plane)[1]
     origins.flags.writeable = False
     return BoxPlan(
-        shape=(max_degree + 1,) + tuple((2 * half + 1).tolist()[3 - rank:]) + (1,) * (3 - rank),
-        center=tuple(half.tolist()[3 - rank:]) + lead, axis=axis - (3 - rank),
-        extents=tuple(extents.tolist()), plane=plane, slabs=tuple(slabs.tolist()),
-        origins=origins, bound=_coefficient_bound(len(w), max_degree),
+        axis=axis - (3 - rank), extents=tuple(extents.tolist()), plane=plane,
+        slabs=tuple(slabs.tolist()), origins=origins,
+        bound=_coefficient_bound(len(w), max_degree),
         seeds=(1,) + tuple(math.comb(zeros + d - 1, d) for d in range(1, max_degree + 1)),
         phases=tuple(phases))
 
@@ -440,24 +391,50 @@ def _layout(cut, axis: int, extents, slabs, plane: int) -> tuple:
     return steps, origins, int(planes[-1]) * int(steps[axis])
 
 
-def _cut_index(outer, inner) -> tuple:
-    """The index of the cells within `inner` of the origin, per axis after
-    the slab axis, in an array of planes of the cells within `outer`, seen
-    as (planes, axes after the slab axis)."""
-    return (slice(None),) + tuple(slice(o - i, o + i + 1) for o, i in zip(outer, inner))
-
-
 def _offset_type(cells: int) -> type:
     """The integer type of the flat offsets of a box of `cells` cells and
     the cell after it."""
     return np.int32 if cells < 2 ** 31 else np.int64
 
 
-def _build_product_boxes(weights, rank: int, max_degree: int, reach,
-                         modulus: int = 2 ** 64) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Truncated prod over weights w of 1/(1 - q x^w), one dense box of
-    Laurent coefficients per q-degree, exact modulo `modulus` on every cell
-    within `reach` (per axis) of the origin at every degree.
+_SCRATCH = threading.local()
+
+
+def _scratch_box(cells: int) -> np.ndarray:
+    """A zeroed flat uint64 box of `cells` cells, for a caller that is done
+    with it before it asks for the next one.
+
+    The box is the front of an anonymous memory mapping of the calling
+    thread; a mapping of at most _SCRATCH_BOX_MAX_BYTES is kept for the
+    thread's next request, and a box that outgrows it gets a new one.
+    Boxes from malloc left a heap whose size varied with the timing of the
+    requests: once glibc frees a large block it raises its mmap threshold
+    to that size (up to 32 MB), so smaller boxes come from the heap, which
+    keeps up to twice the threshold free before it is trimmed."""
+    kept = getattr(_SCRATCH, "box", None)
+    if kept is not None and kept.size >= cells:
+        box = kept[:cells]
+        box.fill(0)
+        return box
+    # private anonymous memory (a Windows mapping takes no flags)
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    mapping = mmap.mmap(-1, cells * np.dtype(np.uint64).itemsize, **flags)
+    box = np.frombuffer(mapping, dtype=np.uint64)
+    if box.nbytes <= _SCRATCH_BOX_MAX_BYTES:
+        _SCRATCH.box = box
+    return box
+
+
+def _fill_box(plan: BoxPlan, modulus: int, scratch: np.ndarray) -> np.ndarray:
+    """Truncated prod over weights w of 1/(1 - q x^w) modulo 2^64 or an odd
+    modulus below 2^62, exact on every cell within the kernel's reach (per
+    axis) of the origin at every degree: the last phase's array of `plan`,
+    built in `scratch`, a zeroed flat uint64 array of at least
+    plan.scratch_cells cells, and returned as (planes, axes after the slab
+    axis).  The first phase fills the box at the front of `scratch`, and
+    each later one copies its cells out of the array of the phase before
+    with one strided slice, after the box or into its front, and runs
+    there; the last cell of plan.scratch_cells is never written.
 
     Multiplying by the factor of weight w is S_d += shift(S_{d-1}, w) for
     d = 1..N, ascending.  The factors w_1..w_m run in the order of
@@ -554,78 +531,25 @@ def _build_product_boxes(weights, rank: int, max_degree: int, reach,
     (ii) holds modulo V, which is all the gutter case of (iii) uses.  The
     induction of (iii) then holds on every array, and K_k(d), which lies
     within reach on R_k, lies in it wherever it lies in the box.  So the
-    last array is exact within reach, and _constant_terms reads it there.
+    last array is exact within reach, and _constant_terms reads it there; a
+    cell within reach outside it lies outside the box, and its coefficient
+    is 0 by (iii).
 
     Residues.  The box is uint64.  Every pass makes the same adds, so a
     pass computes the exact integer box reduced modulo its modulus: 2^64
     by wraparound, or an odd modulus below 2^62, subtracted once after an
     add whenever the sum reaches it.  No entry exceeds C(m + N - 1, N), so
-    the 2^64 pass is the exact box while that bound is below 2^64.  The
-    last array is returned placed in a zeroed dense (N + 1, X, Y, Z) array
-    with the torus axes first and size-1 padding last, which is then exact
-    within reach, together with the index of the origin.
+    the 2^64 pass is the exact box while that bound is below 2^64.
 
-    Plan.  The slabs, gutters, seeds, window classes and run offsets come
-    from _box_plan, computed once per (weights, N, reach) and cached.  Each
-    pass fills a zeroed flat box, seeds the origins, builds the (dst, src)
-    views of every run of each class once and adds them class by class in
-    the application order, each phase on its array.
-    These are the windows, runs, order and adds of the proof above,
-    computed by the same formulas, so the proof holds as it stands; the
-    cache only decides when they are computed.
+    Plan.  The slabs, gutters, seeds, window classes, phases and run
+    offsets come from _box_plan, computed once per (weights, N, reach) and
+    cached.  A pass seeds the origins, builds the (dst, src) views of every
+    run of each class once and adds them class by class in the application
+    order, each phase on its array (_add_runs).  These are the windows,
+    runs, order and adds of the proof above, computed by the same formulas,
+    so the proof holds as it stands; the cache only decides when they are
+    computed.
     """
-    plan = _box_plan(tuple(map(tuple, weights)), operator.index(rank),
-                     operator.index(max_degree),
-                     tuple(map(operator.index, reach)))
-    box, last = plan.phases[0], plan.phases[-1]
-    planes = _fill_box(plan, modulus, np.zeros(plan.scratch_cells, dtype=np.uint64))
-    dense = np.zeros(plan.shape, dtype=np.uint64)
-    # the dense box as (degrees, planes, axes after the slab axis)
-    view = dense.reshape((len(plan.extents), -1) + box.shape[1:])
-    index = _cut_index(box.cut[plan.axis + 1:], last.cut[plan.axis + 1:])
-    c = view.shape[1] // 2
-    for d, r in enumerate(plan.extents):
-        first = plan.slabs[d] // plan.plane
-        view[d, c - r:c + r + 1][index] = planes[first:first + 2 * r + 1]
-    return dense, plan.center
-
-
-_SCRATCH = threading.local()
-
-
-def _scratch_box(cells: int) -> np.ndarray:
-    """A zeroed flat uint64 box of `cells` cells, for a caller that is done
-    with it before it asks for the next one.
-
-    The box is the front of an anonymous memory mapping of the calling
-    thread; a mapping of at most _SCRATCH_BOX_MAX_BYTES is kept for the
-    thread's next request, and a box that outgrows it gets a new one.
-    Boxes from malloc left a heap whose size varied with the timing of the
-    requests: once glibc frees a large block it raises its mmap threshold
-    to that size (up to 32 MB), so smaller boxes come from the heap, which
-    keeps up to twice the threshold free before it is trimmed."""
-    kept = getattr(_SCRATCH, "box", None)
-    if kept is not None and kept.size >= cells:
-        box = kept[:cells]
-        box.fill(0)
-        return box
-    # private anonymous memory (a Windows mapping takes no flags)
-    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    mapping = mmap.mmap(-1, cells * np.dtype(np.uint64).itemsize, **flags)
-    box = np.frombuffer(mapping, dtype=np.uint64)
-    if box.nbytes <= _SCRATCH_BOX_MAX_BYTES:
-        _SCRATCH.box = box
-    return box
-
-
-def _fill_box(plan: BoxPlan, modulus: int, scratch: np.ndarray) -> np.ndarray:
-    """The last phase's array of _build_product_boxes modulo 2^64 or an odd
-    modulus below 2^62, built in `scratch`, a zeroed flat uint64 array of at
-    least plan.scratch_cells cells: the first phase fills the box at its
-    front, and each later one copies its cells out of the array of the phase
-    before with one strided slice, after the box or into its front, and runs
-    there.  Returns the last array as (planes, axes after the slab axis);
-    the last cell of plan.scratch_cells is never written."""
     scratch[plan.origins] = [s % modulus for s in plan.seeds]
     planes = None
     for phase in plan.phases:
@@ -666,10 +590,10 @@ def _kernel_cells(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> tuple:
     degree, as (an (N + 1, terms) table of their offsets in the scratch box,
     one row per degree; their coefficients; the sum of their negative
     coefficients; the sum of their absolute values).  A term beyond a
-    degree's extent, whose coefficient there is 0 (see
-    _build_product_boxes), reads the scratch box's last cell, which no pass
-    writes: an array of one-cell planes can hold no zero cell of its own.
-    Kept in the plan per kernel, so that each request makes one gather."""
+    degree's extent, whose coefficient there is 0 (see _fill_box), reads
+    the scratch box's last cell, which no pass writes: an array of one-cell
+    planes can hold no zero cell of its own.  Kept in the plan per kernel,
+    so that each request makes one gather."""
     key = (exps.tobytes(), coefs.tobytes())
     cells = plan.kernels.get(key)
     if cells is None:
@@ -737,11 +661,10 @@ def _constant_terms(plan: BoxPlan, exps: np.ndarray, coefs: np.ndarray) -> list[
     the range, the range fixes them.  Each pass's rows are copied out of
     its box before the next pass builds one (_box_rows)."""
     table, kept, negative, weight = _kernel_cells(plan, exps, coefs)
-    degrees = plan.shape[0]
     if plan.bound < 2 ** 64:
         rows = _box_rows(plan, 2 ** 64, table)
         return _kernel_sums(rows, kept, weight * plan.bound)
-    total, product = [0] * degrees, 1
+    total, product = [0] * len(plan.extents), 1
     for modulus in _moduli(weight * plan.bound):
         rows = _box_rows(plan, modulus, table)
         sums = _kernel_sums(rows, kept, weight * (modulus - 1))
@@ -762,7 +685,7 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
     1/|W| normalization; "reduced" integrates the positive-root half
     prod_{r > 0} (1 - x^-r) of it with divisor 1 (see _kernel).
     The product box covers only the cells within the kernel's reach (see
-    _build_product_boxes).  It is computed in uint64, once while the proven
+    _fill_box).  It is computed in uint64, once while the proven
     bound C(m + d - 1, d) on its entries is below 2^64 and otherwise once
     per modulus of a residue system wide enough for the constant terms (see
     _constant_terms), so the counts are exact at every degree.

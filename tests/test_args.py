@@ -73,6 +73,43 @@ MOLIEN_SERIES = {
     "warm": _molien_series_warm,
 }
 
+#: the integer weight system of SU(2) on spin 1, its torus coordinate
+#: scaled by 3, with the same weights and roots as floats and numpy integers
+SPIN1_BY_3 = {
+    "int": molien.WeightSystem(1, ((0,), (3,), (-3,)), ((3,), (-3,)), 2),
+    "3.0": molien.WeightSystem(1, ((0.0,), (3.0,), (-3.0,)), ((3.0,), (-3.0,)), 2),
+    "numpy": molien.WeightSystem(1, tuple((np.int64(x),) for x in (0, 3, -3)),
+                                 ((np.int64(3),), (np.int64(-3),)), 2),
+}
+
+
+def _series_planned_after(first, then):
+    """molien_series of `first` at degree 4 on empty kernel and plan caches,
+    then of `then` on the caches that `first` filled."""
+    molien._kernel.cache_clear()
+    molien._box_plan.cache_clear()
+    return molien.molien_series(first, 4) + molien.molien_series(then, 4)
+
+
+#: weight systems with a weight or root that is not an integer vector of
+#: their rank; unchecked, the first ran as (+-1,), the next two gave
+#: [0, 0, 0, 0, 0] and [1, 2, 3, 4, 5], and the last two raised numpy's
+#: reshape error and a TypeError on slice indices
+R1, R2 = ((1,), (-1,)), ((1, 0), (-1, 0))
+MALFORMED = (
+    ("weight-1.5", molien.WeightSystem(1, ((0,), (1.5,), (-1.5,)), R1, 2),
+     "weight (1.5,) is not an integer vector of rank 1"),
+    ("weights-of-rank-1-in-rank-2", molien.WeightSystem(2, ((0,), (1,), (-1,)), R2, 2),
+     "weight (0,) is not an integer vector of rank 2"),
+    ("weights-of-rank-3-in-rank-2",
+     molien.WeightSystem(2, ((0, 0, 0), (1, 0, 0), (-1, 0, 0)), R2, 2),
+     "weight (0, 0, 0) is not an integer vector of rank 2"),
+    ("weights-of-rank-2-in-rank-1", molien.WeightSystem(1, ((1, 0), (-1, 0)), R1, 2),
+     "weight (1, 0) is not an integer vector of rank 1"),
+    ("root-0.5", molien.WeightSystem(1, ((0,), (1,), (-1,)), ((0.5,), (-0.5,)), 2),
+     "root (0.5,) is not an integer vector of rank 1"),
+)
+
 #: the two routes to rational_series's max_degree
 RATIONAL_SERIES = {
     "rational_series": lambda v: molien.rational_series([1], [(2, 1)], v),
@@ -136,6 +173,8 @@ CONTRACT = [
     row("molien_series-max_degree-over-cap", lambda v: molien.molien_series(WS22, v), 21,
         ValueError, "max_degree 21 exceeds the resource cap 20; "
                     "pass degree_cap explicitly to override"),
+    *(row(f"molien_series-{case}", lambda v: molien.molien_series(v, 4), ws,
+          ValueError, message) for case, ws, message in MALFORMED),
     # names of a group and of a backend
     row("adjoint_weight_system-spec", molien.adjoint_weight_system, "su3xsu3",
         ValueError, "unknown group spec 'su3xsu3'; expected one of ('su2xsu2', 'su2xsu3')"),
@@ -221,6 +260,27 @@ CONTRACT = [
           ("bool", np.full(shape, True), "bool"),
           ("object", np.full(shape, None), "object"),
           ("str", np.full(shape, "0"), "<U1"))),
+    # C.T has 24 entries too, but reshaping it would scramble the
+    # correlations
+    *(row(f"state-{case}", lambda v: states.QubitQutritState(*map(np.zeros, v)), shapes,
+          ValueError, message)
+      for case, shapes, message in (
+          ("C-transposed", ((3,), (8,), (8, 3)),
+           "field 'C' has shape (8, 3), expected (3, 8) or (24,)"),
+          ("a-length-4", ((4,), (8,), (3, 8)), "field 'a' has shape (4,), expected (..., 3)"),
+          ("a-scalar", ((), (8,), (3, 8)), "field 'a' has shape (), expected (..., 3)"),
+          ("b-2x4", ((3,), (2, 4), (3, 8)), "field 'b' has shape (2, 4), expected (8,)"),
+          ("b-1x8", ((3,), (1, 8), (3, 8)), "field 'b' has shape (1, 8), expected (8,)"),
+          ("C-length-25", ((3,), (8,), (25,)),
+           "field 'C' has shape (25,), expected (3, 8) or (24,)"),
+          ("b-without-batch", ((2, 3), (8,), (2, 3, 8)),
+           "field 'b' has shape (8,), expected (2, 8)"),
+          ("C-without-batch", ((2, 3), (2, 8), (3, 8)),
+           "field 'C' has shape (3, 8), expected (2, 3, 8) or (2, 24)"),
+          ("b-other-batch", ((2, 3), (3, 8), (3, 3, 8)),
+           "field 'b' has shape (3, 8), expected (2, 8)"),
+          ("C-flat-other-batch", ((2, 3), (2, 8), (3, 24)),
+           "field 'C' has shape (3, 24), expected (2, 3, 8) or (2, 24)"))),
     row("state-a-ragged", lambda v: states.QubitQutritState(v, np.zeros(8), np.zeros(24)),
         [0, 0, [0]], ValueError, f"field 'a' {RAGGED}"),
     row("state-C-ragged", lambda v: states.QubitQutritState(np.zeros(3), np.zeros(8), v),
@@ -266,6 +326,11 @@ ACCEPTED = {
     "molien_series-numpy-degree_cap": (
         lambda: molien.molien_series(WS22, 4, degree_cap=np.int64(4)),
         lambda: molien.molien_series(WS22, 4)),
+    **{f"molien_series-{form}-weights-planned-{when}": (
+        lambda pair=pair: _series_planned_after(*pair), lambda: [1, 0, 1, 0, 1] * 2)
+       for form in ("3.0", "numpy")
+       for when, pair in (("first", (SPIN1_BY_3[form], SPIN1_BY_3["int"])),
+                          ("second", (SPIN1_BY_3["int"], SPIN1_BY_3[form])))},
     "RationalForm.series-numpy-max_degree": (lambda: TWO_QUBIT.series(np.int64(3)),
                                              lambda: [1, 0, 3, 2]),
     "rational_series-max_degree-0": (lambda: molien.rational_series([1], [(2, 1)], 0),

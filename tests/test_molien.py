@@ -1,5 +1,6 @@
 """Torus weight systems, exact series extraction and rational-form checks."""
 
+import ast
 import dataclasses
 import itertools
 import math
@@ -9,11 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qqinv import molien
 from qqinv.molien import (TWO_QUBIT_RATIONAL, QUBIT_QUTRIT_DENOMINATOR,
                           _SCRATCH_BOX_MAX_BYTES,
                           RationalForm, WeightSystem, _axis_reach, _box_plan,
-                          _application_order, _box_radius, _build_product_boxes,
-                          _constant_terms,
+                          _application_order, _constant_terms, _fill_box,
                           _functional_equation, _kernel,
                           _kernel_cells, _kernel_sums, _moduli, _root_polynomial,
                           _scratch_box,
@@ -104,19 +105,37 @@ def test_weight_system_validate_rejects_bad():
         WeightSystem(1, ((1,), (0,)), (), 1).validate()
     with pytest.raises(ValueError, match="paired"):
         WeightSystem(1, ((1,), (-1,)), ((1,),), 2).validate()
+    with pytest.raises(ValueError, match=r"^weight \(0\.5,\) is not an integer vector"):
+        WeightSystem(1, ((0.5,), (-0.5,)), (), 1).validate()
 
 
 # -- truncated torus series --------------------------------------------------------
 
+def last_phase_degrees(weights, rank, N, reach, modulus=2 ** 64):
+    """_fill_box's last array on a zeroed scratch box, degree by degree:
+    per degree, its cells as an array over the torus axes, and the index of
+    the origin in that array."""
+    plan = _box_plan(tuple(map(tuple, weights)), rank, N, tuple(reach))
+    planes = _fill_box(plan, modulus, np.zeros(plan.scratch_cells, dtype=np.uint64))
+    assert planes.dtype == np.uint64
+    inner = plan.phases[-1].cut[plan.axis + 1:]
+    degrees = []
+    for d, r in enumerate(plan.extents):
+        first = plan.slabs[d] // plan.plane
+        cells = planes[first:first + 2 * r + 1]
+        degrees.append((cells.reshape((1,) * plan.axis + cells.shape),
+                        (0,) * plan.axis + (r,) + inner))
+    return degrees
+
+
 def full_reach_box_series(ws, N):
-    """The product box at reach N wmax, where the pruned windows are the full
-    supports, as one {exponent: coefficient} dict of nonzero cells per
-    q-degree."""
+    """The product at reach N wmax, where the pruned windows are the full
+    supports and the last phase is the whole box within them, as one
+    {exponent: coefficient} dict of nonzero cells per q-degree."""
     reach = tuple(N * m for m in _axis_reach(ws.weights, ws.rank))
-    boxes, center = _build_product_boxes(ws.weights, ws.rank, N, reach)
-    return [{tuple(int(p - c) for p, c in zip(pos, center))[:ws.rank]:
-             int(boxes[(d,) + tuple(pos)]) for pos in np.argwhere(boxes[d] != 0)}
-            for d in range(N + 1)]
+    return [{tuple(int(p - c) for p, c in zip(pos, center)): int(cells[tuple(pos)])
+             for pos in np.argwhere(cells != 0)}
+            for cells, center in last_phase_degrees(ws.weights, ws.rank, N, reach)]
 
 
 def test_series_exponents_bounded():
@@ -146,9 +165,9 @@ def test_residue_passes_follow_the_entry_bound():
         moduli = _moduli(_box_plan(zeros, 1, N, (0,)).bound)
         assert moduli[0] == 2 ** 64 and len(moduli) == N - 32
         for modulus in moduli:
-            boxes, _ = _build_product_boxes(zeros, 1, N, (0,), modulus)
-            assert boxes.dtype == np.uint64
-            assert boxes[:, 0, 0, 0].tolist() == [v % modulus for v in expect]
+            degrees = last_phase_degrees(zeros, 1, N, (0,), modulus)
+            assert [int(cells[center]) for cells, center in degrees] == [
+                v % modulus for v in expect]
         assert molien_series(ws, N, degree_cap=N) == expect
     assert max(expect) >= 2 ** 64 > expect[-2]
     assert moduli[1] < 2 ** 62 and moduli[1] % 2
@@ -200,14 +219,17 @@ def test_pruned_box_shape_2x3():
     reach = _axis_reach([exp for exp, _ in _root_polynomial(ws.roots, ws.rank)],
                         ws.rank)
     assert reach == (1, 2, 2)
-    boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
-    assert boxes.shape == (31, 31, 35, 35)
-    assert center == (15, 17, 17)
+    plan = _box_plan(ws.weights, ws.rank, 30, reach)
+    assert plan.phases[0].cut == (15, 17, 17)
     # stored, degree d reaches min(d, 31 - d) on axis x: 511 planes of
     # 35 x 35 cells in all, not 31 x 31
-    plan = _box_plan(ws.weights, ws.rank, 30, reach)
+    assert plan.phases[0].shape == (511, 35, 35)
     assert plan.extents == tuple(min(d, 31 - d) for d in range(31))
     assert plan.cells == sum(2 * r + 1 for r in plan.extents) * 35 * 35 == 625_975
+    # the kernel reads the last phase: every plane cut to the 5 x 5 cells
+    # within reach on y and z
+    scratch = np.zeros(plan.scratch_cells, dtype=np.uint64)
+    assert _fill_box(plan, 2 ** 64, scratch).shape == (511, 5, 5)
 
 
 #: SU(2) on spin 1, in the torus coordinate of the adjoint weights
@@ -262,7 +284,8 @@ CASCADE_WEIGHTS = ((0, 0, 0), (1, 2, 1), (-1, -2, -1), (2, 1, 0), (-2, -1, 0),
 def within_reach(cells, reach, center=None):
     """The coefficients of one degree within reach of the origin, as an
     array of 2 reach + 1 cells per axis: from a dict of exponents, or from
-    a dense box degree with its center (a cell beyond the box reads 0)."""
+    an array of cells with the index of its origin (a cell beyond the array
+    reads 0)."""
     window = np.zeros([2 * r + 1 for r in reach], dtype=np.uint64)
     if center is None:
         for p, c in cells.items():
@@ -271,8 +294,7 @@ def within_reach(cells, reach, center=None):
         return window
     cut = [min(r, c) for r, c in zip(reach, center)]
     window[tuple(slice(r - k, r + k + 1) for r, k in zip(reach, cut))] = cells[
-        tuple(slice(c - k, c + k + 1) for c, k in zip(center, cut))
-        + (0,) * (cells.ndim - len(reach))]
+        tuple(slice(c - k, c + k + 1) for c, k in zip(center, cut))]
     return window
 
 
@@ -288,9 +310,9 @@ def test_per_factor_windows_exact_within_reach():
         # degree d is the same at any N >= d
         expect = [within_reach(poly, reach) for poly in dict_product_series(weights, 12)]
         for modulus, N in itertools.product((2 ** 64, _moduli(2 ** 64)[1]), range(13)):
-            boxes, center = _build_product_boxes(weights, rank, N, reach, modulus)
-            for d in range(N + 1):
-                got = within_reach(boxes[d], reach, center[:rank])
+            degrees = last_phase_degrees(weights, rank, N, reach, modulus)
+            for d, (cells, center) in enumerate(degrees):
+                got = within_reach(cells, reach, center)
                 assert np.array_equal(got, expect[d]), (weights, modulus, N, d)
 
 
@@ -333,11 +355,12 @@ def test_phases_of_the_built_in_groups(spec, phases):
 def test_box_independent_of_weight_order():
     rng = np.random.default_rng(3)
     for N in (5, 12):
-        boxes, center = _build_product_boxes(MIXED_WEIGHTS, 2, N, (1, 2))
+        degrees = last_phase_degrees(MIXED_WEIGHTS, 2, N, (1, 2))
         shuffled = [MIXED_WEIGHTS[i] for i in rng.permutation(len(MIXED_WEIGHTS))]
-        again, center_again = _build_product_boxes(shuffled, 2, N, (1, 2))
-        assert center_again == center
-        assert again.dtype == boxes.dtype and np.array_equal(again, boxes)
+        again = last_phase_degrees(shuffled, 2, N, (1, 2))
+        assert len(again) == len(degrees) == N + 1
+        for (cells, center), (cells_again, center_again) in zip(degrees, again):
+            assert center_again == center and np.array_equal(cells_again, cells)
 
 
 # -- box plans ---------------------------------------------------------------------
@@ -357,21 +380,15 @@ def kernel_reach(spec):
 ], ids=["mixed", "wrap", "spin1+spin2", "2x2", "2x3-int64", "2x3-residue"])
 def test_box_from_cached_plan_equals_freshly_planned(weights, rank, N, reach):
     for modulus in (2 ** 64, _moduli(2 ** 64)[1]):
-        _build_product_boxes(weights, rank, N, reach, modulus)
+        last_phase_degrees(weights, rank, N, reach, modulus)
         hits = _box_plan.cache_info().hits
-        cached, center = _build_product_boxes(weights, rank, N, reach, modulus)
+        cached = last_phase_degrees(weights, rank, N, reach, modulus)
         assert _box_plan.cache_info().hits == hits + 1
         _box_plan.cache_clear()
-        fresh, fresh_center = _build_product_boxes(weights, rank, N, reach, modulus)
+        fresh = last_phase_degrees(weights, rank, N, reach, modulus)
         assert _box_plan.cache_info().misses == 1
-        assert center == fresh_center
-        assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
-
-
-def test_box_radius_is_the_widest_window():
-    for wmax, reach, N in itertools.product(range(6), range(12), range(30)):
-        widest = max(min(d * wmax, (N - d) * wmax + reach) for d in range(N + 1))
-        assert _box_radius(wmax, reach, N) == widest, (wmax, reach, N)
+        for (cells, center), (fresh_cells, fresh_center) in zip(cached, fresh, strict=True):
+            assert center == fresh_center and np.array_equal(cells, fresh_cells)
 
 
 def application_maxima(weights, axis):
@@ -409,15 +426,12 @@ def test_slab_extent_is_the_widest_window_of_its_degree(spec, axis, degrees):
 
 
 def test_plan_reports_box_geometry():
-    # the dense view keeps the widest window's radius at every degree; the
-    # box stores degree d with min(d, 31 - d) planes either side of the
+    # the box keeps the widest window's radius on y and z, plus a gutter,
+    # and stores degree d with min(d, 31 - d) planes either side of the
     # origin on axis x, each of 35 x 35 cells
     ws, reach = kernel_reach("su2xsu3")
-    boxes, center = _build_product_boxes(ws.weights, ws.rank, 30, reach)
     plan = _box_plan(ws.weights, ws.rank, 30, reach)
-    assert plan.shape == boxes.shape == (31, 31, 35, 35)
-    assert plan.center == center == (15, 17, 17)
-    assert boxes.dtype == np.uint64
+    assert plan.axis == 0 and plan.phases[0].cut == (15, 17, 17)
     assert plan.plane == 35 * 35
     assert plan.cells == 625_975 == sum(2 * min(d, 31 - d) + 1 for d in range(31)) * 35 * 35
     assert plan.nbytes == 8 * plan.cells
@@ -427,7 +441,7 @@ def test_plan_reports_box_geometry():
     # of 63 cells of axis w
     ws, reach = kernel_reach("su2xsu2")
     plan = _box_plan(ws.weights, ws.rank, 60, reach)
-    assert plan.shape == (61, 61, 63, 1) and plan.plane == 63
+    assert plan.phases[0].cut == (30, 31) and plan.plane == 63
     assert plan.cells == 121_023 == sum(2 * min(d, 61 - d) + 1 for d in range(61)) * 63
 
 
@@ -452,17 +466,7 @@ def test_plan_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     with pytest.raises(AttributeError):
-        plan.shape = (1,)
-
-
-def test_mutating_a_box_leaves_the_next_request_unchanged():
-    ws, reach = kernel_reach("su2xsu2")
-    boxes, _ = _build_product_boxes(ws.weights, ws.rank, 20, reach)
-    expect = boxes.copy()
-    boxes[...] = 7
-    again, _ = _build_product_boxes(ws.weights, ws.rank, 20, reach)
-    assert np.array_equal(again, expect)
-    assert molien_series(ws, 20) == TWO_QUBIT_RATIONAL.series(20)
+        plan.axis = 1
 
 
 def test_a_dirty_scratch_box_leaves_the_next_request_unchanged():
@@ -501,7 +505,7 @@ def test_plan_cache_is_bounded():
     bound = _box_plan.cache_info().maxsize
     assert bound is not None
     for N in range(bound + 8):
-        _build_product_boxes(SPIN1.weights, 1, N, (1,))
+        _box_plan(SPIN1.weights, 1, N, (1,))
         assert _box_plan.cache_info().currsize <= bound
     assert _box_plan.cache_info().currsize == bound
 
@@ -579,16 +583,16 @@ def test_reduced_kernels_of_the_built_in_groups():
     assert len(items) == 9 and divisor == 4
 
 
-def python_integer_constant_terms(boxes, center, exps, coefs):
-    """The kernel product summed in Python integers, every box entry read
-    on its own: the reference for the int64 sums."""
+def python_integer_constant_terms(degrees, exps, coefs):
+    """The kernel product summed in Python integers, every entry of the
+    last phase read on its own: the reference for the int64 sums."""
     out = []
-    for row in boxes:
+    for cells, center in degrees:
         total = 0
         for e, c in zip(exps.tolist(), coefs.tolist()):
-            pos = tuple(x - y for x, y in zip(center, e + [0] * (3 - len(e))))
-            if all(0 <= p < n for p, n in zip(pos, row.shape)):
-                total += c * int(row[pos])
+            pos = tuple(x - y for x, y in zip(center, e))
+            if all(0 <= p < n for p, n in zip(pos, cells.shape)):
+                total += c * int(cells[pos])
         out.append(total)
     return out
 
@@ -605,10 +609,10 @@ def test_constant_terms_in_int64_equal_the_python_integer_sum(spec, top):
     in_int64 = set()
     for N in range(top + 1):
         plan = _box_plan(ws.weights, ws.rank, N, reach)
-        boxes, center = _build_product_boxes(ws.weights, ws.rank, N, reach)
+        degrees = last_phase_degrees(ws.weights, ws.rank, N, reach)
         for exps, coefs, _, _ in kernels:
             got = _constant_terms(plan, exps, coefs)
-            assert got == python_integer_constant_terms(boxes, center, exps, coefs), N
+            assert got == python_integer_constant_terms(degrees, exps, coefs), N
             assert all(type(v) is int for v in got)
             in_int64.add(_kernel_cells(plan, exps, coefs)[3] * plan.bound < 2 ** 63)
     assert in_int64 == ({True} if spec == "su2xsu2" else {True, False})
@@ -640,6 +644,27 @@ def test_kernel_coefficients_must_sum_below_2_31():
     with pytest.raises(ValueError, match="too large"):
         _kernel(roots, 1, "weyl", 2)
     assert sum(map(abs, _kernel(roots, 1, "reduced", 2)[1].tolist())) == 2 ** 16
+
+
+def test_no_floating_point_in_the_module():
+    # every count is exact: no float literal, true division, float type or
+    # numpy float attribute anywhere in the module
+    with open(molien.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"literal {node.value!r}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append("true division")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append("name float")
+        elif isinstance(node, ast.Attribute) and "float" in node.attr:
+            found.append(f"attribute {node.attr}")
+        else:
+            continue
+        found[-1] += f" on line {node.lineno}"
+    assert found == []
 
 
 # -- rational forms ------------------------------------------------------------------

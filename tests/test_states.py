@@ -393,27 +393,6 @@ def test_state_accepts_flat_correlations():
     assert stacked.C.shape == (2, 3, 8) and np.array_equal(stacked.C[1], C)
 
 
-@pytest.mark.parametrize("a,b,C,field,shape", [
-    # C.T has 24 entries too, but reshaping it scrambles the correlations
-    ((3,), (8,), (8, 3), "C", (8, 3)),
-    ((4,), (8,), (3, 8), "a", (4,)),
-    ((), (8,), (3, 8), "a", ()),
-    ((3,), (2, 4), (3, 8), "b", (2, 4)),
-    ((3,), (1, 8), (3, 8), "b", (1, 8)),
-    ((3,), (8,), (25,), "C", (25,)),
-    ((2, 3), (8,), (2, 3, 8), "b", (8,)),
-    ((2, 3), (2, 8), (3, 8), "C", (3, 8)),
-    ((2, 3), (3, 8), (3, 3, 8), "b", (3, 8)),
-    ((2, 3), (2, 8), (3, 24), "C", (3, 24)),
-], ids=["C-transposed", "a-length-4", "a-scalar", "b-2x4", "b-1x8",
-        "C-length-25", "b-without-batch", "C-without-batch", "b-other-batch",
-        "C-flat-other-batch"])
-def test_state_rejects_misshapen_fields(a, b, C, field, shape):
-    with pytest.raises(ValueError,
-                       match=rf"field '{field}' has shape {re.escape(str(shape))}"):
-        QubitQutritState(np.zeros(a), np.zeros(b), np.zeros(C))
-
-
 def coordinate_producers():
     """A state from each way the library makes one, by name."""
     rng = np.random.default_rng(28)
