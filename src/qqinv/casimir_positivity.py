@@ -48,28 +48,19 @@ _EYE6 = np.eye(6, dtype=complex)
 _LAST_RECORD: tuple = (None, None)
 
 
-@functools.cache
-def _normalizers(n: int) -> tuple[float, ...]:
-    """(k-1)!/((n-1)...(n-k+1)) for k = 2..6."""
-    out = []
-    for k in range(2, 7):
-        denom = 1.0
-        for j in range(1, k):
-            denom *= (n - j)
-        out.append(math.factorial(k - 1) / denom)
-    return tuple(out)
+#: C_k / c_k = (k-1)!/((n-1)...(n-k+1)) for k = 2..6 at n = 6
+_NORMALIZERS = tuple(math.factorial(k - 1) / math.prod(range(7 - k, 6)) for k in range(2, 7))
 
 
 @dataclass(frozen=True)
 class CasimirValues:
-    """Raw c_2..c_6 and normalized C_k = (k-1)!/((n-1)...(n-k+1)) c_k."""
+    """Raw c_2..c_6 of su(6) and normalized C_k = _NORMALIZERS[k - 2] c_k."""
 
-    n: int
     raw: tuple[float, float, float, float, float]
 
     @property
     def normalized(self) -> tuple[float, ...]:
-        return tuple(f * c for f, c in zip(_normalizers(self.n), self.raw))
+        return tuple(f * c for f, c in zip(_NORMALIZERS, self.raw))
 
 
 def _all(verdicts):
@@ -218,14 +209,13 @@ def casimirs_from_traces(state: QubitQutritState) -> CasimirValues:
     """Invert the five moment relations of omega = n rho - I (trace route);
     a stacked state gives arrays of the batch shape, each entry bit for bit
     its one-state value."""
-    n = 6
-    t2, t3, t4, t5, t6 = (x / n for x in _checked_record(state)[2][1:])
+    t2, t3, t4, t5, t6 = (x / 6 for x in _checked_record(state)[2][1:])
     c2 = t2
     c3 = t3
     c4 = t4 - _power(c2, 2)
     c5 = t5 - 2 * c2 * c3
     c6 = t6 - _power(c2, 3) - 2 * c2 * c4 - _power(c3, 2)
-    return CasimirValues(n, (c2, c3, c4, c5, c6))
+    return CasimirValues((c2, c3, c4, c5, c6))
 
 
 def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
@@ -237,8 +227,11 @@ def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
 
     dual_route_report compares c6 too, and the selftest requires the routes
     to agree to < 1e-9; the trace route stays primary downstream.  A
-    non-finite or huge xi gives non-finite Casimirs quietly.
+    non-finite or huge xi gives non-finite Casimirs quietly.  The structure
+    constants must be su(6)'s, as the Casimirs are.
     """
+    if sc.n != 6:
+        raise ValueError(f"Casimirs are su(6)'s: got structure constants of su({sc.n})")
     xi = _args.real_array(xi, "xi")
     if xi.shape[-1:] != (sc.dim,):
         raise ValueError(f"xi must have length {sc.dim}, got shape {xi.shape}")
@@ -251,7 +244,7 @@ def casimirs_from_vee(xi: np.ndarray, sc: StructureConstants) -> CasimirValues:
         c5 = (n - 1) * _dot(vee(xx, xx, sc), xi)
         v3 = vee(xx, xi, sc)
         c6 = (n - 1) * _dot(v3, v3)
-    return CasimirValues(n, (c2, c3, c4, c5, c6))
+    return CasimirValues((c2, c3, c4, c5, c6))
 
 
 def dual_route_report(state: QubitQutritState, sc: StructureConstants) -> dict:

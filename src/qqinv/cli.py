@@ -51,11 +51,9 @@ def _as_table(doc, prefix: str = "") -> str:
                 lines.append(_as_table(value, prefix + "  "))
             else:
                 lines.append(f"{prefix}{str(key):<{width}}  {value}")
-    elif isinstance(doc, list):
-        for item in doc:
-            lines.append(_as_table(item, prefix))
     else:
-        lines.append(f"{prefix}{doc}")
+        # a dict item as a nested table, anything else (an inner list too) on one line
+        lines += [_as_table(x, prefix) if isinstance(x, dict) else f"{prefix}{x}" for x in doc]
     return "\n".join(lines)
 
 

@@ -43,6 +43,8 @@ LISTED_DEGREE4 = ("gggg", "aggg", "bggg", "agag", "bbgg", "bgbg", "abbg", "abgg"
 
 
 def _check_letters(word: str) -> None:
+    if not isinstance(word, str):
+        raise TypeError(f"word must be a str, got {word!r}")
     if not word or any(ch not in LETTERS for ch in word):
         raise ValueError(f"word must be nonempty over {LETTERS!r}, got {word!r}")
 
@@ -125,10 +127,13 @@ def _eval_on(mats: dict[str, np.ndarray], word: str) -> complex | np.ndarray:
     return _tr(_product(mats, word))
 
 
-def _one_or_many(words) -> tuple[list, bool]:
+def _one_or_many(words, name: str) -> tuple[list, bool]:
     """(the words as a list, whether one word was given): a str or a
-    TraceWord is one word, anything else a sequence of words."""
+    TraceWord is one word, any other iterable a sequence of words."""
     one = isinstance(words, (str, TraceWord))
+    if not one and not hasattr(words, "__iter__"):
+        raise TypeError(f"{name} must be a str, a TraceWord or a sequence of them, "
+                        f"got {words!r}")
     return ([words] if one else list(words)), one
 
 
@@ -142,7 +147,7 @@ def eval_trace_complex(word, state: QubitQutritState) -> complex | np.ndarray | 
     genuinely complex traces; real and imaginary parts are then separately
     invariant polynomials.  A non-finite or huge coordinate gives non-finite
     traces quietly, as letter_matrices gives non-finite letters."""
-    words, one = _one_or_many(word)
+    words, one = _one_or_many(word, "word")
     mats = _letter_matrices(state)
     with np.errstate(over="ignore", invalid="ignore"):
         values = [_eval_on(mats, _letters(w)) for w in words]
@@ -157,7 +162,7 @@ def eval_trace(word, state: QubitQutritState) -> float | np.ndarray | list:
     """Real trace of the word's matrix product, or a list of them for a
     sequence of words; a word whose trace picks up an imaginary part beyond
     IMAG_TOL (on any state of a stack) is flagged by raising, never truncated."""
-    words, one = _one_or_many(word)
+    words, one = _one_or_many(word, "word")
     values = eval_trace_complex(words, state)
     for w, val in zip(words, values):
         worst = float(np.abs(val.imag).max())
@@ -472,7 +477,7 @@ def trace_jacobian(words, point: np.ndarray) -> np.ndarray:
     point = (a, b, C row by row).  Letter g is sum x_k G_k, G_k = SU6_GENERATORS[k],
     over k in states.LETTER_SLICES[g], so d tr(L_1...L_d)/dx_k sums tr(G_k L_{i+1}...
     L_d L_1...L_{i-1}) over the positions i of that letter (I6 if that is empty)."""
-    words = [_letters(w) for w in _one_or_many(words)[0]]
+    words = [_letters(w) for w in _one_or_many(words, "words")[0]]
     x = _args.real_array(point, "point")
     if x.shape != (35,):
         raise ValueError(f"point must be a vector of 35 coordinates, got shape {x.shape}")
@@ -550,7 +555,7 @@ def invariance_test(selector, trials: int, seed: int = DEFAULT_PANEL_SEED,
     by global SU(6) unitaries, so a sequence must be of one kind; pass
     unitary="local"/"global" to override (e.g. a trace word under a global
     unitary is the negative control)."""
-    seed, selectors = _args.seed(seed), _one_or_many(selector)[0]
+    seed, selectors = _args.seed(seed), _one_or_many(selector, "selector")[0]
     if not selectors:
         raise ValueError("no invariant selector given")
     trials = _args.integer(trials, "trials", 1)

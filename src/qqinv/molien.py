@@ -53,9 +53,27 @@ _SCRATCH_BOX_MAX_BYTES = 1 << 24
 GROUP_LABELS = ("su2xsu2", "su2xsu3")
 
 
+def _integer_vector(v, rank: int, what: str) -> tuple[int, ...]:
+    """v as Python ints if it has `rank` coordinates, each equal to an
+    integer (3.0 and numpy integers are), or ValueError naming it."""
+    try:
+        # through the real part, so that 3 + 0j, which equals 3, is read as 3
+        out = tuple(int(getattr(x, "real", x)) for x in v)
+        exact = len(out) == rank and all(x == y for x, y in zip(v, out))
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{what} {v} is not an integer vector of rank {rank}")
+    return out
+
+
 @dataclass(frozen=True)
 class WeightSystem:
-    """Integer torus data of a representation: weights, roots, |W|."""
+    """Integer torus data of a representation: weights, roots, |W|, checked
+    on construction, so molien_series trusts it: rank and |W| are integers
+    (_args.integer), each weight and root is stored as a tuple of rank Python
+    ints (_integer_vector), the weights sum to 0 per axis, the roots pair up
+    as +-r, and |W| >= 1."""
 
     rank: int
     weights: tuple[tuple[int, ...], ...]
@@ -63,18 +81,19 @@ class WeightSystem:
     weyl_order: int
     label: str = ""
 
-    def validate(self) -> None:
-        for what, vectors in (("weight", self.weights), ("root", self.roots)):
-            for v in vectors:
-                _integer_vector(v, self.rank, what)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rank", _args.integer(self.rank, "rank", 1))
+        for what in ("weight", "root"):
+            object.__setattr__(self, what + "s", tuple(
+                _integer_vector(v, self.rank, what) for v in getattr(self, what + "s")))
         for axis in range(self.rank):
             if sum(w[axis] for w in self.weights) != 0:
                 raise ValueError(f"weight coordinates do not sum to 0 on axis {axis}")
-        roots = list(self.roots)
         for r in self.roots:
             neg = tuple(-x for x in r)
-            if roots.count(neg) != roots.count(r):
+            if self.roots.count(neg) != self.roots.count(r):
                 raise ValueError(f"roots are not paired: {r} vs {neg}")
+        object.__setattr__(self, "weyl_order", _args.integer(self.weyl_order, "weyl_order"))
         if self.weyl_order < 1:
             raise ValueError("weyl_order must be positive")
 
@@ -98,19 +117,16 @@ def adjoint_weight_system(spec: str) -> WeightSystem:
         weights = _pairwise_products(su2, su2)
         weights.remove((0, 0))
         roots = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        ws = WeightSystem(2, tuple(weights), tuple(roots), 4, label=spec)
-    elif spec == "su2xsu3":
+        return WeightSystem(2, tuple(weights), tuple(roots), 4, label=spec)
+    if spec == "su2xsu3":
         su3 = [(0, 0), (0, 0), (0, 0),
                (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]
         weights = _pairwise_products(su2, su3)
         weights.remove((0, 0, 0))
         roots = [(1, 0, 0), (-1, 0, 0)]
         roots += [(0,) + r for r in su3[3:]]
-        ws = WeightSystem(3, tuple(weights), tuple(roots), 12, label=spec)
-    else:
-        raise ValueError(f"unknown group spec {spec!r}; expected one of {GROUP_LABELS}")
-    ws.validate()
-    return ws
+        return WeightSystem(3, tuple(weights), tuple(roots), 12, label=spec)
+    raise ValueError(f"unknown group spec {spec!r}; expected one of {GROUP_LABELS}")
 
 
 # -- Laurent polynomial helpers (exact, dict-based, for small factors) --------
@@ -149,7 +165,6 @@ def _kernel(roots: tuple, rank: int, backend: str, weyl_order: int) -> tuple:
     reduced:  prod over the roots r > 0, whose first nonzero coordinate is
               positive, of (1 - x^-r), divisor 1
     """
-    roots = tuple(_integer_vector(r, rank, "root") for r in roots)
     if backend == "weyl":
         factors, divisor = roots, weyl_order
     elif backend == "reduced":
@@ -177,21 +192,6 @@ def _coefficient_bound(n_weights: int, max_degree: int) -> int:
     if n_weights == 0:
         return 1
     return math.comb(n_weights + max_degree - 1, max_degree)
-
-
-def _integer_vector(v, rank: int, what: str) -> tuple[int, ...]:
-    """v as Python ints if it has `rank` coordinates, each equal to an
-    integer (3.0 and numpy integers are), or ValueError naming it."""
-    try:
-        # through the real part, so that 3 + 0j, which a cache takes for 3,
-        # is read as 3 too
-        out = tuple(int(getattr(x, "real", x)) for x in v)
-        exact = len(out) == rank and all(x == y for x, y in zip(v, out))
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        raise ValueError(f"{what} {v} is not an integer vector of rank {rank}")
-    return out
 
 
 def _axis_reach(vectors, rank: int) -> tuple[int, ...]:
@@ -293,16 +293,13 @@ class BoxPlan:
 def _box_plan(weights: tuple, rank: int, max_degree: int, reach: tuple) -> BoxPlan:
     """What _fill_box derives from its arguments alone.  It holds
     offsets, never a box or a view of one, in read-only arrays, since every
-    request shares it.  rank, max_degree and reach arrive as Python ints;
-    the weights are keyed as given and checked here: a weight equal to an
-    integer one (3.0, a numpy integer) plans the same box, and any other
-    raises, so the cache state never changes a result."""
+    request shares it.  rank, max_degree and reach arrive as Python ints,
+    and the weights as a WeightSystem holds them, tuples of Python ints."""
     if rank > 3:
         raise ValueError(f"torus rank {rank} not supported (max 3)")
     lead = (0,) * (3 - rank)
     reach = lead + reach
-    order = sorted((_integer_vector(x, rank, "weight") for x in weights),
-                   key=_application_order)
+    order = sorted(weights, key=_application_order)
     w = np.array([lead + x for x in order], dtype=np.int64).reshape(-1, 3)
     absw = np.abs(w)
     wmax = absw.max(axis=0, initial=0)
@@ -699,9 +696,8 @@ def molien_series(ws: WeightSystem, max_degree: int, *,
         raise ValueError(
             f"max_degree {max_degree} exceeds the resource cap {degree_cap}; "
             f"pass degree_cap explicitly to override")
-    exps, coefs, reach, divisor = _kernel(tuple(map(tuple, ws.roots)), ws.rank,
-                                          backend, ws.weyl_order)
-    plan = _box_plan(tuple(map(tuple, ws.weights)), ws.rank, max_degree, reach)
+    exps, coefs, reach, divisor = _kernel(ws.roots, ws.rank, backend, ws.weyl_order)
+    plan = _box_plan(ws.weights, ws.rank, max_degree, reach)
     out = []
     for d, value in enumerate(_constant_terms(plan, exps, coefs)):
         if value % divisor:

@@ -14,8 +14,8 @@ tr(t_A t_B) = 2 delta_AB:
       t_{19+a} = sigma_2 x lambda_a / sqrt(2)
       t_{27+a} = sigma_3 x lambda_a / sqrt(2)
 
-From a basis the totally symmetric tensor d_ABC and totally antisymmetric
-tensor f_ABC are computed via
+From each of them the totally symmetric tensor d_ABC and totally
+antisymmetric tensor f_ABC are computed via
 
     d_ABC = (1/4) tr({t_A, t_B} t_C),    f_ABC = (-i/4) tr([t_A, t_B] t_C),
 
@@ -35,7 +35,6 @@ import numpy as np
 from . import _args
 
 HERMITICITY_TOL = 1e-12
-ORTHONORMALITY_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-10
 CLOSURE_PAIRS = 250
@@ -138,22 +137,9 @@ def basis_defects(basis: SuBasis) -> dict[str, float]:
 
 @lru_cache(maxsize=None)
 def structure_constants(label: str) -> StructureConstants:
-    """d/f tensors of the basis with the given label (cached)."""
-    return structure_constants_of(build_basis(label))
-
-
-def structure_constants_of(basis: SuBasis) -> StructureConstants:
-    """Compute d_ABC and f_ABC from the anticommutator/commutator traces.
-
-    The input basis must satisfy tr(t_A t_B) = 2 delta_AB; anything else is
-    rejected since the defining trace formulas assume that normalization.
-    """
-    defects = basis_defects(basis)
-    if defects["orthonormality"] > ORTHONORMALITY_TOL:
-        raise ValueError(
-            f"basis is not orthonormal: max |tr(t_A t_B) - 2 delta| = "
-            f"{defects['orthonormality']:.3e}"
-        )
+    """d/f tensors of the basis with the given label (cached), from the
+    anticommutator and commutator traces."""
+    basis = build_basis(label)
     t = basis.elements
     k, n = t.shape[0], basis.n
     # abc = tr(t_a t_b t_c) = sum over i of (t_a t_b)_{i.} . (t_c)_{.i}, summed
@@ -171,7 +157,7 @@ def structure_constants_of(basis: SuBasis) -> StructureConstants:
     residue = max(np.abs(d.imag).max(), np.abs(f.imag).max())
     if residue > HERMITICITY_TOL:
         raise ValueError(f"imaginary residue {residue:.3e} in structure constants")
-    return StructureConstants(basis.n, np.ascontiguousarray(d.real), np.ascontiguousarray(f.real))
+    return StructureConstants(n, np.ascontiguousarray(d.real), np.ascontiguousarray(f.real))
 
 
 def _contractions(x: np.ndarray, y: np.ndarray):

@@ -20,11 +20,17 @@ from qqinv import molien, states, su_algebra
 SU3 = su_algebra.build_basis("su3-gellmann")
 SC3 = su_algebra.structure_constants("su3-gellmann")
 SC6 = su_algebra.structure_constants("su6-tensor")
-WS22 = molien.adjoint_weight_system("su2xsu2")
 TWO_QUBIT = molien.TWO_QUBIT_RATIONAL
 XI = states.state_to_xi(states.random_density(4))
 RAGGED_C = [[0] * 8, [0] * 8, [0] * 7]
 RAGGED = "is ragged: its nested sequences differ in length"
+
+
+def _ws22():
+    """The SU(2)xSU(2) system, built on first use: this module builds no
+    WeightSystem at import time, so that a constructor check cannot fail
+    its collection."""
+    return molien.adjoint_weight_system("su2xsu2")
 
 
 def _abc(**fields):
@@ -59,55 +65,116 @@ SEEDED = {
     "closure_max_violation": lambda v: su_algebra.closure_max_violation(SU3, SC3, v),
 }
 
+#: every local_invariants function that takes a seed; their bools, floats
+#: and None are rejected in tests/test_invariants.py
+SEEDED_PANELS = {
+    "random_panel": lambda v: li.random_panel(v, 3),
+    "kernel_at_degree": lambda v: li.kernel_at_degree(4, v),
+    "nonkernel_words": lambda v: li.nonkernel_words(2, v),
+    "panel_violations": lambda v: li.panel_violations(v, 3),
+    "rank_at_degree": lambda v: li.rank_at_degree(2, False, v),
+    "degree4_completion_rank": lambda v: li.degree4_completion_rank(v),
+    "independence_evidence": lambda v: li.independence_evidence(2, v),
+    "invariance_test": lambda v: li.invariance_test("aa", 3, v),
+}
+
+#: a state and a point for the trace-word entry points
+STATE = states.random_density(1)
+POINT = np.full(35, 0.1)
+
+#: the word, words or selector argument of each trace-word entry point, with
+#: a value that is neither a word nor a sequence of words; each raised a
+#: bare "'int' object is not iterable" (or its NoneType or float variant)
+NOT_WORDS = {
+    "eval_trace": (lambda v: li.eval_trace(v, STATE), "word", 5),
+    "eval_trace_complex": (lambda v: li.eval_trace_complex(v, STATE), "word", None),
+    "trace_jacobian": (lambda v: li.trace_jacobian(v, POINT), "words", 5),
+    "jacobian_rank": (lambda v: li.jacobian_rank(v, POINT), "words", 3.0),
+    "invariance_test": (lambda v: li.invariance_test(v, 3), "selector", 5),
+}
+
+
 def _molien_series_warm(max_degree):
     """molien_series with the plans of degrees 3 and 1 cached: 3.0 hashes
     like 3, so a cached plan must not let it through."""
-    molien.molien_series(WS22, 3)
-    molien.molien_series(WS22, 1)
-    return molien.molien_series(WS22, max_degree)
+    molien.molien_series(_ws22(), 3)
+    molien.molien_series(_ws22(), 1)
+    return molien.molien_series(_ws22(), max_degree)
 
 
 #: molien_series on a cold and on a warm plan cache
 MOLIEN_SERIES = {
-    "cold": lambda v: (molien._box_plan.cache_clear(), molien.molien_series(WS22, v)),
+    "cold": lambda v: (molien._box_plan.cache_clear(), molien.molien_series(_ws22(), v)),
     "warm": _molien_series_warm,
 }
 
-#: the integer weight system of SU(2) on spin 1, its torus coordinate
-#: scaled by 3, with the same weights and roots as floats and numpy integers
+#: the arguments of the integer weight system of SU(2) on spin 1, its
+#: torus coordinate scaled by 3, with the same weights and roots as floats
+#: and numpy integers
 SPIN1_BY_3 = {
-    "int": molien.WeightSystem(1, ((0,), (3,), (-3,)), ((3,), (-3,)), 2),
-    "3.0": molien.WeightSystem(1, ((0.0,), (3.0,), (-3.0,)), ((3.0,), (-3.0,)), 2),
-    "numpy": molien.WeightSystem(1, tuple((np.int64(x),) for x in (0, 3, -3)),
-                                 ((np.int64(3),), (np.int64(-3),)), 2),
+    "int": (1, ((0,), (3,), (-3,)), ((3,), (-3,)), 2),
+    "3.0": (1, ((0.0,), (3.0,), (-3.0,)), ((3.0,), (-3.0,)), 2),
+    "numpy": (1, tuple((np.int64(x),) for x in (0, 3, -3)),
+              ((np.int64(3),), (np.int64(-3),)), 2),
 }
 
 
 def _series_planned_after(first, then):
-    """molien_series of `first` at degree 4 on empty kernel and plan caches,
-    then of `then` on the caches that `first` filled."""
+    """molien_series at degree 4 of the system built from `first` on empty
+    kernel and plan caches, then of the one built from `then` on the caches
+    that `first` filled."""
     molien._kernel.cache_clear()
     molien._box_plan.cache_clear()
-    return molien.molien_series(first, 4) + molien.molien_series(then, 4)
+    return (molien.molien_series(molien.WeightSystem(*first), 4)
+            + molien.molien_series(molien.WeightSystem(*then), 4))
 
 
-#: weight systems with a weight or root that is not an integer vector of
-#: their rank; unchecked, the first ran as (+-1,), the next two gave
-#: [0, 0, 0, 0, 0] and [1, 2, 3, 4, 5], and the last two raised numpy's
-#: reshape error and a TypeError on slice indices
+def _series_of(args):
+    """molien_series at degree 4 of the system built from args: an invalid
+    system raises in its constructor, so molien_series never sees it."""
+    return molien.molien_series(molien.WeightSystem(*args), 4)
+
+
+#: the arguments of weight systems with a weight or root that is not an
+#: integer vector of their rank; unchecked, the first ran as (+-1,), the
+#: next two gave [0, 0, 0, 0, 0] and [1, 2, 3, 4, 5], and the last two
+#: raised numpy's reshape error and a TypeError on slice indices.  The
+#: next three, weights that do not sum to 0, an unpaired root and |W| = 0,
+#: gave [1, -1, 0, 0, 0], an ArithmeticError and a ZeroDivisionError on
+#: the weyl backend; the last is not a number at all
 R1, R2 = ((1,), (-1,)), ((1, 0), (-1, 0))
 MALFORMED = (
-    ("weight-1.5", molien.WeightSystem(1, ((0,), (1.5,), (-1.5,)), R1, 2),
+    ("weight-1.5", (1, ((0,), (1.5,), (-1.5,)), R1, 2),
      "weight (1.5,) is not an integer vector of rank 1"),
-    ("weights-of-rank-1-in-rank-2", molien.WeightSystem(2, ((0,), (1,), (-1,)), R2, 2),
+    ("weights-of-rank-1-in-rank-2", (2, ((0,), (1,), (-1,)), R2, 2),
      "weight (0,) is not an integer vector of rank 2"),
-    ("weights-of-rank-3-in-rank-2",
-     molien.WeightSystem(2, ((0, 0, 0), (1, 0, 0), (-1, 0, 0)), R2, 2),
+    ("weights-of-rank-3-in-rank-2", (2, ((0, 0, 0), (1, 0, 0), (-1, 0, 0)), R2, 2),
      "weight (0, 0, 0) is not an integer vector of rank 2"),
-    ("weights-of-rank-2-in-rank-1", molien.WeightSystem(1, ((1, 0), (-1, 0)), R1, 2),
+    ("weights-of-rank-2-in-rank-1", (1, ((1, 0), (-1, 0)), R1, 2),
      "weight (1, 0) is not an integer vector of rank 1"),
-    ("root-0.5", molien.WeightSystem(1, ((0,), (1,), (-1,)), ((0.5,), (-0.5,)), 2),
+    ("root-0.5", (1, ((0,), (1,), (-1,)), ((0.5,), (-0.5,)), 2),
      "root (0.5,) is not an integer vector of rank 1"),
+    ("weights-sum-to-2", (1, ((1,), (1,)), R1, 2),
+     "weight coordinates do not sum to 0 on axis 0"),
+    ("root-unpaired", (1, ((0,), (1,), (-1,)), ((1,),), 2),
+     "roots are not paired: (1,) vs (-1,)"),
+    ("weyl_order-0", (1, ((0,), (1,), (-1,)), R1, 0), "weyl_order must be positive"),
+    ("weight-None", (1, ((None,),), (), 1), "weight (None,) is not an integer vector of rank 1"),
+    ("rank-0", (0, (), (), 1), "rank must be >= 1, got 0"),
+)
+
+#: the arguments of weight systems whose rank or |W| is not an integer;
+#: |W| = 2.0 gave the float counts [1.0, 0.0, 1.0, 0.0, 1.0] and left them
+#: in the kernel cache for every later system of the same roots with |W| = 2
+NOT_INTEGER = (
+    ("weyl_order-2.0", (1, ((0,), (1,), (-1,)), ((1,), (-1,)), 2.0),
+     "weyl_order must be an integer, got 2.0"),
+    ("weyl_order-True", (1, ((0,), (1,), (-1,)), ((1,), (-1,)), True),
+     "weyl_order must be an integer, got True"),
+    ("rank-True", (True, ((0,), (1,), (-1,)), ((1,), (-1,)), 2),
+     "rank must be an integer, got True"),
+    ("rank-1.0", (1.0, ((0,), (1,), (-1,)), ((1,), (-1,)), 2),
+     "rank must be an integer, got 1.0"),
 )
 
 #: the two routes to rational_series's max_degree
@@ -156,7 +223,7 @@ CONTRACT = [
     *(row(f"{name}-{value!r}", call, value, exc, message)
       for name, call in SEEDED.items() for value, exc, message in BAD_SEEDS),
     # degrees, sizes and counts
-    row("molien_series-max_degree", lambda v: molien.molien_series(WS22, v), -1,
+    row("molien_series-max_degree", lambda v: molien.molien_series(_ws22(), v), -1,
         ValueError, "max_degree must be >= 0, got -1"),
     *(row(f"molien_series-max_degree-{cache}-{value!r}", call, value, TypeError,
           f"max_degree must be an integer, got {value!r}")
@@ -164,22 +231,32 @@ CONTRACT = [
     # True once acted as cap 1, 2.5 was accepted and None raised a bare
     # comparison error
     *(row(f"molien_series-degree_cap-{value!r}",
-          lambda v: molien.molien_series(WS22, 1, degree_cap=v), value, TypeError,
+          lambda v: molien.molien_series(_ws22(), 1, degree_cap=v), value, TypeError,
           f"degree_cap must be an integer, got {value!r}")
       for value in (None, True, False, 2.5, 3.0, "3")),
     row("molien_series-degree_cap-negative",
-        lambda v: molien.molien_series(WS22, 0, degree_cap=v), -1,
+        lambda v: molien.molien_series(_ws22(), 0, degree_cap=v), -1,
         ValueError, "degree_cap must be >= 0, got -1"),
-    row("molien_series-max_degree-over-cap", lambda v: molien.molien_series(WS22, v), 21,
+    row("molien_series-max_degree-over-cap", lambda v: molien.molien_series(_ws22(), v), 21,
         ValueError, "max_degree 21 exceeds the resource cap 20; "
                     "pass degree_cap explicitly to override"),
-    *(row(f"molien_series-{case}", lambda v: molien.molien_series(v, 4), ws,
-          ValueError, message) for case, ws, message in MALFORMED),
+    *(row(f"molien_series-{case}", _series_of, args, ValueError, message)
+      for case, args, message in MALFORMED),
+    *(row(f"molien_series-{case}", _series_of, args, TypeError, message)
+      for case, args, message in NOT_INTEGER),
+    # valid systems that molien_series cannot run: a wrong |W|, whose
+    # constant terms it does not divide, and a torus of rank 4
+    row("molien_series-weyl_order-4", _series_of, (1, ((0,), (1,), (-1,)), R1, 4),
+        ArithmeticError, "constant term 2 at degree 0 is not divisible by 4"),
+    row("molien_series-rank-4", _series_of, (4, ((0, 0, 0, 0),), (), 1),
+        ValueError, "torus rank 4 not supported (max 3)"),
     # names of a group and of a backend
     row("adjoint_weight_system-spec", molien.adjoint_weight_system, "su3xsu3",
         ValueError, "unknown group spec 'su3xsu3'; expected one of ('su2xsu2', 'su2xsu3')"),
-    row("molien_series-backend", lambda v: molien.molien_series(WS22, 4, backend=v),
+    row("molien_series-backend", lambda v: molien.molien_series(_ws22(), 4, backend=v),
         "contour", ValueError, "unknown backend 'contour'"),
+    row("rational_form_for-label", molien.rational_form_for, "su3xsu3",
+        ValueError, "no rational form for 'su3xsu3'"),
     # a negative degree once sliced the numerator from its end:
     # TWO_QUBIT_RATIONAL.series(-2) gave 15 coefficients, and
     # rational_series([1], [(2, 1)], -1) gave []
@@ -192,6 +269,26 @@ CONTRACT = [
             for bad in (3.0, True, False, "3")))),
     row("kernel_at_degree-panel_size", lambda v: li.kernel_at_degree(2, panel_size=v), 0,
         ValueError, "panel_size must be >= 1, got 0"),
+    *(row(f"{name}--1", call, -1, ValueError, "seed must be >= 0, got -1")
+      for name, call in SEEDED_PANELS.items()),
+    *(row(f"enumerate_words-degree-{value}", li.enumerate_words, value,
+          ValueError, f"degree must be in 1..8, got {value}") for value in (0, 9)),
+    row("kernel_at_degree-degree-7", li.kernel_at_degree, 7,
+        ValueError, "degree must be in 1..6, got 7"),
+    row("rank_at_degree-degree-7", lambda v: li.rank_at_degree(v, include_products=False), 7,
+        ValueError, "degree must be in 1..6, got 7"),
+    row("independence_evidence-degree_cap-9", li.independence_evidence, 9,
+        ValueError, "degree_cap must be in 1..8, got 9"),
+    row("invariance_test-trials-0", lambda v: li.invariance_test("aa", v), 0,
+        ValueError, "trials must be >= 1, got 0"),
+    # words
+    *(row(f"{name}-{name_of}-{value!r}", call, value, TypeError,
+          f"{name_of} must be a str, a TraceWord or a sequence of them, got {value!r}")
+      for name, (call, name_of, value) in NOT_WORDS.items()),
+    *(row(f"eval_trace-word-in-{value!r}", lambda v: li.eval_trace(v, STATE), value,
+          TypeError, f"word must be a str, got {value[-1]!r}") for value in ([5], ["ab", 7])),
+    row("invariance_test-selector-[5]", lambda v: li.invariance_test(v, 3), [5],
+        ValueError, "unknown invariant selector 5"),
     row("panel_violations-panel_size", lambda v: li.panel_violations(panel_size=v), 0,
         ValueError, "panel_size must be >= 1, got 0"),
     row("complete_numerator-top_degree",
@@ -247,6 +344,9 @@ CONTRACT = [
         ValueError, "field 'v' has dtype bool, expected real coordinates"),
     row("casimirs_from_vee-ragged", lambda v: cp.casimirs_from_vee(v, SC6),
         [[0.0] * 35, [0.0] * 34], ValueError, f"field 'xi' {RAGGED}"),
+    # the Casimirs are su(6)'s: su(3)'s once divided by zero in normalized
+    row("casimirs_from_vee-su3", lambda v: cp.casimirs_from_vee(np.zeros(8), v), SC3,
+        ValueError, "Casimirs are su(6)'s: got structure constants of su(3)"),
     row("vee-u-ragged", lambda v: cp.vee(v, XI, SC6), [[0.0] * 35, [0.0]],
         ValueError, f"field 'u' {RAGGED}"),
     # numpy would drop the imaginary part with a ComplexWarning, and bools
@@ -293,6 +393,10 @@ CONTRACT = [
         [True, False, False], ValueError, "field 'a' has dtype bool, expected real coordinates"),
     row("state-file-rho-object", lambda v: states.state_from_json_dict({"rho": v}),
         {"x": 1}, ValueError, "field 'rho' has dtype object, expected real coordinates"),
+    row("state-file-not-an-object", states.state_from_json_dict, [1],
+        ValueError, "state document must be a JSON object"),
+    row("state-file-abc-without-C", states.state_from_json_dict,
+        {"abc": {"a": [0] * 3, "b": [0] * 8}}, ValueError, "missing field 'C' in abc state"),
     row("trace_jacobian-bool", lambda v: li.trace_jacobian(["aa", "gg"], v),
         np.zeros(35, bool), ValueError, "field 'point' has dtype bool, expected real coordinates"),
     # real scalars
@@ -321,16 +425,19 @@ ACCEPTED = {
     "closure_max_violation-numpy-seed": (
         lambda: su_algebra.closure_max_violation(SU3, SC3, np.int64(5)),
         lambda: su_algebra.closure_max_violation(SU3, SC3, 5)),
-    "molien_series-numpy-max_degree": (lambda: molien.molien_series(WS22, np.int64(4)),
-                                       lambda: molien.molien_series(WS22, 4)),
+    "molien_series-numpy-max_degree": (lambda: molien.molien_series(_ws22(), np.int64(4)),
+                                       lambda: molien.molien_series(_ws22(), 4)),
     "molien_series-numpy-degree_cap": (
-        lambda: molien.molien_series(WS22, 4, degree_cap=np.int64(4)),
-        lambda: molien.molien_series(WS22, 4)),
+        lambda: molien.molien_series(_ws22(), 4, degree_cap=np.int64(4)),
+        lambda: molien.molien_series(_ws22(), 4)),
     **{f"molien_series-{form}-weights-planned-{when}": (
         lambda pair=pair: _series_planned_after(*pair), lambda: [1, 0, 1, 0, 1] * 2)
        for form in ("3.0", "numpy")
        for when, pair in (("first", (SPIN1_BY_3[form], SPIN1_BY_3["int"])),
                           ("second", (SPIN1_BY_3["int"], SPIN1_BY_3[form])))},
+    "molien_series-numpy-rank-and-weyl_order": (
+        lambda: _series_of((np.int64(1), ((0,), (1,), (-1,)), ((1,), (-1,)), np.int8(2))),
+        lambda: [1, 0, 1, 0, 1]),
     "RationalForm.series-numpy-max_degree": (lambda: TWO_QUBIT.series(np.int64(3)),
                                              lambda: [1, 0, 3, 2]),
     "rational_series-max_degree-0": (lambda: molien.rational_series([1], [(2, 1)], 0),

@@ -55,13 +55,15 @@ def test_casimirs_pure_state():
 
 
 def test_casimir_normalization_relation():
-    cas = CasimirValues(6, (1.0, 2.0, 3.0, 4.0, 5.0))
+    cas = CasimirValues((1.0, 2.0, 3.0, 4.0, 5.0))
     n = 6
     for k, (raw, norm) in enumerate(zip(cas.raw, cas.normalized), start=2):
         denom = 1.0
         for j in range(1, k):
             denom *= n - j
         assert abs(norm - math.factorial(k - 1) / denom * raw) < 1e-15
+    # the su(6) factors, bit for bit
+    assert cp._NORMALIZERS == (0.2, 0.1, 0.1, 0.2, 1.0)
 
 
 def test_casimirs_from_traces_eigenvalue_oracle():
@@ -337,7 +339,7 @@ def test_positivity_report_nonpsd_fails_both_ways():
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (8, 8), (6, 5), (6, 6, 2)])
 def test_positivity_report_rejects_shapes_other_than_6x6(shape):
-    # 3x3 and 4x4 would divide by zero in CasimirValues.normalized, and an
+    # 3x3 and 4x4 are no su(6) states, and an
     # 8x8 matrix would be judged against the n = 6 table of max S_k; (6, 6,
     # 2) is the re/im layout of a rho file
     rho = np.zeros(shape, dtype=complex)

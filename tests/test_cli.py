@@ -55,6 +55,19 @@ def test_molien_compare_rational_ok():
     assert "rational-match ok" in out
 
 
+def test_molien_compare_rational_mismatch_fails(monkeypatch):
+    # a rational form that disagrees with the series at degree 2
+    form = molien.RationalForm((1, 0, 1), ((2, 1),))
+    monkeypatch.setattr(molien, "rational_form_for", lambda label: form)
+    code, out = run_cli("molien", "--group", "2x2", "--degree", "3", "--compare-rational")
+    assert code == 1
+    assert out.splitlines() == ["0 1", "1 0", "2 3", "3 2", "rational-match MISMATCH"]
+    code, out = run_cli("molien", "--group", "2x2", "--degree", "3", "--compare-rational",
+                        "--format", "json")
+    assert code == 1
+    assert json.loads(out)["rational_match"] is False
+
+
 def test_molien_reduced_backend():
     code, out = run_cli("molien", "--group", "2x3", "--degree", "5",
                         "--backend", "reduced")
@@ -118,6 +131,26 @@ def test_basis_dump():
 def test_basis_default_su6():
     code, out = run_cli("basis")
     assert json.loads(out)["n"] == 6 and code == 0
+
+
+def test_basis_table_prints_one_entry_per_line():
+    # each (A, B, C, value) entry of d and f on one line, as a leaf list
+    code, out = run_cli("basis", "--algebra", "su2", "--format", "table")
+    assert code == 0
+    assert out == "d      []\nf:\n  [1, 2, 3, 1.0]\nlabel  su2-pauli\nn      2\n"
+    # su(6): 199 entries of d and 173 of f, two headers, label and n
+    code, out = run_cli("basis", "--algebra", "su6", "--format", "table")
+    assert code == 0 and len(out.splitlines()) == 376
+
+
+def test_invariants_table_nests_one_table_per_word(mixed_file):
+    code, out = run_cli("invariants", mixed_file, "--max-degree", "1", "--format", "table")
+    assert code == 0
+    assert out.splitlines() == [
+        "max_degree  1", "words:",
+        "  multidegree  [1, 0, 0]", "  value        0.0", "  word         a",
+        "  multidegree  [0, 1, 0]", "  value        0.0", "  word         b",
+        "  multidegree  [0, 0, 1]", "  value        0.0", "  word         g"]
 
 
 def test_positivity_mixed_passes(mixed_file):

@@ -53,13 +53,6 @@ def test_enumerate_degree4_exact_list():
     assert [w.letters for w in enumerate_words(4)] == DEGREE4_WORDS
 
 
-def test_enumerate_rejects_out_of_range():
-    with pytest.raises(ValueError, match="1..8"):
-        enumerate_words(0)
-    with pytest.raises(ValueError, match="1..8"):
-        enumerate_words(9)
-
-
 #: every public function that takes a seed, called with the seed it is given
 SEED_CALLS = {
     "random_panel_seed": lambda v: li.random_panel(v, 3),
@@ -106,12 +99,6 @@ def test_integer_arguments_take_numpy_integers():
     assert kernel_at_degree(np.int8(4)).words == kernel_at_degree(4).words
     assert np.array_equal(li.random_panel(np.int64(3), 4).x, li.random_panel(3, 4).x)
     assert invariance_test("aa", 2, np.int64(5)) == invariance_test("aa", 2, 5)
-
-
-@pytest.mark.parametrize("call", SEED_CALLS.values(), ids=SEED_CALLS.keys())
-def test_seed_arguments_reject_negatives(call):
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-        call(-1)
 
 
 def test_canonical_form_moves():
@@ -395,6 +382,13 @@ def test_trace_jacobian_takes_one_word_as_a_list_of_one():
     assert jacobian_rank(trace_word("agag"), p) == 1
 
 
+def test_jacobian_rank_of_a_zero_jacobian_is_0():
+    # tr(alpha) vanishes identically, so its Jacobian is the zero matrix
+    jac = li.trace_jacobian("a", np.full(35, 0.1))
+    assert jac.shape == (35, 1) and not jac.any()
+    assert jacobian_rank("a", np.full(35, 0.1)) == 0
+
+
 @pytest.mark.parametrize("word", ["ax", ""])
 @pytest.mark.parametrize("entry", [li.trace_jacobian, jacobian_rank])
 def test_jacobian_rejects_bad_words(entry, word):
@@ -427,11 +421,6 @@ def test_kernel_degree4():
 def test_kernel_degree2_and_1():
     assert {w.letters for w in kernel_at_degree(2).words} == {"ab", "ag", "bg"}
     assert {w.letters for w in kernel_at_degree(1).words} == {"a", "b", "g"}
-
-
-def test_kernel_rejects_high_degree():
-    with pytest.raises(ValueError, match="^degree must be in 1..6, got 7$"):
-        kernel_at_degree(7)
 
 
 def test_kernel_words_vanish_algebraically():
@@ -694,17 +683,7 @@ def test_correlation_quartic_outside_word_span():
     assert residual > 1e-6
 
 
-def test_rank_rejects_high_degree():
-    with pytest.raises(ValueError, match="^degree must be in 1..6, got 7$"):
-        rank_at_degree(7, include_products=False)
-
-
 # -- independence ----------------------------------------------------------------------
-
-def test_independence_evidence_validates_cap():
-    with pytest.raises(ValueError, match="1..8"):
-        independence_evidence(9)
-
 
 def test_independence_evidence_degree2():
     assert independence_evidence(2) == 3
@@ -786,11 +765,6 @@ def test_invariance_rejects_mixed_or_empty_selectors():
         invariance_test(["C2", trace_word("gg")], 5)
     with pytest.raises(ValueError, match="no invariant selector"):
         invariance_test([], 5)
-
-
-def test_invariance_rejects_bad_trials():
-    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
-        invariance_test("aa", 0)
 
 
 def test_invariance_rejects_unknown_unitary_kind():

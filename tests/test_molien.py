@@ -93,7 +93,6 @@ def test_weight_system_2x3():
 @pytest.mark.parametrize("spec", ["su2xsu2", "su2xsu3"])
 def test_weights_self_dual(spec):
     ws = adjoint_weight_system(spec)
-    ws.validate()
     weights = list(ws.weights)
     for w in weights:
         neg = tuple(-x for x in w)
@@ -101,12 +100,23 @@ def test_weights_self_dual(spec):
 
 
 def test_weight_system_validate_rejects_bad():
+    # the constructor checks the system
     with pytest.raises(ValueError, match="sum to 0"):
-        WeightSystem(1, ((1,), (0,)), (), 1).validate()
+        WeightSystem(1, ((1,), (0,)), (), 1)
     with pytest.raises(ValueError, match="paired"):
-        WeightSystem(1, ((1,), (-1,)), ((1,),), 2).validate()
+        WeightSystem(1, ((1,), (-1,)), ((1,),), 2)
     with pytest.raises(ValueError, match=r"^weight \(0\.5,\) is not an integer vector"):
-        WeightSystem(1, ((0.5,), (-0.5,)), (), 1).validate()
+        WeightSystem(1, ((0.5,), (-0.5,)), (), 1)
+
+
+def test_weight_system_stores_python_ints():
+    ws = WeightSystem(np.int64(1), ((np.int64(0),), (3.0,), [-3]), ((np.int8(3),), (-3.0,)),
+                      np.int8(2))
+    assert ws.weights == ((0,), (3,), (-3,)) and ws.roots == ((3,), (-3,))
+    assert {type(x) for v in ws.weights + ws.roots for x in v} == {int}
+    assert type(ws.rank) is type(ws.weyl_order) is int
+    assert molien_series(ws, 4) == [1, 0, 1, 0, 1]
+    assert {type(c) for c in molien_series(ws, 4)} == {int}
 
 
 # -- truncated torus series --------------------------------------------------------
@@ -210,26 +220,6 @@ def test_moduli_are_pairwise_coprime():
         assert math.prod(moduli[:-1]) <= span or len(moduli) == 1
         assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
         assert all(m % 2 and m < 2 ** 62 for m in moduli[1:])
-
-
-def test_pruned_box_shape_2x3():
-    # radius max_d min(d, 30 - d + reach) per axis, kernel reach (1, 2, 2),
-    # and gutters of max |w_y| = max |w_z| = 1 at both ends of axes y and z
-    ws = adjoint_weight_system("su2xsu3")
-    reach = _axis_reach([exp for exp, _ in _root_polynomial(ws.roots, ws.rank)],
-                        ws.rank)
-    assert reach == (1, 2, 2)
-    plan = _box_plan(ws.weights, ws.rank, 30, reach)
-    assert plan.phases[0].cut == (15, 17, 17)
-    # stored, degree d reaches min(d, 31 - d) on axis x: 511 planes of
-    # 35 x 35 cells in all, not 31 x 31
-    assert plan.phases[0].shape == (511, 35, 35)
-    assert plan.extents == tuple(min(d, 31 - d) for d in range(31))
-    assert plan.cells == sum(2 * r + 1 for r in plan.extents) * 35 * 35 == 625_975
-    # the kernel reads the last phase: every plane cut to the 5 x 5 cells
-    # within reach on y and z
-    scratch = np.zeros(plan.scratch_cells, dtype=np.uint64)
-    assert _fill_box(plan, 2 ** 64, scratch).shape == (511, 5, 5)
 
 
 #: SU(2) on spin 1, in the torus coordinate of the adjoint weights
@@ -426,15 +416,23 @@ def test_slab_extent_is_the_widest_window_of_its_degree(spec, axis, degrees):
 
 
 def test_plan_reports_box_geometry():
-    # the box keeps the widest window's radius on y and z, plus a gutter,
-    # and stores degree d with min(d, 31 - d) planes either side of the
-    # origin on axis x, each of 35 x 35 cells
+    # radius max_d min(d, 30 - d + reach) per axis, kernel reach (1, 2, 2),
+    # and gutters of max |w_y| = max |w_z| = 1 at both ends of axes y and z
     ws, reach = kernel_reach("su2xsu3")
+    assert reach == (1, 2, 2) == _axis_reach(
+        [exp for exp, _ in _root_polynomial(ws.roots, ws.rank)], ws.rank)
     plan = _box_plan(ws.weights, ws.rank, 30, reach)
     assert plan.axis == 0 and plan.phases[0].cut == (15, 17, 17)
-    assert plan.plane == 35 * 35
-    assert plan.cells == 625_975 == sum(2 * min(d, 31 - d) + 1 for d in range(31)) * 35 * 35
+    # stored, degree d reaches min(d, 31 - d) on axis x: 511 planes of
+    # 35 x 35 cells in all, not 31 x 31
+    assert plan.plane == 35 * 35 and plan.phases[0].shape == (511, 35, 35)
+    assert plan.extents == tuple(min(d, 31 - d) for d in range(31))
+    assert plan.cells == 625_975 == sum(2 * r + 1 for r in plan.extents) * 35 * 35
     assert plan.nbytes == 8 * plan.cells
+    # the kernel reads the last phase: every plane cut to the 5 x 5 cells
+    # within reach on y and z
+    scratch = np.zeros(plan.scratch_cells, dtype=np.uint64)
+    assert _fill_box(plan, 2 ** 64, scratch).shape == (511, 5, 5)
     assert plan.bound == math.comb(64, 30) < 2 ** 64
     assert _box_plan(ws.weights, ws.rank, 34, reach).bound == math.comb(68, 34) >= 2 ** 64
     # SU(2)xSU(2) sets the extent of axis z, its first, per degree, on rows

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from qqinv import su_algebra
-from qqinv.su_algebra import (SuBasis, build_basis, basis_defects,
+from qqinv.su_algebra import (build_basis, basis_defects,
                               closure_max_violation, structure_constants,
-                              structure_constants_of, symmetrized_trace,
+                              symmetrized_trace,
                               symmetrized_trace_closed, to_json_dict,
                               verify_structure_identities)
 
@@ -86,13 +86,6 @@ def test_structure_constant_symmetries(label):
         assert np.abs(sc.f - sign * sc.f.transpose(perm)).max() < 1e-12
     # repeated index kills the antisymmetric tensor
     assert np.abs(np.einsum("aab->ab", sc.f)).max() < 1e-12
-
-
-def test_structure_constants_reject_nonorthonormal():
-    lam = build_basis("su3-gellmann").elements
-    bad = SuBasis("scaled", 3, 2.0 * lam)
-    with pytest.raises(ValueError, match="not orthonormal"):
-        structure_constants_of(bad)
 
 
 def dense_identity_violations(sc):
@@ -226,19 +219,6 @@ def test_structure_constants_match_triple_trace_einsum(label):
     sc = structure_constants(label)
     assert np.array_equal(sc.d, ((abc + acb) / 4).real)
     assert np.array_equal(sc.f, (-1j * (abc - acb) / 4).real)
-
-
-def test_structure_constants_of_a_rotated_basis():
-    # a generic orthogonal mix of the Gell-Mann matrices has dense rows
-    lam = build_basis("su3-gellmann").elements
-    q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
-    t = np.einsum("ab,bij->aij", q, lam)
-    sc = structure_constants_of(SuBasis("rotated", 3, t))
-    abc = np.einsum("aij,bjk,cki->abc", t, t, t)
-    acb = np.einsum("aij,cjk,bki->abc", t, t, t)
-    assert np.abs(sc.d - ((abc + acb) / 4).real).max() < 1e-14
-    assert np.abs(sc.f - (-1j * (abc - acb) / 4).real).max() < 1e-14
-    assert verify_structure_identities(sc).passed
 
 
 @pytest.mark.parametrize("label", su_algebra.BASIS_LABELS)
