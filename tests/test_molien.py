@@ -415,7 +415,7 @@ def test_slab_extent_is_the_widest_window_of_its_degree(spec, axis, degrees):
         assert reached.tolist() == widest, N
 
 
-def test_plan_reports_box_geometry():
+def test_pruned_box_shape_2x3():
     # radius max_d min(d, 30 - d + reach) per axis, kernel reach (1, 2, 2),
     # and gutters of max |w_y| = max |w_z| = 1 at both ends of axes y and z
     ws, reach = kernel_reach("su2xsu3")
@@ -428,7 +428,12 @@ def test_plan_reports_box_geometry():
     assert plan.plane == 35 * 35 and plan.phases[0].shape == (511, 35, 35)
     assert plan.extents == tuple(min(d, 31 - d) for d in range(31))
     assert plan.cells == 625_975 == sum(2 * r + 1 for r in plan.extents) * 35 * 35
-    assert plan.nbytes == 8 * plan.cells
+
+
+def test_plan_reports_box_geometry():
+    ws, reach = kernel_reach("su2xsu3")
+    plan = _box_plan(ws.weights, ws.rank, 30, reach)
+    assert plan.nbytes == 8 * plan.cells == 8 * 625_975
     # the kernel reads the last phase: every plane cut to the 5 x 5 cells
     # within reach on y and z
     scratch = np.zeros(plan.scratch_cells, dtype=np.uint64)
